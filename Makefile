@@ -9,13 +9,14 @@ test:
 	dune runtest
 
 # The CI gate: everything compiles (including tests and benches), the test
-# suite passes, and the optimizer driver runs end to end with structured
-# stats on a real workload.
+# suite passes, `tbaac optimize` runs end to end with structured stats on a
+# real workload, and an optimized simulator run audits clean.
 check:
 	dune build @all
 	dune runtest
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --stats
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --jobs 2 --stats
+	dune exec bin/tbaac.exe -- run --workload slisp --audit --quiet
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --out ""
 
 # The full differential-testing sweep: 200 generated programs through the

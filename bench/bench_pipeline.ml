@@ -43,16 +43,11 @@ let required_par_speedup = 1.5
 let regression_slack = 0.8 (* accept >= 80% of the recorded speedup *)
 let procs = 1200
 
-let config jobs =
-  { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-    world = Tbaa.World.Closed;
-    passes =
-      { Opt.Pass_manager.Config.none with
-        Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
-        rle = true; copyprop = true; dse = true };
-    jobs }
-
-let schedule = Opt.Pipeline.schedule_of_config (config 1)
+let schedule =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.none with
+      Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
+      rle = true; copyprop = true; dse = true }
 
 let lower () = Ir.Lower.lower_string ~file:"scale" (Gen.Scale.source procs)
 
@@ -101,7 +96,7 @@ let toggle_const ~delta program =
   if not !toggled then failwith "bench_pipeline: no constant to toggle"
 
 let run_fresh ~jobs program =
-  let ctx = Opt.Pipeline.context_of_config (config jobs) in
+  let ctx = Opt.Pass.create ~jobs () in
   ignore (Opt.Pass_manager.run ctx program schedule)
 
 (* ------------------------------------------------------------------ *)
@@ -120,7 +115,7 @@ let speedup l = if l.new_ns > 0. then l.old_ns /. l.new_ns else 0.
 let cold_ns () = best_ns lower (run_fresh ~jobs:1)
 
 let warm_leg cold =
-  let ctx = Opt.Pipeline.context_of_config (config 1) in
+  let ctx = Opt.Pass.create () in
   let s = Opt.Pass_manager.session ctx in
   (* Prime the session's memo and gate engine on the unedited corpus. *)
   ignore (Opt.Pass_manager.rerun s (lower ()) schedule);

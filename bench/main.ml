@@ -65,11 +65,15 @@ let tests =
       (Staged.stage (fun () ->
            let program = lowered "m3cg" in
            let a = Tbaa.Analysis.analyze program in
-           Opt.Rle.run program a.Tbaa.Analysis.sm_field_type_refs));
+           Opt.Rle.run
+             ~modref:
+               (Opt.Modref.of_engine a.Tbaa.Analysis.engine
+                  Tbaa.Engine.Sm_field_type_refs)
+             program a.Tbaa.Analysis.sm_field_type_refs));
     Test.make ~name:"fig8:prepare-format"
       (Staged.stage (fun () ->
            Harness.Runner.prepare (workload "format")
-             (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs)));
+             (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)));
     (* Figures 9-10: the traced (limit-study) run. *)
     Test.make ~name:"fig9:traced-run-write_pickle"
       (Staged.stage (fun () ->
@@ -120,10 +124,10 @@ let tests =
 let stats_mode = Array.exists (String.equal "--stats") Sys.argv
 
 let sweep_configs =
-  [ Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs;
-    { (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs) with
+  [ Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs;
+    { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
       Harness.Runner.minv = true };
-    { (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs) with
+    { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
       Harness.Runner.copyprop = true } ]
 
 let pass_manager_sweep () =

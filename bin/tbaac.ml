@@ -48,14 +48,14 @@ let workload_arg =
 
 let analysis_conv =
   Arg.enum
-    [ ("typedecl", Opt.Pipeline.Otype_decl);
-      ("fieldtypedecl", Opt.Pipeline.Ofield_type_decl);
-      ("smfieldtyperefs", Opt.Pipeline.Osm_field_type_refs) ]
+    [ ("typedecl", Opt.Pass.Otype_decl);
+      ("fieldtypedecl", Opt.Pass.Ofield_type_decl);
+      ("smfieldtyperefs", Opt.Pass.Osm_field_type_refs) ]
 
 let analysis_arg =
   Arg.(
     value
-    & opt analysis_conv Opt.Pipeline.Osm_field_type_refs
+    & opt analysis_conv Opt.Pass.Osm_field_type_refs
     & info [ "analysis"; "a" ] ~docv:"ANALYSIS"
         ~doc:
           "Alias analysis: $(b,typedecl), $(b,fieldtypedecl) or \
@@ -174,21 +174,21 @@ let optimize_cmd =
       stats verify =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
-        let config =
-          { Opt.Pipeline.oracle_kind = analysis; world;
-            passes =
-              { Opt.Pass_manager.Config.devirt_inline = minv; licm; pre; slf;
-                rle = true; copyprop; dse; local_cse = false };
-            jobs }
+        let ctx = Opt.Pass.create ~world ~oracle_kind:analysis ~jobs () in
+        let schedule =
+          Opt.Pass_manager.schedule
+            { Opt.Pass_manager.Config.devirt_inline = minv; licm; pre; slf;
+              rle = true; copyprop; dse; local_cse = false }
         in
-        let result =
-          if verify then Opt.Pipeline.run_guarded ~verify:true program config
-          else Opt.Pipeline.run program config
+        let reports =
+          if verify then
+            Opt.Pass_manager.run_guarded ~verify:true ctx program schedule
+          else Opt.Pass_manager.run ctx program schedule
         in
         if stats then begin
           let config_desc =
             String.concat "+"
-              (("rle:" ^ Opt.Pipeline.oracle_name analysis)
+              (("rle:" ^ Opt.Pass.oracle_name analysis)
                :: List.filter_map
                     (fun (on, tag) -> if on then Some tag else None)
                     [ (minv, "minv"); (licm, "licm"); (pre, "pre");
@@ -209,46 +209,37 @@ let optimize_cmd =
                 | j -> j
               in
               print_endline (Support.Json.to_string record))
-            result.Opt.Pipeline.reports
+            reports
         end;
-        (match result.Opt.Pipeline.devirt_stats with
-        | Some d ->
-          Printf.printf "devirtualized: %d resolved, %d kept virtual\n"
-            d.Opt.Devirt.resolved d.Opt.Devirt.unresolved
-        | None -> ());
-        (match result.Opt.Pipeline.inline_stats with
-        | Some i -> Printf.printf "inlined: %d call sites\n" i.Opt.Inline.inlined
-        | None -> ());
-        (match result.Opt.Pipeline.pre_stats with
-        | Some p ->
-          Printf.printf "PRE: %d loads inserted, %d edges split\n"
-            p.Opt.Pre.inserted p.Opt.Pre.edges_split
-        | None -> ());
-        (match result.Opt.Pipeline.copyprop_stats with
-        | Some c -> Printf.printf "copy propagation: %d uses rewritten\n"
-            c.Opt.Copyprop.replaced
-        | None -> ());
-        (match result.Opt.Pipeline.licm_stats with
-        | Some l -> Printf.printf "LICM: %d loads hoisted\n" l.Opt.Licm.hoisted
-        | None -> ());
-        (match result.Opt.Pipeline.slf_stats with
-        | Some s ->
-          Printf.printf "store-to-load forwarding: %d loads forwarded\n"
-            s.Opt.Slf.forwarded
-        | None -> ());
-        (match result.Opt.Pipeline.dse_stats with
-        | Some d ->
-          Printf.printf "DSE: %d dead stores removed\n" d.Opt.Dse.removed
-        | None -> ());
-        (match result.Opt.Pipeline.rle_stats with
-        | Some s ->
-          Printf.printf
-            "RLE (%s): %d hoisted, %d eliminated, %d shortened (%d removed)\n"
-            (Opt.Pipeline.oracle_name analysis)
-            s.Opt.Rle.hoisted s.Opt.Rle.eliminated s.Opt.Rle.shortened
-            (Opt.Rle.removed s)
-        | None -> ());
-        let failures = Opt.Pass_manager.failures result.Opt.Pipeline.reports in
+        let sum pass stat = Opt.Pass_manager.sum_stat pass stat reports in
+        let line pass fmt =
+          Printf.ksprintf
+            (fun s -> if Opt.Pass_manager.ran pass reports then print_string s)
+            fmt
+        in
+        (* later devirt rounds re-count call sites the first round saw
+           (possibly duplicated by inlining), so "kept virtual" is the
+           first round's count *)
+        line "devirt" "devirtualized: %d resolved, %d kept virtual\n"
+          (sum "devirt" "resolved")
+          (Opt.Pass_manager.first_stat "devirt" "unresolved" reports);
+        line "inline" "inlined: %d call sites\n" (sum "inline" "inlined");
+        line "pre" "PRE: %d loads inserted, %d edges split\n"
+          (sum "pre" "inserted") (sum "pre" "edges_split");
+        line "copyprop" "copy propagation: %d uses rewritten\n"
+          (sum "copyprop" "replaced");
+        line "licm" "LICM: %d loads hoisted\n" (sum "licm" "hoisted");
+        line "slf" "store-to-load forwarding: %d loads forwarded\n"
+          (sum "slf" "forwarded");
+        line "dse" "DSE: %d dead stores removed\n" (sum "dse" "removed");
+        let hoisted = sum "rle" "hoisted"
+        and eliminated = sum "rle" "eliminated"
+        and shortened = sum "rle" "shortened" in
+        line "rle"
+          "RLE (%s): %d hoisted, %d eliminated, %d shortened (%d removed)\n"
+          (Opt.Pass.oracle_name analysis) hoisted eliminated shortened
+          (Opt.Rle.removed { Opt.Rle.hoisted; eliminated; shortened });
+        let failures = Opt.Pass_manager.failures reports in
         if failures <> [] then begin
           List.iter
             (fun (pass, why) ->
@@ -337,23 +328,19 @@ let run_cmd =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
         let optimize = optimize || audit in
-        let auditor =
-          if optimize then begin
-            let a = Tbaa.Analysis.analyze program in
-            let oracle = Opt.Pipeline.select a analysis in
-            if audit then begin
-              let claims = Tbaa.Claims.create ~oracle:oracle.Tbaa.Oracle.name in
-              ignore (Opt.Rle.run ~claims program oracle);
-              Some (Sim.Audit.create claims, claims)
-            end
-            else begin
-              ignore (Opt.Rle.run program oracle);
-              None
-            end
-          end
+        let ctx = Opt.Pass.create ~oracle_kind:analysis () in
+        let claims =
+          if audit then
+            Some (Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name analysis))
           else None
         in
-        ignore (Opt.Local_cse.run program);
+        ctx.Opt.Pass.claims <- claims;
+        ignore
+          (Opt.Pass_manager.run ctx program
+             (Opt.Pass_manager.schedule
+                { Opt.Pass_manager.Config.none with
+                  Opt.Pass_manager.Config.rle = optimize; local_cse = true }));
+        let auditor = Option.map (fun c -> (Sim.Audit.create c, c)) claims in
         let on_access =
           Option.map (fun (a, _) ac -> Sim.Audit.on_access a ac) auditor
         in
@@ -441,7 +428,7 @@ let audit_cmd =
     List.iter
       (fun (name, src) ->
         let oracle_label =
-          Opt.Pipeline.oracle_name analysis
+          Opt.Pass.oracle_name analysis
           ^
           match fault with
           | Some f ->
@@ -452,19 +439,16 @@ let audit_cmd =
         let claims = Tbaa.Claims.create ~oracle:oracle_label in
         try
           let program = Ir.Lower.lower_string ~file:name src in
-          let config =
-            { Opt.Pipeline.oracle_kind = analysis; world;
-              passes =
-                { Opt.Pass_manager.Config.devirt_inline = minv; licm;
-                  pre = false; slf; rle = true; copyprop = false; dse;
-                  local_cse = false };
-              jobs = 1 }
-          in
-          let result =
-            Opt.Pipeline.run_guarded ~verify:true ~claims ?fault program config
-          in
+          let ctx = Opt.Pass.create ~world ~oracle_kind:analysis () in
+          ctx.Opt.Pass.claims <- Some claims;
+          ctx.Opt.Pass.fault <- fault;
           let failures =
-            Opt.Pass_manager.failures result.Opt.Pipeline.reports
+            Opt.Pass_manager.failures
+              (Opt.Pass_manager.run_guarded ~verify:true ctx program
+                 (Opt.Pass_manager.schedule
+                    { Opt.Pass_manager.Config.devirt_inline = minv; licm;
+                      pre = false; slf; rle = true; copyprop = false; dse;
+                      local_cse = false }))
           in
           let auditor = Sim.Audit.create claims in
           let o =

@@ -8,15 +8,19 @@
 
      dune exec examples/limit_study.exe *)
 
+let sm = Tbaa.Engine.Sm_field_type_refs
+
 let trace ~optimize w =
   let program = Workloads.Workload.lower w in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  if optimize then ignore (Opt.Rle.run program oracle);
+  let engine = Tbaa.Engine.create program in
+  let oracle = Tbaa.Engine.oracle engine sm in
+  if optimize then
+    ignore
+      (Opt.Rle.run ~modref:(Opt.Modref.of_engine engine sm) program oracle);
   ignore (Opt.Local_cse.run program);
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  (program, oracle, tracer)
+  (engine, program, oracle, tracer)
 
 let describe_site (s : Sim.Interp.site) =
   let where =
@@ -36,8 +40,8 @@ let () =
   let w = Workloads.Suite.find "slisp" in
   Printf.printf "limit study: %s\n\n" w.Workloads.Workload.name;
 
-  let _, _, before = trace ~optimize:false w in
-  let program, oracle, after = trace ~optimize:true w in
+  let _, _, _, before = trace ~optimize:false w in
+  let engine, program, oracle, after = trace ~optimize:true w in
   let original = float_of_int (Sim.Limit.total_heap_loads before) in
 
   Printf.printf "heap loads (original run):   %d\n"
@@ -50,7 +54,7 @@ let () =
     (100.0 *. float_of_int (Sim.Limit.total_redundant after) /. original);
 
   (* Classify the residual (one row of Figure 10). *)
-  let modref = Opt.Modref.compute program oracle in
+  let modref = Opt.Modref.of_engine (Tbaa.Engine.update engine program) sm in
   let breakdown = Sim.Classify.classify program oracle modref after in
   print_endline "residual classification:";
   List.iter

@@ -52,23 +52,30 @@ BEGIN
 END ListPackage.
 |}
 
+let kinds =
+  [ Tbaa.Engine.Type_decl; Tbaa.Engine.Field_type_decl;
+    Tbaa.Engine.Sm_field_type_refs ]
+
+(* RLE with one analysis: its oracle and mod-ref both come from the engine. *)
+let rle program kind =
+  let engine = Tbaa.Engine.create program in
+  Opt.Rle.run ~modref:(Opt.Modref.of_engine engine kind) program
+    (Tbaa.Engine.oracle engine kind)
+
 let () =
   print_endline "List-package example (paper §2.4 motivation)\n";
   List.iter
     (fun kind ->
       let program = Lower.lower_string ~file:"list_package" real_source in
-      let analysis = Tbaa.Analysis.analyze program in
-      let oracle = Opt.Pipeline.select analysis kind in
-      let stats = Opt.Rle.run program oracle in
+      let stats = rle program kind in
       let outcome = Sim.Interp.run program in
       Printf.printf
         "%-16s removed %d loads statically; dynamic heap loads: %d (output %s)\n"
-        (Opt.Pipeline.oracle_name kind)
+        (Tbaa.Engine.kind_name kind)
         (Opt.Rle.removed stats)
         outcome.Sim.Interp.counters.Sim.Interp.heap_loads
         (String.trim outcome.Sim.Interp.output))
-    [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
-      Opt.Pipeline.Osm_field_type_refs ];
+    kinds;
   print_endline
     "\nFieldTypeDecl already separates the two *fields*; try making the\n\
      counter a Node to see SMFieldTypeRefs earn its keep:";
@@ -103,10 +110,8 @@ END Tricky.
   List.iter
     (fun kind ->
       let program = Lower.lower_string ~file:"tricky" tricky in
-      let analysis = Tbaa.Analysis.analyze program in
-      let stats = Opt.Rle.run program (Opt.Pipeline.select analysis kind) in
+      let stats = rle program kind in
       Printf.printf "%-16s removed %d loads statically\n"
-        (Opt.Pipeline.oracle_name kind)
+        (Tbaa.Engine.kind_name kind)
         (Opt.Rle.removed stats))
-    [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
-      Opt.Pipeline.Osm_field_type_refs ]
+    kinds

@@ -90,7 +90,11 @@ let report ~branded =
       let analysis = Tbaa.Analysis.analyze ~world program in
       let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
       let pairs = Tbaa.Alias_pairs.count oracle analysis.Tbaa.Analysis.facts in
-      let stats = Opt.Rle.run program oracle in
+      let modref =
+        Opt.Modref.of_engine analysis.Tbaa.Analysis.engine
+          Tbaa.Engine.Sm_field_type_refs
+      in
+      let stats = Opt.Rle.run ~modref program oracle in
       let outcome = Sim.Interp.run program in
       Printf.printf
         "%-6s world: %3d local / %3d global alias pairs; RLE removed %d; \

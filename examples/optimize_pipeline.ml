@@ -33,9 +33,12 @@ let () =
     d.Opt.Devirt.resolved d.Opt.Devirt.unresolved i.Opt.Inline.inlined;
 
   (* Step 2: re-analyze the transformed program and run RLE. *)
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let stats = Opt.Rle.run program oracle in
+  let engine = Tbaa.Engine.create program in
+  let sm = Tbaa.Engine.Sm_field_type_refs in
+  let stats =
+    Opt.Rle.run ~modref:(Opt.Modref.of_engine engine sm) program
+      (Tbaa.Engine.oracle engine sm)
+  in
   Printf.printf "RLE: %d hoisted, %d eliminated, %d shortened\n\n"
     stats.Opt.Rle.hoisted stats.Opt.Rle.eliminated stats.Opt.Rle.shortened;
 

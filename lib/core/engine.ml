@@ -109,27 +109,43 @@ let summaries_table sums =
     sums;
   tbl
 
-(* The engine IS the sanctioned consumer of the deprecated per-analysis
-   constructors: every client route goes through here. *)
+(* The paper's three oracles over one set of merged facts. TypeDecl and
+   FieldTypeDecl run on the subtype forest; SMFieldTypeRefs runs the
+   FieldTypeDecl case analysis over the TypeRefsTable of the one
+   [Sm_type_refs.t] built here (kept for [type_refs_table]). *)
 let build_oracles config facts =
-  let open struct
-    [@@@alert "-deprecated"]
-
-    let type_decl_oracle = Type_decl.oracle
-    let field_type_decl_oracle = Field_type_decl.oracle
-    let sm_type_refs_oracle = Sm_type_refs.oracle
-  end in
   let world = config.world in
+  let env = facts.Facts.tenv in
+  let make name core ~fields : Oracle.t =
+    let compat = Compat.fn core in
+    let at = Address_taken.make ~facts ~world ~compat in
+    { Oracle.name;
+      compat;
+      may_alias =
+        (if fields then
+           Field_type_decl.may_alias_with ~compat ~at
+             ~is_obj:(Types.is_object env)
+         else Type_decl.may_alias_with ~compat);
+      store_class = Kills.store_class;
+      class_kills = Kills.class_kills ~compat ~at;
+      addr_taken_var = Address_taken.var_taken at;
+      stats = Oracle.raw_stats ~name }
+  in
   let type_decl, type_decl_ms =
-    timed (fun () -> type_decl_oracle ~facts ~world)
+    timed (fun () -> make "TypeDecl" (Compat.subtyping env) ~fields:false)
   in
   let field_type_decl, field_type_decl_ms =
-    timed (fun () -> field_type_decl_oracle ~facts ~world)
+    timed (fun () -> make "FieldTypeDecl" (Compat.subtyping env) ~fields:true)
   in
   let (sm, sm_field_type_refs), sm_ms =
     timed (fun () ->
         let sm = Sm_type_refs.build ~variant:config.variant ~facts ~world () in
-        (sm, sm_type_refs_oracle ~variant:config.variant ~facts ~world ()))
+        let name =
+          match config.variant with
+          | Sm_type_refs.Grouped -> "SMFieldTypeRefs"
+          | Sm_type_refs.Per_type -> "SMFieldTypeRefs(per-type)"
+        in
+        (sm, make name (Sm_type_refs.compat_matrix sm) ~fields:true))
   in
   (type_decl, field_type_decl, sm_field_type_refs, sm,
    type_decl_ms, field_type_decl_ms, sm_ms)

@@ -23,14 +23,14 @@
     kept when every recomputed summary preserved its canonical
     {!Facts.oracle_inputs}; mod-ref merges are re-done only along the
     affected slice of the call-graph condensation. Results are always
-    identical to a from-scratch {!create} on the same program — the
-    monolithic path ({!Facts.collect}, {!Opt.Modref.compute}) remains as
-    the differential baseline the test suite checks against.
+    identical to a from-scratch {!create} on the same program; the test
+    suite checks that against {!Facts.collect} and a reference
+    whole-program mod-ref closure.
 
-    This supersedes calling the per-analysis [Type_decl.oracle] /
-    [Field_type_decl.oracle] / [Sm_type_refs.oracle] constructors directly;
-    those remain only as building blocks and differential baselines.
-    {!Analysis.analyze} is a thin projection of an engine. *)
+    The engine is the only place oracles are built: {!Type_decl},
+    {!Field_type_decl} and {!Sm_type_refs} export the alias relations and
+    compatibility cores it assembles them from. {!Analysis.analyze} is a
+    thin projection of an engine. *)
 
 open Support
 open Minim3

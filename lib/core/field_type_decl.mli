@@ -19,8 +19,3 @@ val may_alias_with :
     object types, whose field qualifications carry an implicit
     dereference: for those, case 2 bottoms out at receiver-type
     compatibility instead of recursing on the pointer-holding prefix. *)
-
-val oracle : facts:Facts.t -> world:World.t -> Oracle.t
-[@@deprecated "Build a Tbaa.Engine and use Engine.oracle _ Engine.Field_type_decl."]
-(** Deprecated as a client entry point — prefer
-    [Engine.oracle _ Engine.Field_type_decl]. *)

@@ -122,34 +122,3 @@ let compat_matrix t =
       | Grouped -> "type_refs"
       | Per_type -> "type_refs(per-type)")
     t.rows
-
-let oracle ?(variant = Grouped) ~facts ~world () : Oracle.t =
-  let t = build ~variant ~facts ~world () in
-  let compat = Compat.fn (compat_matrix t) in
-  let at = Address_taken.make ~facts ~world ~compat in
-  let name =
-    match variant with
-    | Grouped -> "SMFieldTypeRefs"
-    | Per_type -> "SMFieldTypeRefs(per-type)"
-  in
-  { Oracle.name;
-    compat;
-    may_alias =
-      Field_type_decl.may_alias_with ~compat ~at
-        ~is_obj:(Types.is_object facts.Facts.tenv);
-    store_class = Kills.store_class;
-    class_kills = Kills.class_kills ~compat ~at;
-    addr_taken_var = Address_taken.var_taken at;
-    stats = Oracle.raw_stats ~name }
-
-let oracle_no_fields ?(variant = Grouped) ~facts ~world () : Oracle.t =
-  let t = build ~variant ~facts ~world () in
-  let compat = Compat.fn (compat_matrix t) in
-  let at = Address_taken.make ~facts ~world ~compat in
-  { Oracle.name = "SMTypeRefs";
-    compat;
-    may_alias = Type_decl.may_alias_with ~compat;
-    store_class = Kills.store_class;
-    class_kills = Kills.class_kills ~compat ~at;
-    addr_taken_var = Address_taken.var_taken at;
-    stats = Oracle.raw_stats ~name:"SMTypeRefs" }

@@ -38,16 +38,3 @@ val compat : t -> Types.tid -> Types.tid -> bool
 val compat_matrix : t -> Compat.t
 (** The same relation precomputed for all tid pairs at build time; each
     query is one bitset probe. This is the core the SM oracles run on. *)
-
-val oracle : ?variant:variant -> facts:Facts.t -> world:World.t -> unit -> Oracle.t
-[@@deprecated "Build a Tbaa.Engine with the variant in its config and use Engine.oracle."]
-(** SMFieldTypeRefs: the FieldTypeDecl case analysis over the TypeRefs
-    compatibility core.
-
-    Deprecated as a client entry point — prefer an {!Engine} with the
-    variant in its config. *)
-
-val oracle_no_fields :
-  ?variant:variant -> facts:Facts.t -> world:World.t -> unit -> Oracle.t
-(** SMTypeRefs without field refinement (for ablation only; the paper's
-    third analysis is SMFieldTypeRefs). *)

@@ -12,15 +12,3 @@ let may_alias_with ~compat ap1 ap2 =
   if not (m1 || m2) then Reg.var_equal (Apath.base ap1) (Apath.base ap2)
   else if not (m1 && m2) then false
   else compat (Apath.ty ap1) (Apath.ty ap2)
-
-let oracle ~(facts : Facts.t) ~world : Oracle.t =
-  let env = facts.Facts.tenv in
-  let compat = Compat.fn (Compat.subtyping env) in
-  let at = Address_taken.make ~facts ~world ~compat in
-  { Oracle.name = "TypeDecl";
-    compat;
-    may_alias = may_alias_with ~compat;
-    store_class = Kills.store_class;
-    class_kills = Kills.class_kills ~compat ~at;
-    addr_taken_var = Address_taken.var_taken at;
-    stats = Oracle.raw_stats ~name:"TypeDecl" }

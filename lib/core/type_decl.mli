@@ -19,16 +19,5 @@ val may_alias_with :
   Ir.Apath.t ->
   Ir.Apath.t ->
   bool
-(** The TypeDecl alias relation over an arbitrary compatibility core
-    (reused by the field-free SMTypeRefs ablation oracle). *)
-
-val oracle : facts:Facts.t -> world:World.t -> Oracle.t
-[@@deprecated "Build a Tbaa.Engine and use Engine.oracle _ Engine.Type_decl."]
-(** The TypeDecl alias oracle. Note TypeDecl itself never consults
-    AddressTaken; the [world] only matters for the store-class kill
-    queries shared with the other oracles.
-
-    Deprecated as a client entry point — build a {!Engine} and ask it for
-    [Engine.oracle _ Engine.Type_decl] instead; this remains as the
-    engine's building block (the engine suppresses the alert at its one
-    construction site). *)
+(** The TypeDecl alias relation over a compatibility core; the engine
+    builds the TypeDecl oracle from it. *)

@@ -126,9 +126,9 @@ module Table6 = struct
     List.map
       (fun (w : Workload.t) ->
         { name = w.Workload.name;
-          td = rle_removed w Opt.Pipeline.Otype_decl;
-          ftd = rle_removed w Opt.Pipeline.Ofield_type_decl;
-          sm = rle_removed w Opt.Pipeline.Osm_field_type_refs })
+          td = rle_removed w Opt.Pass.Otype_decl;
+          ftd = rle_removed w Opt.Pass.Ofield_type_decl;
+          sm = rle_removed w Opt.Pass.Osm_field_type_refs })
       dynamic_seven
 
   let render () =
@@ -152,9 +152,9 @@ module Figure8 = struct
     List.map
       (fun (w : Workload.t) ->
         { name = w.Workload.name;
-          td = Runner.percent_of_base w (Runner.rle_with Opt.Pipeline.Otype_decl);
-          ftd = Runner.percent_of_base w (Runner.rle_with Opt.Pipeline.Ofield_type_decl);
-          sm = Runner.percent_of_base w (Runner.rle_with Opt.Pipeline.Osm_field_type_refs) })
+          td = Runner.percent_of_base w (Runner.rle_with Opt.Pass.Otype_decl);
+          ftd = Runner.percent_of_base w (Runner.rle_with Opt.Pass.Ofield_type_decl);
+          sm = Runner.percent_of_base w (Runner.rle_with Opt.Pass.Osm_field_type_refs) })
       dynamic_seven
 
   let render () =
@@ -200,7 +200,7 @@ let traced_run ?(future_work = false) w ~optimize =
   ignore (Opt.Pass_manager.run ctx program schedule);
   let tracer = Sim.Limit.create () in
   let outcome = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  (program, oracle, tracer, outcome)
+  (ctx, program, oracle, tracer, outcome)
 
 module Figure9 = struct
   type row = { name : string; before : float; after : float }
@@ -208,8 +208,8 @@ module Figure9 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let _, _, t0, _ = traced_run w ~optimize:false in
-        let _, _, t1, _ = traced_run w ~optimize:true in
+        let _, _, _, t0, _ = traced_run w ~optimize:false in
+        let _, _, _, t1, _ = traced_run w ~optimize:true in
         let original = float_of_int (Sim.Limit.total_heap_loads t0) in
         { name = w.Workload.name;
           before = float_of_int (Sim.Limit.total_redundant t0) /. original;
@@ -236,10 +236,11 @@ module Figure10 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let _, _, t0, _ = traced_run w ~optimize:false in
-        let program, oracle, t1, _ = traced_run w ~optimize:true in
+        let _, _, _, t0, _ = traced_run w ~optimize:false in
+        let ctx, program, oracle, t1, _ = traced_run w ~optimize:true in
         let original = float_of_int (Sim.Limit.total_heap_loads t0) in
-        let modref = Opt.Modref.compute program oracle in
+        (* mod-ref of the optimized program, from the context's engine *)
+        let modref = Opt.Pass.modref ctx program in
         let breakdown = Sim.Classify.classify program oracle modref t1 in
         { name = w.Workload.name;
           fractions =
@@ -271,7 +272,7 @@ module Figure11 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let rle = Runner.rle_with Opt.Pipeline.Osm_field_type_refs in
+        let rle = Runner.rle_with Opt.Pass.Osm_field_type_refs in
         let minv = { Runner.base with Runner.minv = true } in
         let both = { rle with Runner.minv = true } in
         { name = w.Workload.name;
@@ -299,7 +300,7 @@ module Figure12 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let rle = Runner.rle_with Opt.Pipeline.Osm_field_type_refs in
+        let rle = Runner.rle_with Opt.Pass.Osm_field_type_refs in
         let opened = { rle with Runner.world = Tbaa.World.Open } in
         { name = w.Workload.name;
           closed = Runner.percent_of_base w rle;
@@ -371,7 +372,7 @@ module Ablation_modref = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let with_m = rle_removed w Opt.Pipeline.Osm_field_type_refs in
+        let with_m = rle_removed w Opt.Pass.Osm_field_type_refs in
         let without =
           let program = Workload.lower w in
           let a = Tbaa.Analysis.analyze program in
@@ -410,10 +411,10 @@ module Extension_future_work = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let _, _, t0, _ = traced_run w ~optimize:false in
+        let _, _, _, t0, _ = traced_run w ~optimize:false in
         let original = float_of_int (Sim.Limit.total_heap_loads t0) in
-        let _, _, t1, o1 = traced_run w ~optimize:true in
-        let _, _, t2, o2 = traced_run ~future_work:true w ~optimize:true in
+        let _, _, _, t1, o1 = traced_run w ~optimize:true in
+        let _, _, _, t2, o2 = traced_run ~future_work:true w ~optimize:true in
         { name = w.Workload.name;
           rle_after = float_of_int (Sim.Limit.total_redundant t1) /. original;
           ext_after = float_of_int (Sim.Limit.total_redundant t2) /. original;

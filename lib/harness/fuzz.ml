@@ -28,54 +28,29 @@ type failure = {
 (* ------------------------------------------------------------------ *)
 
 let kinds =
-  [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
-    Opt.Pipeline.Osm_field_type_refs ]
-
-let with_passes c f =
-  { c with Opt.Pipeline.passes = f c.Opt.Pipeline.passes }
+  [ Opt.Pass.Otype_decl; Opt.Pass.Ofield_type_decl;
+    Opt.Pass.Osm_field_type_refs ]
 
 let variants =
-  [ ("rle", fun c -> c);
-    ( "rle+copyprop",
-      fun c ->
-        with_passes c (fun p -> { p with Opt.Pass_manager.Config.copyprop = true }) );
-    ( "rle+pre",
-      fun c -> with_passes c (fun p -> { p with Opt.Pass_manager.Config.pre = true }) );
-    ( "minv+rle",
-      fun c ->
-        with_passes c (fun p ->
-            { p with Opt.Pass_manager.Config.devirt_inline = true }) );
+  let open Opt.Pass_manager.Config in
+  let rle = { none with rle = true } in
+  [ ("rle", rle);
+    ("rle+copyprop", { rle with copyprop = true });
+    ("rle+pre", { rle with pre = true });
+    ("minv+rle", { rle with devirt_inline = true });
     (* The non-RLE clients, each alone (isolating its bets for the audit
        and lattice oracles), then everything at once (interactions). *)
-    ( "licm",
-      fun c ->
-        with_passes c (fun p ->
-            { p with Opt.Pass_manager.Config.rle = false; licm = true }) );
-    ( "slf",
-      fun c ->
-        with_passes c (fun p ->
-            { p with Opt.Pass_manager.Config.rle = false; slf = true }) );
-    ( "dse",
-      fun c ->
-        with_passes c (fun p ->
-            { p with Opt.Pass_manager.Config.rle = false; dse = true }) );
-    ( "licm+slf+rle+dse",
-      fun c ->
-        with_passes c (fun p ->
-            { p with Opt.Pass_manager.Config.licm = true; slf = true; dse = true }) ) ]
+    ("licm", { none with licm = true });
+    ("slf", { none with slf = true });
+    ("dse", { none with dse = true });
+    ("licm+slf+rle+dse", { rle with licm = true; slf = true; dse = true }) ]
 
 let all_configs () =
   List.concat_map
     (fun kind ->
-      let base =
-        { Opt.Pipeline.oracle_kind = kind; world = Tbaa.World.Closed;
-          passes =
-            { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.rle = true };
-          jobs = 1 }
-      in
       List.map
-        (fun (vname, f) ->
-          (Opt.Pipeline.oracle_name kind ^ ":" ^ vname, f base))
+        (fun (vname, passes) ->
+          (Opt.Pass.oracle_name kind ^ ":" ^ vname, (kind, passes)))
         variants)
     kinds
 
@@ -95,10 +70,10 @@ let first_diff a b =
   go 0
 
 let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
-    (cname, cfg) =
+    (cname, (oracle_kind, passes)) =
   let program = Ir.Lower.lower_program tast in
   let claims = Tbaa.Claims.create ~oracle:cname in
-  let ctx = Opt.Pipeline.context_of_config cfg in
+  let ctx = Opt.Pass.create ~oracle_kind () in
   ctx.Opt.Pass.claims <- Some claims;
   (match fault with
   | None -> ()
@@ -124,8 +99,10 @@ let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
           let sm = may a.Tbaa.Analysis.sm_field_type_refs in
           if (ftd && not td) || (sm && not ftd) || (sm && not td) then
             lattice := (p, q, td, ftd, sm) :: !lattice);
-  let schedule = Opt.Pipeline.schedule_of_config cfg in
-  let reports = Opt.Pass_manager.run_guarded ~verify:true ctx program schedule in
+  let reports =
+    Opt.Pass_manager.run_guarded ~verify:true ctx program
+      (Opt.Pass_manager.schedule passes)
+  in
   List.iter
     (fun (pass, reason) ->
       fail Ir_validity cname

@@ -35,9 +35,11 @@ type failure = {
   f_detail : string;
 }
 
-val all_configs : unit -> (string * Opt.Pipeline.config) list
+val all_configs :
+  unit -> (string * (Opt.Pass.oracle_kind * Opt.Pass_manager.Config.t)) list
 (** The 24 optimized configurations of the matrix (three analyses × eight
-    pass variants), in check order, each paired with its name. Exposed so
+    pass variants), in check order, each paired with its name. Each runs
+    closed-world and sequentially. Exposed so
     other suites (the parallel-pipeline byte-identity test) can sweep
     exactly the configurations the fuzzer exercises. *)
 

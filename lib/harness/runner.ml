@@ -1,7 +1,7 @@
 open Workloads
 
 type config = {
-  rle : Opt.Pipeline.oracle_kind option;
+  rle : Opt.Pass.oracle_kind option;
   minv : bool;
   world : Tbaa.World.t;
   pre : bool;
@@ -9,7 +9,7 @@ type config = {
   licm : bool;
   slf : bool;
   dse : bool;
-  oracle : Opt.Pipeline.oracle_kind option;
+  oracle : Opt.Pass.oracle_kind option;
 }
 
 let base =
@@ -22,7 +22,7 @@ let oracle_kind c =
   match (c.rle, c.oracle) with
   | Some k, _ -> k
   | None, Some k -> k
-  | None, None -> Opt.Pipeline.Osm_field_type_refs
+  | None, None -> Opt.Pass.Osm_field_type_refs
 
 let config_name c =
   let rle =
@@ -30,8 +30,8 @@ let config_name c =
     | None -> (
       match c.oracle with
       | None -> "base"
-      | Some k -> Opt.Pipeline.oracle_name k)
-    | Some k -> "rle:" ^ Opt.Pipeline.oracle_name k
+      | Some k -> Opt.Pass.oracle_name k)
+    | Some k -> "rle:" ^ Opt.Pass.oracle_name k
   in
   let minv = if c.minv then "+minv" else "" in
   let world =
@@ -46,27 +46,26 @@ let config_name c =
   in
   rle ^ minv ^ world ^ ext
 
-let pipeline_config config =
-  { Opt.Pipeline.oracle_kind = oracle_kind config;
-    world = config.world;
-    passes =
-      { Opt.Pass_manager.Config.devirt_inline = config.minv;
-        licm = config.licm;
-        pre = config.pre;
-        slf = config.slf;
-        rle = config.rle <> None;
-        copyprop = config.copyprop;
-        dse = config.dse;
-        local_cse = false };
-    jobs = 1 }
+(* The configuration's pass context and schedule; every configuration
+   ends with the local-CSE baseline. *)
+let context config =
+  Opt.Pass.create ~world:config.world ~oracle_kind:(oracle_kind config) ()
+
+let schedule config =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.devirt_inline = config.minv;
+      licm = config.licm;
+      pre = config.pre;
+      slf = config.slf;
+      rle = config.rle <> None;
+      copyprop = config.copyprop;
+      dse = config.dse;
+      local_cse = true }
 
 let prepare w config =
   let program = Workload.lower w in
-  let pc = pipeline_config config in
-  let ctx = Opt.Pipeline.context_of_config pc in
   let reports =
-    Opt.Pass_manager.run ctx program
-      (Opt.Pipeline.schedule_of_config ~local_cse:true pc)
+    Opt.Pass_manager.run (context config) program (schedule config)
   in
   (program, reports)
 
@@ -79,17 +78,14 @@ type audit_result = {
 
 let audit ?fault ?fuel w config =
   let program = Workload.lower w in
-  let pc = pipeline_config config in
-  let ctx = Opt.Pipeline.context_of_config pc in
+  let ctx = context config in
   let claims =
-    Tbaa.Claims.create
-      ~oracle:(Opt.Pipeline.oracle_name pc.Opt.Pipeline.oracle_kind)
+    Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name (oracle_kind config))
   in
   ctx.Opt.Pass.claims <- Some claims;
   ctx.Opt.Pass.fault <- fault;
   let reports =
-    Opt.Pass_manager.run_guarded ~verify:true ctx program
-      (Opt.Pipeline.schedule_of_config ~local_cse:true pc)
+    Opt.Pass_manager.run_guarded ~verify:true ctx program (schedule config)
   in
   let auditor = Sim.Audit.create claims in
   let outcome =

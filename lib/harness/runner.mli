@@ -12,7 +12,7 @@
     outcome. *)
 
 type config = {
-  rle : Opt.Pipeline.oracle_kind option;  (* None = no RLE *)
+  rle : Opt.Pass.oracle_kind option;  (* None = no RLE *)
   minv : bool;  (* method resolution + inlining (§3.7) *)
   world : Tbaa.World.t;
   pre : bool;  (* + partial redundancy elimination (extension) *)
@@ -20,21 +20,18 @@ type config = {
   licm : bool;  (* + loop-invariant load motion (client extension) *)
   slf : bool;  (* + store-to-load forwarding (client extension) *)
   dse : bool;  (* + dead-store elimination (client extension) *)
-  oracle : Opt.Pipeline.oracle_kind option;
+  oracle : Opt.Pass.oracle_kind option;
       (* oracle for the non-RLE clients when [rle = None]
          (default SMFieldTypeRefs); [rle]'s kind wins when set *)
 }
 
 val base : config
-val rle_with : Opt.Pipeline.oracle_kind -> config
+val rle_with : Opt.Pass.oracle_kind -> config
 val config_name : config -> string
 
-val oracle_kind : config -> Opt.Pipeline.oracle_kind
+val oracle_kind : config -> Opt.Pass.oracle_kind
 (** The oracle the configuration's clients consult: [rle]'s kind, else
     [oracle], else SMFieldTypeRefs. *)
-
-val pipeline_config : config -> Opt.Pipeline.config
-(** The optimizer configuration a harness configuration denotes. *)
 
 val prepare :
   Workloads.Workload.t -> config -> Ir.Cfg.program * Opt.Pass.report list

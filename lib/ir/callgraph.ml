@@ -21,47 +21,6 @@ let callees program proc =
       | _ -> ());
   !acc
 
-let transitive_closure program =
-  let direct = Hashtbl.create 32 in
-  List.iter
-    (fun proc ->
-      Hashtbl.replace direct proc.Cfg.pr_name (callees program proc))
-    program.Cfg.prog_procs;
-  let closure = Hashtbl.create 32 in
-  List.iter
-    (fun proc -> Hashtbl.replace closure proc.Cfg.pr_name
-        (Option.value (Hashtbl.find_opt direct proc.Cfg.pr_name)
-           ~default:Ident.Set.empty))
-    program.Cfg.prog_procs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun proc ->
-        let name = proc.Cfg.pr_name in
-        let cur = Hashtbl.find closure name in
-        let expanded =
-          Ident.Set.fold
-            (fun callee acc ->
-              match Hashtbl.find_opt closure callee with
-              | Some s -> Ident.Set.union acc s
-              | None -> acc)
-            cur cur
-        in
-        if not (Ident.Set.equal expanded cur) then begin
-          Hashtbl.replace closure name expanded;
-          changed := true
-        end)
-      program.Cfg.prog_procs
-  done;
-  closure
-
-let is_recursive program name =
-  let closure = transitive_closure program in
-  match Hashtbl.find_opt closure name with
-  | Some s -> Ident.Set.mem name s
-  | None -> false
-
 (* ------------------------------------------------------------------ *)
 (* SCC condensation                                                    *)
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,7 @@
 (** Call graph over the IR, with virtual calls resolved conservatively to
     every method implementation a compatible receiver type could dispatch
-    to. Used by the interprocedural mod-ref analysis and by the inliner's
-    recursion check. *)
+    to. Its SCC condensation schedules the engine's interprocedural
+    mod-ref merges and decides the inliner's recursion check. *)
 
 open Support
 
@@ -12,12 +12,6 @@ val callees_of_target :
   Cfg.program -> Instr.target -> Ident.t list
 (** Possible procedures a call target dispatches to. For [Cvirtual (m, t)]
     this is the set of [method_impl] results over [Subtypes (t)]. *)
-
-val transitive_closure : Cfg.program -> (Ident.t, Ident.Set.t) Hashtbl.t
-(** For each procedure, every procedure reachable from it (including
-    itself if recursive). *)
-
-val is_recursive : Cfg.program -> Ident.t -> bool
 
 type condensation = {
   cond_comps : Ident.t list array;

@@ -260,12 +260,7 @@ let run_proc ?claims oracle modref proc stats =
   in
   go claims stats.removed
 
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
+let run ~modref ?claims program oracle =
   let stats = { removed = 0 } in
   List.iter
     (fun proc -> run_proc ?claims oracle modref proc stats)

@@ -94,17 +94,23 @@ let inline_one program caller (call_block : Cfg.block) before after dst callee_p
 
 let run ?(max_size = 60) ?(max_growth = 3000) program =
   let stats = { inlined = 0 } in
-  let closure = Callgraph.transitive_closure program in
-  let recursive name =
-    match Hashtbl.find_opt closure name with
-    | Some s -> Ident.Set.mem name s
-    | None -> true
-  in
+  (* Procedures on a call cycle. The condensation elides self-loops, so a
+     singleton component is recursive only when it calls itself. *)
+  let recursive = Hashtbl.create 16 in
+  Array.iter
+    (function
+      | [ p ]
+        when not
+               (Ident.Set.mem p
+                  (Callgraph.callees program (Cfg.find_proc program p))) ->
+        ()
+      | members -> List.iter (fun p -> Hashtbl.replace recursive p ()) members)
+    (Callgraph.condense_program program).Callgraph.cond_comps;
   let inlinable name =
     match Cfg.find_proc_opt program name with
     | Some callee
       when (not (Ident.equal name program.Cfg.prog_main))
-           && (not (recursive name))
+           && (not (Hashtbl.mem recursive name))
            && Cfg.instr_count callee <= max_size ->
       Some callee
     | _ -> None

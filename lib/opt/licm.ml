@@ -127,12 +127,7 @@ let run_proc ?claims ?fresh program oracle modref proc =
   rounds 4 0;
   stats
 
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
+let run ~modref ?claims program oracle =
   let total = { hoisted = 0 } in
   List.iter
     (fun proc ->

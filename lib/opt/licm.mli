@@ -26,9 +26,8 @@ val run_proc :
     (defaults to {!Ir.Cfg.fresh_var} on the program counter). *)
 
 val run :
-  ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure. Computes mod-ref summaries unless an
-    explicit [modref] is supplied. *)
+  modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
+(** Run over every procedure, with call effects from [modref]. *)
 
 val pass : Pass.t
 (** Runs over the context's cached oracle and engine-backed mod-ref view.

@@ -15,57 +15,20 @@ let empty = { mods = Aloc.Set.empty; refs = Aloc.Set.empty }
 let of_effects (e : Effects.t) =
   { mods = e.Effects.e_mods; refs = e.Effects.e_refs }
 
-(* Direct (one-procedure) effects, via the shared single-pass collector.
-   Built from the oracle's raw store_class/addr_taken_var — the fault
-   layer never wraps those, so fault-injected runs summarize exactly as
-   before. *)
-let direct_summary (oracle : Oracle.t) proc =
-  of_effects
-    (Effects.direct ~store_class:oracle.Oracle.store_class
-       ~addr_taken_var:oracle.Oracle.addr_taken_var proc)
-
-(* The monolithic whole-program computation — kept as the differential
-   baseline for {!of_engine} (the suite checks they agree). *)
-let compute program oracle =
-  let closure = Callgraph.transitive_closure program in
-  let direct = Hashtbl.create 32 in
-  List.iter
-    (fun proc ->
-      Hashtbl.replace direct proc.Cfg.pr_name (direct_summary oracle proc))
-    program.Cfg.prog_procs;
-  let summaries = Hashtbl.create 32 in
-  List.iter
-    (fun proc ->
-      let name = proc.Cfg.pr_name in
-      let reach =
-        Ident.Set.add name
-          (Option.value (Hashtbl.find_opt closure name) ~default:Ident.Set.empty)
-      in
-      let merged =
-        Ident.Set.fold
-          (fun callee acc ->
-            match Hashtbl.find_opt direct callee with
-            | Some s ->
-              { mods = Aloc.Set.union acc.mods s.mods;
-                refs = Aloc.Set.union acc.refs s.refs }
-            | None -> acc)
-          reach empty
-      in
-      Hashtbl.replace summaries name merged)
-    program.Cfg.prog_procs;
-  { program;
-    lookup =
-      (fun name ->
-        Option.value (Hashtbl.find_opt summaries name) ~default:empty);
-    kill_all = false }
+let of_summaries ?(kill_all = false) program lookup =
+  { program; lookup; kill_all }
 
 let of_engine engine kind =
-  { program = Engine.program engine;
-    lookup = (fun name -> of_effects (Engine.modref_merged engine kind name));
-    kill_all = false }
+  let program = Engine.program engine in
+  (* Build the engine's merged-effects table now, against the program as
+     it stands: clients rewrite procedures while they consult the view,
+     and the lazy build also mutates the engine, which must not happen
+     under parallel readers. *)
+  ignore (Engine.modref_merged engine kind program.Cfg.prog_main);
+  of_summaries program (fun name ->
+      of_effects (Engine.modref_merged engine kind name))
 
-let conservative program =
-  { program; lookup = (fun _ -> empty); kill_all = true }
+let conservative program = of_summaries ~kill_all:true program (fun _ -> empty)
 
 let summary t name = t.lookup name
 

@@ -16,15 +16,20 @@ type summary = { mods : Aloc.Set.t; refs : Aloc.Set.t }
 
 type t
 
-val compute : Ir.Cfg.program -> Oracle.t -> t
-(** The monolithic whole-program computation (single-pass direct effects,
-    transitive closure over the call graph) — the differential baseline
-    the suite checks {!of_engine} against. *)
+val of_summaries :
+  ?kill_all:bool -> Ir.Cfg.program -> (Ident.t -> summary) -> t
+(** A view over per-procedure summaries, each already closed over
+    everything the procedure may call. With [kill_all] (default false)
+    the summaries are ignored and every call may write and read anything.
+    {!of_engine} and {!conservative} are both built with it; tests use it
+    to wrap a reference computation. *)
 
 val of_engine : Engine.t -> Engine.kind -> t
-(** A view over the incremental engine's merged mod-ref effects — same
-    answers as {!compute} on the engine's program and oracle, but built
-    from the per-procedure summaries the engine caches and invalidates. *)
+(** The production view: the incremental engine's merged mod-ref effects
+    for that oracle kind, built from the per-procedure summaries the
+    engine caches and invalidates. The engine's effect table is built on
+    the program as it stands at this call, so a client may rewrite
+    procedures while it consults the view. *)
 
 val conservative : Ir.Cfg.program -> t
 (** No summaries: every call may write anything (the ABL3 ablation —

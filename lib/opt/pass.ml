@@ -110,10 +110,10 @@ let modref ctx program =
   match ctx.modref_memo with
   | Some m -> m
   | None ->
-    (* Built from the engine's merged effect views, not a fresh
-       whole-program closure. Summaries depend only on the oracle's raw
-       store_class/addr_taken_var — the fault layer never wraps those —
-       so this is also the right view for fault-injected runs. *)
+    (* Built from the engine's merged effect views. Summaries depend only
+       on the oracle's raw store_class/addr_taken_var — the fault layer
+       never wraps those — so this is also the right view for
+       fault-injected runs. *)
     let a = analysis ctx program in
     let m = Modref.of_engine a.Analysis.engine (engine_kind ctx.oracle_kind) in
     ctx.modref_memo <- Some m;

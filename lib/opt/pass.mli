@@ -91,8 +91,8 @@ val raw_oracle : context -> Ir.Cfg.program -> Oracle.t
 
 val modref : context -> Ir.Cfg.program -> Modref.t
 (** The memoized mod-ref view of the configured precision, served from the
-    engine's cached per-procedure summaries ({!Modref.of_engine}) rather
-    than a fresh whole-program closure per pass. Valid under fault
+    engine's cached per-procedure summaries ({!Modref.of_engine}) and
+    built on the program as the pass receives it. Valid under fault
     injection too: summaries read only the oracle's raw
     store_class/addr_taken_var, which the fault layer never wraps. *)
 

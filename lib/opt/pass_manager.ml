@@ -27,13 +27,6 @@ module Config = struct
   let none =
     { devirt_inline = false; licm = false; pre = false; slf = false;
       rle = false; copyprop = false; dse = false; local_cse = false }
-
-  let to_stats c =
-    [ ("devirt_inline", Bool.to_int c.devirt_inline);
-      ("licm", Bool.to_int c.licm); ("pre", Bool.to_int c.pre);
-      ("slf", Bool.to_int c.slf); ("rle", Bool.to_int c.rle);
-      ("copyprop", Bool.to_int c.copyprop); ("dse", Bool.to_int c.dse);
-      ("local_cse", Bool.to_int c.local_cse) ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -210,12 +203,10 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
     let raw, modref =
       if nlive = 0 then (None, None)
       else begin
-        let raw = Pass.raw_oracle ctx program in
-        let modref = Pass.modref ctx program in
-        (* Force the engine's merged-effects table now — its lazy build
-           mutates the engine, which must not happen concurrently. *)
-        ignore (Modref.summary modref procs.(0).Ir.Cfg.pr_name);
-        (Some raw, Some modref)
+        (* [Pass.modref] builds the engine's merged-effects table now:
+           that build mutates the engine, which must not happen
+           concurrently. *)
+        (Some (Pass.raw_oracle ctx program), Some (Pass.modref ctx program))
       end
     in
     let dummy_counters = Oracle_cache.fresh_counters () in

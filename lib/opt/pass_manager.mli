@@ -47,9 +47,6 @@ module Config : sig
 
   val none : t
   (** Everything off; enable fields with record update syntax. *)
-
-  val to_stats : t -> (string * int) list
-  (** 0/1 named flags, for structured-stats records. *)
 end
 
 val schedule : Config.t -> item list

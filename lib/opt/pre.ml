@@ -179,10 +179,7 @@ let run_proc ?fresh program oracle modref proc stats =
       (List.sort compare (Hashtbl.fold (fun k es acc -> (k, es) :: acc) by_edge []))
   end
 
-let run ?modref program oracle =
-  let modref =
-    match modref with Some m -> m | None -> Modref.compute program oracle
-  in
+let run ~modref program oracle =
   let stats = { inserted = 0; edges_split = 0 } in
   List.iter
     (fun proc -> run_proc program oracle modref proc stats)

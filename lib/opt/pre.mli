@@ -18,7 +18,7 @@ type stats = {
   mutable edges_split : int;
 }
 
-val run : ?modref:Modref.t -> Ir.Cfg.program -> Oracle.t -> stats
+val run : modref:Modref.t -> Ir.Cfg.program -> Oracle.t -> stats
 (** Insertion only; run {!Rle.run} afterwards to harvest. *)
 
 val pass : Pass.t

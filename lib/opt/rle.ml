@@ -406,12 +406,7 @@ let run_proc ?claims ?fresh program oracle modref proc =
   cse ?claims ?fresh program oracle modref proc stats;
   stats
 
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
+let run ~modref ?claims program oracle =
   let total = { hoisted = 0; eliminated = 0; shortened = 0 } in
   List.iter
     (fun proc ->

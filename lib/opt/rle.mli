@@ -75,9 +75,10 @@ val run_proc :
     (defaults to {!Ir.Cfg.fresh_var} on the program counter); the
     per-procedure engine passes its deterministic laced allocator. *)
 
-val run : ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure. Computes mod-ref summaries unless an
-    explicit [modref] (e.g. {!Modref.conservative}) is supplied. With
+val run :
+  modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
+(** Run over every procedure, with call kills from [modref] (normally
+    {!Modref.of_engine}; {!Modref.conservative} for the ablation). With
     [claims], the alias/kill answers relied on — and the home temporaries
     introduced — are logged for the dynamic soundness auditor. *)
 

@@ -165,12 +165,7 @@ let run_proc ?claims (oracle : Oracle.t) modref proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run ?modref ?claims program oracle =
-  let modref =
-    match modref with
-    | Some m -> m
-    | None -> Modref.compute program oracle
-  in
+let run ~modref ?claims program oracle =
   let stats = { forwarded = 0 } in
   List.iter
     (fun proc -> run_proc ?claims oracle modref proc stats)

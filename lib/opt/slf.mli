@@ -19,9 +19,8 @@ val run_proc :
   ?claims:Claims.t -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats -> unit
 
 val run :
-  ?modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure. Computes mod-ref summaries unless an
-    explicit [modref] is supplied. *)
+  modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
+(** Run over every procedure, with call effects from [modref]. *)
 
 val pass : Pass.t
 (** Runs over the context's cached oracle and engine-backed mod-ref view.

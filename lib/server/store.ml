@@ -203,14 +203,11 @@ let degrade_on_failure existing msg =
    restored byte-for-byte. The session's per-(pass, procedure) memo and
    gate engine persist across revisions, so a body-local edit re-runs
    only the edited procedure and its transitive callers. *)
-let optimizer_config =
-  { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-    world = Tbaa.World.Closed;
-    passes =
-      { Opt.Pass_manager.Config.none with
-        Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
-        rle = true; copyprop = true; dse = true };
-    jobs = 1 }
+let optimizer_schedule =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.none with
+      Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
+      rle = true; copyprop = true; dse = true }
 
 let snapshot_program (p : Ir.Cfg.program) =
   ( p.Ir.Cfg.prog_procs, p.Ir.Cfg.next_var_id,
@@ -249,18 +246,12 @@ let optimize_doc d program =
       match d.dc_opt_session with
       | Some s -> s
       | None ->
-        let s =
-          Opt.Pass_manager.session
-            (Opt.Pipeline.context_of_config optimizer_config)
-        in
+        let s = Opt.Pass_manager.session (Opt.Pass.create ()) in
         d.dc_opt_session <- Some s;
         s
     in
     let t0 = Clock.now_ms () in
-    let reports =
-      Opt.Pass_manager.rerun s program
-        (Opt.Pipeline.schedule_of_config optimizer_config)
-    in
+    let reports = Opt.Pass_manager.rerun s program optimizer_schedule in
     let ms = Clock.now_ms () -. t0 in
     let changed =
       List.length (List.filter (fun r -> r.Opt.Pass.r_changed) reports)

@@ -1,0 +1,75 @@
+(* Whole-program baselines the incremental engine is checked against.
+   Production code answers these questions from the call-graph SCC
+   condensation and the engine's per-procedure summaries; these are the
+   direct fixpoint and closure formulations. *)
+
+open Support
+open Ir
+
+(* For each procedure, every procedure reachable from it (including itself
+   if recursive), by iterating set unions to a fixpoint. *)
+let transitive_closure program =
+  let closure = Hashtbl.create 32 in
+  List.iter
+    (fun proc ->
+      Hashtbl.replace closure proc.Cfg.pr_name (Callgraph.callees program proc))
+    program.Cfg.prog_procs;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun proc ->
+        let name = proc.Cfg.pr_name in
+        let cur = Hashtbl.find closure name in
+        let expanded =
+          Ident.Set.fold
+            (fun callee acc ->
+              match Hashtbl.find_opt closure callee with
+              | Some s -> Ident.Set.union acc s
+              | None -> acc)
+            cur cur
+        in
+        if not (Ident.Set.equal expanded cur) then begin
+          Hashtbl.replace closure name expanded;
+          changed := true
+        end)
+      program.Cfg.prog_procs
+  done;
+  closure
+
+let empty = { Opt.Modref.mods = Tbaa.Aloc.Set.empty; refs = Tbaa.Aloc.Set.empty }
+
+(* Mod-ref by one direct-effects pass per procedure, merged over the
+   transitive closure. Effects come from the oracle's raw
+   store_class/addr_taken_var, as in the engine. *)
+let modref program (oracle : Tbaa.Oracle.t) =
+  let closure = transitive_closure program in
+  let direct = Hashtbl.create 32 in
+  List.iter
+    (fun proc ->
+      Hashtbl.replace direct proc.Cfg.pr_name
+        (Tbaa.Effects.direct ~store_class:oracle.Tbaa.Oracle.store_class
+           ~addr_taken_var:oracle.Tbaa.Oracle.addr_taken_var proc))
+    program.Cfg.prog_procs;
+  let summaries = Hashtbl.create 32 in
+  List.iter
+    (fun proc ->
+      let name = proc.Cfg.pr_name in
+      let reach =
+        Ident.Set.add name
+          (Option.value (Hashtbl.find_opt closure name) ~default:Ident.Set.empty)
+      in
+      let merged =
+        Ident.Set.fold
+          (fun callee (acc : Opt.Modref.summary) ->
+            match Hashtbl.find_opt direct callee with
+            | Some (e : Tbaa.Effects.t) ->
+              { Opt.Modref.mods = Tbaa.Aloc.Set.union acc.mods e.e_mods;
+                refs = Tbaa.Aloc.Set.union acc.refs e.e_refs }
+            | None -> acc)
+          reach empty
+      in
+      Hashtbl.replace summaries name merged)
+    program.Cfg.prog_procs;
+  Opt.Modref.of_summaries program (fun name ->
+      Option.value (Hashtbl.find_opt summaries name) ~default:empty)

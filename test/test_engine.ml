@@ -126,46 +126,6 @@ let test_type_refs_matrix_matches_reference () =
 
 (* --- the Engine facade -------------------------------------------------- *)
 
-let test_engine_matches_direct_constructors () =
-  List.iter
-    (fun seed ->
-      let program = lower_gen seed in
-      let engine = Tbaa.Engine.create program in
-      let facts = Tbaa.Engine.facts engine in
-      let refs = paths_of facts in
-      (* This differential test is exactly the reason the deprecated raw
-         constructors still exist: it checks the engine against them. *)
-      let direct =
-        [ (Tbaa.Type_decl.oracle [@alert "-deprecated"])
-            ~facts ~world:Tbaa.World.Closed;
-          (Tbaa.Field_type_decl.oracle [@alert "-deprecated"])
-            ~facts ~world:Tbaa.World.Closed;
-          (Tbaa.Sm_type_refs.oracle [@alert "-deprecated"])
-            ~facts ~world:Tbaa.World.Closed () ]
-      in
-      List.iter2
-        (fun (o : Tbaa.Oracle.t) (d : Tbaa.Oracle.t) ->
-          Alcotest.(check string) "oracle name" d.Tbaa.Oracle.name
-            o.Tbaa.Oracle.name;
-          List.iter
-            (fun p ->
-              List.iter
-                (fun q ->
-                  if
-                    not
-                      (Bool.equal
-                         (o.Tbaa.Oracle.may_alias p q)
-                         (d.Tbaa.Oracle.may_alias p q))
-                  then
-                    Alcotest.failf "seed %d: %s engine/direct disagree: %s %s"
-                      seed o.Tbaa.Oracle.name (Apath.to_string p)
-                      (Apath.to_string q))
-                refs)
-            refs)
-        (Tbaa.Engine.oracles engine)
-        direct)
-    seeds
-
 let test_engine_cached_and_counters () =
   let program = lower_gen 7 in
   let engine = Tbaa.Engine.create program in
@@ -238,9 +198,7 @@ let () =
           Alcotest.test_case "TypeRefs matrix = per-query intersection" `Quick
             test_type_refs_matrix_matches_reference ] );
       ( "engine facade",
-        [ Alcotest.test_case "oracles = direct constructors" `Quick
-            test_engine_matches_direct_constructors;
-          Alcotest.test_case "cached handles and shared counters" `Quick
+        [ Alcotest.test_case "cached handles and shared counters" `Quick
             test_engine_cached_and_counters;
           Alcotest.test_case "stats surface" `Quick test_engine_stats_shape ] )
     ]

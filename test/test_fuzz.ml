@@ -123,15 +123,18 @@ let test_matrix_covers_new_clients () =
    may-alias flips are auditable. *)
 
 let client_config ~licm ~slf ~dse =
-  { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-    world = Tbaa.World.Closed;
-    passes = { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.licm; slf; dse };
-    jobs = 1 }
+  { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.licm; slf; dse }
 
 let audit_trap ?fault config src =
   let program = Ir.Lower.lower_string ~file:"<trap>" src in
   let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-  let _ = Opt.Pipeline.run_guarded ~verify:true ~claims ?fault program config in
+  let ctx = Opt.Pass.create () in
+  ctx.Opt.Pass.claims <- Some claims;
+  ctx.Opt.Pass.fault <- fault;
+  let _ =
+    Opt.Pass_manager.run_guarded ~verify:true ctx program
+      (Opt.Pass_manager.schedule config)
+  in
   let auditor = Sim.Audit.create claims in
   let _ = Sim.Interp.run ~on_access:(Sim.Audit.on_access auditor) program in
   Sim.Audit.check auditor

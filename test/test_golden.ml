@@ -23,9 +23,9 @@ let config kind =
     oracle = None }
 
 let kinds =
-  [ ("TypeDecl", Opt.Pipeline.Otype_decl);
-    ("FieldTypeDecl", Opt.Pipeline.Ofield_type_decl);
-    ("SMFieldTypeRefs", Opt.Pipeline.Osm_field_type_refs) ]
+  [ ("TypeDecl", Opt.Pass.Otype_decl);
+    ("FieldTypeDecl", Opt.Pass.Ofield_type_decl);
+    ("SMFieldTypeRefs", Opt.Pass.Osm_field_type_refs) ]
 
 let row_of (w : Workloads.Workload.t) (kname, kind) =
   let _program, reports = Harness.Runner.prepare w (config kind) in

@@ -157,9 +157,9 @@ let test_runner_outputs_agree () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
       Harness.Runner.check_outputs_agree w
-        [ Harness.Runner.rle_with Opt.Pipeline.Otype_decl;
-          Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs;
-          { (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs) with
+        [ Harness.Runner.rle_with Opt.Pass.Otype_decl;
+          Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs;
+          { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
             Harness.Runner.world = Tbaa.World.Open };
           { Harness.Runner.base with Harness.Runner.minv = true } ])
     E.dynamic_seven
@@ -201,7 +201,7 @@ let test_runner_audit_clean () =
     (fun (w : Workloads.Workload.t) ->
       let r =
         Harness.Runner.audit w
-          { (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs) with
+          { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
             Harness.Runner.minv = true; copyprop = true }
       in
       Alcotest.(check (list (pair string string)))

@@ -1,7 +1,7 @@
 (* Tests for the incremental, domain-parallel analysis engine:
 
    - SCC condensation of the call graph (structure, topological order,
-     agreement with the monolithic transitive closure);
+     agreement with [Reference.transitive_closure]);
    - invalidation correctness: mutate one procedure, [Engine.update],
      and the result must be indistinguishable from a from-scratch
      [Engine.create] of the edited program — facts byte-identical,
@@ -12,8 +12,8 @@
    - update reports: exactly the edited procedure recomputed for
      body-local edits, oracle rebuilds only when inputs demand it;
    - parallel [create] is observationally identical to sequential;
-   - [Opt.Modref.of_engine] agrees with the monolithic
-     [Opt.Modref.compute];
+   - [Opt.Modref.of_engine] agrees with the whole-program
+     [Reference.modref];
    - the scaleN corpus ([Gen.Scale]) typechecks. *)
 
 open Support
@@ -93,7 +93,7 @@ let test_condense_matches_closure () =
     (fun seed ->
       let program = lower_gen seed in
       let cond = Callgraph.condense_program program in
-      let closure = Callgraph.transitive_closure program in
+      let closure = Reference.transitive_closure program in
       let nc = Array.length cond.Callgraph.cond_comps in
       (* member sets of every component reachable from c, including c *)
       let reach = Array.make nc Ident.Set.empty in
@@ -374,7 +374,7 @@ let test_modref_of_engine_matches_compute () =
       List.iter
         (fun kind ->
           let oracle = Tbaa.Engine.oracle engine kind in
-          let mono = Opt.Modref.compute program oracle in
+          let mono = Reference.modref program oracle in
           let view = Opt.Modref.of_engine engine kind in
           List.iter
             (fun p ->
@@ -414,7 +414,7 @@ let test_call_ref_pred_differential () =
       List.iter
         (fun kind ->
           let oracle = Tbaa.Engine.oracle engine kind in
-          let mono = Opt.Modref.compute program oracle in
+          let mono = Reference.modref program oracle in
           let view = Opt.Modref.of_engine engine kind in
           List.iter
             (fun p ->

@@ -348,11 +348,15 @@ BEGIN END M.
     [ "ImplA"; "ImplB" ]
     (List.sort compare (List.map Ident.name (Ident.Set.elements callees)))
 
+(* Mutual recursion is one two-member component of the condensation, and
+   the inliner reads recursion from it: neither Even nor Odd is unfolded,
+   while the non-recursive Leaf is. *)
 let test_callgraph_recursion () =
   let program =
     lower
       {|
 MODULE M;
+VAR r: INTEGER;
 PROCEDURE Even (n: INTEGER): BOOLEAN =
   BEGIN
     IF n = 0 THEN RETURN TRUE; END;
@@ -364,13 +368,39 @@ PROCEDURE Odd (n: INTEGER): BOOLEAN =
     RETURN Even (n - 1);
   END Odd;
 PROCEDURE Leaf (): INTEGER = BEGIN RETURN 7; END Leaf;
-BEGIN END M.
+BEGIN
+  IF Even (10) THEN r := Leaf (); END;
+  PrintInt (r);
+END M.
 |}
   in
-  Alcotest.(check bool) "mutual recursion detected" true
-    (Callgraph.is_recursive program (Ident.intern "Even"));
-  Alcotest.(check bool) "leaf is not recursive" false
-    (Callgraph.is_recursive program (Ident.intern "Leaf"))
+  let cond = Callgraph.condense_program program in
+  let comp name = Hashtbl.find cond.Callgraph.cond_index (Ident.intern name) in
+  Alcotest.(check bool) "Even and Odd share a component" true
+    (comp "Even" = comp "Odd");
+  Alcotest.(check (list string)) "Leaf is alone" [ "Leaf" ]
+    (List.map Ident.name cond.Callgraph.cond_comps.(comp "Leaf"));
+  let calls_to name =
+    List.fold_left
+      (fun n proc ->
+        let k = ref 0 in
+        Cfg.iter_instrs proc (fun _ i ->
+            match i with
+            | Instr.Icall (_, Instr.Cdirect p, _)
+              when Ident.equal p (Ident.intern name) ->
+              incr k
+            | _ -> ());
+        n + !k)
+      0 program.Cfg.prog_procs
+  in
+  let run () = (Sim.Interp.run program).Sim.Interp.output in
+  let before = run () in
+  let stats = Opt.Inline.run program in
+  Alcotest.(check int) "only Leaf inlined" 1 stats.Opt.Inline.inlined;
+  Alcotest.(check (list int)) "Even and Odd calls kept" [ 2; 1; 0 ]
+    [ calls_to "Even"; calls_to "Odd"; calls_to "Leaf" ];
+  Alcotest.(check string) "output is 7" "7" before;
+  Alcotest.(check string) "output unchanged" before (run ())
 
 let () =
   Alcotest.run "ir"

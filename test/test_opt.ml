@@ -13,16 +13,23 @@ let analyze ?(world = Tbaa.World.Closed) program =
 
 let run_out program = (Sim.Interp.run program).Sim.Interp.output
 
-let rle_with src oracle_of =
+let sm = Opt.Pass.Osm_field_type_refs
+let td = Opt.Pass.Otype_decl
+
+(* What the pass manager hands a client: the engine's mod-ref view and
+   the analysis' oracle, both of one kind. *)
+let inputs (a : Tbaa.Analysis.t) kind =
+  ( Opt.Modref.of_engine a.Tbaa.Analysis.engine (Opt.Pass.engine_kind kind),
+    Opt.Pass.select a kind )
+
+let rle_with src kind =
   let program = lower src in
   let before = run_out program in
   let analysis = analyze program in
-  let stats = Opt.Rle.run program (oracle_of analysis) in
+  let modref, oracle = inputs analysis kind in
+  let stats = Opt.Rle.run ~modref program oracle in
   let after = run_out program in
   (program, stats, before, after)
-
-let sm (a : Tbaa.Analysis.t) = a.Tbaa.Analysis.sm_field_type_refs
-let td (a : Tbaa.Analysis.t) = a.Tbaa.Analysis.type_decl
 
 (* --- mod-ref ----------------------------------------------------------- *)
 
@@ -40,9 +47,7 @@ PROCEDURE Pure (x: INTEGER): INTEGER = BEGIN RETURN x + 1; END Pure;
 BEGIN END M.
 |}
   in
-  let analysis = analyze program in
-  let oracle = sm analysis in
-  let modref = Opt.Modref.compute program oracle in
+  let modref, _ = inputs (analyze program) sm in
   let mods name =
     (Opt.Modref.summary modref (Ident.intern name)).Opt.Modref.mods
   in
@@ -78,7 +83,8 @@ BEGIN END M.
   let eliminated writer =
     let program = lower (src writer) in
     let analysis = analyze program in
-    let stats = Opt.Rle.run program (sm analysis) in
+    let modref, oracle = inputs analysis sm in
+    let stats = Opt.Rle.run ~modref program oracle in
     stats.Opt.Rle.eliminated
   in
   Alcotest.(check bool) "pure call: second load eliminated" true
@@ -264,10 +270,11 @@ END M.
 
 let test_rle_precision_ordering_on_counts () =
   (* A more precise oracle can only remove at least as many loads. *)
-  let removed oracle_of =
+  let removed kind =
     let program = lower figure6_src in
     let analysis = analyze program in
-    Opt.Rle.removed (Opt.Rle.run program (oracle_of analysis))
+    let modref, oracle = inputs analysis kind in
+    Opt.Rle.removed (Opt.Rle.run ~modref program oracle)
   in
   Alcotest.(check bool) "SMFieldTypeRefs >= TypeDecl" true
     (removed sm >= removed td)
@@ -459,9 +466,9 @@ END M.
   let program = lower src in
   let before = run_out program in
   let a = analyze program in
-  let oracle = sm a in
-  let pstats = Opt.Pre.run program oracle in
-  let rstats = Opt.Rle.run program oracle in
+  let modref, oracle = inputs a sm in
+  let pstats = Opt.Pre.run ~modref program oracle in
+  let rstats = Opt.Rle.run ~modref program oracle in
   Alcotest.(check bool) "PRE inserted on the else edge" true
     (pstats.Opt.Pre.inserted >= 1);
   Alcotest.(check bool) "the conditional load is now eliminated" true
@@ -495,7 +502,8 @@ END M.
   in
   let program = lower src in
   let a = analyze program in
-  let pstats = Opt.Pre.run program (sm a) in
+  let modref, oracle = inputs a sm in
+  let pstats = Opt.Pre.run ~modref program oracle in
   Alcotest.(check int) "no insertion without a carrying sibling" 0
     pstats.Opt.Pre.inserted
 
@@ -528,10 +536,10 @@ END M.
   let program = lower src in
   let before = run_out program in
   let a = analyze program in
-  let oracle = sm a in
-  let first = Opt.Rle.run program oracle in
+  let modref, oracle = inputs a sm in
+  let first = Opt.Rle.run ~modref program oracle in
   let cp = Opt.Copyprop.run program in
-  let second = Opt.Rle.run program oracle in
+  let second = Opt.Rle.run ~modref program oracle in
   Alcotest.(check bool) "copies were propagated" true (cp.Opt.Copyprop.replaced >= 1);
   Alcotest.(check bool) "second RLE pass finds the breakup redundancy" true
     (second.Opt.Rle.eliminated + second.Opt.Rle.shortened >= 1);
@@ -636,18 +644,19 @@ let test_dce_fixpoint_on_workload () =
 
 (* --- new TBAA clients: DSE, SLF, LICM ---------------------------------- *)
 
-let client_with run src oracle_of =
+let client_with run src kind =
   let program = lower src in
   let before = run_out program in
   let analysis = analyze program in
-  let stats = run program (oracle_of analysis) in
+  let modref, oracle = inputs analysis kind in
+  let stats = run ~modref program oracle in
   let after = run_out program in
   (stats, before, after)
 
 let test_dse_removes_overwritten_store () =
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Dse.run p o)
+      (fun ~modref p o -> Opt.Dse.run ~modref p o)
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -693,9 +702,9 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Dse.run p o) src oracle_of
+        client_with (fun ~modref p o -> Opt.Dse.run ~modref p o) src kind
       in
       Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
       Alcotest.(check string) "behaviour preserved" before after;
@@ -708,7 +717,7 @@ let test_dse_kept_by_reading_call () =
      so the interprocedural ref summary must cover navigation reads. *)
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Dse.run p o)
+      (fun ~modref p o -> Opt.Dse.run ~modref p o)
       {|
 MODULE M;
 TYPE Arr = REF ARRAY OF INTEGER;
@@ -762,9 +771,9 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Dse.run p o) src oracle_of
+        client_with (fun ~modref p o -> Opt.Dse.run ~modref p o) src kind
       in
       Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
       Alcotest.(check string) "behaviour preserved" before after;
@@ -797,9 +806,9 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Dse.run p o) src oracle_of
+        client_with (fun ~modref p o -> Opt.Dse.run ~modref p o) src kind
       in
       Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
       Alcotest.(check string) "behaviour preserved" before after;
@@ -809,7 +818,7 @@ END M.
 let test_slf_forwards_stored_atom () =
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Slf.run p o)
+      (fun ~modref p o -> Opt.Slf.run ~modref p o)
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -859,9 +868,9 @@ END M.
 |}
   in
   List.iter
-    (fun oracle_of ->
+    (fun kind ->
       let stats, before, after =
-        client_with (fun p o -> Opt.Slf.run p o) src oracle_of
+        client_with (fun ~modref p o -> Opt.Slf.run ~modref p o) src kind
       in
       Alcotest.(check int) "forwarding blocked" 0 stats.Opt.Slf.forwarded;
       Alcotest.(check string) "behaviour preserved" before after;
@@ -874,7 +883,7 @@ let test_slf_blocked_by_byref_atom_write () =
      resurrect the stale value. *)
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Slf.run p o)
+      (fun ~modref p o -> Opt.Slf.run ~modref p o)
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -904,7 +913,7 @@ END M.
 let test_licm_hoists_invariant_load () =
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Licm.run p o)
+      (fun ~modref p o -> Opt.Licm.run ~modref p o)
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -936,7 +945,7 @@ let test_licm_blocked_by_modding_call () =
      cell's class, so the load is not invariant. *)
   let stats, before, after =
     client_with
-      (fun p o -> Opt.Licm.run p o)
+      (fun ~modref p o -> Opt.Licm.run ~modref p o)
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -997,7 +1006,8 @@ END M.
     let program = lower src in
     let analysis = analyze program in
     let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-    ignore (run ~claims program (sm analysis));
+    let modref, oracle = inputs analysis sm in
+    ignore (run ~claims ~modref program oracle);
     let pairs = Tbaa.Claims.disjoint_pairs claims in
     Alcotest.(check bool)
       (kind ^ " made at least one no-alias bet")
@@ -1010,35 +1020,40 @@ END M.
       pairs
   in
   Alcotest.(check bool) "dse bets carry kind dse" true
-    (kinds_used (fun ~claims p o -> Opt.Dse.run ~claims p o) "dse");
+    (kinds_used
+       (fun ~claims ~modref p o -> Opt.Dse.run ~modref ~claims p o)
+       "dse");
   Alcotest.(check bool) "slf bets carry kind slf" true
-    (kinds_used (fun ~claims p o -> Opt.Slf.run ~claims p o) "slf");
+    (kinds_used
+       (fun ~claims ~modref p o -> Opt.Slf.run ~modref ~claims p o)
+       "slf");
   Alcotest.(check bool) "licm bets carry kind licm" true
-    (kinds_used (fun ~claims p o -> Opt.Licm.run ~claims p o) "licm")
+    (kinds_used
+       (fun ~claims ~modref p o -> Opt.Licm.run ~modref ~claims p o)
+       "licm")
 
 (* --- pipeline ----------------------------------------------------------- *)
 
 let test_pipeline_full () =
   let program = lower devirt_src in
   let before = run_out program in
-  let result =
-    Opt.Pipeline.run program
-      { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-        world = Tbaa.World.Closed;
-        passes =
-          { Opt.Pass_manager.Config.none with
-            Opt.Pass_manager.Config.devirt_inline = true; rle = true };
-        jobs = 1 }
+  let reports =
+    Opt.Pass_manager.run (Opt.Pass.create ()) program
+      (Opt.Pass_manager.schedule
+         { Opt.Pass_manager.Config.none with
+           Opt.Pass_manager.Config.devirt_inline = true; rle = true })
   in
-  Alcotest.(check bool) "devirt ran" true (result.Opt.Pipeline.devirt_stats <> None);
+  Alcotest.(check bool) "devirt ran" true
+    (Opt.Pass_manager.ran "devirt" reports);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 (* --- pass manager ------------------------------------------------------ *)
 
-let rle_triple = function
-  | Some (s : Opt.Rle.stats) ->
-    (s.Opt.Rle.hoisted, s.Opt.Rle.eliminated, s.Opt.Rle.shortened)
-  | None -> Alcotest.fail "expected RLE stats"
+let rle_triple reports =
+  if not (Opt.Pass_manager.ran "rle" reports) then
+    Alcotest.fail "expected RLE reports";
+  let sum stat = Opt.Pass_manager.sum_stat "rle" stat reports in
+  (sum "hoisted", sum "eliminated", sum "shortened")
 
 let triple = Alcotest.(triple int int int)
 
@@ -1046,36 +1061,33 @@ let triple = Alcotest.(triple int int int)
    pass-manager rewrite must reproduce them exactly. *)
 let test_passmgr_seed_counts () =
   let w name = Workloads.Suite.find name in
-  let sm_cfg = Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs in
+  let sm_cfg = Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs in
   let _, reports = Harness.Runner.prepare (w "m3cg") sm_cfg in
-  let _, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  Alcotest.check triple "m3cg rle:SM" (4, 15, 17) (rle_triple r);
+  Alcotest.check triple "m3cg rle:SM" (4, 15, 17) (rle_triple reports);
   let _, reports =
     Harness.Runner.prepare (w "pp") { sm_cfg with Harness.Runner.copyprop = true }
   in
-  let _, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  Alcotest.check triple "pp rle:SM+cp" (3, 9, 0) (rle_triple r);
+  Alcotest.check triple "pp rle:SM+cp" (3, 9, 0) (rle_triple reports);
   let _, reports =
     Harness.Runner.prepare (w "format")
       { Harness.Runner.base with Harness.Runner.minv = true }
   in
-  let d, i, _, _, _ = Opt.Pipeline.stats_of_reports reports in
-  (match (d, i) with
-  | Some d, Some i ->
-    Alcotest.(check int) "format minv resolved" 0 d.Opt.Devirt.resolved;
-    Alcotest.(check int) "format minv unresolved" 0 d.Opt.Devirt.unresolved;
-    Alcotest.(check int) "format minv inlined" 9 i.Opt.Inline.inlined
-  | _ -> Alcotest.fail "expected devirt and inline stats");
+  Alcotest.(check (list bool)) "format minv ran devirt and inline"
+    [ true; true ]
+    [ Opt.Pass_manager.ran "devirt" reports;
+      Opt.Pass_manager.ran "inline" reports ];
+  Alcotest.(check int) "format minv resolved" 0
+    (Opt.Pass_manager.sum_stat "devirt" "resolved" reports);
+  Alcotest.(check int) "format minv unresolved" 0
+    (Opt.Pass_manager.first_stat "devirt" "unresolved" reports);
+  Alcotest.(check int) "format minv inlined" 9
+    (Opt.Pass_manager.sum_stat "inline" "inlined" reports);
   let _, reports =
     Harness.Runner.prepare (w "dformat") { sm_cfg with Harness.Runner.minv = true }
   in
-  let d, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  Alcotest.check triple "dformat rle:SM+minv" (10, 20, 2) (rle_triple r);
-  match d with
-  | Some d ->
-    Alcotest.(check int) "dformat minv unresolved (first leg)" 6
-      d.Opt.Devirt.unresolved
-  | None -> Alcotest.fail "expected devirt stats"
+  Alcotest.check triple "dformat rle:SM+minv" (10, 20, 2) (rle_triple reports);
+  Alcotest.(check int) "dformat minv unresolved (first leg)" 6
+    (Opt.Pass_manager.first_stat "devirt" "unresolved" reports)
 
 (* The seed pipeline spliced a second RLE harvest into the first run's
    mutable record, so any aggregation that walked both saw the second leg
@@ -1084,7 +1096,7 @@ let test_passmgr_seed_counts () =
 let test_reports_no_double_counting () =
   let w = Workloads.Suite.find "pp" in
   let config =
-    { (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs) with
+    { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
       Harness.Runner.copyprop = true }
   in
   let _, reports = Harness.Runner.prepare w config in
@@ -1107,16 +1119,13 @@ let test_reports_no_double_counting () =
   Alcotest.(check int) "aggregation is stable" aggregate
     (Opt.Pass_manager.sum_stat "rle" "hoisted" reports
     + Opt.Pass_manager.sum_stat "rle" "eliminated" reports
-    + Opt.Pass_manager.sum_stat "rle" "shortened" reports);
-  let _, _, _, r, _ = Opt.Pipeline.stats_of_reports reports in
-  let h, e, s = rle_triple r in
-  Alcotest.(check int) "legacy record matches report sum" per_report (h + e + s)
+    + Opt.Pass_manager.sum_stat "rle" "shortened" reports)
 
 let test_passmgr_cache_hit_rate () =
   let w = Workloads.Suite.find "m3cg" in
   let _, reports =
     Harness.Runner.prepare w
-      (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs)
+      (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)
   in
   let c = Opt.Pass_manager.oracle_counters reports in
   Alcotest.(check bool) "oracle was queried" true

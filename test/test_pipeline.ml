@@ -39,15 +39,12 @@ let stats_sig reports =
 (* Parallel ≡ sequential                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_once ~jobs cfg program =
-  let cfg = { cfg with Opt.Pipeline.jobs } in
-  let ctx = Opt.Pipeline.context_of_config cfg in
-  let claims =
-    Tbaa.Claims.create ~oracle:(Opt.Pipeline.oracle_name cfg.Opt.Pipeline.oracle_kind)
-  in
+let run_once ~jobs (oracle_kind, passes) program =
+  let ctx = Opt.Pass.create ~oracle_kind ~jobs () in
+  let claims = Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name oracle_kind) in
   ctx.Opt.Pass.claims <- Some claims;
   let reports =
-    Opt.Pass_manager.run ctx program (Opt.Pipeline.schedule_of_config cfg)
+    Opt.Pass_manager.run ctx program (Opt.Pass_manager.schedule passes)
   in
   (reports, claims)
 
@@ -83,14 +80,12 @@ let test_parallel_matches_sequential () =
 (* The daemon's configuration: every per-procedure client on, plus the
    whole-program fixpoint in front to prove whole-program passes rerun
    live. *)
-let rerun_config =
-  { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-    world = Tbaa.World.Closed;
-    passes =
-      { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
-        slf = true; rle = true; copyprop = true; dse = true;
-        local_cse = false };
-    jobs = 2 }
+let rerun_schedule =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+      slf = true; rle = true; copyprop = true; dse = true; local_cse = false }
+
+let rerun_context () = Opt.Pass.create ~jobs:2 ()
 
 let drop_last_proc (program : Cfg.program) =
   match List.rev program.Cfg.prog_procs with
@@ -110,12 +105,11 @@ let mutations =
     ("drop-proc", fun p -> Option.is_some (drop_last_proc p)) ]
 
 let check_rerun_matches_scratch ~label ~mutate seed =
-  let schedule = Opt.Pipeline.schedule_of_config rerun_config in
-  let ctx = Opt.Pipeline.context_of_config rerun_config in
+  let ctx = rerun_context () in
   let s = Opt.Pass_manager.session ctx in
   (* Cold run over the unedited program populates the memo. *)
   let p0 = lower_gen seed in
-  ignore (Opt.Pass_manager.rerun s p0 schedule);
+  ignore (Opt.Pass_manager.rerun s p0 rerun_schedule);
   (* The next version: re-lowered from source (the daemon's
      document-change path), then edited pre-optimization. *)
   let p1 = lower_gen seed in
@@ -123,14 +117,14 @@ let check_rerun_matches_scratch ~label ~mutate seed =
   else begin
     let claims1 = Tbaa.Claims.create ~oracle:"rerun" in
     ctx.Opt.Pass.claims <- Some claims1;
-    let r1 = Opt.Pass_manager.rerun s p1 schedule in
+    let r1 = Opt.Pass_manager.rerun s p1 rerun_schedule in
     (* From-scratch reference on an identically edited copy. *)
     let p2 = lower_gen seed in
     ignore (mutate p2);
-    let ctx2 = Opt.Pipeline.context_of_config rerun_config in
+    let ctx2 = rerun_context () in
     let claims2 = Tbaa.Claims.create ~oracle:"rerun" in
     ctx2.Opt.Pass.claims <- Some claims2;
-    let r2 = Opt.Pass_manager.run ctx2 p2 schedule in
+    let r2 = Opt.Pass_manager.run ctx2 p2 rerun_schedule in
     let l = Printf.sprintf "%s seed=%d" label seed in
     Alcotest.(check string)
       (l ^ ": program bytes") (print_program p2) (print_program p1);
@@ -153,20 +147,19 @@ let test_rerun_mutations () =
    actually hit the memo: procedures outside the edit's caller closure
    splice their recorded results. *)
 let test_rerun_reuses () =
-  let schedule = Opt.Pipeline.schedule_of_config rerun_config in
   let hit = ref false in
   List.iter
     (fun seed ->
-      let ctx = Opt.Pipeline.context_of_config rerun_config in
+      let ctx = rerun_context () in
       let s = Opt.Pass_manager.session ctx in
       let p0 = lower_gen seed in
-      ignore (Opt.Pass_manager.rerun s p0 schedule);
+      ignore (Opt.Pass_manager.rerun s p0 rerun_schedule);
       let p1 = lower_gen seed in
       if
         Option.is_some (Test_mutations.toggle_const p1)
         && List.length p1.Cfg.prog_procs > 2
       then begin
-        ignore (Opt.Pass_manager.rerun s p1 schedule);
+        ignore (Opt.Pass_manager.rerun s p1 rerun_schedule);
         let reused, reran = Opt.Pass_manager.session_counts s in
         if reused > 0 then hit := true;
         Alcotest.(check bool)

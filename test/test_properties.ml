@@ -28,22 +28,22 @@ let prop_rle_preserves kind name =
   QCheck.Test.make ~name ~count Gen_prog.arbitrary
     (preserves_output (fun program ->
          let a = Tbaa.Analysis.analyze program in
-         ignore (Opt.Rle.run program (Opt.Pipeline.select a kind))))
+         let modref =
+           Opt.Modref.of_engine a.Tbaa.Analysis.engine
+             (Opt.Pass.engine_kind kind)
+         in
+         ignore (Opt.Rle.run ~modref program (Opt.Pass.select a kind))))
 
 let prop_full_pipeline_preserves =
   QCheck.Test.make ~name:"pipeline (devirt+inline+RLE+local CSE) preserves output"
     ~count Gen_prog.arbitrary
     (preserves_output (fun program ->
          ignore
-           (Opt.Pipeline.run program
-              { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-                world = Tbaa.World.Closed;
-                passes =
-                  { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
-                    pre = true; slf = true; rle = true; copyprop = true;
-                    dse = true; local_cse = false };
-                jobs = 1 });
-         ignore (Opt.Local_cse.run program)))
+           (Opt.Pass_manager.run (Opt.Pass.create ()) program
+              (Opt.Pass_manager.schedule
+                 { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
+                   pre = true; slf = true; rle = true; copyprop = true;
+                   dse = true; local_cse = true }))))
 
 let prop_dce_preserves =
   QCheck.Test.make ~name:"DCE preserves output" ~count Gen_prog.arbitrary
@@ -240,6 +240,16 @@ let prop_soundness =
 
 (* --- verification layer ---------------------------------------------------- *)
 
+(* The guarded pass manager over SMFieldTypeRefs with the IR validator on;
+   the pass failures it reports. *)
+let guarded_failures ~claims ?fault program passes =
+  let ctx = Opt.Pass.create () in
+  ctx.Opt.Pass.claims <- Some claims;
+  ctx.Opt.Pass.fault <- fault;
+  Opt.Pass_manager.failures
+    (Opt.Pass_manager.run_guarded ~verify:true ctx program
+       (Opt.Pass_manager.schedule passes))
+
 (* A sound oracle must survive its own audit: run the guarded pipeline
    with the IR validator on and every RLE alias bet logged, then execute
    under the dynamic auditor — no pass may fail validation and no claimed
@@ -249,17 +259,12 @@ let prop_audit_clean =
     ~count:40 Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
       let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-      let result =
-        Opt.Pipeline.run_guarded ~verify:true ~claims program
-          { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-            world = Tbaa.World.Closed;
-            passes =
-              { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
-                pre = false; slf = true; rle = true; copyprop = true;
-                dse = true; local_cse = false };
-            jobs = 1 }
+      let failures =
+        guarded_failures ~claims program
+          { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
+            pre = false; slf = true; rle = true; copyprop = true; dse = true;
+            local_cse = false }
       in
-      let failures = Opt.Pass_manager.failures result.Opt.Pipeline.reports in
       let auditor = Sim.Audit.create claims in
       ignore (Sim.Interp.run ~on_access:(Sim.Audit.on_access auditor) program);
       failures = [] && Sim.Audit.check auditor = [])
@@ -281,16 +286,10 @@ let prop_fault_injection_caught =
         Opt.Pass.fault ~flip_class_kills:false ~seed:((seed * 7) + 1)
           ~rate:0.1 ()
       in
-      let result =
-        Opt.Pipeline.run_guarded ~verify:true ~claims ~fault program
-          { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-            world = Tbaa.World.Closed;
-            passes =
-              { Opt.Pass_manager.Config.none with
-                Opt.Pass_manager.Config.rle = true };
-            jobs = 1 }
-      in
-      ignore (Opt.Pass_manager.failures result.Opt.Pipeline.reports);
+      ignore
+        (guarded_failures ~claims ~fault program
+           { Opt.Pass_manager.Config.none with
+             Opt.Pass_manager.Config.rle = true });
       let auditor = Sim.Audit.create claims in
       let o =
         Sim.Interp.run ~fuel ~on_access:(Sim.Audit.on_access auditor) program
@@ -396,12 +395,12 @@ let () =
   Alcotest.run "properties"
     [ ( "preservation",
         [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
-            (prop_rle_preserves Opt.Pipeline.Otype_decl "RLE(TypeDecl) preserves output");
+            (prop_rle_preserves Opt.Pass.Otype_decl "RLE(TypeDecl) preserves output");
           QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
-            (prop_rle_preserves Opt.Pipeline.Ofield_type_decl
+            (prop_rle_preserves Opt.Pass.Ofield_type_decl
                "RLE(FieldTypeDecl) preserves output");
           QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
-            (prop_rle_preserves Opt.Pipeline.Osm_field_type_refs
+            (prop_rle_preserves Opt.Pass.Osm_field_type_refs
                "RLE(SMFieldTypeRefs) preserves output");
           QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_full_pipeline_preserves;
           QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_local_cse_preserves;

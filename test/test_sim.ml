@@ -386,10 +386,19 @@ let test_limit_detects_redundancy () =
   Alcotest.(check bool) "found a redundant load" true
     (Sim.Limit.total_redundant tracer >= 1)
 
+(* RLE under SMFieldTypeRefs with the engine's mod-ref view; returns both
+   for classifying the residual loads. *)
+let rle_sm program =
+  let engine = Tbaa.Engine.create program in
+  let sm = Tbaa.Engine.Sm_field_type_refs in
+  let oracle = Tbaa.Engine.oracle engine sm in
+  let modref = Opt.Modref.of_engine engine sm in
+  ignore (Opt.Rle.run ~modref program oracle);
+  (oracle, modref)
+
 let test_limit_rle_removes_redundancy () =
   let program = lower redundant_src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let _ = Opt.Rle.run program analysis.Tbaa.Analysis.sm_field_type_refs in
+  let _ = rle_sm program in
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
   Alcotest.(check int) "no redundancy left" 0 (Sim.Limit.total_redundant tracer)
@@ -442,12 +451,9 @@ END M.
 |}
   in
   let program = lower src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let _ = Opt.Rle.run program oracle in
+  let oracle, modref = rle_sm program in
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  let modref = Opt.Modref.compute program oracle in
   let breakdown = Sim.Classify.classify program oracle modref tracer in
   let enc = List.assoc Sim.Classify.Encapsulated breakdown in
   Alcotest.(check bool) "dope redundancies classified Encapsulated" true (enc > 0)
@@ -475,12 +481,9 @@ END M.
 |}
   in
   let program = lower src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let _ = Opt.Rle.run program oracle in
+  let oracle, modref = rle_sm program in
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  let modref = Opt.Modref.compute program oracle in
   let breakdown = Sim.Classify.classify program oracle modref tracer in
   Alcotest.(check bool) "partial redundancy classified Conditional" true
     (List.assoc Sim.Classify.Conditional breakdown > 0)
@@ -510,12 +513,9 @@ END M.
 |}
   in
   let program = lower src in
-  let analysis = Tbaa.Analysis.analyze program in
-  let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let _ = Opt.Rle.run program oracle in
+  let oracle, modref = rle_sm program in
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  let modref = Opt.Modref.compute program oracle in
   let breakdown = Sim.Classify.classify program oracle modref tracer in
   Alcotest.(check bool) "different-path redundancy classified Breakup" true
     (List.assoc Sim.Classify.Breakup breakdown > 0)

@@ -45,14 +45,14 @@ let check_program name ?fuel program =
 (* ------------------------------------------------------------------ *)
 
 let kinds =
-  [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
-    Opt.Pipeline.Osm_field_type_refs ]
+  [ Opt.Pass.Otype_decl; Opt.Pass.Ofield_type_decl;
+    Opt.Pass.Osm_field_type_refs ]
 
 let configs =
   List.concat_map
     (fun kind ->
       let base = Harness.Runner.rle_with kind in
-      let name v = Opt.Pipeline.oracle_name kind ^ ":" ^ v in
+      let name v = Opt.Pass.oracle_name kind ^ ":" ^ v in
       [ (name "rle", base);
         (name "rle+cp", { base with Harness.Runner.copyprop = true });
         (name "rle+pre", { base with Harness.Runner.pre = true });
@@ -177,7 +177,7 @@ let test_traced_optimized () =
   let w = Workloads.Suite.find "format" in
   let program, _ =
     Harness.Runner.prepare w
-      (Harness.Runner.rle_with Opt.Pipeline.Osm_field_type_refs)
+      (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)
   in
   let ro, rl, ra = traced_run ~reference:true program in
   let no, nl, na = traced_run ~reference:false program in

@@ -43,6 +43,13 @@ let test_outputs_deterministic () =
         b.Sim.Interp.output)
     dynamic
 
+let optimize ?oracle_kind program passes =
+  ignore
+    (Opt.Pass_manager.run
+       (Opt.Pass.create ?oracle_kind ())
+       program
+       (Opt.Pass_manager.schedule passes))
+
 let test_optimizer_preserves_every_workload () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
@@ -50,16 +57,16 @@ let test_optimizer_preserves_every_workload () =
       List.iter
         (fun kind ->
           let program = Workloads.Workload.lower w in
-          let a = Tbaa.Analysis.analyze program in
-          ignore (Opt.Rle.run program (Opt.Pipeline.select a kind));
-          ignore (Opt.Local_cse.run program);
+          optimize ~oracle_kind:kind program
+            { Opt.Pass_manager.Config.none with
+              Opt.Pass_manager.Config.rle = true; local_cse = true };
           let o = Sim.Interp.run program in
           Alcotest.(check string)
             (Printf.sprintf "%s under %s" w.Workloads.Workload.name
-               (Opt.Pipeline.oracle_name kind))
+               (Opt.Pass.oracle_name kind))
             reference.Sim.Interp.output o.Sim.Interp.output)
-        [ Opt.Pipeline.Otype_decl; Opt.Pipeline.Ofield_type_decl;
-          Opt.Pipeline.Osm_field_type_refs ])
+        [ Opt.Pass.Otype_decl; Opt.Pass.Ofield_type_decl;
+          Opt.Pass.Osm_field_type_refs ])
     dynamic
 
 let test_minv_inlining_preserves () =
@@ -67,16 +74,10 @@ let test_minv_inlining_preserves () =
     (fun (w : Workloads.Workload.t) ->
       let reference = Sim.Interp.run (Workloads.Workload.lower w) in
       let program = Workloads.Workload.lower w in
-      ignore
-        (Opt.Pipeline.run program
-           { Opt.Pipeline.oracle_kind = Opt.Pipeline.Osm_field_type_refs;
-             world = Tbaa.World.Closed;
-             passes =
-               { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
-                 pre = true; slf = true; rle = true; copyprop = true;
-                 dse = true; local_cse = false };
-             jobs = 1 });
-      ignore (Opt.Local_cse.run program);
+      optimize program
+        { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
+          pre = true; slf = true; rle = true; copyprop = true; dse = true;
+          local_cse = true };
       let o = Sim.Interp.run program in
       Alcotest.(check string) w.Workloads.Workload.name reference.Sim.Interp.output
         o.Sim.Interp.output)
@@ -90,8 +91,8 @@ let test_rle_reduces_heap_loads () =
     (fun (w : Workloads.Workload.t) ->
       let base = Sim.Interp.run (Workloads.Workload.lower w) in
       let program = Workloads.Workload.lower w in
-      let a = Tbaa.Analysis.analyze program in
-      ignore (Opt.Rle.run program a.Tbaa.Analysis.sm_field_type_refs);
+      optimize program
+        { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.rle = true };
       let opt = Sim.Interp.run program in
       let b = base.Sim.Interp.counters.Sim.Interp.heap_loads in
       let o = opt.Sim.Interp.counters.Sim.Interp.heap_loads in
@@ -119,12 +120,16 @@ let test_ktree_dope_redundancy () =
      (the paper's Encapsulation finding). *)
   let w = Workloads.Suite.find "ktree" in
   let program = Workloads.Workload.lower w in
-  let a = Tbaa.Analysis.analyze program in
-  let oracle = a.Tbaa.Analysis.sm_field_type_refs in
-  ignore (Opt.Rle.run program oracle);
+  let ctx = Opt.Pass.create () in
+  (* classify through the alias relation of the program as written *)
+  let oracle = Opt.Pass.oracle ctx program in
+  ignore
+    (Opt.Pass_manager.run ctx program
+       (Opt.Pass_manager.schedule
+          { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.rle = true }));
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  let modref = Opt.Modref.compute program oracle in
+  let modref = Opt.Pass.modref ctx program in
   let breakdown = Sim.Classify.classify program oracle modref tracer in
   let get c = List.assoc c breakdown in
   let enc = get Sim.Classify.Encapsulated in
