@@ -10,12 +10,15 @@ test:
 
 # The CI gate: everything compiles (including tests and benches), the test
 # suite passes, `tbaac optimize` runs end to end with structured stats on a
-# real workload, and an optimized simulator run audits clean.
+# real workload (once with every pass on, PRE and copy propagation
+# included, validating the IR after each), and an optimized simulator run
+# audits clean.
 check:
 	dune build @all
 	dune runtest
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --stats
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --jobs 2 --stats
+	dune exec bin/tbaac.exe -- optimize --workload m3cg --minv --copyprop --pre --licm --slf --dse --verify-ir --stats
 	dune exec bin/tbaac.exe -- run --workload slisp --audit --quiet
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --out ""
 

@@ -466,7 +466,7 @@ let update_effects_state t kind old_st ~find ~cond ~nprocs ~changed
     { ef_direct; ef_merged; ef_cond = cond }
   end
 
-let update ?(check = fun () -> ()) t program =
+let update ?(check = fun () -> ()) ?fingerprints t program =
   check ();
   t.incr.updates <- t.incr.updates + 1;
   if not (Types.env_equal t.program.Ir.Cfg.tenv program.Ir.Cfg.tenv) then begin
@@ -495,11 +495,19 @@ let update ?(check = fun () -> ()) t program =
     in
     (* Revalidate every summary against the new program; [None] marks a
        procedure whose summary must be recomputed. *)
+    let fingerprint =
+      match fingerprints with
+      | Some fps -> fun i _ -> fps.(i)
+      | None -> fun _ p -> Ir.Fingerprint.proc p
+    in
     let slots =
-      Array.map
-        (fun p ->
+      Array.mapi
+        (fun i p ->
           match Ident.Tbl.find_opt old_summaries p.Ir.Cfg.pr_name with
-          | Some s when Summary.reusable s ~proc:p ~signature_of -> Some s
+          | Some s
+            when Summary.reusable s ~fingerprint:(fingerprint i p) ~signature_of
+            ->
+            Some s
           | _ -> None)
         procs
     in

@@ -55,7 +55,8 @@ val create : ?config:config -> ?domains:int -> Ir.Cfg.program -> t
     and build all three oracles. Each construction phase is timed; see
     {!timings}/{!stats}. Results are independent of [domains]. *)
 
-val update : ?check:(unit -> unit) -> t -> Ir.Cfg.program -> t
+val update :
+  ?check:(unit -> unit) -> ?fingerprints:int array -> t -> Ir.Cfg.program -> t
 (** Re-analyze after an edit, reusing everything the edit provably did
     not touch (see the module header). Mutates and returns the same
     engine. [program] may be the engine's own program edited in place or
@@ -65,6 +66,11 @@ val update : ?check:(unit -> unit) -> t -> Ir.Cfg.program -> t
     fingerprints; a structurally changed type environment forces a full
     rebuild. Cached oracle handles and effect views are dropped whenever
     the underlying oracles are rebuilt.
+
+    [fingerprints], when given, holds the {!Ir.Fingerprint.proc} of each
+    procedure of [program], in [prog_procs] order: a caller that already
+    tracks them spares the update re-hashing every body. Wrong values
+    make the engine reuse stale summaries.
 
     Exception-safe: all fallible re-analysis completes before the engine
     is touched, so if revalidation raises mid-update (e.g. on an

@@ -35,8 +35,8 @@ let compute program ~find (proc : Cfg.proc) =
 
 let signature_of ~find name = Option.map Fingerprint.signature (find name)
 
-let reusable old ~proc ~signature_of =
-  old.sp_fingerprint = Fingerprint.proc proc
+let reusable old ~fingerprint ~signature_of =
+  old.sp_fingerprint = fingerprint
   && List.for_all
        (fun (callee, sg) -> sg = signature_of callee)
        old.sp_callee_sigs

@@ -40,8 +40,9 @@ val signature_of :
     every caller of a procedure re-reads the same signature. *)
 
 val reusable :
-  t -> proc:Cfg.proc -> signature_of:(Ident.t -> int option) -> bool
-(** May this summary stand for [proc] in the program described by
-    [signature_of]? True iff the fingerprint matches and the recorded
-    callee-signature view still holds. Caller guarantees the type
-    environment is physically unchanged. *)
+  t -> fingerprint:int -> signature_of:(Ident.t -> int option) -> bool
+(** May this summary stand for a procedure whose {!Fingerprint.proc} is
+    [fingerprint], in the program described by [signature_of]? True iff
+    the fingerprint matches and the recorded callee-signature view still
+    holds. Caller guarantees the type environment is physically
+    unchanged. *)

@@ -31,27 +31,42 @@ let run_proc program proc stats =
   let n = Vec.length copies in
   if n = 0 then ()
   else begin
+    (* Three indexes over the universe, each built once: the copies each
+       variable's definition kills (those mentioning it), the first
+       occurrence of each (dst, src) pair, and each destination's copies in
+       ascending id order. *)
+    let mentions = Hashtbl.create 16 in
+    let first_id = Hashtbl.create 16 in
+    let by_dst = Hashtbl.create 16 in
+    let mention (x : Reg.var) i =
+      let s =
+        match Hashtbl.find_opt mentions x.Reg.v_id with
+        | Some s -> s
+        | None ->
+          let s = Bitset.create n in
+          Hashtbl.add mentions x.Reg.v_id s;
+          s
+      in
+      Bitset.add s i
+    in
+    for i = n - 1 downto 0 do
+      let v, u = Vec.get copies i in
+      mention v i;
+      mention u i;
+      Hashtbl.replace first_id (v.Reg.v_id, u.Reg.v_id) i;
+      Hashtbl.replace by_dst v.Reg.v_id
+        (i :: Option.value (Hashtbl.find_opt by_dst v.Reg.v_id) ~default:[])
+    done;
+    let none = Bitset.create n in
     let kills_of_def (d : Reg.var) =
-      let s = Bitset.create n in
-      Vec.iteri
-        (fun i (v, u) ->
-          if Reg.var_equal d v || Reg.var_equal d u then Bitset.add s i)
-        copies;
-      s
+      Option.value (Hashtbl.find_opt mentions d.Reg.v_id) ~default:none
     in
     let copy_id_of instr =
       match instr with
       | Instr.Iassign (v, Instr.Ratom (Reg.Avar u))
         when (not (Reg.var_equal v u))
              && eligible_var excluded v && eligible_var excluded u ->
-        (* occurrences are interned in program order; find the matching id *)
-        let found = ref None in
-        Vec.iteri
-          (fun i (v', u') ->
-            if !found = None && Reg.var_equal v v' && Reg.var_equal u u' then
-              found := Some i)
-          copies;
-        !found
+        Hashtbl.find_opt first_id (v.Reg.v_id, u.Reg.v_id)
       | _ -> None
     in
     let nb = Cfg.n_blocks proc in
@@ -83,18 +98,18 @@ let run_proc program proc stats =
         ~entry_fact:(Bitset.create n) ()
     in
     (* Rewrite pass: canonicalize each used variable through the available
-       copies (transitively, with a bound against cycles). *)
+       copies (transitively, with a bound against cycles). The rewrite only
+       tracks the fact; [unused_kill] absorbs the kill side. *)
+    let unused_kill = Bitset.create n in
     Vec.iter
       (fun b ->
         let fact = Bitset.copy result.Dataflow.inn.(b.Cfg.b_id) in
-        let source_of v =
-          let found = ref None in
-          Vec.iteri
-            (fun i (v', u') ->
-              if !found = None && Bitset.mem fact i && Reg.var_equal v v' then
-                found := Some u')
-            copies;
-          !found
+        let source_of (v : Reg.var) =
+          match Hashtbl.find_opt by_dst v.Reg.v_id with
+          | None -> None
+          | Some ids ->
+            List.find_opt (Bitset.mem fact) ids
+            |> Option.map (fun i -> snd (Vec.get copies i))
         in
         let canonical v =
           let rec go v steps =
@@ -151,7 +166,7 @@ let run_proc program proc stats =
                 | Instr.Ibuiltin (d, bi, args) ->
                   Instr.Ibuiltin (d, bi, List.map subst_atom args)
               in
-              transfer instr' ~gen:fact ~kill:(Bitset.create n);
+              transfer instr' ~gen:fact ~kill:unused_kill;
               instr')
             b.Cfg.b_instrs
         in

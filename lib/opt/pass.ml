@@ -62,7 +62,7 @@ let invalidate ctx =
   ctx.oracle_memo <- None;
   ctx.modref_memo <- None
 
-let analysis ctx program =
+let analysis ?fingerprints ctx program =
   match ctx.analysis_memo with
   | Some a -> a
   | None ->
@@ -73,7 +73,7 @@ let analysis ctx program =
        analysis builds the engine (via [Analysis.analyze]). *)
     let a =
       match ctx.engine_memo with
-      | Some e -> Analysis.of_engine (Engine.update e program)
+      | Some e -> Analysis.of_engine (Engine.update ?fingerprints e program)
       | None -> Analysis.analyze ~world:ctx.world program
     in
     ctx.analysis_memo <- Some a;

@@ -76,9 +76,12 @@ val create :
     serves one program instance; create a fresh context per
     (program, configuration) run. *)
 
-val analysis : context -> Ir.Cfg.program -> Analysis.t
+val analysis :
+  ?fingerprints:int array -> context -> Ir.Cfg.program -> Analysis.t
 (** The memoized analysis of the program's *current* state; recomputed
-    (incrementally, through the context's engine) after {!invalidate}. *)
+    (incrementally, through the context's engine) after {!invalidate}.
+    [fingerprints] is passed to {!Engine.update} when the recomputation
+    is incremental. *)
 
 val oracle : context -> Ir.Cfg.program -> Oracle.t
 (** The configured-precision oracle over {!analysis}, wrapped in the

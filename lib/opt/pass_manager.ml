@@ -203,9 +203,11 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
     let raw, modref =
       if nlive = 0 then (None, None)
       else begin
-        (* [Pass.modref] builds the engine's merged-effects table now:
-           that build mutates the engine, which must not happen
-           concurrently. *)
+        (* [fps] describes exactly this program state, so a re-analysis
+           need not hash every body again. [Pass.modref] builds the
+           engine's merged-effects table now: that build mutates the
+           engine, which must not happen concurrently. *)
+        ignore (Pass.analysis ~fingerprints:fps ctx program);
         (Some (Pass.raw_oracle ctx program), Some (Pass.modref ctx program))
       end
     in
@@ -321,13 +323,13 @@ let run_one ?memo ctx program ~round (p : Pass.t) : Pass.report =
   let oracle_before = Oracle_cache.snapshot ctx.Pass.oracle_counters in
   let dataflow_before = Ir.Dataflow.counters () in
   let analyses_before = ctx.Pass.analyses_run in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Support.Clock.now_ms () in
   let outcome = exec_pass ?memo ctx program p in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Support.Clock.now_ms () in
   if outcome.Pass.mutated then Pass.invalidate ctx;
   { Pass.r_pass = p.Pass.name;
     r_round = round;
-    r_time_ms = (t1 -. t0) *. 1000.0;
+    r_time_ms = t1 -. t0;
     r_changed = outcome.Pass.changed;
     r_stats = outcome.Pass.stats;
     r_oracle =
@@ -490,13 +492,17 @@ let session ctx =
 
 let session_context s = s.s_ctx
 
+(* Each procedure's fingerprint in program order, and the same keyed by
+   name. *)
 let fingerprints program =
+  let fps =
+    Array.of_list (List.map Ir.Fingerprint.proc program.Ir.Cfg.prog_procs)
+  in
   let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      Hashtbl.replace tbl (Ident.name p.Ir.Cfg.pr_name) (Ir.Fingerprint.proc p))
+  List.iteri
+    (fun i p -> Hashtbl.replace tbl (Ident.name p.Ir.Cfg.pr_name) fps.(i))
     program.Ir.Cfg.prog_procs;
-  tbl
+  (fps, tbl)
 
 (* The procedures whose memoized pass results an edit may invalidate:
    the edited (or added/removed) procedures plus everything that can
@@ -538,7 +544,7 @@ let rerun s program items =
   s.s_reused <- 0;
   s.s_reran <- 0;
   let ctx = s.s_ctx in
-  let cur_fps = fingerprints program in
+  let fp_array, cur_fps = fingerprints program in
   (* The dependency gate for this run's memo lookups. *)
   let valid =
     match s.s_gate with
@@ -551,7 +557,7 @@ let rerun s program items =
       flush_memo s;
       fun _ -> false
     | Some e -> (
-      let e = Engine.update e program in
+      let e = Engine.update ~fingerprints:fp_array e program in
       s.s_gate <- Some e;
       match Engine.last_update e with
       | Some r

@@ -49,13 +49,7 @@ let run_proc ?fresh program oracle modref proc stats =
   let n = Vec.length exprs in
   if n = 0 then ()
   else begin
-    let kill_set instr =
-      let s = Bitset.create n in
-      Vec.iteri
-        (fun i ap -> if Rle.instr_kills oracle modref instr ap then Bitset.add s i)
-        exprs;
-      s
-    in
+    let ki = Rle.kill_index (Array.init n (Vec.get exprs)) in
     let gens instr =
       match instr with
       | Instr.Iload (v, ap) ->
@@ -70,19 +64,24 @@ let run_proc ?fresh program oracle modref proc stats =
     let nb = Cfg.n_blocks proc in
     let gen = Array.init nb (fun _ -> Bitset.create n) in
     let kill = Array.init nb (fun _ -> Bitset.create n) in
+    (* Each instruction's kill set, computed once for both walks. *)
+    let kills = Array.make nb [] in
     Vec.iter
       (fun b ->
-        List.iter
-          (fun i ->
-            let ks = kill_set i in
-            Bitset.diff_into ~dst:gen.(b.Cfg.b_id) ks;
-            Bitset.union_into ~dst:kill.(b.Cfg.b_id) ks;
-            List.iter
-              (fun e ->
-                Bitset.add gen.(b.Cfg.b_id) e;
-                Bitset.remove kill.(b.Cfg.b_id) e)
-              (gens i))
-          b.Cfg.b_instrs)
+        let id = b.Cfg.b_id in
+        kills.(id) <-
+          List.map
+            (fun i ->
+              let ks = Rle.kill_set oracle modref ki i in
+              Bitset.diff_into ~dst:gen.(id) ks;
+              Bitset.union_into ~dst:kill.(id) ks;
+              List.iter
+                (fun e ->
+                  Bitset.add gen.(id) e;
+                  Bitset.remove kill.(id) e)
+                (gens i);
+              ks)
+            b.Cfg.b_instrs)
       proc.Cfg.pr_blocks;
     let must =
       Dataflow.run ~proc ~universe:n ~confluence:Dataflow.Must
@@ -102,8 +101,8 @@ let run_proc ?fresh program oracle modref proc stats =
     Vec.iter
       (fun b ->
         let killed = Bitset.create n in
-        List.iter
-          (fun i ->
+        List.iter2
+          (fun i ks ->
             (match i with
             | Instr.Iload (_, ap) ->
               List.iter
@@ -113,8 +112,8 @@ let run_proc ?fresh program oracle modref proc stats =
                     Bitset.add used_in.(b.Cfg.b_id) e)
                 (scalar_prefixes tenv ap)
             | _ -> ());
-            Bitset.union_into ~dst:killed (kill_set i))
-          b.Cfg.b_instrs)
+            Bitset.union_into ~dst:killed ks)
+          b.Cfg.b_instrs kills.(b.Cfg.b_id))
       proc.Cfg.pr_blocks;
     let preds = Cfg.predecessors proc in
     let dom = Dom.compute proc in

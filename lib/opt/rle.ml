@@ -88,6 +88,55 @@ let kill_pred ?claims ?kind (oracle : Oracle.t) modref instr =
 let instr_kills ?claims ?kind oracle modref instr ap =
   kill_pred ?claims ?kind oracle modref instr (query_paths ap)
 
+(* A dataflow client tests every instruction against every tracked
+   expression. Most instructions are definitions of local registers, whose
+   kill test is variable membership alone; indexing the expressions by the
+   variables they read answers those by lookup. Everything else (stores,
+   calls, definitions of memory-resident variables) falls back to
+   [kill_pred] over the whole universe. *)
+type kill_index = {
+  ki_qps : query_paths array;
+  ki_readers : (int, Bitset.t) Hashtbl.t;  (* v_id -> expressions reading it *)
+  ki_none : Bitset.t;
+}
+
+let kill_index exprs =
+  let n = Array.length exprs in
+  let qps = Array.map query_paths exprs in
+  let readers = Hashtbl.create 16 in
+  Array.iteri
+    (fun i qp ->
+      List.iter
+        (fun (v : Reg.var) ->
+          let s =
+            match Hashtbl.find_opt readers v.Reg.v_id with
+            | Some s -> s
+            | None ->
+              let s = Bitset.create n in
+              Hashtbl.add readers v.Reg.v_id s;
+              s
+          in
+          Bitset.add s i)
+        qp.qp_vars)
+    qps;
+  { ki_qps = qps; ki_readers = readers; ki_none = Bitset.create n }
+
+let kill_set ?claims (oracle : Oracle.t) modref ki instr =
+  match instr with
+  | Instr.Iassign (v, _) | Instr.Iaddr (v, _) | Instr.Inew (v, _, _)
+  | Instr.Iload (v, _) | Instr.Ibuiltin (Some v, _, _)
+    when v.Reg.v_kind <> Reg.Vglobal && not (oracle.Oracle.addr_taken_var v) ->
+    Option.value (Hashtbl.find_opt ki.ki_readers v.Reg.v_id) ~default:ki.ki_none
+  | Instr.Ibuiltin (None, _, _) -> ki.ki_none
+  | _ ->
+    let n = Array.length ki.ki_qps in
+    let s = Bitset.create n in
+    let kills = kill_pred ?claims oracle modref instr in
+    for i = 0 to n - 1 do
+      if kills ki.ki_qps.(i) then Bitset.add s i
+    done;
+    s
+
 (* The memory *expressions* RLE tracks are the scalar-typed prefixes of a
    path: those denote one word the machine actually reads (a pointer or a
    scalar). Aggregate-typed prefixes (an inline record, the array behind a
@@ -250,16 +299,8 @@ let cse ?claims ?fresh program oracle modref proc stats =
   if n = 0 then ()
   else begin
     (* The universe is fixed from here on (gens_of re-interns only paths
-       already scanned), so each expression's query paths resolve once. *)
-    let qps = Array.init n (fun i -> query_paths (Vec.get exprs i)) in
-    let kill_set_of instr =
-      let s = Bitset.create n in
-      let kills = kill_pred ?claims oracle modref instr in
-      for i = 0 to n - 1 do
-        if kills qps.(i) then Bitset.add s i
-      done;
-      s
-    in
+       already scanned), so the kill index is built once. *)
+    let ki = kill_index (Array.init n (Vec.get exprs)) in
     (* Expressions an instruction makes available, honoring the
        self-dependence guard on the defined variable. *)
     let gens_of instr =
@@ -276,21 +317,25 @@ let cse ?claims ?fresh program oracle modref proc stats =
     let nb = Cfg.n_blocks proc in
     let gen = Array.init nb (fun _ -> Bitset.create n) in
     let kill = Array.init nb (fun _ -> Bitset.create n) in
+    (* Each instruction's kill set is computed once and reused by the
+       rewrite walk below. *)
+    let kills = Array.make nb [] in
     let simulate instr ~gen ~kill =
-      let ks = kill_set_of instr in
+      let ks = kill_set ?claims oracle modref ki instr in
       Bitset.diff_into ~dst:gen ks;
       Bitset.union_into ~dst:kill ks;
       List.iter
         (fun e ->
           Bitset.add gen e;
           Bitset.remove kill e)
-        (gens_of instr)
+        (gens_of instr);
+      ks
     in
     Vec.iter
       (fun b ->
-        List.iter
-          (fun i -> simulate i ~gen:gen.(b.Cfg.b_id) ~kill:kill.(b.Cfg.b_id))
-          b.Cfg.b_instrs)
+        let id = b.Cfg.b_id in
+        kills.(id) <-
+          List.map (fun i -> simulate i ~gen:gen.(id) ~kill:kill.(id)) b.Cfg.b_instrs)
       proc.Cfg.pr_blocks;
     let result =
       Dataflow.run ~proc ~universe:n ~confluence:Dataflow.Must
@@ -381,14 +426,14 @@ let cse ?claims ?fresh program oracle modref proc stats =
       (fun b ->
         let avail = Bitset.copy result.Dataflow.inn.(b.Cfg.b_id) in
         let rewritten =
-          List.concat_map
-            (fun instr ->
-              let out = rewrite_chain avail instr in
-              let ks = kill_set_of instr in
-              Bitset.diff_into ~dst:avail ks;
-              List.iter (Bitset.add avail) (gens_of instr);
-              out)
-            b.Cfg.b_instrs
+          List.concat
+            (List.map2
+               (fun instr ks ->
+                 let out = rewrite_chain avail instr in
+                 Bitset.diff_into ~dst:avail ks;
+                 List.iter (Bitset.add avail) (gens_of instr);
+                 out)
+               b.Cfg.b_instrs kills.(b.Cfg.b_id))
         in
         b.Cfg.b_instrs <- rewritten)
       proc.Cfg.pr_blocks

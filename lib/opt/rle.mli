@@ -64,6 +64,28 @@ val instr_kills :
     RLE's availability reasoning.) With [claims], every oracle answer
     consulted is logged against its witness paths. *)
 
+type kill_index
+(** A fixed universe of tracked expressions, numbered by array position,
+    with each expression's query paths resolved and the expressions indexed
+    by the variables they read. *)
+
+val kill_index : Ir.Apath.t array -> kill_index
+
+val kill_set :
+  ?claims:Claims.t ->
+  Oracle.t ->
+  Modref.t ->
+  kill_index ->
+  Ir.Instr.t ->
+  Support.Bitset.t
+(** The expressions of the index that executing the instruction may change:
+    bit [i] is set iff {!kill_pred} holds for expression [i]. A definition
+    of a local variable (neither global nor address-taken) is answered by
+    lookup, with no oracle query; every other instruction runs
+    {!kill_pred} over the universe in index order, logging the same claims.
+    The returned set may be shared with the index and with other calls: it
+    must not be mutated. *)
+
 val removed : stats -> int
 (** Total loads removed statically — the paper's Table 6 number. *)
 

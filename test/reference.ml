@@ -1,7 +1,9 @@
-(* Whole-program baselines the incremental engine is checked against.
-   Production code answers these questions from the call-graph SCC
-   condensation and the engine's per-procedure summaries; these are the
-   direct fixpoint and closure formulations. *)
+(* Baselines production code is checked against. The incremental engine
+   answers the whole-program questions from the call-graph SCC
+   condensation and its per-procedure summaries; these are the direct
+   fixpoint and closure formulations. The optimizer's kill sets come from
+   an index over the tracked expressions; the baseline asks the
+   per-expression kill test of every expression. *)
 
 open Support
 open Ir
@@ -73,3 +75,15 @@ let modref program (oracle : Tbaa.Oracle.t) =
     program.Cfg.prog_procs;
   Opt.Modref.of_summaries program (fun name ->
       Option.value (Hashtbl.find_opt summaries name) ~default:empty)
+
+(* The kill set of one instruction over [exprs]: bit [i] iff the instruction
+   may change expression [i], with the instruction-side data resolved
+   afresh for every expression. *)
+let kill_set ?claims oracle modref exprs instr =
+  let s = Bitset.create (Array.length exprs) in
+  Array.iteri
+    (fun i ap ->
+      if Opt.Rle.kill_pred ?claims oracle modref instr (Opt.Rle.query_paths ap)
+      then Bitset.add s i)
+    exprs;
+  s

@@ -569,6 +569,226 @@ END M.
   ignore (Opt.Copyprop.run program);
   Alcotest.(check string) "3" "3" (run_out program)
 
+(* Three corners of the copy universe, each with the rewritten procedure
+   text, the rewrite count and the program output pinned. *)
+let copyprop_corner src =
+  let program = lower src in
+  let s = Opt.Copyprop.run program in
+  let text = Format.asprintf "%a" Cfg.pp_proc (proc_named program "P") in
+  (s.Opt.Copyprop.replaced, text, run_out program)
+
+let test_copyprop_repeated_copy () =
+  (* [b := a] occurs twice; both occurrences are the one copy (b, a), so
+     the second regenerates it after [a]'s redefinition killed it. *)
+  let replaced, text, out =
+    copyprop_corner
+      {|
+MODULE M;
+VAR sink: INTEGER;
+PROCEDURE P (x: INTEGER) =
+  VAR a, b, c, d: INTEGER;
+  BEGIN
+    a := x + 1;
+    b := a;
+    c := b + 1;
+    a := x + 5;
+    b := a;
+    d := b + c;
+    sink := d;
+  END P;
+BEGIN
+  P (4);
+  PrintInt (sink);
+END M.
+|}
+  in
+  Alcotest.(check int) "replaced" 4 replaced;
+  Alcotest.(check string) "procedure"
+    "procedure P (entry B0)\nB0:\n  t#6 := x + 1\n  a := t#6\n  b := a\n\
+    \  t#7 := t#6 + 1\n  c := t#7\n  t#8 := x + 5\n  a := t#8\n  b := a\n\
+    \  t#9 := t#8 + t#7\n  d := t#9\n  sink := t#9\n  return\n"
+    text;
+  Alcotest.(check string) "output" "15" out
+
+let test_copyprop_long_chain () =
+  (* [canonical] follows at most 8 copies: a10 resolves to a2, not a0. *)
+  let replaced, text, out =
+    copyprop_corner
+      {|
+MODULE M;
+VAR sink: INTEGER;
+PROCEDURE P (x: INTEGER) =
+  VAR a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10: INTEGER;
+  BEGIN
+    a0 := x + 1;
+    a1 := a0; a2 := a1; a3 := a2; a4 := a3; a5 := a4;
+    a6 := a5; a7 := a6; a8 := a7; a9 := a8; a10 := a9;
+    sink := a10 + 1;
+  END P;
+BEGIN
+  P (4);
+  PrintInt (sink);
+END M.
+|}
+  in
+  Alcotest.(check int) "replaced" 1 replaced;
+  Alcotest.(check string) "procedure"
+    "procedure P (entry B0)\nB0:\n  t#13 := x + 1\n  a0 := t#13\n  a1 := a0\n\
+    \  a2 := a1\n  a3 := a2\n  a4 := a3\n  a5 := a4\n  a6 := a5\n  a7 := a6\n\
+    \  a8 := a7\n  a9 := a8\n  a10 := a9\n  t#14 := a2 + 1\n  sink := t#14\n\
+    \  return\n"
+    text;
+  Alcotest.(check string) "output" "6" out
+
+let test_copyprop_source_redefined () =
+  (* [a] is redefined between [b := a] and [c := a]: uses of [b] keep [b],
+     uses of [c] become the new [a]'s source. *)
+  let replaced, text, out =
+    copyprop_corner
+      {|
+MODULE M;
+VAR sink: INTEGER;
+PROCEDURE P (x: INTEGER) =
+  VAR a, b, c: INTEGER;
+  BEGIN
+    a := x + 1;
+    b := a;
+    a := a + 10;
+    c := a;
+    sink := b * 100 + c;
+  END P;
+BEGIN
+  P (4);
+  PrintInt (sink);
+END M.
+|}
+  in
+  Alcotest.(check int) "replaced" 2 replaced;
+  Alcotest.(check string) "procedure"
+    "procedure P (entry B0)\nB0:\n  t#5 := x + 1\n  a := t#5\n  b := a\n\
+    \  t#6 := t#5 + 10\n  a := t#6\n  c := a\n  t#7 := b * 100\n\
+    \  t#8 := t#7 + t#6\n  sink := t#8\n  return\n"
+    text;
+  Alcotest.(check string) "output" "515" out
+
+(* --- kill index --------------------------------------------------------- *)
+
+(* Every prefix of every loaded or stored path, in first-seen order. *)
+let tracked_exprs proc =
+  let seen = Apath.Tbl.create 64 and acc = ref [] in
+  Cfg.iter_instrs proc (fun _ i ->
+      match i with
+      | Instr.Iload (_, ap) | Instr.Istore (ap, _) ->
+        List.iter
+          (fun p ->
+            if not (Apath.Tbl.mem seen p) then begin
+              Apath.Tbl.add seen p ();
+              acc := p :: !acc
+            end)
+          (Apath.prefixes ap)
+      | _ -> ());
+  Array.of_list (List.rev !acc)
+
+(* [Rle.kill_set] against the per-expression baseline on every instruction
+   of [program], each logging into its own claims ledger. Returns how many
+   instructions define a global or address-taken variable. *)
+let check_kill_index label program kind =
+  let modref, oracle = inputs (analyze program) kind in
+  let ledger () = Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name kind) in
+  let fast = ledger () and slow = ledger () in
+  let memory_defs = ref 0 in
+  List.iter
+    (fun proc ->
+      let exprs = tracked_exprs proc in
+      let ki = Opt.Rle.kill_index exprs in
+      Cfg.iter_instrs proc (fun _ i ->
+          (match Instr.defined_var i with
+          | Some v
+            when v.Reg.v_kind = Reg.Vglobal || oracle.Tbaa.Oracle.addr_taken_var v ->
+            incr memory_defs
+          | _ -> ());
+          let got = Opt.Rle.kill_set ~claims:fast oracle modref ki i in
+          let want = Reference.kill_set ~claims:slow oracle modref exprs i in
+          if not (Bitset.equal got want) then
+            Alcotest.failf "%s: kill set of %a: %a, expected %a" label Instr.pp i
+              Bitset.pp got Bitset.pp want))
+    program.Cfg.prog_procs;
+  Alcotest.(check int) (label ^ ": claim pairs") (Tbaa.Claims.n_pairs slow)
+    (Tbaa.Claims.n_pairs fast);
+  Alcotest.(check int) (label ^ ": claim records") (Tbaa.Claims.n_records slow)
+    (Tbaa.Claims.n_records fast);
+  let disjoint c =
+    List.sort compare
+      (List.map
+         (fun (p, q) -> Apath.to_string p ^ " | " ^ Apath.to_string q)
+         (Tbaa.Claims.disjoint_pairs c))
+  in
+  Alcotest.(check (list string)) (label ^ ": disjoint pairs") (disjoint slow)
+    (disjoint fast);
+  !memory_defs
+
+let oracle_kinds = [ td; Opt.Pass.Ofield_type_decl; sm ]
+
+let test_kill_index_memory_defs () =
+  let program =
+    lower
+      {|
+MODULE M;
+TYPE Node = OBJECT val: INTEGER; next: Node; END;
+VAR g: INTEGER; h: Node;
+PROCEDURE Bump (VAR r: INTEGER) = BEGIN r := r + 1; END Bump;
+PROCEDURE P () =
+  VAR k: INTEGER; n: Node;
+  BEGIN
+    n := h.next;
+    k := n.val;
+    Bump (k);
+    g := n.next.val + k;
+    k := h.val + g;
+    h.next.val := k;
+    n.val := g;
+  END P;
+BEGIN
+  h := NEW (Node);
+  h.next := NEW (Node);
+  h.next.next := h;
+  P ();
+  PrintInt (g);
+END M.
+|}
+  in
+  List.iter
+    (fun kind ->
+      let label = "memory defs " ^ Opt.Pass.oracle_name kind in
+      let defs = check_kill_index label program kind in
+      (* [g := ...] (a global) and [k := ...] (address-taken by [Bump]). *)
+      Alcotest.(check bool) (label ^ ": fallback exercised") true (defs >= 2))
+    oracle_kinds
+
+let test_kill_index_programs () =
+  let gen =
+    List.init 50 (fun seed ->
+        let g = Gen.Generator.generate ~size:3 seed in
+        ( Printf.sprintf "gen seed=%d" seed,
+          fun () -> Lower.lower_string ~file:"<gen>" g.Gen.Generator.source ))
+  in
+  let workloads =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        (w.Workloads.Workload.name, fun () -> Workloads.Workload.lower w))
+      Workloads.Suite.all
+  in
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun kind ->
+          ignore
+            (check_kill_index
+               (name ^ " " ^ Opt.Pass.oracle_name kind)
+               (program ()) kind))
+        oracle_kinds)
+    (gen @ workloads)
+
 (* --- dead-code elimination ------------------------------------------------ *)
 
 let test_dce_removes_dead_chain () =
@@ -1165,6 +1385,17 @@ let () =
             test_copyprop_enables_breakup_recovery;
           Alcotest.test_case "copyprop kill" `Quick
             test_copyprop_respects_redefinition ] );
+      ( "copyprop",
+        [ Alcotest.test_case "repeated copy" `Quick test_copyprop_repeated_copy;
+          Alcotest.test_case "chain past the bound" `Quick
+            test_copyprop_long_chain;
+          Alcotest.test_case "source redefined" `Quick
+            test_copyprop_source_redefined ] );
+      ( "kill index",
+        [ Alcotest.test_case "memory-resident defs" `Quick
+            test_kill_index_memory_defs;
+          Alcotest.test_case "index = per-expression kills" `Slow
+            test_kill_index_programs ] );
       ( "dce",
         [ Alcotest.test_case "dead chain" `Quick test_dce_removes_dead_chain;
           Alcotest.test_case "effects kept" `Quick test_dce_keeps_effects;

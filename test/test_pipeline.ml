@@ -198,6 +198,38 @@ let test_envelope_roundtrip () =
     (String.length s > 11 && String.sub s 0 11 = "{\"schema\":1");
   Alcotest.(check (option int)) "non-enveloped" None (Json.schema_of (Json.Int 3))
 
+(* ------------------------------------------------------------------ *)
+(* Per-pass timing                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A pass times itself on the monotonic-clamped clock: a system clock that
+   steps backwards mid-pass reads as zero elapsed time, never negative. *)
+let test_pass_time_monotonic () =
+  let noop =
+    { Opt.Pass.name = "noop";
+      role = Opt.Pass.Enabling;
+      scope =
+        Opt.Pass.Whole_program
+          (fun _ _ -> { Opt.Pass.stats = []; changed = false; mutated = false }) }
+  in
+  let script = ref [ 5000.0; 4000.0; 4500.0 ] in
+  let reports =
+    Clock.with_raw
+      (fun () ->
+        match !script with
+        | [ final ] -> final
+        | r :: rest ->
+          script := rest;
+          r
+        | [] -> assert false)
+      (fun () ->
+        let noops = [ Opt.Pass_manager.Run noop; Opt.Pass_manager.Run noop ] in
+        Opt.Pass_manager.run (Opt.Pass.create ()) (lower_gen 1) noops)
+  in
+  Alcotest.(check (list (float 0.0)))
+    "stepped-back clock reads zero" [ 0.0; 0.0 ]
+    (List.map (fun r -> r.Opt.Pass.r_time_ms) reports)
+
 let () =
   Alcotest.run "pipeline"
     [ ( "parallel",
@@ -208,6 +240,9 @@ let () =
             test_rerun_mutations;
           Alcotest.test_case "single-proc edit reuses memo" `Quick
             test_rerun_reuses ] );
+      ( "timing",
+        [ Alcotest.test_case "pass time on the monotonic clock" `Quick
+            test_pass_time_monotonic ] );
       ( "envelope",
         [ Alcotest.test_case "versioned envelope round-trips" `Quick
             test_envelope_roundtrip ] ) ]
