@@ -74,25 +74,3 @@ module Var_tbl = Hashtbl.Make (struct
   let hash = var_hash
 end)
 
-(* Dense renumbering of a set of variables, in first-seen order. [v_id]s
-   are unique program-wide, so any one procedure uses a sparse subset;
-   the simulator's pre-compiled frames renumber them into a compact
-   [0..n-1] range so a frame's registers fit a flat array instead of a
-   hash table. *)
-module Dense = struct
-  type t = { slots : (int, int) Hashtbl.t; mutable next : int }
-
-  let create () = { slots = Hashtbl.create 32; next = 0 }
-
-  let slot t (v : var) =
-    match Hashtbl.find_opt t.slots v.v_id with
-    | Some s -> s
-    | None ->
-      let s = t.next in
-      t.next <- t.next + 1;
-      Hashtbl.add t.slots v.v_id s;
-      s
-
-  let mem t (v : var) = Hashtbl.mem t.slots v.v_id
-  let size t = t.next
-end

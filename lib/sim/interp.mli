@@ -99,9 +99,9 @@ val run :
     lands), reporting the concrete address touched.
 
     This is the pre-compiled engine ({!Precompile.run}): each procedure
-    is compiled once per run into dense register files and pre-resolved
-    instruction arrays, with observable behaviour bit-identical to
-    {!run_reference}. *)
+    is compiled once into pre-resolved instruction arrays that run on
+    allocation-free payload/tag cells, with observable behaviour
+    bit-identical to {!run_reference}. *)
 
 val run_reference :
   ?fuel:int ->

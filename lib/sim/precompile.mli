@@ -1,12 +1,19 @@
 (** The pre-compiled simulator fast path.
 
-    Compiles each procedure once per run — dense register files, flat
-    stack-slot plans, pre-resolved access paths with baked-in layout
-    offsets, and static per-site memo cells — then executes the compiled
-    form. Observable behaviour (printed output, all counters, cycles,
-    cache hits/misses, soft faults, and site identities/ids) is
-    bit-identical to {!Interp.run_reference}; the differential suite in
-    test_sim_equiv.ml enforces this.
+    Compiles each procedure once per program into dense register
+    numbering, stack-cell offsets, pre-resolved access paths with baked-in
+    layout offsets, direct call targets and static per-site memo cells,
+    then executes the compiled form without allocating per executed
+    instruction: every value is an unboxed [int] payload with a one-byte
+    tag, held in parallel arrays for registers (one register stack),
+    static memory and the heap. Payloads are full 63-bit integers, so
+    arithmetic wraps exactly as in {!Interp.run_reference}. A {!Value.t}
+    is built only for an [on_load] event.
+
+    Observable behaviour (printed output, all counters, cycles, cache
+    hits/misses, soft faults, the point where fuel runs out, and site
+    identities/ids) is bit-identical to {!Interp.run_reference}; the
+    differential suite in test_sim_equiv.ml enforces this.
 
     {!Interp} re-exports these types and aliases {!Interp.run} to
     {!run}, so existing consumers (audit, limit study, harness) are
@@ -82,5 +89,7 @@ val run :
   Cfg.program ->
   outcome
 (** Pre-compiling run. Procedures are compiled lazily, at their first
-    call in this run; site memo cells are per-run, so site ids are still
-    assigned in order of first dynamic occurrence. *)
+    call; site memo cells are per-run, so site ids are still assigned in
+    order of first dynamic occurrence. Compiled code and heap capacity
+    hints are cached per domain, so runs on different domains share
+    nothing. *)

@@ -24,29 +24,17 @@ let push t x =
   t.len <- t.len + 1;
   t.len - 1
 
-let ensure_extra t extra witness =
-  let need = t.len + extra in
-  if need > Array.length t.data then begin
-    let cap = max 8 (max need (2 * Array.length t.data)) in
-    let bigger = Array.make cap witness in
-    Array.blit t.data 0 bigger 0 t.len;
-    t.data <- bigger
-  end
-
-let append_fill t n x =
-  if n < 0 then invalid_arg "Vec.append_fill";
-  if n > 0 then begin
-    ensure_extra t n x;
-    Array.fill t.data t.len n x;
-    t.len <- t.len + n
-  end
-
 let append_array t a =
   let n = Array.length a in
   if n > 0 then begin
-    ensure_extra t n a.(0);
+    let need = t.len + n in
+    if need > Array.length t.data then begin
+      let bigger = Array.make (max 8 (max need (2 * Array.length t.data))) a.(0) in
+      Array.blit t.data 0 bigger 0 t.len;
+      t.data <- bigger
+    end;
     Array.blit a 0 t.data t.len n;
-    t.len <- t.len + n
+    t.len <- need
   end
 
 let truncate t n =

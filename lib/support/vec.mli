@@ -12,11 +12,6 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> int
 (** Append, returning the new element's index. *)
 
-val append_fill : 'a t -> int -> 'a -> unit
-(** [append_fill t n x] appends [n] copies of [x] with a single capacity
-    grow — the bulk equivalent of [n] pushes. Raises [Invalid_argument]
-    if [n] is negative. *)
-
 val append_array : 'a t -> 'a array -> unit
 (** [append_array t a] appends every element of [a] (one grow + blit). *)
 

@@ -214,6 +214,18 @@ let test_runner_audit_clean () =
            r.Harness.Runner.ar_violations))
     E.dynamic_seven
 
+(* Every table and figure [tbaac experiment all] prints — Tables 4-5,
+   Figs. 8-10 and the rest — byte for byte: the simulator's counters,
+   cycles and traced load streams all feed into this text. *)
+let test_run_all_digest () =
+  let buf = Buffer.create 65536 in
+  let ppf = Format.formatter_of_buffer buf in
+  E.run_all ppf;
+  Format.pp_print_flush ppf ();
+  Alcotest.(check string)
+    "md5 of the experiments' output" "51c768ac4d3a27a768e54a43edfec992"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "harness"
     [ ( "static",
@@ -231,4 +243,7 @@ let () =
             test_runner_audit_clean ] );
       ( "limit",
         [ Alcotest.test_case "figure 9" `Slow test_figure9_shapes;
-          Alcotest.test_case "figure 10" `Slow test_figure10_shapes ] ) ]
+          Alcotest.test_case "figure 10" `Slow test_figure10_shapes ] );
+      ( "all",
+        [ Alcotest.test_case "experiment all digest" `Slow
+            test_run_all_digest ] ) ]

@@ -40,6 +40,17 @@ let check_program name ?fuel program =
   check_outcomes name a b;
   a
 
+(* Every pass, with the default oracle (SMFieldTypeRefs), as the
+   end-to-end benchmark compiles its programs. *)
+let optimize_full program =
+  let config =
+    { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+      slf = true; rle = true; copyprop = true; dse = true; local_cse = true }
+  in
+  ignore
+    (Opt.Pass_manager.run (Opt.Pass.create ()) program
+       (Opt.Pass_manager.schedule config))
+
 (* ------------------------------------------------------------------ *)
 (* Full-suite counter/cycle/output equality, 12-config matrix          *)
 (* ------------------------------------------------------------------ *)
@@ -93,7 +104,7 @@ let mix_kind fp = function
   | I.Snumber -> mix fp 3
   | I.Sdispatch -> mix fp 4
 
-let traced_run ~reference program =
+let traced_run ~reference ?fuel program =
   let loads = { hash = 0; events = 0 } in
   let accs = { hash = 0; events = 0 } in
   let on_load (e : I.load_event) =
@@ -116,8 +127,19 @@ let traced_run ~reference program =
     mix accs a.I.ac_activation;
     mix accs (Bool.to_int a.I.ac_heap)
   in
-  let o = run_engine ~reference ~on_load ~on_access program in
+  let o = run_engine ~reference ?fuel ~on_load ~on_access program in
   (o, loads, accs)
+
+(* Both engines, traced: equal outcomes and equal event streams. *)
+let check_traced name ?fuel program =
+  let ro, rl, ra = traced_run ~reference:true ?fuel program in
+  let no, nl, na = traced_run ~reference:false ?fuel program in
+  check_outcomes (name ^ "/traced") ro no;
+  Alcotest.(check (pair int int))
+    (name ^ ": load stream") (rl.events, rl.hash) (nl.events, nl.hash);
+  Alcotest.(check (pair int int))
+    (name ^ ": access stream") (ra.events, ra.hash) (na.events, na.hash);
+  ro
 
 let limit_stats ~reference program =
   let t = Sim.Limit.create () in
@@ -316,6 +338,186 @@ END M.
   let o = check_program "fuel exhaustion" ~fuel:5_000 program in
   Alcotest.(check bool) "halted by fuel" true o.I.halted
 
+(* ------------------------------------------------------------------ *)
+(* Generated programs                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Generated programs reach what the stock suite never does: soft faults,
+   null zones, open-array dopes and NIL receivers. Each seed runs
+   unoptimized and through the full pass stack, untraced and traced. *)
+let test_generated () =
+  let faults = ref 0 in
+  for seed = 0 to 99 do
+    let g = Gen.Generator.generate ~size:3 seed in
+    let name = Printf.sprintf "seed %d" seed in
+    let lower () = Lower.lower_string ~file:g.Gen.Generator.module_name g.source in
+    let fuel = 2_000_000 in
+    let plain = lower () in
+    let o = check_program name ~fuel plain in
+    faults := !faults + o.I.soft_faults;
+    ignore (check_traced name ~fuel plain);
+    let optimized = lower () in
+    optimize_full optimized;
+    ignore (check_program (name ^ "/optimized") ~fuel optimized);
+    ignore (check_traced (name ^ "/optimized") ~fuel optimized)
+  done;
+  Alcotest.(check bool) "the seeds reach soft faults" true (!faults > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Value range and fuel accounting                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Full 63-bit integers stored and reloaded through every kind of cell:
+   registers, a stack frame, globals, heap objects and open arrays,
+   arguments and results. An encoding that takes tag bits from the
+   payload prints different numbers here. *)
+let test_int_range () =
+  let o =
+    check_program "63-bit ints"
+      (lower
+         {|
+MODULE Edge;
+TYPE
+  Cell = OBJECT v: INTEGER; END;
+  Pair = RECORD a, b: INTEGER; END;
+  Vec = REF ARRAY OF INTEGER;
+VAR g, h: INTEGER;
+PROCEDURE Show (x: INTEGER) =
+  BEGIN PrintInt (x); PrintLn (); END Show;
+PROCEDURE Id (x: INTEGER): INTEGER =
+  BEGIN RETURN x; END Id;
+PROCEDURE Mul (x, y: INTEGER): INTEGER =
+  BEGIN RETURN x * y; END Mul;
+PROCEDURE Bump (VAR r: INTEGER) =
+  BEGIN r := r + 1; END Bump;
+PROCEDURE Main () =
+  VAR m, n, p: INTEGER; pr: Pair; c: Cell; v: Vec;
+  BEGIN
+    m := 4611686018427387903;
+    n := 0 - m - 1;
+    Show (m + 1);
+    Show (n - 1);
+    Show (n DIV (0 - 1));
+    Show (n MOD (0 - 1));
+    Show ((0 - 7) MOD 3);
+    Show (7 MOD (0 - 3));
+    Show ((0 - 7) MOD (0 - 3));
+    Show ((0 - 7) DIV 2);
+    Show (n MOD 10);
+    p := 3037000499 * 3037000499;
+    Show (p * 7);
+    Show (-n);
+    Show (Abs (n));
+    Show (Min (n, m));
+    Show (Max (n, m));
+    g := m;
+    g := g + 1;
+    Show (g);
+    h := m * 3;
+    Show (h);
+    pr.a := m;
+    pr.b := pr.a + m;
+    Show (pr.b);
+    Bump (pr.a);
+    Show (pr.a);
+    c := NEW (Cell);
+    c.v := m;
+    c.v := c.v * c.v;
+    Show (c.v);
+    v := NEW (Vec, 3);
+    v[1] := n;
+    v[2] := v[1] - 1;
+    Show (v[2]);
+    Show (Id (m + m));
+    Show (Mul (m, m - 5));
+    Show (Id (n) DIV (0 - 1));
+  END Main;
+BEGIN
+  Main ();
+END Edge.
+|})
+  in
+  let lines = String.split_on_char '\n' o.I.output in
+  Alcotest.(check (list string))
+    "the reference's 63-bit results"
+    [ string_of_int min_int; string_of_int max_int;
+      string_of_int (min_int / -1) ]
+    (List.filteri (fun i _ -> i < 3) lines)
+
+(* Run at every fuel from 1 to past the end: loops, calls and a Halt
+   inside a callee, unoptimized and through the full pass stack. Every
+   counter must equal the reference's at every stopping point, so fuel
+   charged for a call-free segment at once must stop exactly where
+   per-instruction charging would. *)
+let test_fuel_sweep () =
+  let source =
+      {|
+MODULE Fuel;
+TYPE Cell = OBJECT v: INTEGER; END;
+VAR g: INTEGER; c: Cell;
+PROCEDURE Step (x: INTEGER): INTEGER =
+  BEGIN
+    c.v := c.v + x;
+    IF c.v > 40 THEN PrintInt (c.v); Halt (); END;
+    RETURN x + 1;
+  END Step;
+PROCEDURE Main () =
+  VAR i: INTEGER;
+  BEGIN
+    c := NEW (Cell);
+    i := 0;
+    WHILE i < 100 DO
+      g := Step (i) + g;
+      PrintInt (g);
+      i := i + 1;
+    END;
+  END Main;
+BEGIN
+  Main ();
+END Fuel.
+|}
+  in
+  let sweep name program =
+    let full = check_program (name ^ "/unbounded") program in
+    Alcotest.(check bool) (name ^ ": halts in the callee") true full.I.halted;
+    for fuel = 1 to full.I.counters.I.instrs + 2 do
+      ignore (check_program (Printf.sprintf "%s/fuel %d" name fuel) ~fuel program)
+    done
+  in
+  sweep "plain" (lower source);
+  let optimized = lower source in
+  optimize_full optimized;
+  sweep "optimized" optimized
+
+(* ------------------------------------------------------------------ *)
+(* Domains                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Traced runs of the same physical programs on two domains at once must
+   match sequential runs: the compiled-code cache, its site memo cells
+   and the heap hints are per domain. *)
+let test_two_domains () =
+  let programs =
+    List.map
+      (fun name -> Workloads.Workload.lower (Workloads.Suite.find name))
+      [ "format"; "slisp" ]
+  in
+  let fingerprint program =
+    let o, l, a = traced_run ~reference:false program in
+    (o.I.output, o.I.cycles, o.I.counters.I.instrs, (l.events, l.hash),
+     (a.events, a.hash))
+  in
+  let sequential = List.map fingerprint programs in
+  let rounds () = List.init 3 (fun _ -> List.map fingerprint programs) in
+  let d1 = Domain.spawn rounds and d2 = Domain.spawn rounds in
+  List.iter
+    (fun results ->
+      List.iter
+        (fun round ->
+          Alcotest.(check bool) "parallel = sequential" true (round = sequential))
+        results)
+    [ Domain.join d1; Domain.join d2 ]
+
 let () =
   Alcotest.run "sim_equiv"
     [ ( "matrix",
@@ -334,4 +536,11 @@ let () =
             test_clamped_subscripts;
           Alcotest.test_case "div/mod zero" `Quick test_div_mod_zero;
           Alcotest.test_case "nil receiver" `Quick test_nil_receiver_dispatch;
-          Alcotest.test_case "fuel" `Quick test_fuel_exhaustion ] ) ]
+          Alcotest.test_case "fuel" `Quick test_fuel_exhaustion ] );
+      ( "generated",
+        [ Alcotest.test_case "size-3 seeds 0-99" `Slow test_generated ] );
+      ( "edges",
+        [ Alcotest.test_case "63-bit ints" `Quick test_int_range;
+          Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep ] );
+      ( "domains",
+        [ Alcotest.test_case "two domains" `Slow test_two_domains ] ) ]
