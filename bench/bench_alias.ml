@@ -109,12 +109,12 @@ let geomean legs =
   Float.exp (List.fold_left ( +. ) 0. logs /. float_of_int (List.length logs))
 
 let compat_legs label program =
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   let tenv = facts.Tbaa.Facts.tenv in
   let n = Minim3.Types.count tenv in
   let queries = n * n in
   let fast = Tbaa.Compat.fn (Tbaa.Compat.subtyping tenv) in
-  let slow = Tbaa.Compat.reference_subtyping tenv in
+  let slow = Reference.subtyping tenv in
   let subtype_leg =
     { leg_name = "subtype-compat/" ^ label;
       leg_queries = queries;

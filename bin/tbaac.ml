@@ -133,8 +133,12 @@ let aliases_cmd =
   let run file workload world show_trt =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
-        let a = Tbaa.Analysis.analyze ~world program in
-        let facts = a.Tbaa.Analysis.facts in
+        let e =
+          Tbaa.Engine.create
+            ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
+            program
+        in
+        let facts = Tbaa.Engine.facts e in
         Printf.printf "heap memory references: %d\n"
           (List.length facts.Tbaa.Facts.memrefs);
         List.iter
@@ -146,13 +150,13 @@ let aliases_cmd =
               (Tbaa.Alias_pairs.average_local c)
               c.Tbaa.Alias_pairs.global_pairs
               (Tbaa.Alias_pairs.average_global c))
-          (Tbaa.Analysis.oracles a);
+          (Tbaa.Engine.oracles e);
         if show_trt then begin
           let tenv = facts.Tbaa.Facts.tenv in
           Printf.printf "\nTypeRefsTable (pointer types):\n";
           for t = 0 to Minim3.Types.count tenv - 1 do
             if Minim3.Types.is_pointer tenv t && t <> Minim3.Types.tid_null then begin
-              let refs = a.Tbaa.Analysis.type_refs_table t in
+              let refs = Tbaa.Engine.type_refs_table e t in
               Printf.printf "  %-28s -> { %s }\n"
                 (Minim3.Types.to_string tenv t)
                 (String.concat ", "
@@ -324,7 +328,7 @@ let fuel_arg =
            gracefully instead of spinning (default 50 million).")
 
 let run_cmd =
-  let run file workload optimize analysis audit fuel quiet reference =
+  let run file workload optimize analysis audit fuel quiet =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
         let optimize = optimize || audit in
@@ -344,10 +348,7 @@ let run_cmd =
         let on_access =
           Option.map (fun (a, _) ac -> Sim.Audit.on_access a ac) auditor
         in
-        let engine =
-          if reference then Sim.Interp.run_reference else Sim.Interp.run
-        in
-        let o = engine ?fuel ?on_load:None ?on_access program in
+        let o = Sim.Interp.run ?fuel ?on_access program in
         if not quiet then print_string o.Sim.Interp.output;
         let c = o.Sim.Interp.counters in
         Printf.eprintf
@@ -392,20 +393,11 @@ let run_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the program's output.")
   in
-  let reference_arg =
-    Arg.(
-      value & flag
-      & info [ "reference" ]
-          ~doc:
-            "Use the tree-walking reference interpreter instead of the \
-             pre-compiled engine (same observable behaviour, slower; for \
-             differential debugging).")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a program on the simulator and print counters.")
     Term.(
       const run $ file_arg $ workload_arg $ optimize_arg $ analysis_arg
-      $ audit_arg $ fuel_arg $ quiet_arg $ reference_arg)
+      $ audit_arg $ fuel_arg $ quiet_arg)
 
 let audit_cmd =
   let run file workload analysis world minv licm slf dse fault_rate fault_seed

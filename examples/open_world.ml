@@ -87,13 +87,15 @@ let report ~branded =
   List.iter
     (fun world ->
       let program = Lower.lower_string ~file:"cache" (library ~branded) in
-      let analysis = Tbaa.Analysis.analyze ~world program in
-      let oracle = analysis.Tbaa.Analysis.sm_field_type_refs in
-      let pairs = Tbaa.Alias_pairs.count oracle analysis.Tbaa.Analysis.facts in
-      let modref =
-        Opt.Modref.of_engine analysis.Tbaa.Analysis.engine
-          Tbaa.Engine.Sm_field_type_refs
+      let engine =
+        Tbaa.Engine.create
+          ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
+          program
       in
+      let sm = Tbaa.Engine.Sm_field_type_refs in
+      let oracle = Tbaa.Engine.oracle engine sm in
+      let pairs = Tbaa.Alias_pairs.count oracle (Tbaa.Engine.facts engine) in
+      let modref = Opt.Modref.of_engine engine sm in
       let stats = Opt.Rle.run ~modref program oracle in
       let outcome = Sim.Interp.run program in
       Printf.printf

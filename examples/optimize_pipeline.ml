@@ -26,8 +26,10 @@ let () =
 
   (* Step 1: method invocation resolution + inlining. *)
   let program = Workloads.Workload.lower w in
-  let pre = Tbaa.Analysis.analyze program in
-  let d = Opt.Devirt.run program ~type_refs:pre.Tbaa.Analysis.type_refs_table in
+  let pre = Tbaa.Engine.create program in
+  let d =
+    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table pre)
+  in
   let i = Opt.Inline.run program in
   Printf.printf "\ndevirt: %d resolved, %d left virtual; inlined %d sites\n"
     d.Opt.Devirt.resolved d.Opt.Devirt.unresolved i.Opt.Inline.inlined;

@@ -49,10 +49,3 @@ let of_rows ~name rows =
     t1 <> Types.tid_null && t2 <> Types.tid_null && Bitset.mem rows.(t1) t2
   in
   { c_name = name; c_query }
-
-(* Reference implementation of the subtyping core — the historical
-   list-walking [Type_decl.compat], kept as the differential-testing
-   baseline for {!subtyping} and as the microbenchmark's "before" leg. *)
-let reference_subtyping env t1 t2 =
-  t1 <> Types.tid_null && t2 <> Types.tid_null
-  && (Types.subtype env t1 t2 || Types.subtype env t2 t1)

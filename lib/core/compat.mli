@@ -27,7 +27,3 @@ val subtyping : Types.env -> t
 val of_rows : name:string -> Bitset.t array -> t
 (** [of_rows rows]: [query t1 t2 = Bitset.mem rows.(t1) t2] (after the NIL
     guard). Raises [Invalid_argument] on tids outside the matrix. *)
-
-val reference_subtyping : Types.env -> Types.tid -> Types.tid -> bool
-(** The historical per-query chain-walking implementation; differential
-    baseline for {!subtyping} in tests and benchmarks. *)

@@ -78,10 +78,12 @@ type t = {
   incr : incr_stats;
 }
 
+(* Elapsed milliseconds on the monotonic clock: with several domains,
+   process CPU time would sum every domain's share. *)
 let timed f =
-  let t0 = Sys.time () in
+  let t0 = Clock.now_ms () in
   let r = f () in
-  (r, (Sys.time () -. t0) *. 1000.)
+  (r, Clock.now_ms () -. t0)
 
 (* Run [f] on every index, results into pre-allocated slots. [f] must be
    pure (Summary.compute / Effects.direct are: they intern nothing). *)
@@ -152,7 +154,7 @@ let build_oracles config facts =
 
 (* Summaries in parallel (slot-per-procedure), then the deterministic
    sequential merge in program order — byte-identical to the monolithic
-   [Facts.collect]. *)
+   whole-program pass. *)
 let summarize ~domains program =
   let find = Facts.index program in
   let procs = Array.of_list program.Ir.Cfg.prog_procs in

@@ -24,13 +24,13 @@
     {!Facts.oracle_inputs}; mod-ref merges are re-done only along the
     affected slice of the call-graph condensation. Results are always
     identical to a from-scratch {!create} on the same program; the test
-    suite checks that against {!Facts.collect} and a reference
-    whole-program mod-ref closure.
+    suite checks that, and checks the facts and mod-ref views against a
+    monolithic facts pass and a whole-program mod-ref closure.
 
-    The engine is the only place oracles are built: {!Type_decl},
-    {!Field_type_decl} and {!Sm_type_refs} export the alias relations and
-    compatibility cores it assembles them from. {!Analysis.analyze} is a
-    thin projection of an engine. *)
+    The engine is the only place oracles are built, and the one handle
+    every client reads: {!Type_decl}, {!Field_type_decl} and
+    {!Sm_type_refs} export the alias relations and compatibility cores it
+    assembles them from. *)
 
 open Support
 open Minim3
@@ -148,8 +148,9 @@ type timings = {
 }
 
 val timings : t -> timings
-(** Construction cost per phase, in CPU milliseconds. On an {!update}
-    that kept the oracles, only [facts_ms] reflects the update. *)
+(** Construction cost per phase, in elapsed milliseconds on
+    {!Support.Clock.now_ms}. On an {!update} that kept the oracles, only
+    [facts_ms] reflects the update. *)
 
 type update_report = {
   ur_recomputed : Ident.t list;

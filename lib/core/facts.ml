@@ -182,11 +182,6 @@ let merge tenv (contribs : contrib list) : t =
     byref_formal_tids = byref;
     memrefs = List.concat_map (fun c -> c.c_memrefs) contribs }
 
-let collect (program : Cfg.program) : t =
-  let find = index program in
-  merge program.Cfg.tenv
-    (List.map (collect_proc program ~find) program.Cfg.prog_procs)
-
 (* ------------------------------------------------------------------ *)
 (* Canonical oracle inputs                                             *)
 (* ------------------------------------------------------------------ *)

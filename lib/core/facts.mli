@@ -42,11 +42,6 @@ type t = {
   memrefs : memref list;  (* heap references, in program order *)
 }
 
-val collect : Ir.Cfg.program -> t
-(** The whole-program pass: {!merge} of {!collect_proc} over every
-    procedure in program order — the monolithic entry point, and the
-    differential baseline for the incremental engine. *)
-
 (** {1 Per-procedure collection (the incremental engine's unit of work)} *)
 
 type contrib = {
@@ -72,8 +67,9 @@ val collect_proc :
 
 val merge : Minim3.Types.env -> contrib list -> t
 (** Merge per-procedure contributions given in program order. Produces
-    lists *byte-identical* to the historical monolithic pass: [collect]
-    is [merge] of [collect_proc]s by definition. *)
+    lists *byte-identical* to the historical monolithic pass (the test
+    suite's reference collection merges every procedure in program
+    order). *)
 
 (** {1 Canonical oracle inputs} *)
 

@@ -3,10 +3,7 @@ open Ir
 (* Subtypes(t1) ∩ Subtypes(t2) ≠ ∅. MiniM3 subtyping forms a forest, so the
    subtype sets of two types intersect exactly when one type is an ancestor
    of the other; NIL denotes no location and is compatible with nothing.
-   The O(1) interval-labeled core lives in {!Compat.subtyping}; this
-   per-query chain walk is kept as the reference/differential baseline. *)
-let compat = Compat.reference_subtyping
-
+   The engine passes the O(1) interval-labeled core, {!Compat.subtyping}. *)
 let may_alias_with ~compat ap1 ap2 =
   let m1 = Apath.is_memory_ref ap1 and m2 = Apath.is_memory_ref ap2 in
   if not (m1 || m2) then Reg.var_equal (Apath.base ap1) (Apath.base ap2)

@@ -1,10 +1,6 @@
 open Support
 open Workloads
 
-(* Per-workload fresh analysis over the *unoptimized* program — the static
-   metrics of Tables 5 and 6 are measured on the program as written. *)
-let analysis_of w = Tbaa.Analysis.analyze (Workload.lower w)
-
 let dynamic_seven =
   List.filter (fun (w : Workload.t) -> w.Workload.name <> "pp") Suite.dynamic
 
@@ -76,13 +72,16 @@ module Table5 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
-        let a = analysis_of w in
-        let facts = a.Tbaa.Analysis.facts in
-        let count o = Tbaa.Alias_pairs.count o facts in
-        let td = count a.Tbaa.Analysis.type_decl in
+        (* A fresh analysis of the *unoptimized* program: the static
+           metrics are measured on the program as written. *)
+        let e = Tbaa.Engine.create (Workload.lower w) in
+        let count k =
+          Tbaa.Alias_pairs.count (Tbaa.Engine.oracle e k) (Tbaa.Engine.facts e)
+        in
+        let td = count Tbaa.Engine.Type_decl in
         { name = w.Workload.name; references = td.Tbaa.Alias_pairs.references;
-          td; ftd = count a.Tbaa.Analysis.field_type_decl;
-          sm = count a.Tbaa.Analysis.sm_field_type_refs })
+          td; ftd = count Tbaa.Engine.Field_type_decl;
+          sm = count Tbaa.Engine.Sm_field_type_refs })
       Suite.all
 
   let render () =
@@ -375,10 +374,10 @@ module Ablation_modref = struct
         let with_m = rle_removed w Opt.Pass.Osm_field_type_refs in
         let without =
           let program = Workload.lower w in
-          let a = Tbaa.Analysis.analyze program in
+          let e = Tbaa.Engine.create program in
           Opt.Rle.removed
             (Opt.Rle.run ~modref:(Opt.Modref.conservative program) program
-               a.Tbaa.Analysis.sm_field_type_refs)
+               (Tbaa.Engine.oracle e Tbaa.Engine.Sm_field_type_refs))
         in
         { name = w.Workload.name; with_modref = with_m; without_modref = without })
       dynamic_seven

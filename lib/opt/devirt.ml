@@ -44,7 +44,10 @@ let pass =
     scope =
       Pass.Whole_program
         (fun ctx program ->
-          let s = run program ~type_refs:(Pass.type_refs ctx program) in
+          let s =
+            run program
+              ~type_refs:(Tbaa.Engine.type_refs_table (Pass.analysis ctx program))
+          in
         { Pass.stats =
             [ ("resolved", s.resolved); ("unresolved", s.unresolved) ];
           changed = s.resolved > 0;

@@ -7,11 +7,6 @@ let oracle_name = function
   | Ofield_type_decl -> "FieldTypeDecl"
   | Osm_field_type_refs -> "SMFieldTypeRefs"
 
-let select (a : Analysis.t) = function
-  | Otype_decl -> a.Analysis.type_decl
-  | Ofield_type_decl -> a.Analysis.field_type_decl
-  | Osm_field_type_refs -> a.Analysis.sm_field_type_refs
-
 let engine_kind = function
   | Otype_decl -> Engine.Type_decl
   | Ofield_type_decl -> Engine.Field_type_decl
@@ -36,11 +31,11 @@ type context = {
   world : World.t;
   oracle_kind : oracle_kind;
   mutable jobs : int;  (* domains for per-procedure passes; <= 1 sequential *)
-  mutable analysis_memo : Analysis.t option;
-  mutable engine_memo : Engine.t option;
+  mutable engine : Engine.t option;
       (* survives invalidation: re-analyses go through Engine.update *)
-  mutable oracle_memo : Oracle.t option;  (* cached wrapper over analysis_memo *)
-  mutable modref_memo : Modref.t option;  (* engine view over analysis_memo *)
+  mutable stale : bool;  (* [engine] predates the program's current state *)
+  mutable oracle_memo : Oracle.t option;  (* cached wrapper over [engine] *)
+  mutable modref_memo : Modref.t option;  (* engine view over [engine] *)
   oracle_counters : Oracle_cache.counters;
       (* accumulates across wrapper incarnations *)
   mutable analyses_run : int;
@@ -52,41 +47,45 @@ type context = {
 
 let create ?(world = World.Closed) ?(oracle_kind = Osm_field_type_refs)
     ?(jobs = 1) () =
-  { world; oracle_kind; jobs; analysis_memo = None; engine_memo = None;
+  { world; oracle_kind; jobs; engine = None; stale = true;
     oracle_memo = None; modref_memo = None;
     oracle_counters = Oracle_cache.fresh_counters (); analyses_run = 0;
     claims = None; fault = None; oracle_log = None }
 
 let invalidate ctx =
-  ctx.analysis_memo <- None;
+  ctx.stale <- true;
   ctx.oracle_memo <- None;
   ctx.modref_memo <- None
 
 let analysis ?fingerprints ctx program =
-  match ctx.analysis_memo with
-  | Some a -> a
-  | None ->
-    (* Re-analyses after a mutating pass go through the incremental
-       engine kept in [engine_memo]: unchanged procedures reuse their
-       summaries by fingerprint, so the cost of "analyze again" tracks
-       how much of the program the pass actually rewrote. The first
-       analysis builds the engine (via [Analysis.analyze]). *)
-    let a =
-      match ctx.engine_memo with
-      | Some e -> Analysis.of_engine (Engine.update ?fingerprints e program)
-      | None -> Analysis.analyze ~world:ctx.world program
+  match ctx.engine with
+  | Some e when not ctx.stale -> e
+  | memo ->
+    (* Re-analyses after a mutating pass are incremental engine updates:
+       unchanged procedures reuse their summaries by fingerprint, so the
+       cost of "analyze again" tracks how much of the program the pass
+       actually rewrote. *)
+    let e =
+      match memo with
+      | Some e -> Engine.update ?fingerprints e program
+      | None ->
+        Engine.create
+          ~config:{ Engine.default_config with Engine.world = ctx.world }
+          program
     in
-    ctx.analysis_memo <- Some a;
-    ctx.engine_memo <- Some a.Analysis.engine;
+    ctx.engine <- Some e;
+    ctx.stale <- false;
     ctx.analyses_run <- ctx.analyses_run + 1;
-    a
+    e
 
 (* The analysis oracle of the configured precision with the fault layer
    (when installed) applied, but no memoizing cache: the per-procedure
    engine wraps this per procedure so parallel and sequential execution
    share one caching structure. *)
 let raw_oracle ctx program =
-  let raw = select (analysis ctx program) ctx.oracle_kind in
+  let raw =
+    Engine.oracle (analysis ctx program) (engine_kind ctx.oracle_kind)
+  in
   match ctx.fault with
   | None -> raw
   | Some f ->
@@ -114,12 +113,11 @@ let modref ctx program =
        on the oracle's raw store_class/addr_taken_var — the fault layer
        never wraps those — so this is also the right view for
        fault-injected runs. *)
-    let a = analysis ctx program in
-    let m = Modref.of_engine a.Analysis.engine (engine_kind ctx.oracle_kind) in
+    let m =
+      Modref.of_engine (analysis ctx program) (engine_kind ctx.oracle_kind)
+    in
     ctx.modref_memo <- Some m;
     m
-
-let type_refs ctx program = (analysis ctx program).Analysis.type_refs_table
 
 (* ------------------------------------------------------------------ *)
 (* The pass interface                                                  *)
@@ -194,7 +192,7 @@ type report = {
   r_stats : (string * int) list;
   r_oracle : Oracle_cache.counters;  (* queries during this pass run *)
   r_dataflow : Ir.Dataflow.counters;
-  r_analyses : int;  (* Analysis.analyze runs charged to this pass *)
+  r_analyses : int;  (* engine builds and updates charged to this pass *)
   r_failure : string option;
       (* guarded execution only: why the pass was rolled back / skipped *)
 }

@@ -11,19 +11,16 @@
     way.
 
     Passes pull the alias analysis they need from a {!context}, which
-    memoizes one {!Tbaa.Analysis.t} per program state. Re-analyses after
-    a mutating pass go through the incremental {!Tbaa.Engine} kept inside
-    the context, so their cost tracks how much of the program actually
-    changed. *)
+    keeps one {!Tbaa.Engine.t} and marks it stale whenever a pass mutates
+    the program. The next read brings it up to date with an incremental
+    {!Tbaa.Engine.update}, so the cost of a re-analysis tracks how much of
+    the program actually changed. *)
 
 open Tbaa
 
 type oracle_kind = Otype_decl | Ofield_type_decl | Osm_field_type_refs
 
 val oracle_name : oracle_kind -> string
-
-val select : Analysis.t -> oracle_kind -> Oracle.t
-(** The *uncached* oracle of that kind from an analysis. *)
 
 val engine_kind : oracle_kind -> Engine.kind
 
@@ -47,10 +44,12 @@ type context = {
   mutable jobs : int;
       (** domains the per-procedure engine runs across; [<= 1] runs the
           same code path sequentially (results are identical either way) *)
-  mutable analysis_memo : Analysis.t option;
-  mutable engine_memo : Engine.t option;
-      (** the incremental engine behind [analysis_memo]; survives
+  mutable engine : Engine.t option;
+      (** the incremental engine, built on first use; survives
           {!invalidate}, so re-analyses are {!Tbaa.Engine.update}s *)
+  mutable stale : bool;
+      (** [engine] does not describe the program's current state (set by
+          {!invalidate}, cleared by {!analysis}) *)
   mutable oracle_memo : Oracle.t option;
   mutable modref_memo : Modref.t option;
   oracle_counters : Oracle_cache.counters;
@@ -77,9 +76,9 @@ val create :
     (program, configuration) run. *)
 
 val analysis :
-  ?fingerprints:int array -> context -> Ir.Cfg.program -> Analysis.t
-(** The memoized analysis of the program's *current* state; recomputed
-    (incrementally, through the context's engine) after {!invalidate}.
+  ?fingerprints:int array -> context -> Ir.Cfg.program -> Engine.t
+(** The context's engine, brought up to date with the program's *current*
+    state: built on first use, updated incrementally after {!invalidate}.
     [fingerprints] is passed to {!Engine.update} when the recomputation
     is incremental. *)
 
@@ -99,13 +98,11 @@ val modref : context -> Ir.Cfg.program -> Modref.t
     injection too: summaries read only the oracle's raw
     store_class/addr_taken_var, which the fault layer never wraps. *)
 
-val type_refs : context -> Ir.Cfg.program -> Minim3.Types.tid -> Minim3.Types.tid list
-(** The TypeRefsTable of the memoized analysis (method resolution's input). *)
-
 val invalidate : context -> unit
-(** Drop the memoized analysis and its cached oracle — called by the pass
-    manager after any pass that mutated the program. The underlying
-    engine is kept: the next {!analysis} is an incremental update. *)
+(** Mark the engine stale and drop the cached oracle and mod-ref views —
+    called by the pass manager after any pass that mutated the program.
+    The engine itself is kept: the next {!analysis} is an incremental
+    update. *)
 
 (** {1 Passes} *)
 
@@ -182,7 +179,9 @@ type report = {
       (** oracle queries/misses during this pass run only *)
   r_dataflow : Ir.Dataflow.counters;
       (** dataflow solves/iterations during this pass run only *)
-  r_analyses : int;  (** full re-analyses charged to this pass run *)
+  r_analyses : int;
+      (** engine builds and incremental updates ({!analysis} calls on a
+          stale context) charged to this pass run *)
   r_failure : string option;
       (** guarded execution only ({!Pass_manager.run_guarded}): set when
           the pass crashed or failed IR validation and was rolled back, or

@@ -341,31 +341,33 @@ let run_one ?memo ctx program ~round (p : Pass.t) : Pass.report =
     r_analyses = ctx.Pass.analyses_run - analyses_before;
     r_failure = None }
 
-let run_item ctx program acc = function
-  | Run p -> run_one ctx program ~round:1 p :: acc
-  | Fixpoint { passes; max_rounds } ->
-    (* Iterate the group until no Transform pass finds work (Enabling
-       passes keep canonicalizing forever and must not drive the loop). *)
-    let rec go round acc =
-      if round > max_rounds then acc
-      else begin
-        let progressed = ref false in
-        let acc =
-          List.fold_left
-            (fun acc p ->
-              let r = run_one ctx program ~round p in
-              if r.Pass.r_changed && p.Pass.role = Pass.Transform then
-                progressed := true;
-              r :: acc)
-            acc passes
-        in
-        if !progressed then go (round + 1) acc else acc
-      end
-    in
-    go 1 acc
+(* The one schedule walker, over any per-pass runner: a [Run] item runs
+   once; a [Fixpoint] group runs in rounds until no Transform pass finds
+   work, at most [max_rounds] of them (Enabling passes keep canonicalizing
+   forever and must not drive the loop). Reports come back in run order. *)
+let walk (run_pass : round:int -> Pass.t -> Pass.report) items =
+  let run_item acc = function
+    | Run p -> run_pass ~round:1 p :: acc
+    | Fixpoint { passes; max_rounds } ->
+      let rec go round acc =
+        if round > max_rounds then acc
+        else begin
+          let acc, progressed =
+            List.fold_left
+              (fun (acc, progressed) p ->
+                let r = run_pass ~round p in
+                let drives = r.Pass.r_changed && p.Pass.role = Pass.Transform in
+                (r :: acc, progressed || drives))
+              (acc, false) passes
+          in
+          if progressed then go (round + 1) acc else acc
+        end
+      in
+      go 1 acc
+  in
+  List.rev (List.fold_left run_item [] items)
 
-let run ctx program items =
-  List.rev (List.fold_left (run_item ctx program) [] items)
+let run ctx program items = walk (run_one ctx program) items
 
 (* ------------------------------------------------------------------ *)
 (* Guarded execution                                                   *)
@@ -420,28 +422,7 @@ let run_one_guarded ctx program ~verify ~quarantine ~round (p : Pass.t) =
 
 let run_guarded ?(verify = false) ctx program items =
   let quarantine : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  let run_item acc = function
-    | Run p -> run_one_guarded ctx program ~verify ~quarantine ~round:1 p :: acc
-    | Fixpoint { passes; max_rounds } ->
-      let rec go round acc =
-        if round > max_rounds then acc
-        else begin
-          let progressed = ref false in
-          let acc =
-            List.fold_left
-              (fun acc p ->
-                let r = run_one_guarded ctx program ~verify ~quarantine ~round p in
-                if r.Pass.r_changed && p.Pass.role = Pass.Transform then
-                  progressed := true;
-                r :: acc)
-              acc passes
-          in
-          if !progressed then go (round + 1) acc else acc
-        end
-      in
-      go 1 acc
-  in
-  List.rev (List.fold_left run_item [] items)
+  walk (run_one_guarded ctx program ~verify ~quarantine) items
 
 let failures reports =
   List.filter_map
@@ -619,13 +600,12 @@ let rerun s program items =
        previous run — where only the edited procedures differ — rather
        than against whatever state the rolling engine last saw (where
        every spliced body looks like an edit and the whole program gets
-       re-summarized at every pass). When the context still holds a live
-       analysis (the previous pass changed nothing), keep it: it already
+       re-summarized at every pass). When the context's engine is still
+       current (the previous pass changed nothing), keep it: it already
        describes the current program state, and the slot engine will
        simply absorb a slightly larger diff whenever it is next used. *)
     (match Hashtbl.find_opt s.s_engines k with
-    | Some e when Option.is_none ctx.Pass.analysis_memo ->
-      ctx.Pass.engine_memo <- Some e
+    | Some e when ctx.Pass.stale -> ctx.Pass.engine <- Some e
     | _ -> ());
     let r = run_one ?memo ctx program ~round p in
     (* A whole-program pass mutates procedures without maintaining the
@@ -641,7 +621,7 @@ let rerun s program items =
     if not (Hashtbl.mem s.s_engines k) then
       Option.iter
         (fun e -> Hashtbl.replace s.s_engines k (Engine.copy e))
-        ctx.Pass.engine_memo;
+        ctx.Pass.engine;
     (match memo with
     | Some m ->
       s.s_reused <- s.s_reused + !(m.m_reused);
@@ -649,28 +629,7 @@ let rerun s program items =
     | None -> ());
     r
   in
-  let run_item acc = function
-    | Run p -> run_one_slot ~round:1 p :: acc
-    | Fixpoint { passes; max_rounds } ->
-      let rec go round acc =
-        if round > max_rounds then acc
-        else begin
-          let progressed = ref false in
-          let acc =
-            List.fold_left
-              (fun acc p ->
-                let r = run_one_slot ~round p in
-                if r.Pass.r_changed && p.Pass.role = Pass.Transform then
-                  progressed := true;
-                r :: acc)
-              acc passes
-          in
-          if !progressed then go (round + 1) acc else acc
-        end
-      in
-      go 1 acc
-  in
-  List.rev (List.fold_left run_item [] items)
+  walk run_one_slot items
 
 let session_stats s =
   Json.Obj

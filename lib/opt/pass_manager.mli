@@ -8,7 +8,8 @@
     whose outcome is [mutated], so each pass sees an analysis of the
     program it actually receives; this subsumes the seed pipeline's
     hard-coded second devirtualization leg and post-copy-propagation RLE
-    harvest.
+    harvest. {!run}, {!run_guarded} and {!rerun} walk a schedule by these
+    rules alike; they differ only in how each pass executes.
 
     A {!Pass.Per_procedure} pass never sees the whole program: the manager
     derives its whole-program run generically, executing [run_proc] over

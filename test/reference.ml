@@ -1,12 +1,30 @@
-(* Baselines production code is checked against. The incremental engine
+(* Baselines production code is checked against, shared by the tests and
+   the benchmarks. The incremental engine collects facts per procedure and
    answers the whole-program questions from the call-graph SCC
-   condensation and its per-procedure summaries; these are the direct
-   fixpoint and closure formulations. The optimizer's kill sets come from
-   an index over the tracked expressions; the baseline asks the
-   per-expression kill test of every expression. *)
+   condensation and its per-procedure summaries; these are the monolithic
+   pass and the direct fixpoint and closure formulations. The oracles'
+   subtype test reads an interval-labeled forest; the baseline walks the
+   supertype chain per query. The optimizer's kill sets come from an index
+   over the tracked expressions; the baseline asks the per-expression kill
+   test of every expression. *)
 
 open Support
+open Minim3
 open Ir
+
+(* The whole-program facts pass: every procedure's contribution, merged in
+   program order. *)
+let facts program =
+  let find = Tbaa.Facts.index program in
+  Tbaa.Facts.merge program.Cfg.tenv
+    (List.map (Tbaa.Facts.collect_proc program ~find) program.Cfg.prog_procs)
+
+(* TypeDecl's Subtypes-intersection test by chain walking: MiniM3
+   subtyping is a forest, so two subtype sets intersect exactly when one
+   type is an ancestor of the other. NIL is compatible with nothing. *)
+let subtyping env t1 t2 =
+  t1 <> Types.tid_null && t2 <> Types.tid_null
+  && (Types.subtype env t1 t2 || Types.subtype env t2 t1)
 
 (* For each procedure, every procedure reachable from it (including itself
    if recursive), by iterating set unions to a fixpoint. *)

@@ -27,7 +27,7 @@ let test_hashcons_physical_eq () =
   List.iter
     (fun seed ->
       let program = lower_gen seed in
-      let facts = Tbaa.Facts.collect program in
+      let facts = Reference.facts program in
       let paths =
         List.concat_map (fun p -> Apath.prefixes p) (paths_of facts)
       in
@@ -60,7 +60,7 @@ let test_hashcons_extend_sharing () =
   List.iter
     (fun seed ->
       let program = lower_gen seed in
-      let facts = Tbaa.Facts.collect program in
+      let facts = Reference.facts program in
       List.iter
         (fun p ->
           match Apath.last p with
@@ -90,12 +90,12 @@ let test_subtyping_matches_reference () =
   List.iter
     (fun seed ->
       let program = lower_gen seed in
-      let facts = Tbaa.Facts.collect program in
+      let facts = Reference.facts program in
       let tenv = facts.Tbaa.Facts.tenv in
       let fast = Tbaa.Compat.subtyping tenv in
       all_tid_pairs tenv (fun t1 t2 ->
           let a = Tbaa.Compat.query fast t1 t2
-          and b = Tbaa.Compat.reference_subtyping tenv t1 t2 in
+          and b = Reference.subtyping tenv t1 t2 in
           if not (Bool.equal a b) then
             Alcotest.failf
               "seed %d: interval compat %b <> reference %b on (%d, %d)" seed a
@@ -106,7 +106,7 @@ let test_type_refs_matrix_matches_reference () =
   List.iter
     (fun seed ->
       let program = lower_gen seed in
-      let facts = Tbaa.Facts.collect program in
+      let facts = Reference.facts program in
       let tenv = facts.Tbaa.Facts.tenv in
       List.iter
         (fun variant ->

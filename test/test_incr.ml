@@ -400,6 +400,21 @@ let test_parallel_create_equiv () =
       check_engine_equiv (Printf.sprintf "parallel/%s" name) par seq program)
     (take 6 (programs ()))
 
+(* The per-procedure summaries, merged, must reproduce the monolithic
+   whole-program facts pass list for list, at any domain count. *)
+let test_facts_match_monolithic () =
+  List.iter
+    (fun (name, program) ->
+      let mono = Reference.facts program in
+      List.iter
+        (fun domains ->
+          check_facts_equal
+            (Printf.sprintf "monolithic/%s/domains=%d" name domains)
+            (Tbaa.Engine.facts (Tbaa.Engine.create ~domains program))
+            mono)
+        [ 1; 4 ])
+    (take 6 (programs ()))
+
 (* ------------------------------------------------------------------ *)
 (* Modref: engine view vs monolithic baseline                          *)
 (* ------------------------------------------------------------------ *)
@@ -540,7 +555,9 @@ let () =
             test_update_drop_proc ] );
       ( "parallel",
         [ Alcotest.test_case "parallel create = sequential" `Quick
-            test_parallel_create_equiv ] );
+            test_parallel_create_equiv;
+          Alcotest.test_case "facts = monolithic pass" `Quick
+            test_facts_match_monolithic ] );
       ( "modref",
         [ Alcotest.test_case "of_engine = monolithic compute" `Quick
             test_modref_of_engine_matches_compute;

@@ -9,7 +9,9 @@ let lower src = Lower.lower_string ~file:"test" src
 let proc_named program name = Cfg.find_proc program (Ident.intern name)
 
 let analyze ?(world = Tbaa.World.Closed) program =
-  Tbaa.Analysis.analyze ~world program
+  Tbaa.Engine.create
+    ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
+    program
 
 let run_out program = (Sim.Interp.run program).Sim.Interp.output
 
@@ -17,10 +19,10 @@ let sm = Opt.Pass.Osm_field_type_refs
 let td = Opt.Pass.Otype_decl
 
 (* What the pass manager hands a client: the engine's mod-ref view and
-   the analysis' oracle, both of one kind. *)
-let inputs (a : Tbaa.Analysis.t) kind =
-  ( Opt.Modref.of_engine a.Tbaa.Analysis.engine (Opt.Pass.engine_kind kind),
-    Opt.Pass.select a kind )
+   oracle, both of one kind. *)
+let inputs engine kind =
+  let kind = Opt.Pass.engine_kind kind in
+  (Opt.Modref.of_engine engine kind, Tbaa.Engine.oracle engine kind)
 
 let rle_with src kind =
   let program = lower src in
@@ -334,7 +336,7 @@ let test_devirt_resolves_monomorphic () =
   let before = run_out program in
   let analysis = analyze program in
   let stats =
-    Opt.Devirt.run program ~type_refs:analysis.Tbaa.Analysis.type_refs_table
+    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
   in
   Alcotest.(check int) "resolved" 1 stats.Opt.Devirt.resolved;
   Alcotest.(check string) "behaviour preserved" before (run_out program)
@@ -360,7 +362,7 @@ END M.
   let before = run_out program in
   let analysis = analyze program in
   let stats =
-    Opt.Devirt.run program ~type_refs:analysis.Tbaa.Analysis.type_refs_table
+    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
   in
   Alcotest.(check int) "not resolved" 0 stats.Opt.Devirt.resolved;
   Alcotest.(check string) "dispatches to ImplB" "-11" before;

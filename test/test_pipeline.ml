@@ -8,6 +8,10 @@
      from-scratch run for each mutation kind (constant toggle, store
      duplication, store-block erasure, procedure removal), and actually
      reuses memoized work for a body-local single-procedure edit;
+   - [run], [run_guarded] and [rerun] walk a schedule alike: a fixpoint
+     group stops at [max_rounds], only Transform passes drive it, and
+     guarded execution without failures reports what plain execution
+     does;
    - the versioned JSON envelope round-trips. *)
 
 open Support
@@ -170,6 +174,110 @@ let test_rerun_reuses () =
   Alcotest.(check bool) "some seed reused memoized procedure results" true !hit
 
 (* ------------------------------------------------------------------ *)
+(* The schedule walker                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A pass that reports [changed] every time it runs and never touches the
+   program, whole-program or per-procedure. *)
+let synthetic ~name ~role ~scope ~changed =
+  let outcome = { Opt.Pass.stats = []; changed; mutated = false } in
+  { Opt.Pass.name;
+    role;
+    scope =
+      (match scope with
+      | `Whole -> Opt.Pass.Whole_program (fun _ _ -> outcome)
+      | `Proc -> Opt.Pass.Per_procedure (fun _ _ -> outcome)) }
+
+(* [run], [run_guarded] and a cold [rerun] share one schedule walker. *)
+let walkers =
+  [ ("run", fun program items ->
+        Opt.Pass_manager.run (Opt.Pass.create ()) program items);
+    ("run_guarded", fun program items ->
+        Opt.Pass_manager.run_guarded (Opt.Pass.create ()) program items);
+    ("cold rerun", fun program items ->
+        Opt.Pass_manager.rerun
+          (Opt.Pass_manager.session (Opt.Pass.create ()))
+          program items) ]
+
+let pass_rounds reports =
+  List.map (fun r -> (r.Opt.Pass.r_pass, r.Opt.Pass.r_round)) reports
+
+(* A Transform that always finds work keeps the group going until
+   exactly [max_rounds] rounds have run. *)
+let test_fixpoint_stops_at_max_rounds () =
+  let spin =
+    synthetic ~name:"spin" ~role:Opt.Pass.Transform ~scope:`Whole ~changed:true
+  and idle =
+    synthetic ~name:"idle" ~role:Opt.Pass.Enabling ~scope:`Proc ~changed:false
+  in
+  let items =
+    [ Opt.Pass_manager.Fixpoint { passes = [ spin; idle ]; max_rounds = 4 } ]
+  in
+  let expected =
+    List.concat_map (fun k -> [ ("spin", k); ("idle", k) ]) [ 1; 2; 3; 4 ]
+  in
+  List.iter
+    (fun (label, walk) ->
+      Alcotest.(check (list (pair string int)))
+        label expected
+        (pass_rounds (walk (lower_gen 1) items)))
+    walkers
+
+(* An Enabling pass's [changed] never starts another round; the walk
+   then moves on to the next item. *)
+let test_enabling_does_not_drive_fixpoint () =
+  let churn =
+    synthetic ~name:"churn" ~role:Opt.Pass.Enabling ~scope:`Proc ~changed:true
+  and settled =
+    synthetic ~name:"settled" ~role:Opt.Pass.Transform ~scope:`Whole
+      ~changed:false
+  and after =
+    synthetic ~name:"after" ~role:Opt.Pass.Transform ~scope:`Whole
+      ~changed:true
+  in
+  let items =
+    [ Opt.Pass_manager.Fixpoint { passes = [ churn; settled ]; max_rounds = 5 };
+      Opt.Pass_manager.Run after ]
+  in
+  List.iter
+    (fun (label, walk) ->
+      Alcotest.(check (list (pair string int)))
+        label
+        [ ("churn", 1); ("settled", 1); ("after", 1) ]
+        (pass_rounds (walk (lower_gen 1) items)))
+    walkers
+
+(* With nothing failing, guarded execution reports exactly what plain
+   execution does. *)
+let test_guarded_matches_run () =
+  let summary reports =
+    List.map
+      (fun (r : Opt.Pass.report) ->
+        Printf.sprintf "%s analyses=%d misses=%d"
+          (stats_sig [ r ]) r.Opt.Pass.r_analyses
+          (Tbaa.Oracle_cache.misses r.Opt.Pass.r_oracle))
+      reports
+  in
+  List.iter
+    (fun seed ->
+      let plain = lower_gen seed and guarded = lower_gen seed in
+      let r_plain =
+        Opt.Pass_manager.run (Opt.Pass.create ()) plain rerun_schedule
+      in
+      let r_guarded =
+        Opt.Pass_manager.run_guarded ~verify:true (Opt.Pass.create ()) guarded
+          rerun_schedule
+      in
+      let l = Printf.sprintf "seed %d" seed in
+      Alcotest.(check (list (pair string string)))
+        (l ^ ": no failures") [] (Opt.Pass_manager.failures r_guarded);
+      Alcotest.(check (list string))
+        (l ^ ": reports") (summary r_plain) (summary r_guarded);
+      Alcotest.(check string)
+        (l ^ ": program bytes") (print_program plain) (print_program guarded))
+    seeds
+
+(* ------------------------------------------------------------------ *)
 (* The versioned JSON envelope                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -240,6 +348,13 @@ let () =
             test_rerun_mutations;
           Alcotest.test_case "single-proc edit reuses memo" `Quick
             test_rerun_reuses ] );
+      ( "walker",
+        [ Alcotest.test_case "fixpoint stops at max_rounds" `Quick
+            test_fixpoint_stops_at_max_rounds;
+          Alcotest.test_case "Enabling changes start no round" `Quick
+            test_enabling_does_not_drive_fixpoint;
+          Alcotest.test_case "run_guarded == run without failures" `Quick
+            test_guarded_matches_run ] );
       ( "timing",
         [ Alcotest.test_case "pass time on the monotonic clock" `Quick
             test_pass_time_monotonic ] );

@@ -27,12 +27,10 @@ let preserves_output transform seed =
 let prop_rle_preserves kind name =
   QCheck.Test.make ~name ~count Gen_prog.arbitrary
     (preserves_output (fun program ->
-         let a = Tbaa.Analysis.analyze program in
-         let modref =
-           Opt.Modref.of_engine a.Tbaa.Analysis.engine
-             (Opt.Pass.engine_kind kind)
-         in
-         ignore (Opt.Rle.run ~modref program (Opt.Pass.select a kind))))
+         let e = Tbaa.Engine.create program in
+         let kind = Opt.Pass.engine_kind kind in
+         let modref = Opt.Modref.of_engine e kind in
+         ignore (Opt.Rle.run ~modref program (Tbaa.Engine.oracle e kind))))
 
 let prop_full_pipeline_preserves =
   QCheck.Test.make ~name:"pipeline (devirt+inline+RLE+local CSE) preserves output"
@@ -63,11 +61,11 @@ let prop_oracle_cache_transparent =
   QCheck.Test.make ~name:"Oracle_cache.wrap answers like the raw oracle"
     ~count Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          a.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
       in
       List.for_all
         (fun raw ->
@@ -90,7 +88,7 @@ let prop_oracle_cache_transparent =
             refs
           && Tbaa.Oracle_cache.misses counters
              <= Tbaa.Oracle_cache.queries counters)
-        (Tbaa.Analysis.oracles a))
+        (Tbaa.Engine.oracles a))
 
 (* The counters must account for every query exactly once: over an
    arbitrary interleaved sequence of may_alias / class_kills /
@@ -103,11 +101,11 @@ let prop_oracle_cache_counters =
     QCheck.(pair Gen_prog.arbitrary (small_list (triple small_nat small_nat (int_range 0 2))))
     (fun (seed, picks) ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          a.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
       in
       let n = List.length refs in
       n = 0
@@ -139,7 +137,7 @@ let prop_oracle_cache_counters =
              agreed
              && Tbaa.Oracle_cache.hits counters + Tbaa.Oracle_cache.misses counters
                 = Tbaa.Oracle_cache.queries counters)
-           (Tbaa.Analysis.oracles a))
+           (Tbaa.Engine.oracles a))
 
 (* --- precision lattice --------------------------------------------------- *)
 
@@ -147,15 +145,15 @@ let prop_precision_lattice =
   QCheck.Test.make ~name:"SMFieldTypeRefs ⊑ FieldTypeDecl ⊑ TypeDecl" ~count
     Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          a.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
       in
-      let sm = a.Tbaa.Analysis.sm_field_type_refs
-      and ftd = a.Tbaa.Analysis.field_type_decl
-      and td = a.Tbaa.Analysis.type_decl in
+      let sm = Tbaa.Engine.oracle a Tbaa.Engine.Sm_field_type_refs
+      and ftd = Tbaa.Engine.oracle a Tbaa.Engine.Field_type_decl
+      and td = Tbaa.Engine.oracle a Tbaa.Engine.Type_decl in
       List.for_all
         (fun x ->
           List.for_all
@@ -170,15 +168,20 @@ let prop_open_world_conservative =
   QCheck.Test.make ~name:"open world only adds aliases" ~count Gen_prog.arbitrary
     (fun seed ->
       let program = lower seed in
-      let closed = Tbaa.Analysis.analyze ~world:Tbaa.World.Closed program in
-      let opened = Tbaa.Analysis.analyze ~world:Tbaa.World.Open program in
+      let analyze world =
+        Tbaa.Engine.create
+          ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
+          program
+      in
+      let closed = analyze Tbaa.World.Closed in
+      let opened = analyze Tbaa.World.Open in
       let refs =
         List.map
           (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          closed.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+          (Tbaa.Engine.facts closed).Tbaa.Facts.memrefs
       in
-      let c = closed.Tbaa.Analysis.sm_field_type_refs in
-      let o = opened.Tbaa.Analysis.sm_field_type_refs in
+      let c = Tbaa.Engine.oracle closed Tbaa.Engine.Sm_field_type_refs in
+      let o = Tbaa.Engine.oracle opened Tbaa.Engine.Sm_field_type_refs in
       List.for_all
         (fun x ->
           List.for_all
@@ -196,7 +199,7 @@ let prop_soundness =
   QCheck.Test.make ~name:"dynamic overlap implies static may-alias" ~count
     Gen_prog.arbitrary (fun seed ->
       let program = lower seed in
-      let a = Tbaa.Analysis.analyze program in
+      let a = Tbaa.Engine.create program in
       let site_exprs : (int, Apath.t) Hashtbl.t = Hashtbl.create 64 in
       let touched : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
       let on_load (e : Sim.Interp.load_event) =
@@ -234,7 +237,7 @@ let prop_soundness =
                    (fun (o : Tbaa.Oracle.t) ->
                      o.Tbaa.Oracle.may_alias (Hashtbl.find site_exprs i)
                        (Hashtbl.find site_exprs j))
-                   (Tbaa.Analysis.oracles a))
+                   (Tbaa.Engine.oracles a))
             sites)
         sites)
 

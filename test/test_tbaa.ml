@@ -8,12 +8,20 @@ open Ir
 
 let build ?(world = Tbaa.World.Closed) src =
   let program = Lower.lower_string ~file:"test" src in
-  let analysis = Tbaa.Analysis.analyze ~world program in
-  (program, analysis)
+  let engine =
+    Tbaa.Engine.create
+      ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
+      program
+  in
+  (program, engine)
+
+let type_decl e = Tbaa.Engine.oracle e Tbaa.Engine.Type_decl
+let field_type_decl e = Tbaa.Engine.oracle e Tbaa.Engine.Field_type_decl
+let sm_field_type_refs e = Tbaa.Engine.oracle e Tbaa.Engine.Sm_field_type_refs
 
 (* Heap memory references of a procedure, in program order. *)
-let refs_of (analysis : Tbaa.Analysis.t) proc =
-  analysis.Tbaa.Analysis.facts.Tbaa.Facts.memrefs
+let refs_of analysis proc =
+  (Tbaa.Engine.facts analysis).Tbaa.Facts.memrefs
   |> List.filter (fun (r : Tbaa.Facts.memref) ->
          Ident.name r.Tbaa.Facts.mr_proc = proc)
   |> List.map (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
@@ -47,7 +55,7 @@ PROCEDURE P () =
 BEGIN END M.
 |})
   in
-  let td = analysis.Tbaa.Analysis.type_decl in
+  let td = type_decl analysis in
   let r i = nth_ref analysis "P" i in
   (* TypeDecl sees only the types: T vs S1 compatible, T vs S2 compatible,
      S1 vs S2 incompatible — but all three paths here have type T (field f/g
@@ -55,7 +63,7 @@ BEGIN END M.
   Alcotest.(check bool) "t.f ~ s.f" true (td.Tbaa.Oracle.may_alias (r 0) (r 1));
   Alcotest.(check bool) "t.f ~ u.g" true (td.Tbaa.Oracle.may_alias (r 0) (r 2));
   (* receiver types directly *)
-  let tenv = analysis.Tbaa.Analysis.facts.Tbaa.Facts.tenv in
+  let tenv = (Tbaa.Engine.facts analysis).Tbaa.Facts.tenv in
   Alcotest.(check bool) "compat is symmetric" true
     (td.Tbaa.Oracle.compat (Apath.base (r 0)).Reg.v_ty (Apath.base (r 1)).Reg.v_ty);
   ignore tenv
@@ -76,13 +84,13 @@ PROCEDURE P () =
 BEGIN END M.
 |})
   in
-  let td = analysis.Tbaa.Analysis.type_decl in
+  let td = type_decl analysis in
   let r i = nth_ref analysis "P" i in
   (* Both fields are INTEGER, so plain TypeDecl conservatively aliases
      them; FieldTypeDecl distinguishes the receivers. *)
   Alcotest.(check bool) "TypeDecl: a.x ~ b.y (types only)" true
     (td.Tbaa.Oracle.may_alias (r 0) (r 1));
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   Alcotest.(check bool) "FieldTypeDecl: a.x !~ b.y" false
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1))
 
@@ -113,14 +121,14 @@ BEGIN END M.
 
 let test_table2_case1_identical () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "identical APs alias" true
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 0))
 
 let test_table2_case2_fields () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "t.f !~ t.g (different fields)" false
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1));
@@ -130,7 +138,7 @@ let test_table2_case2_fields () =
 let test_table2_case3_field_vs_deref () =
   (* Without any address-taking, a field cannot alias a dereference. *)
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "pr^.n !~ pi^ without AddressTaken" false
     (ftd.Tbaa.Oracle.may_alias (r 3) (r 4))
@@ -153,7 +161,7 @@ BEGIN END M.
 |}
   in
   let _, analysis = build src in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let refs = refs_of analysis "P" in
   (* find the field ref and the deref ref *)
   let field_ref =
@@ -174,14 +182,14 @@ BEGIN END M.
 
 let test_table2_case5_field_vs_subscript () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "pr^.n !~ vi^[0]" false
     (ftd.Tbaa.Oracle.may_alias (r 3) (r 5))
 
 let test_table2_case6_subscripts_ignored () =
   let _, analysis = build field_prog in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "vi^[0] ~ vi^[1] (subscripts ignored)" true
     (ftd.Tbaa.Oracle.may_alias (r 5) (r 6))
@@ -203,7 +211,7 @@ BEGIN END M.
 |}
   in
   let _, analysis = build src in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "p^ ~ q^ (same target type)" true
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1));
@@ -227,7 +235,7 @@ END M.
 
 let test_figure3_typerefs_table () =
   let program = Lower.lower_string ~file:"fig3" figure3_src in
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   let sm = Tbaa.Sm_type_refs.build ~facts ~world:Tbaa.World.Closed () in
   let tast = Typecheck.check_string figure3_src in
   let tid name = List.assoc (Ident.intern name) tast.Tast.type_names in
@@ -275,8 +283,8 @@ BEGIN END M.
 |}
   in
   let _, analysis = build src in
-  let sm = analysis.Tbaa.Analysis.sm_field_type_refs in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
+  let sm = sm_field_type_refs analysis in
+  let ftd = field_type_decl analysis in
   let r i = nth_ref analysis "P" i in
   Alcotest.(check bool) "FieldTypeDecl: t.f ~ s.f" true
     (ftd.Tbaa.Oracle.may_alias (r 0) (r 1));
@@ -285,7 +293,7 @@ BEGIN END M.
 
 let test_smtyperefs_variants_agree_here () =
   let program = Lower.lower_string ~file:"fig3" figure3_src in
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   let g = Tbaa.Sm_type_refs.build ~variant:Tbaa.Sm_type_refs.Grouped ~facts
       ~world:Tbaa.World.Closed ()
   in
@@ -326,10 +334,10 @@ BEGIN END M.
   let _, opened = build ~world:Tbaa.World.Open src in
   let r a i = nth_ref a "P" i in
   Alcotest.(check bool) "closed: no alias (address never taken)" false
-    (closed.Tbaa.Analysis.field_type_decl.Tbaa.Oracle.may_alias (r closed 0)
+    ((field_type_decl closed).Tbaa.Oracle.may_alias (r closed 0)
        (r closed 1));
   Alcotest.(check bool) "open: alias (formal of identical type exists)" true
-    (opened.Tbaa.Analysis.field_type_decl.Tbaa.Oracle.may_alias (r opened 0)
+    ((field_type_decl opened).Tbaa.Oracle.may_alias (r opened 0)
        (r opened 1))
 
 let test_open_world_merges_unbranded () =
@@ -349,7 +357,7 @@ BEGIN END M.
 |}
   in
   let _, opened = build ~world:Tbaa.World.Open src in
-  let sm = opened.Tbaa.Analysis.sm_field_type_refs in
+  let sm = sm_field_type_refs opened in
   let r i = nth_ref opened "P" i in
   (* Unavailable code can construct S1 (structural typing) and assign it to
      a T, so the merge is forced and the independence proof is lost. *)
@@ -376,7 +384,7 @@ BEGIN END M.
 |}
   in
   let _, opened = build ~world:Tbaa.World.Open src in
-  let sm = opened.Tbaa.Analysis.sm_field_type_refs in
+  let sm = sm_field_type_refs opened in
   let r i = nth_ref opened "P" i in
   Alcotest.(check bool) "branded types stay unmerged in the open world" false
     (sm.Tbaa.Oracle.may_alias (r 0) (r 1))
@@ -405,9 +413,9 @@ BEGIN END M.
 
 let test_precision_ordering () =
   let _, analysis = build precision_src in
-  let td = analysis.Tbaa.Analysis.type_decl in
-  let ftd = analysis.Tbaa.Analysis.field_type_decl in
-  let sm = analysis.Tbaa.Analysis.sm_field_type_refs in
+  let td = type_decl analysis in
+  let ftd = field_type_decl analysis in
+  let sm = sm_field_type_refs analysis in
   let refs = refs_of analysis "P" in
   List.iteri
     (fun i a ->
@@ -424,11 +432,11 @@ let test_precision_ordering () =
 
 let test_alias_pairs_ordering () =
   let _, analysis = build precision_src in
-  let facts = analysis.Tbaa.Analysis.facts in
+  let facts = Tbaa.Engine.facts analysis in
   let c o = Tbaa.Alias_pairs.count o facts in
-  let td = c analysis.Tbaa.Analysis.type_decl in
-  let ftd = c analysis.Tbaa.Analysis.field_type_decl in
-  let sm = c analysis.Tbaa.Analysis.sm_field_type_refs in
+  let td = c (type_decl analysis) in
+  let ftd = c (field_type_decl analysis) in
+  let sm = c (sm_field_type_refs analysis) in
   Alcotest.(check bool) "refs equal across analyses" true
     (td.Tbaa.Alias_pairs.references = ftd.Tbaa.Alias_pairs.references
     && ftd.Tbaa.Alias_pairs.references = sm.Tbaa.Alias_pairs.references);
@@ -455,7 +463,7 @@ PROCEDURE P () =
 BEGIN END M.
 |})
   in
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   let tid name =
     (List.find
        (fun (g : Reg.var) -> Ident.name g.Reg.v_name = name)
@@ -487,7 +495,7 @@ PROCEDURE P () =
 BEGIN END M.
 |})
   in
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   let tid name =
     (List.find
        (fun (g : Reg.var) -> Ident.name g.Reg.v_name = name)
@@ -514,7 +522,7 @@ PROCEDURE P () =
 BEGIN END M.
 |}
   in
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   Alcotest.(check int) "one field fact" 1
     (List.length facts.Tbaa.Facts.field_addrs);
   Alcotest.(check string) "it is field n" "n"
@@ -543,7 +551,7 @@ PROCEDURE P () =
 BEGIN END M.
 |}
   in
-  let facts = Tbaa.Facts.collect program in
+  let facts = Reference.facts program in
   let in_p =
     List.filter
       (fun (r : Tbaa.Facts.memref) -> Ident.name r.Tbaa.Facts.mr_proc = "P")
@@ -556,7 +564,7 @@ BEGIN END M.
 
 let test_subtypes_excludes_nil () =
   let _, analysis = build "MODULE M; TYPE PI = REF INTEGER; VAR p: PI; BEGIN END M." in
-  let tenv = analysis.Tbaa.Analysis.facts.Tbaa.Facts.tenv in
+  let tenv = (Tbaa.Engine.facts analysis).Tbaa.Facts.tenv in
   List.iter
     (fun t ->
       if List.mem Types.tid_null (Types.subtypes tenv t) then
