@@ -1,4 +1,4 @@
-.PHONY: all build test check audit fuzz bench bench-smoke serve-smoke clean
+.PHONY: all build test check audit fuzz bench bench-smoke serve-smoke profile clean
 
 all: build
 
@@ -72,6 +72,16 @@ serve-smoke:
 	dune exec bin/tbaad.exe -- --chaos 1 --chaos-ops 400 --workers 2
 	dune exec bin/tbaad.exe -- --chaos 2 --chaos-ops 400 --workers 2
 	dune exec bin/tbaad.exe -- --chaos 3 --chaos-ops 400 --workers 2
+
+# A sampling profile of the optimizing compile (bench/prof/sprof.ml):
+# inclusive, self and leaf-chain tables. PROF_WHAT is scale (the 200-worker
+# Gen.Scale document), pool (the generated-mix pool) or a workload name;
+# PROF_SECONDS is the CPU time to sample, e.g.
+#   make profile PROF_WHAT=pool PROF_SECONDS=20
+PROF_WHAT ?= scale
+PROF_SECONDS ?= 10
+profile:
+	dune exec bench/prof/sprof.exe -- $(PROF_WHAT) $(PROF_SECONDS)
 
 clean:
 	dune clean

@@ -68,26 +68,18 @@ let concurrent = Atomic.make false
 let set_concurrent b = Atomic.set concurrent b
 let intern_mutex = Mutex.create ()
 
+let intern a =
+  match Itbl.find intern_tbl a with
+  | i -> i
+  | exception Not_found ->
+    let i = !next_id in
+    incr next_id;
+    Itbl.add intern_tbl a i;
+    i
+
 let id a =
-  let intern () =
-    match Itbl.find_opt intern_tbl a with
-    | Some i -> i
-    | None ->
-      let i = !next_id in
-      incr next_id;
-      Itbl.add intern_tbl a i;
-      i
-  in
-  if Atomic.get concurrent then (
-    Mutex.lock intern_mutex;
-    match intern () with
-    | i ->
-      Mutex.unlock intern_mutex;
-      i
-    | exception e ->
-      Mutex.unlock intern_mutex;
-      raise e)
-  else intern ()
+  if Atomic.get concurrent then Mutex.protect intern_mutex (fun () -> intern a)
+  else intern a
 
 let interned () = !next_id
 

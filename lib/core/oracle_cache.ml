@@ -60,43 +60,43 @@ let diff ~before ~after =
 (* The raw oracle queries are cheap — most answers fall out of a pattern
    match plus a memoized compat bit — so a generic [Hashtbl] over tupled
    keys (one allocation per lookup, two hash traversals per probe chain)
-   costs more than it saves. These hand-rolled buckets hash each key
-   component exactly once per query, store the hash alongside the entry so
-   collisions are rejected on an int compare before any structural
-   equality, and allocate only on a miss. *)
+   costs more than it saves. Every key here is one or two ints — tids,
+   interned path ids ({!Apath.id}) and interned class ids ({!Aloc.id}); a
+   one-int key takes [b = 0] — so these hand-rolled buckets compare keys
+   as ints, with no equality closure, hash each query once, and allocate
+   only on a miss. The hash is stored alongside the entry for resizing. *)
 
-type ('a, 'b, 'v) node =
+type 'v node =
   | Nil
-  | Cons of { h : int; a : 'a; b : 'b; v : 'v; tl : ('a, 'b, 'v) node }
+  | Cons of { h : int; a : int; b : int; v : 'v; tl : 'v node }
 
-type ('a, 'b, 'v) ptbl = {
-  eq_a : 'a -> 'a -> bool;
-  eq_b : 'b -> 'b -> bool;
-  mutable buckets : ('a, 'b, 'v) node array;
-  mutable count : int;
-}
+type 'v ptbl = { mutable buckets : 'v node array; mutable count : int }
 
-let ptbl_create n eq_a eq_b = { eq_a; eq_b; buckets = Array.make n Nil; count = 0 }
+let ptbl_create n = { buckets = Array.make n Nil; count = 0 }
 
 (* Bucket counts are powers of two (created so, doubled on resize), so
    indexing is a mask, not a division. *)
 let ptbl_find t h a b =
   let rec go = function
     | Nil -> None
-    | Cons c ->
-      if c.h = h && t.eq_a c.a a && t.eq_b c.b b then Some c.v else go c.tl
+    | Cons c -> if c.a = a && c.b = b then Some c.v else go c.tl
   in
   go t.buckets.(h land (Array.length t.buckets - 1))
 
 (* Boolean-valued probe that encodes the result as an int (-1 = absent,
    0 = false, 1 = true) so a hit allocates nothing. *)
-let ptbl_find_bool (t : ('a, 'b, bool) ptbl) h a b =
+let ptbl_find_bool (t : bool ptbl) h a b =
   let rec go = function
     | Nil -> -1
-    | Cons c ->
-      if c.h = h && t.eq_a c.a a && t.eq_b c.b b then
-        if c.v then 1 else 0
-      else go c.tl
+    | Cons c -> if c.a = a && c.b = b then Bool.to_int c.v else go c.tl
+  in
+  go t.buckets.(h land (Array.length t.buckets - 1))
+
+(* The same for non-negative int values (-1 = absent). *)
+let ptbl_find_id (t : int ptbl) h a b =
+  let rec go = function
+    | Nil -> -1
+    | Cons c -> if c.a = a && c.b = b then c.v else go c.tl
   in
   go t.buckets.(h land (Array.length t.buckets - 1))
 
@@ -122,18 +122,19 @@ let ptbl_add t h a b v =
   t.buckets.(i) <- Cons { h; a; b; v; tl = t.buckets.(i) };
   t.count <- t.count + 1
 
-let int_eq (a : int) (b : int) = a = b
-let unit_eq () () = true
-
 let wrap ?(counters = fresh_counters ()) ?log (oracle : Oracle.t) : Oracle.t =
   let c = counters in
-  (* Every table keys on ints: tids, interned path ids ({!Apath.id}) and
-     interned class ids ({!Aloc.id}). Probes reject on two int compares;
-     no structural equality runs on the hot path. *)
-  let compat_tbl : (int, int, bool) ptbl = ptbl_create 64 int_eq int_eq in
-  let alias_tbl : (int, int, bool) ptbl = ptbl_create 256 int_eq int_eq in
-  let class_tbl : (int, int, bool) ptbl = ptbl_create 128 int_eq int_eq in
-  let store_tbl : (int, unit, Aloc.t) ptbl = ptbl_create 64 int_eq unit_eq in
+  (* The pass manager wraps one oracle per procedure per pass, and most
+     procedures ask few questions: tables start at 8 buckets and double as
+     they fill. *)
+  let compat_tbl : bool ptbl = ptbl_create 8 in
+  let alias_tbl : bool ptbl = ptbl_create 8 in
+  let class_tbl : bool ptbl = ptbl_create 8 in
+  let store_tbl : Aloc.t ptbl = ptbl_create 8 in
+  (* [class_kills]'s own memo of each path's store-class id, keyed by path
+     id: it asks the raw oracle (uncounted, like every miss's answer) and
+     interns the class once per path, not once per query. *)
+  let scid_tbl : int ptbl = ptbl_create 8 in
   let compat t1 t2 =
     c.compat_queries <- c.compat_queries + 1;
     let t1, t2 = if t1 <= t2 then (t1, t2) else (t2, t1) in
@@ -194,20 +195,40 @@ let wrap ?(counters = fresh_counters ()) ?log (oracle : Oracle.t) : Oracle.t =
      table dense: every path with the same last selector and prefix type
      shares one row. *)
   (* Mod-ref call kills probe one path against a whole summary's classes in
-     a row, so the path's abstraction (and its hash) is carried while the
-     physically-same path repeats. *)
+     a row, so the path's store-class id is carried while the
+     physically-same path repeats; a kill predicate probes one class
+     against a tracked expression's prefixes in a row, so the class's id
+     is carried while the physically-same class repeats. *)
   let last_sc : (Apath.t * int) option ref = ref None in
+  let no_class = Aloc.Ltarget min_int (* no tid is negative *) in
+  let last_cls = ref no_class and last_cid = ref (-1) in
   let class_kills cls ap =
     c.class_queries <- c.class_queries + 1;
     let scid =
       match !last_sc with
       | Some (p, i) when p == ap -> i
       | _ ->
-        let i = Aloc.id (oracle.Oracle.store_class ap) in
+        let pid = Apath.id ap in
+        let i =
+          match ptbl_find_id scid_tbl pid pid 0 with
+          | -1 ->
+            let i = Aloc.id (oracle.Oracle.store_class ap) in
+            ptbl_add scid_tbl pid pid 0 i;
+            i
+          | i -> i
+        in
         last_sc := Some (ap, i);
         i
     in
-    let cid = Aloc.id cls in
+    let cid =
+      if cls == !last_cls then !last_cid
+      else begin
+        let i = Aloc.id cls in
+        last_cls := cls;
+        last_cid := i;
+        i
+      end
+    in
     let h = (cid * 31) + scid in
     match ptbl_find_bool class_tbl h cid scid with
     | 1 -> true
@@ -222,12 +243,12 @@ let wrap ?(counters = fresh_counters ()) ?log (oracle : Oracle.t) : Oracle.t =
     c.store_queries <- c.store_queries + 1;
     let h = Apath.hash ap in
     let pid = Apath.id ap in
-    match ptbl_find store_tbl h pid () with
+    match ptbl_find store_tbl h pid 0 with
     | Some r -> r
     | None ->
       c.store_misses <- c.store_misses + 1;
       let r = oracle.Oracle.store_class ap in
-      ptbl_add store_tbl h pid () r;
+      ptbl_add store_tbl h pid 0 r;
       r
   in
   let stats () =

@@ -7,14 +7,23 @@
     during rewriting, and mod-ref replays [class_kills] per call site. The
     wrapper interns results in hash tables — [compat] keyed by an unordered
     tid pair, [may_alias] by a canonicalized (unordered) access-path pair,
-    [class_kills] by a (location-class, path) pair, [store_class] by path —
-    and counts queries and misses so the pass manager can report cache
-    effectiveness per pass.
+    [class_kills] by a (class id, store-class id of the path) pair,
+    [store_class] by path — and counts queries and misses so the pass
+    manager can report cache effectiveness per pass.
 
-    The wrapped oracle answers *identically* to the original (a property
-    test checks this on randomly generated programs). The memo tables are
-    tied to the wrapper instance: discard the wrapper whenever the
-    underlying analysis is recomputed. *)
+    A [class_kills] query does no structural hashing in the common case:
+    the path's store-class id comes from a per-wrapper memo keyed by
+    {!Ir.Apath.id} (filled once per path from the raw oracle, uncounted),
+    and the class's id is carried while the physically same {!Aloc.t}
+    repeats. The tables start at 8 buckets and double as they fill: the
+    pass manager wraps one oracle per procedure per pass, and most ask few
+    questions.
+
+    The wrapped oracle answers *identically* to the original, and its
+    counters count exactly one query per call and one miss per distinct
+    key (property tests check both on randomly generated programs). The
+    memo tables are tied to the wrapper instance: discard the wrapper
+    whenever the underlying analysis is recomputed. *)
 
 type counters = {
   mutable compat_queries : int;

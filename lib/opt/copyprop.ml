@@ -188,10 +188,10 @@ let pass =
   { Pass.name = "copyprop";
     role = Pass.Enabling;
     scope =
-      Pass.Per_procedure
-        (fun pc proc ->
+      Pass.Analysis_free
+        (fun program proc ->
           let s = { replaced = 0 } in
-          run_proc pc.Pass.pc_program proc s;
+          run_proc program proc s;
           { Pass.stats = [ ("replaced", s.replaced) ];
             changed = s.replaced > 0;
             mutated = s.replaced > 0 }) }

@@ -126,8 +126,8 @@ let pass =
   { Pass.name = "dce";
     role = Pass.Transform;
     scope =
-      Pass.Per_procedure
-        (fun _pc proc ->
+      Pass.Analysis_free
+        (fun _program proc ->
           let s = { removed = 0 } in
           run_proc proc s;
           { Pass.stats = [ ("removed", s.removed) ];

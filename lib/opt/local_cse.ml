@@ -74,11 +74,11 @@ let pass =
   { Pass.name = "local-cse";
     role = Pass.Transform;
     scope =
-      Pass.Per_procedure
-        (fun pc proc ->
+      Pass.Analysis_free
+        (fun program proc ->
           let s = { eliminated = 0 } in
           Vec.iter
-            (fun b -> run_block pc.Pass.pc_program.Cfg.tenv b s)
+            (fun b -> run_block program.Cfg.tenv b s)
             proc.Cfg.pr_blocks;
           { Pass.stats = [ ("eliminated", s.eliminated) ];
             changed = s.eliminated > 0;

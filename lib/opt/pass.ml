@@ -145,6 +145,7 @@ type proc_context = {
 type scope =
   | Whole_program of (context -> Ir.Cfg.program -> outcome)
   | Per_procedure of (proc_context -> Ir.Cfg.proc -> outcome)
+  | Analysis_free of (Ir.Cfg.program -> Ir.Cfg.proc -> outcome)
 
 type t = {
   name : string;
@@ -153,7 +154,14 @@ type t = {
 }
 
 let per_procedure p =
-  match p.scope with Per_procedure _ -> true | Whole_program _ -> false
+  match p.scope with
+  | Per_procedure _ | Analysis_free _ -> true
+  | Whole_program _ -> false
+
+let reads_analysis p =
+  match p.scope with
+  | Analysis_free _ -> false
+  | Per_procedure _ | Whole_program _ -> true
 
 (* Deterministic merge of per-procedure outcomes, in program (array)
    order: stats sum per key (key order = first appearance, i.e. the

@@ -4,17 +4,19 @@
     whole-program pass (devirtualization, inlining — anything that moves
     code across procedure boundaries) receives the shared {!context} and
     the whole program; a per-procedure pass (the paper's clients — RLE,
-    and DSE/SLF/LICM/PRE/copyprop/local-CSE/DCE) provides a [run_proc]
-    over one procedure and a {!proc_context}, and the {!Pass_manager}
-    derives the whole-program run generically — sequentially or across
-    {!Support.Domain_pool} domains, with byte-identical results either
-    way.
+    and DSE/SLF/LICM/PRE) provides a [run_proc] over one procedure and a
+    {!proc_context}; an analysis-free pass (copyprop, local CSE, DCE)
+    provides a [run_proc] over one procedure and the program alone. The
+    {!Pass_manager} derives the whole-program run of both per-procedure
+    kinds generically — sequentially or across {!Support.Domain_pool}
+    domains, with byte-identical results either way.
 
     Passes pull the alias analysis they need from a {!context}, which
     keeps one {!Tbaa.Engine.t} and marks it stale whenever a pass mutates
     the program. The next read brings it up to date with an incremental
     {!Tbaa.Engine.update}, so the cost of a re-analysis tracks how much of
-    the program actually changed. *)
+    the program actually changed. An analysis-free pass never reads it, so
+    the refresh waits for the next pass that does. *)
 
 open Tbaa
 
@@ -158,6 +160,13 @@ type scope =
       (** [run_proc]: transform one procedure against a snapshot analysis
           of the pre-pass program; must confine writes to the procedure
           itself (and allocations to [pc_fresh]) *)
+  | Analysis_free of (Ir.Cfg.program -> Ir.Cfg.proc -> outcome)
+      (** a per-procedure pass that reads no analysis — neither the
+          oracle nor mod-ref (copy propagation, local CSE, DCE): it sees
+          only the enclosing program, read-only, and its own procedure,
+          and allocates no variables. The pass manager runs it without
+          bringing the engine up to date, so a stale engine stays stale
+          until the next pass that reads it. *)
 
 type t = {
   name : string;
@@ -166,6 +175,11 @@ type t = {
 }
 
 val per_procedure : t -> bool
+(** [Per_procedure] or [Analysis_free]. *)
+
+val reads_analysis : t -> bool
+(** False exactly for [Analysis_free] passes. A whole-program pass may
+    read the analysis, and then refreshes it by calling {!analysis}. *)
 
 (** {1 Reports} *)
 

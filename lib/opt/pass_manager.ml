@@ -132,10 +132,23 @@ let snapshot_blocks proc =
    sequential path (one cached oracle, the caller's ledger, the plain
    program allocator): fault statistics and "once per distinct pair" log
    semantics are whole-program notions that per-procedure caches would
-   change. *)
-let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
+   change.
+
+   An analysis-free pass ({!Pass.Analysis_free}) gets no oracle, no
+   mod-ref and no engine refresh, on either path. Fingerprints are read
+   only by the memo (under [rerun]) and by an engine update; outside a
+   memo the update computes them itself, and only when it runs. *)
+let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
   let procs = Array.of_list program.Ir.Cfg.prog_procs in
   let n = Array.length procs in
+  (* [pc] is forced only by a pass that reads the analysis. *)
+  let run_proc (pc : Pass.proc_context Lazy.t) proc =
+    match p.Pass.scope with
+    | Pass.Per_procedure f -> f (Lazy.force pc) proc
+    | Pass.Analysis_free f -> f program proc
+    | Pass.Whole_program _ -> invalid_arg "exec_per_procedure"
+  in
+  let reads_analysis = Pass.reads_analysis p in
   if n = 0 then Pass.unchanged []
   else if Option.is_some ctx.Pass.fault || Option.is_some ctx.Pass.oracle_log
   then begin
@@ -145,12 +158,13 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
     | Some { m_fps = Some tbl; _ } -> Hashtbl.reset tbl
     | _ -> ());
     let pc =
-      { Pass.pc_program = program;
-        pc_oracle = Pass.oracle ctx program;
-        pc_modref = Pass.modref ctx program;
-        pc_claims = ctx.Pass.claims;
-        pc_fresh =
-          (fun ~name ~ty ~kind -> Ir.Cfg.fresh_var program ~name ~ty ~kind) }
+      lazy
+        { Pass.pc_program = program;
+          pc_oracle = Pass.oracle ctx program;
+          pc_modref = Pass.modref ctx program;
+          pc_claims = ctx.Pass.claims;
+          pc_fresh =
+            (fun ~name ~ty ~kind -> Ir.Cfg.fresh_var program ~name ~ty ~kind) }
     in
     let outcomes = Array.make n (Pass.unchanged []) in
     for i = 0 to n - 1 do
@@ -161,25 +175,33 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
   else begin
     let start = program.Ir.Cfg.next_var_id in
     let want_claims = ctx.Pass.claims <> None in
-    let fps =
-      match memo with
-      | Some { m_fps = Some tbl; _ } ->
-        Array.map
-          (fun proc ->
-            let nm = Ident.name proc.Ir.Cfg.pr_name in
-            match Hashtbl.find_opt tbl nm with
-            | Some fp -> fp
-            | None ->
-              let fp = Ir.Fingerprint.proc proc in
-              Hashtbl.replace tbl nm fp;
-              fp)
-          procs
-      | _ -> Array.map Ir.Fingerprint.proc procs
+    (* Under a memo: each procedure's input fingerprint, carried from slot
+       to slot when the memo keeps them. *)
+    let memo =
+      Option.map
+        (fun m ->
+          let fps =
+            match m.m_fps with
+            | Some tbl ->
+              Array.map
+                (fun proc ->
+                  let nm = Ident.name proc.Ir.Cfg.pr_name in
+                  match Hashtbl.find_opt tbl nm with
+                  | Some fp -> fp
+                  | None ->
+                    let fp = Ir.Fingerprint.proc proc in
+                    Hashtbl.replace tbl nm fp;
+                    fp)
+                procs
+            | None -> Array.map Ir.Fingerprint.proc procs
+          in
+          (m, fps))
+        memo
     in
     (* Which procedures can replay a memoized result. *)
     let hits = Array.make n None in
     (match memo with
-    | Some m ->
+    | Some (m, fps) ->
       Array.iteri
         (fun i proc ->
           match Hashtbl.find_opt m.m_tbl (Ident.name proc.Ir.Cfg.pr_name) with
@@ -199,16 +221,18 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
     let live = Array.of_list !live in
     let nlive = Array.length live in
     (* Shared read-only inputs, forced on the pre-pass program state
-       (before any splice) and only when something actually runs. *)
-    let raw, modref =
-      if nlive = 0 then (None, None)
+       (before any splice) and only when something that reads them
+       actually runs. *)
+    let inputs =
+      if nlive = 0 || not reads_analysis then None
       else begin
-        (* [fps] describes exactly this program state, so a re-analysis
-           need not hash every body again. [Pass.modref] builds the
-           engine's merged-effects table now: that build mutates the
-           engine, which must not happen concurrently. *)
-        ignore (Pass.analysis ~fingerprints:fps ctx program);
-        (Some (Pass.raw_oracle ctx program), Some (Pass.modref ctx program))
+        (* The memo's fingerprints describe exactly this program state, so
+           a re-analysis need not hash every body again. [Pass.modref]
+           builds the engine's merged-effects table now: that build
+           mutates the engine, which must not happen concurrently. *)
+        ignore
+          (Pass.analysis ?fingerprints:(Option.map snd memo) ctx program);
+        Some (Pass.raw_oracle ctx program, Pass.modref ctx program)
       end
     in
     let dummy_counters = Oracle_cache.fresh_counters () in
@@ -217,7 +241,7 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
     let counters = Array.make n dummy_counters in
     let ledgers = Array.make n None in
     let fps_tbl =
-      match memo with Some { m_fps; _ } -> m_fps | None -> None
+      match memo with Some ({ m_fps; _ }, _) -> m_fps | None -> None
     in
     Array.iteri
       (fun i h ->
@@ -235,7 +259,6 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
         | None -> ())
       hits;
     if nlive > 0 then begin
-      let raw = Option.get raw and modref = Option.get modref in
       let oname = Pass.oracle_name ctx.Pass.oracle_kind in
       let domains = if ctx.Pass.jobs <= 1 then 1 else min ctx.Pass.jobs nlive in
       let run_live j =
@@ -251,14 +274,16 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
           if want_claims then Some (Claims.create ~oracle:oname) else None
         in
         ledgers.(i) <- claims;
-        let c = Oracle_cache.fresh_counters () in
-        counters.(i) <- c;
         let pc =
-          { Pass.pc_program = program;
-            pc_oracle = Oracle_cache.wrap ~counters:c raw;
-            pc_modref = modref;
-            pc_claims = claims;
-            pc_fresh = fresh }
+          lazy
+            (let raw, modref = Option.get inputs in
+             let c = Oracle_cache.fresh_counters () in
+             counters.(i) <- c;
+             { Pass.pc_program = program;
+               pc_oracle = Oracle_cache.wrap ~counters:c raw;
+               pc_modref = modref;
+               pc_claims = claims;
+               pc_fresh = fresh })
         in
         outcomes.(i) <- run_proc pc proc
       in
@@ -286,7 +311,7 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
         ledgers
     | None -> ());
     (match memo with
-    | Some m ->
+    | Some (m, fps) ->
       m.m_reused := !(m.m_reused) + (n - nlive);
       m.m_reran := !(m.m_reran) + nlive;
       Array.iter
@@ -313,7 +338,8 @@ let exec_per_procedure ?memo (ctx : Pass.context) program run_proc =
 let exec_pass ?memo ctx program (p : Pass.t) =
   match p.Pass.scope with
   | Pass.Whole_program run -> run ctx program
-  | Pass.Per_procedure run_proc -> exec_per_procedure ?memo ctx program run_proc
+  | Pass.Per_procedure _ | Pass.Analysis_free _ ->
+    exec_per_procedure ?memo ctx program p
 
 (* ------------------------------------------------------------------ *)
 (* Plain execution                                                     *)
@@ -581,7 +607,7 @@ let rerun s program items =
     incr slot;
     let memo =
       match p.Pass.scope with
-      | Pass.Per_procedure _ ->
+      | Pass.Per_procedure _ | Pass.Analysis_free _ ->
         let tbl =
           match Hashtbl.find_opt s.s_slots k with
           | Some t -> t
@@ -604,8 +630,9 @@ let rerun s program items =
        current (the previous pass changed nothing), keep it: it already
        describes the current program state, and the slot engine will
        simply absorb a slightly larger diff whenever it is next used. *)
+    let analyzed = Pass.reads_analysis p in
     (match Hashtbl.find_opt s.s_engines k with
-    | Some e when ctx.Pass.stale -> ctx.Pass.engine <- Some e
+    | Some e when analyzed && ctx.Pass.stale -> ctx.Pass.engine <- Some e
     | _ -> ());
     let r = run_one ?memo ctx program ~round p in
     (* A whole-program pass mutates procedures without maintaining the
@@ -613,12 +640,15 @@ let rerun s program items =
     (match p.Pass.scope with
     | Pass.Whole_program _ ->
       Option.iter (fun tbl -> Hashtbl.reset tbl) live_fps
-    | Pass.Per_procedure _ -> ());
+    | Pass.Per_procedure _ | Pass.Analysis_free _ -> ());
     (* First visit of a slot: freeze a private copy of the engine at this
        position. (The rolling engine object itself keeps flowing to the
        next unseen slot, so copies never alias.) Later visits mutate the
-       installed engine in place — it is already the stored one. *)
-    if not (Hashtbl.mem s.s_engines k) then
+       installed engine in place — it is already the stored one. An
+       analysis-free slot neither installs nor freezes one: it never
+       brings the engine to its position, so the rolling engine flows on
+       to the next slot that does. *)
+    if analyzed && not (Hashtbl.mem s.s_engines k) then
       Option.iter
         (fun e -> Hashtbl.replace s.s_engines k (Engine.copy e))
         ctx.Pass.engine;

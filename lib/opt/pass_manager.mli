@@ -16,7 +16,10 @@
     every procedure — across [context.jobs] {!Support.Domain_pool} domains
     when asked — and merging outcomes, oracle counters and claims ledgers
     in program order. Results are byte-identical at any domain count (see
-    {!Pass.proc_context} for the determinism contract).
+    {!Pass.proc_context} for the determinism contract). A
+    {!Pass.Analysis_free} pass runs the same way but with no oracle, no
+    mod-ref and no engine refresh: the engine stays stale until the next
+    pass that reads it.
 
     Each pass execution yields one immutable {!Pass.report} carrying its
     wall-clock time, named counters, and the oracle-cache and dataflow

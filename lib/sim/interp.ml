@@ -821,6 +821,11 @@ let run_reference ?(fuel = 50_000_000) ?on_load ?on_access
       | exception Halt_program -> true
       | exception Out_of_fuel -> true)
   in
+  (* Callers run a program here and then, compiled, on {!run} (the
+     benchmark's set-up, the differential suite): size that run's heap
+     now, so its doubling series of copies does not pile up on this
+     run's garbage before the collector has reclaimed it. *)
+  Precompile.note_heap_len program (Vec.length st.heap);
   { output = Buffer.contents st.out_buf;
     counters = st.counters;
     cycles = st.cycles;

@@ -1414,6 +1414,13 @@ let heap_hint_key (program : Cfg.program) =
     List.length program.Cfg.prog_procs,
     List.length program.Cfg.prog_globals )
 
+let note_heap_len program len =
+  let hints = Domain.DLS.get heap_hints in
+  let key = heap_hint_key program in
+  match Hashtbl.find_opt hints key with
+  | Some cap when cap >= len -> ()
+  | _ -> Hashtbl.replace hints key len
+
 (* One-entry compiled-code cache, hit only on PHYSICAL program equality
    (so a hit can never mean "a different program"). Repeated runs of the
    same program — the benchmark harness, the differential suite, the
@@ -1489,9 +1496,7 @@ let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
           | exception Out_of_fuel -> true))
   in
   if not was_busy then cache := Some (program, cu);
-  (match Hashtbl.find_opt hints hint_key with
-  | Some cap when cap >= st.heap_len -> ()
-  | _ -> Hashtbl.replace hints hint_key st.heap_len);
+  note_heap_len program st.heap_len;
   { output = Buffer.contents st.out_buf;
     counters =
       { instrs = st.instrs; heap_loads = st.heap_loads;

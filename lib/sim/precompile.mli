@@ -82,6 +82,12 @@ val heap_index : int -> int
     heap addresses are allocated contiguously, so tracers can index flat
     arrays by [heap_index addr] instead of hashing addresses. *)
 
+val note_heap_len : Cfg.program -> int -> unit
+(** [note_heap_len program n]: a run of [program] reached [n] heap cells,
+    so the next {!run} of it (on this domain) starts with at least that
+    capacity. Capacity is unobservable; a hint only saves the doubling
+    series of copies a growing heap costs. *)
+
 val run :
   ?fuel:int ->
   ?on_load:(load_event -> unit) ->

@@ -139,6 +139,119 @@ let prop_oracle_cache_counters =
                 = Tbaa.Oracle_cache.queries counters)
            (Tbaa.Engine.oracles a))
 
+(* The wrapper carries the last class's id while the physically-same class
+   repeats and memoizes each path's store-class id: over random streams
+   that repeat a class physically, pass structurally equal but physically
+   distinct copies, and repeat paths, every answer must match the raw
+   oracle and all four counter pairs must match the accounting of a plain
+   memo keyed by structure — a query per call, a miss per distinct
+   (unordered tid pair | canonical path pair | class pair | path). *)
+let copy_class = function
+  | Tbaa.Aloc.Lfield (f, r, c) -> Tbaa.Aloc.Lfield (f, r, c)
+  | Tbaa.Aloc.Lelem (a, e) -> Tbaa.Aloc.Lelem (a, e)
+  | Tbaa.Aloc.Ltarget t -> Tbaa.Aloc.Ltarget t
+  | Tbaa.Aloc.Lvar (i, t) -> Tbaa.Aloc.Lvar (i, t)
+
+let prop_oracle_cache_class_ids =
+  QCheck.Test.make ~name:"Oracle_cache class ids: answers and counters"
+    ~count
+    QCheck.(
+      pair Gen_prog.arbitrary
+        (list_of_size (Gen.int_range 50 300)
+           (triple (int_range 0 5) small_nat small_nat)))
+    (fun (seed, picks) ->
+      let program = lower seed in
+      let a = Tbaa.Engine.create program in
+      let refs =
+        Array.of_list
+          (List.concat_map
+             (fun (r : Tbaa.Facts.memref) ->
+               let ap = r.Tbaa.Facts.mr_path in
+               Apath.of_var (Apath.base ap) :: Apath.prefixes ap)
+             (Tbaa.Engine.facts a).Tbaa.Facts.memrefs)
+      in
+      let n = Array.length refs in
+      n = 0
+      || List.for_all
+           (fun (raw : Tbaa.Oracle.t) ->
+             let classes =
+               Array.map
+                 (fun ap ->
+                   let v = Apath.base ap in
+                   if Apath.is_memory_ref ap then raw.Tbaa.Oracle.store_class ap
+                   else Tbaa.Aloc.Lvar (v.Reg.v_id, v.Reg.v_ty))
+                 refs
+             in
+             let c = Tbaa.Oracle_cache.fresh_counters () in
+             let cached = Tbaa.Oracle_cache.wrap ~counters:c raw in
+             let seen = Hashtbl.create 64 in
+             let want_misses = Array.make 4 0 and want_queries = Array.make 4 0 in
+             let ask leg key =
+               want_queries.(leg) <- want_queries.(leg) + 1;
+               if not (Hashtbl.mem seen (leg, key)) then begin
+                 Hashtbl.add seen (leg, key) ();
+                 want_misses.(leg) <- want_misses.(leg) + 1
+               end
+             in
+             let last_cls = ref classes.(0) and last_ap = ref refs.(0) in
+             let agreed =
+               List.for_all
+                 (fun (op, i, j) ->
+                   let x = refs.(i mod n) and y = refs.(j mod n) in
+                   match op with
+                   | 0 ->
+                     let t1 = Apath.ty x and t2 = Apath.ty y in
+                     ask 0 (min t1 t2, max t1 t2);
+                     Bool.equal
+                       (cached.Tbaa.Oracle.compat t1 t2)
+                       (raw.Tbaa.Oracle.compat t1 t2)
+                   | 1 ->
+                     let h1 = Apath.hash x and h2 = Apath.hash y in
+                     let p, q =
+                       if h1 < h2 || (h1 = h2 && Apath.compare x y <= 0) then
+                         (x, y)
+                       else (y, x)
+                     in
+                     ask 1 (Apath.id p, Apath.id q);
+                     Bool.equal
+                       (cached.Tbaa.Oracle.may_alias x y)
+                       (raw.Tbaa.Oracle.may_alias x y)
+                   | 2 ->
+                     ask 3 (Apath.id x, 0);
+                     Tbaa.Aloc.equal
+                       (cached.Tbaa.Oracle.store_class x)
+                       (raw.Tbaa.Oracle.store_class x)
+                   | _ ->
+                     (* 3: the last class again, physically; 4: a fresh
+                        structural copy; 5: a pool class as it is. The
+                        path repeats physically on every other query. *)
+                     let cls =
+                       match op with
+                       | 3 -> !last_cls
+                       | 4 -> copy_class classes.(i mod n)
+                       | _ -> classes.(i mod n)
+                     in
+                     let ap = if j mod 2 = 0 then !last_ap else y in
+                     last_cls := cls;
+                     last_ap := ap;
+                     ask 2
+                       ( Tbaa.Aloc.id cls,
+                         Tbaa.Aloc.id (raw.Tbaa.Oracle.store_class ap) );
+                     Bool.equal
+                       (cached.Tbaa.Oracle.class_kills cls ap)
+                       (raw.Tbaa.Oracle.class_kills cls ap))
+                 picks
+             in
+             let open Tbaa.Oracle_cache in
+             agreed
+             && [ c.compat_queries; c.alias_queries; c.class_queries;
+                  c.store_queries ]
+                = Array.to_list want_queries
+             && [ c.compat_misses; c.alias_misses; c.class_misses;
+                  c.store_misses ]
+                = Array.to_list want_misses)
+           (Tbaa.Engine.oracles a))
+
 (* --- precision lattice --------------------------------------------------- *)
 
 let prop_precision_lattice =
@@ -423,6 +536,8 @@ let () =
             test_guarded_rolls_back_invalid_ir ] );
       ( "oracle cache",
         [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_oracle_cache_transparent;
-          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_oracle_cache_counters ] );
+          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_oracle_cache_counters;
+          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
+            prop_oracle_cache_class_ids ] );
       ( "printer", [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_printer_roundtrip ] );
       ( "determinism", [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_interp_deterministic ] ) ]
