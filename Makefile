@@ -73,11 +73,13 @@ serve-smoke:
 	dune exec bin/tbaad.exe -- --chaos 2 --chaos-ops 400 --workers 2
 	dune exec bin/tbaad.exe -- --chaos 3 --chaos-ops 400 --workers 2
 
-# A sampling profile of the optimizing compile (bench/prof/sprof.ml):
-# inclusive, self and leaf-chain tables. PROF_WHAT is scale (the 200-worker
-# Gen.Scale document), pool (the generated-mix pool) or a workload name;
-# PROF_SECONDS is the CPU time to sample, e.g.
-#   make profile PROF_WHAT=pool PROF_SECONDS=20
+# A sampling profile (bench/prof/sprof.ml): inclusive, self and leaf-chain
+# tables. PROF_WHAT is scale (compiles of the 200-worker Gen.Scale
+# document), pool (the generated-mix pool), ide (ide-session-shaped
+# alias/modref lines and an edit every ten queries, served through
+# Server.Dispatch.handle_line on the Gen.Scale document) or a workload
+# name; PROF_SECONDS is the CPU time to sample, e.g.
+#   make profile PROF_WHAT=ide PROF_SECONDS=20
 PROF_WHAT ?= scale
 PROF_SECONDS ?= 10
 profile:

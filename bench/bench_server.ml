@@ -189,7 +189,7 @@ let warm_leg () =
   let rng = Prng.create 0x3a3aL in
   let d = spawn () in
   let n = open_doc d in
-  (* One untimed batch to warm the memoized oracle handles. *)
+  (* One untimed batch to warm the daemon before timing. *)
   ignore (run_batch d (alias_req rng n));
   let answered = ref 0 in
   let t0 = now () in
@@ -303,7 +303,7 @@ let multi_client_leg () =
       | Some (Json.Int n) when n > 0 -> n
       | _ -> failwith "bench_server: open returned no memrefs"
     in
-    (* Warm the per-worker oracle handles before timing anything. *)
+    (* Warm the workers before timing anything. *)
     ignore (sc_batch c0 (alias_req (Prng.create 0x7a22L) n));
     (* Serialized baseline: one connection answers every batch in turn. *)
     let serial_rng = Prng.create 0x5e41L in

@@ -1,12 +1,16 @@
-(* A sampling profiler for the optimizing compile, for boxes without perf.
+(* A sampling profiler for the optimizing compile and the daemon's query
+   path, for boxes without perf.
 
-     dune exec bench/prof/sprof.exe -- [scale | pool | WORKLOAD] [SECONDS]
+     dune exec bench/prof/sprof.exe -- [scale | pool | ide | WORKLOAD] [SECONDS]
 
    Compiles the 200-worker Gen.Scale document, the generated pool
    ([Gen.Generator.generate ~size:3], seeds 10-109) or one named workload
    back to back under the end-to-end bench's full schedule (every pass,
    SMFieldTypeRefs, closed world, one job) for SECONDS (default 10) of
-   CPU time. A SIGPROF timer fires every 0.5 ms of CPU time; each tick
+   CPU time. [ide] instead serves ide-session-shaped requests through
+   [Server.Dispatch.handle_line] on the Gen.Scale document: rounds of
+   ten queries (four 500-pair alias batches to one modref) and one
+   change edit. A SIGPROF timer fires every 0.5 ms of CPU time; each tick
    records the OCaml call stack at the next safe point. Prints the
    functions by inclusive share (on the stack), by self share (top frame)
    and the commonest three-frame leaf chains. Needs debug info (dune's
@@ -33,6 +37,90 @@ let sources = function
     List.init 100 (fun i ->
         (Gen.Generator.generate ~size:3 (10 + i)).Gen.Generator.source)
   | w -> [ (Workloads.Suite.find w).Workloads.Workload.source ]
+
+(* The daemon's query path: a dispatcher configured like ide-session's
+   (serialized, re-optimizing every revision) holding the Gen.Scale
+   document. The request lines are built before sampling starts. Each
+   edit rewrites the constant digit of one worker's [g.a := x + d], so
+   every edit line stays valid against the text the ones before it left.
+   Returns one round: ten queries, then an edit. *)
+let ide_round () =
+  let open Support in
+  let workers = 200 and doc = "scale" in
+  let rpc id meth params =
+    Json.to_string
+      (Json.Obj
+         [ ("jsonrpc", Json.String "2.0"); ("id", Json.Int id);
+           ("method", Json.String meth); ("params", Json.Obj params) ])
+  in
+  let source = Gen.Scale.source workers in
+  let d =
+    Server.Dispatch.create
+      ~config:{ Server.Dispatch.default_config with workers = 0; optimize = true }
+      ()
+  in
+  let serve line =
+    let response = Server.Dispatch.handle_line d line in
+    match Json.member "result" (Json.of_string response) with
+    | Some r -> r
+    | None -> failwith ("error response: " ^ response)
+  in
+  (* Sampled rounds do not decode their responses, which would show up
+     in the profile; the first, unsampled round checks them all. *)
+  let checked = ref false in
+  let send line =
+    if !checked then ignore (Server.Dispatch.handle_line d line)
+    else ignore (serve line)
+  in
+  let memrefs =
+    match
+      Json.member "memrefs"
+        (serve (rpc 0 "open" [ ("name", Json.String doc); ("source", Json.String source) ]))
+    with
+    | Some (Json.Int n) -> n
+    | _ -> failwith "open returned no memrefs"
+  in
+  let rng = Prng.create 1L in
+  let query k =
+    if k mod 5 <> 4 then
+      rpc k "alias"
+        [ ("doc", Json.String doc);
+          ( "pairs",
+            Json.List
+              (List.init 500 (fun _ ->
+                   Json.List
+                     [ Json.Int (Prng.int rng memrefs); Json.Int (Prng.int rng memrefs) ])) ) ]
+    else
+      rpc k "modref"
+        [ ("doc", Json.String doc);
+          ("proc", Json.String (Printf.sprintf "P%d" (Prng.int rng workers))) ]
+  in
+  let queries = Array.init 100 query in
+  let after pat from =
+    let m = String.length pat in
+    let rec go i = if String.sub source i m = pat then i + m else go (i + 1) in
+    go from
+  in
+  let edit k =
+    let at = after "x + " (after (Printf.sprintf "PROCEDURE P%d ()" (Prng.int rng workers)) 0) in
+    rpc (1000 + k) "change"
+      [ ("name", Json.String doc);
+        ( "edits",
+          Json.List
+            [ Json.Obj
+                [ ("start", Json.Int at); ("end", Json.Int (at + 1));
+                  ("text", Json.String (string_of_int (Prng.int rng 10))) ] ] ) ]
+  in
+  let edits = Array.init 50 edit in
+  let round = ref 0 in
+  fun () ->
+    let r = !round in
+    incr round;
+    for k = 0 to 9 do
+      send queries.(((10 * r) + k) mod Array.length queries)
+    done;
+    send edits.(r mod Array.length edits);
+    checked := true
 
 (* One sample: the stack's frame names, innermost first, minus the
    profiler's own frames. *)
@@ -72,15 +160,22 @@ let () =
   let seconds =
     if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 10.
   in
-  let srcs = sources what in
-  List.iter compile srcs (* warm-up, unsampled *);
+  let label, round =
+    match what with
+    | "ide" -> ("ide-session round", ide_round ())
+    | _ ->
+      let srcs = sources what in
+      ( Printf.sprintf "%d compile(s)" (List.length srcs),
+        fun () -> List.iter compile srcs )
+  in
+  round () (* warm-up, unsampled *);
   Sys.set_signal Sys.sigprof (Sys.Signal_handle record);
   let tick = { Unix.it_interval = 0.0005; it_value = 0.0005 } in
   ignore (Unix.setitimer Unix.ITIMER_PROF tick);
-  let t0 = Sys.time () and compiles = ref 0 in
+  let t0 = Sys.time () and rounds = ref 0 in
   while Sys.time () -. t0 < seconds do
-    List.iter compile srcs;
-    incr compiles
+    round ();
+    incr rounds
   done;
   ignore (Unix.setitimer Unix.ITIMER_PROF { tick with it_value = 0. });
   let total = List.length !samples in
@@ -95,8 +190,8 @@ let () =
         bump chains (String.concat " < " (List.filteri (fun i _ -> i < 3) st))
       | [] -> ())
     !samples;
-  Printf.printf "%s: %d rounds of %d compile(s), %.1f s CPU\n" what !compiles
-    (List.length srcs) (Sys.time () -. t0);
+  Printf.printf "%s: %d rounds of %s, %.1f s CPU\n" what !rounds label
+    (Sys.time () -. t0);
   table "inclusive" total incl;
   table "self" total self;
   table "leaf chains" total chains

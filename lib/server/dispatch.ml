@@ -284,6 +284,7 @@ let handle_alias t ctx rq =
   let n = Store.n_paths d in
   let deadline = deadline_of rq t.cfg.default_deadline_ms in
   let cancelled () = Atomic.get ctx.cx_token in
+  let may_alias = Store.may_alias ~cancelled d kind in
   let completed = ref 0 in
   let answers =
     List.map
@@ -302,7 +303,7 @@ let handle_alias t ctx rq =
             Rpc.Invalid_params "pair [%d,%d] out of range (memrefs %d)" i j n;
         incr completed;
         Atomic.incr t.sv_alias_answers;
-        Json.Bool (Store.may_alias ~cancelled d kind i j))
+        Json.Bool (may_alias i j))
       pairs
   in
   Json.Obj

@@ -33,9 +33,10 @@ let () =
    Under the shared lock, the remaining mutation is confined: query
    counters are [Atomic]s; quarantine writes immediate values
    ([dc_mode], [dc_last_error]) whose races are benign (single word
-   writes, idempotent transition to Conservative); oracle handles are
-   per-domain (see [oracle]); and the engine's lazily-built mod-ref
-   state is serialized by [dc_omutex]. *)
+   writes, idempotent transition to Conservative); each alias request
+   asks through its own handle over the engine's raw oracles, which are
+   pure at query time (see [may_alias]); and the engine's lazily-built
+   mod-ref state is serialized by [dc_omutex]. *)
 
 type doc = {
   dc_name : string;
@@ -49,12 +50,7 @@ type doc = {
   mutable dc_mode : mode;
   mutable dc_last_error : string option;
   mutable dc_inject : inject list;
-  dc_omutex : Mutex.t;
-      (* guards [dc_oracles] and the engine's lazy mod-ref state *)
-  dc_oracles : (int * Tbaa.Engine.kind, Tbaa.Oracle.t) Hashtbl.t;
-      (* injection-wrapped handles, one per (domain, kind) — the
-         memoizing oracle cache is single-threaded, so concurrent
-         readers must not share a handle; cleared on every install *)
+  dc_omutex : Mutex.t;  (* guards the engine's lazy mod-ref state *)
   mutable dc_generation : int;  (* successful builds installed *)
   mutable dc_attempts : int;  (* build attempts, for seeded build crashes *)
   dc_queries : int Atomic.t;
@@ -146,10 +142,13 @@ let wrap_inject inject (o : Tbaa.Oracle.t) =
       match inj with
       | Flip { seed; rate } -> Tbaa.Oracle_fault.wrap ~seed ~rate o
       | Crash { seed; rate } ->
+        (* Keyed by the unordered pair, like [Flip]: [(p, q)] and
+           [(q, p)] crash together. *)
         { o with
           Tbaa.Oracle.may_alias =
             (fun p q ->
-              if chance ~seed ~rate ("alias", Ir.Apath.id p, Ir.Apath.id q)
+              let a = Ir.Apath.id p and b = Ir.Apath.id q in
+              if chance ~seed ~rate ("alias", min a b, max a b)
               then raise (Injected_fault "oracle fault (injected)")
               else o.Tbaa.Oracle.may_alias p q) }
       | Slow _ -> o)
@@ -329,7 +328,6 @@ let open_or_update_locked t ~name ~source ~inject ~cancelled =
             d.dc_mode <- Fresh;
             d.dc_last_error <- None;
             d.dc_inject <- inject;
-            Hashtbl.reset d.dc_oracles;
             d.dc_generation <- d.dc_generation + 1;
             d
           | None ->
@@ -339,7 +337,6 @@ let open_or_update_locked t ~name ~source ~inject ~cancelled =
                 dc_paths = paths; dc_mode = Fresh;
                 dc_last_error = None; dc_inject = inject;
                 dc_omutex = Mutex.create ();
-                dc_oracles = Hashtbl.create 8;
                 dc_generation = 1; dc_attempts = attempts;
                 dc_queries = Atomic.make 0; dc_degraded = Atomic.make 0;
                 dc_failed_updates = 0 }
@@ -445,47 +442,39 @@ let path d i = d.dc_paths.(i)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One memoizing handle per (domain, kind): [Oracle_cache.wrap]'s tables
-   are single-threaded by design, so concurrent readers on different
-   domains each get their own. Handles wrap the engine's *raw* oracle
-   (pure at query time) rather than [Engine.cached], whose shared
-   memoizing handle would race. The table is reset on every install. *)
-let oracle d kind =
-  let key = ((Domain.self () :> int), kind) in
-  Mutex.protect d.dc_omutex (fun () ->
-      match Hashtbl.find_opt d.dc_oracles key with
-      | Some o -> o
-      | None ->
-        let o =
-          wrap_inject d.dc_inject
-            (Tbaa.Oracle_cache.wrap (Tbaa.Engine.oracle d.dc_engine kind))
-        in
-        Hashtbl.replace d.dc_oracles key o;
-        o)
-
 let quarantine d msg =
   d.dc_mode <- Conservative;
   d.dc_last_error <- Some msg
 
-let may_alias ?cancelled d kind i j =
-  Atomic.incr d.dc_queries;
-  match d.dc_mode with
-  | Conservative ->
-    (* The quarantined engine is not consulted at all; every memory
-       reference pair gets the sound top answer. *)
-    Atomic.incr d.dc_degraded;
-    true
-  | Fresh | Stale ->
-    if d.dc_mode = Stale then Atomic.incr d.dc_degraded;
-    let slow = slow_ms_of d.dc_inject in
-    if slow > 0.0 then sleep_ms ?cancelled slow;
-    let _, p, _ = d.dc_paths.(i) and _, q, _ = d.dc_paths.(j) in
-    (match (oracle d kind).Tbaa.Oracle.may_alias p q with
-    | answer -> answer
-    | exception e ->
-      quarantine d (Printexc.to_string e);
+(* One handle per request: the engine's raw oracle, wrapped in the
+   document's injections. The raw oracles fill their tables when the
+   engine builds them and only read them at query time, so a handle is
+   safe on any domain, and a memo in front of them would cost more than
+   the table lookups it saves (every install would empty it). The caller
+   holds the document's shared lock, so the engine cannot change under
+   the handle; the mode is read per pair, so a quarantine mid-batch
+   applies from the next pair. *)
+let may_alias ?cancelled d kind =
+  let oracle = wrap_inject d.dc_inject (Tbaa.Engine.oracle d.dc_engine kind) in
+  let slow = slow_ms_of d.dc_inject in
+  fun i j ->
+    Atomic.incr d.dc_queries;
+    match d.dc_mode with
+    | Conservative ->
+      (* The quarantined engine is not consulted at all; every memory
+         reference pair gets the sound top answer. *)
       Atomic.incr d.dc_degraded;
-      true)
+      true
+    | Fresh | Stale -> (
+      if d.dc_mode = Stale then Atomic.incr d.dc_degraded;
+      if slow > 0.0 then sleep_ms ?cancelled slow;
+      let _, p, _ = d.dc_paths.(i) and _, q, _ = d.dc_paths.(j) in
+      match oracle.Tbaa.Oracle.may_alias p q with
+      | answer -> answer
+      | exception e ->
+        quarantine d (Printexc.to_string e);
+        Atomic.incr d.dc_degraded;
+        true)
 
 let modref d kind proc =
   Atomic.incr d.dc_queries;

@@ -30,7 +30,9 @@
     {!with_doc_read}) run concurrently; {!open_or_update}, {!change} and
     {!close} take the document's exclusive lock and run alone. Store-
     level lookups ({!find}, {!count}, {!names}) are internally
-    synchronized. *)
+    synchronized. Alias queries share no handle: each request asks
+    through its own un-memoized handle over the engine's raw oracles,
+    which only read their tables at query time. *)
 
 open Support
 
@@ -46,7 +48,8 @@ type inject =
           recover on rebuild) *)
   | Crash of { seed : int; rate : float }
       (** raise {!Injected_fault} from a seeded fraction of may-alias
-          queries, and from a seeded fraction of rebuild attempts *)
+          queries (keyed by the unordered pair, so [(p, q)] and [(q, p)]
+          agree), and from a seeded fraction of rebuild attempts *)
   | Slow of { ms : float }
       (** sleep this long inside every may-alias query (deadline and
           cancellation testing); the sleep yields the CPU and is cut
@@ -163,13 +166,17 @@ val path : doc -> int -> Ident.t * Ir.Apath.t * bool
 
 val may_alias :
   ?cancelled:(unit -> bool) -> doc -> Tbaa.Engine.kind -> int -> int -> bool
-(** Answer a may-alias query between two path indices. Never raises: a
-    query that makes the (possibly fault-injected) engine raise
-    quarantines the document to Conservative and answers [true]
-    (MayAlias) — as do all subsequent queries until a rebuild.
-    [cancelled] only cuts short injected [Slow] latency (the answer is
-    still computed and valid); the caller's own cancellation check
-    decides whether to use it. *)
+(** [may_alias d kind] resolves one handle for a request — the engine's
+    raw, pure oracle of [kind] wrapped in the document's fault injection,
+    with no memo — and returns the function that answers a may-alias
+    query between two path indices through it. Apply it once per
+    request, under the document's shared lock, and the result once per
+    pair. Never raises: a query that makes the (possibly fault-injected)
+    engine raise quarantines the document to Conservative and answers
+    [true] (MayAlias) — as do all subsequent queries, from the next pair
+    of the same request on, until a rebuild. [cancelled] only cuts short
+    injected [Slow] latency (the answer is still computed and valid); the
+    caller's own cancellation check decides whether to use it. *)
 
 val modref : doc -> Tbaa.Engine.kind -> Ident.t -> Tbaa.Effects.t option
 (** Merged mod-ref effects of a procedure, [None] when the document is

@@ -90,46 +90,57 @@ let parse_fail fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
    error). 512 is far beyond anything our emitters produce. *)
 let max_depth = 512
 
+(* The decoder scans [s] by index: no option per peeked character, no
+   buffer for a string without escapes, and a plain integer — an optional
+   minus and at most 18 digits, which cannot overflow — accumulated digit
+   by digit. Any other number goes through [int_of_string_opt] and
+   [float_of_string_opt] over its text, as do the error messages. *)
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let skip_ws () =
     while
       !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+      && match String.unsafe_get s !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false
     do
-      advance ()
+      incr pos
     done
   in
+  (* The next character, if it is [c]: consume it. *)
+  let eat c =
+    !pos < n && String.unsafe_get s !pos = c && (incr pos; true)
+  in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> parse_fail "expected %C at %d, found %C" c !pos c'
-    | None -> parse_fail "expected %C at %d, found end of input" c !pos
+    if !pos >= n then parse_fail "expected %C at %d, found end of input" c !pos
+    else if String.unsafe_get s !pos = c then incr pos
+    else parse_fail "expected %C at %d, found %C" c !pos s.[!pos]
   in
   let literal word v =
     let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
+    let rec same k = k = l || (s.[!pos + k] = word.[k] && same (k + 1)) in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       v
     end
     else parse_fail "bad literal at %d" !pos
   in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
+  (* The escaped tail of a string whose first [!pos - start] bytes held no
+     escape. *)
+  let escaped_string start =
+    let b = Buffer.create (2 * (!pos - start) + 16) in
+    Buffer.add_substring b s start (!pos - start);
     let rec go () =
       if !pos >= n then parse_fail "unterminated string";
       let c = s.[!pos] in
-      advance ();
+      incr pos;
       match c with
       | '"' -> Buffer.contents b
       | '\\' -> (
         if !pos >= n then parse_fail "unterminated escape";
         let e = s.[!pos] in
-        advance ();
+        incr pos;
         match e with
         | '"' | '\\' | '/' ->
           Buffer.add_char b e;
@@ -164,14 +175,28 @@ let of_string s =
     in
     go ()
   in
-  let parse_number () =
+  let parse_string () =
+    expect '"';
     let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
+    do
+      incr pos
+    done;
+    if !pos < n && String.unsafe_get s !pos = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else escaped_string start
+  in
+  let is_num_char = function
+    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    | _ -> false
+  in
+  let number_text start =
     while !pos < n && is_num_char s.[!pos] do
-      advance ()
+      incr pos
     done;
     let text = String.sub s start (!pos - start) in
     let is_integer_text =
@@ -190,19 +215,37 @@ let of_string s =
       | Some _ -> parse_fail "number %S out of range at %d" text start
       | None -> parse_fail "bad number %S at %d" text start)
   in
+  let parse_number () =
+    let start = !pos in
+    let negative = eat '-' in
+    let digits = !pos in
+    let acc = ref 0 in
+    while
+      !pos < n
+      && !pos - digits < 19
+      && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
+    do
+      acc := (!acc * 10) + (Char.code (String.unsafe_get s !pos) - 48);
+      incr pos
+    done;
+    let count = !pos - digits in
+    if count > 0 && count <= 18 && not (!pos < n && is_num_char s.[!pos])
+    then Int (if negative then - !acc else !acc)
+    else begin
+      pos := start;
+      number_text start
+    end
+  in
   let rec parse_value depth =
     if depth > max_depth then
       parse_fail "nesting deeper than %d at %d" max_depth !pos;
     skip_ws ();
-    match peek () with
-    | None -> parse_fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
+    if !pos >= n then parse_fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
+      if eat '}' then Obj []
       else begin
         let rec members acc =
           skip_ws ();
@@ -211,44 +254,31 @@ let of_string s =
           expect ':';
           let v = parse_value (depth + 1) in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> parse_fail "expected ',' or '}' at %d" !pos
+          if eat ',' then members ((k, v) :: acc)
+          else if eat '}' then Obj (List.rev ((k, v) :: acc))
+          else parse_fail "expected ',' or '}' at %d" !pos
         in
         members []
       end
-    | Some '[' ->
-      advance ();
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
+      if eat ']' then List []
       else begin
         let rec elements acc =
           let v = parse_value (depth + 1) in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List (List.rev (v :: acc))
-          | _ -> parse_fail "expected ',' or ']' at %d" !pos
+          if eat ',' then elements (v :: acc)
+          else if eat ']' then List (List.rev (v :: acc))
+          else parse_fail "expected ',' or ']' at %d" !pos
         in
         elements []
       end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> parse_number ()
   in
   let v = parse_value 0 in
   skip_ws ();

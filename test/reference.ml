@@ -6,7 +6,9 @@
    subtype test reads an interval-labeled forest; the baseline walks the
    supertype chain per query. The optimizer's kill sets come from an index
    over the tracked expressions; the baseline asks the per-expression kill
-   test of every expression. *)
+   test of every expression. The JSON decoder scans by index and reads
+   plain integers digit by digit; the baseline is the peek-and-substring
+   parser it replaced. *)
 
 open Support
 open Minim3
@@ -105,3 +107,177 @@ let kill_set ?claims oracle modref exprs instr =
       then Bitset.add s i)
     exprs;
   s
+
+(* The daemon's original JSON decoder: a [Some c] per peek, a [Buffer] per
+   string and [int_of_string_opt] over every number's text. Same values,
+   same [Json.Parse_error] messages and same depth bound as
+   [Json.of_string]. *)
+let json_fail fmt = Printf.ksprintf (fun m -> raise (Json.Parse_error m)) fmt
+
+let json_max_depth = 512
+
+let json_of_string s =
+  let open Json in
+  let n = String.length s in
+  let pos = ref 0 in
+  let peek () = if !pos < n then Some s.[!pos] else None in
+  let advance () = incr pos in
+  let skip_ws () =
+    while
+      !pos < n
+      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+    do
+      advance ()
+    done
+  in
+  let expect c =
+    match peek () with
+    | Some c' when c' = c -> advance ()
+    | Some c' -> json_fail "expected %C at %d, found %C" c !pos c'
+    | None -> json_fail "expected %C at %d, found end of input" c !pos
+  in
+  let literal word v =
+    let l = String.length word in
+    if !pos + l <= n && String.sub s !pos l = word then begin
+      pos := !pos + l;
+      v
+    end
+    else json_fail "bad literal at %d" !pos
+  in
+  let parse_string () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then json_fail "unterminated string";
+      let c = s.[!pos] in
+      advance ();
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' -> (
+        if !pos >= n then json_fail "unterminated escape";
+        let e = s.[!pos] in
+        advance ();
+        match e with
+        | '"' | '\\' | '/' ->
+          Buffer.add_char b e;
+          go ()
+        | 'n' -> Buffer.add_char b '\n'; go ()
+        | 'r' -> Buffer.add_char b '\r'; go ()
+        | 't' -> Buffer.add_char b '\t'; go ()
+        | 'b' -> Buffer.add_char b '\b'; go ()
+        | 'f' -> Buffer.add_char b '\012'; go ()
+        | 'u' ->
+          if !pos + 4 > n then json_fail "truncated \\u escape at %d" !pos;
+          let hex = String.sub s !pos 4 in
+          (* Validate the digits ourselves: [int_of_string] both raises a
+             bare Failure and accepts non-JSON forms like "12_3". *)
+          let is_hex = function
+            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+            | _ -> false
+          in
+          if not (String.for_all is_hex hex) then
+            json_fail "bad \\u escape '\\u%s' at %d" hex !pos;
+          let code = int_of_string ("0x" ^ hex) in
+          pos := !pos + 4;
+          (* Our emitter only produces \u00xx control escapes; anything
+             above Latin-1 would need real UTF-8 encoding. *)
+          if code < 0x100 then Buffer.add_char b (Char.chr code)
+          else Buffer.add_char b '?';
+          go ()
+        | _ -> json_fail "bad escape \\%C at %d" e !pos)
+      | c ->
+        Buffer.add_char b c;
+        go ()
+    in
+    go ()
+  in
+  let parse_number () =
+    let start = !pos in
+    let is_num_char = function
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    in
+    while !pos < n && is_num_char s.[!pos] do
+      advance ()
+    done;
+    let text = String.sub s start (!pos - start) in
+    let is_integer_text =
+      text <> ""
+      && String.for_all (function '0' .. '9' | '-' -> true | _ -> false) text
+    in
+    match int_of_string_opt text with
+    | Some i -> Int i
+    | None when is_integer_text ->
+      (* A decimal integer [int_of_string] rejected is out of the 63-bit
+         range: refuse it rather than silently rounding through float. *)
+      json_fail "integer %S out of range at %d" text start
+    | None -> (
+      match float_of_string_opt text with
+      | Some f when Float.is_finite f -> Float f
+      | Some _ -> json_fail "number %S out of range at %d" text start
+      | None -> json_fail "bad number %S at %d" text start)
+  in
+  let rec parse_value depth =
+    if depth > json_max_depth then
+      json_fail "nesting deeper than %d at %d" json_max_depth !pos;
+    skip_ws ();
+    match peek () with
+    | None -> json_fail "unexpected end of input"
+    | Some '{' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some '}' then begin
+        advance ();
+        Obj []
+      end
+      else begin
+        let rec members acc =
+          skip_ws ();
+          let k = parse_string () in
+          skip_ws ();
+          expect ':';
+          let v = parse_value (depth + 1) in
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+            advance ();
+            members ((k, v) :: acc)
+          | Some '}' ->
+            advance ();
+            Obj (List.rev ((k, v) :: acc))
+          | _ -> json_fail "expected ',' or '}' at %d" !pos
+        in
+        members []
+      end
+    | Some '[' ->
+      advance ();
+      skip_ws ();
+      if peek () = Some ']' then begin
+        advance ();
+        List []
+      end
+      else begin
+        let rec elements acc =
+          let v = parse_value (depth + 1) in
+          skip_ws ();
+          match peek () with
+          | Some ',' ->
+            advance ();
+            elements (v :: acc)
+          | Some ']' ->
+            advance ();
+            List (List.rev (v :: acc))
+          | _ -> json_fail "expected ',' or ']' at %d" !pos
+        in
+        elements []
+      end
+    | Some '"' -> String (parse_string ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
+    | Some _ -> parse_number ()
+  in
+  let v = parse_value 0 in
+  skip_ws ();
+  if !pos <> n then json_fail "trailing input at %d" !pos;
+  v

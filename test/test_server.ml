@@ -229,6 +229,32 @@ let test_quarantine_conservative () =
   Alcotest.(check (list bool)) "recovered = fresh reference" want
     (answers_of recovered)
 
+(* A crash-injected document crashes on a pair whatever its order: the
+   batch of pairs [i,j] and the batch of the same pairs as [j,i] quarantine
+   at the same pair and give the same verdicts. *)
+let test_crash_order_independent () =
+  let config = { Dispatch.default_config with Dispatch.allow_inject = true } in
+  let inject seed =
+    [ Json.Obj
+        [ ("kind", Json.String "crash"); ("seed", Json.Int seed);
+          ("rate", Json.Float 0.02) ] ]
+  in
+  let quarantined = ref 0 in
+  for seed = 1 to 12 do
+    let a = Dispatch.create ~config () and b = Dispatch.create ~config () in
+    let ra = open_doc ~inject:(inject seed) a "d" small_source in
+    let rb = open_doc ~inject:(inject seed) b "d" small_source in
+    if Json.member "result" ra <> None && Json.member "result" rb <> None then begin
+      let pairs = List.filter (fun (i, j) -> i < j) (all_pairs (memrefs_of ra) 40) in
+      let fwd = alias a "d" pairs in
+      let bwd = alias b "d" (List.map (fun (i, j) -> (j, i)) pairs) in
+      Alcotest.(check string) "same mode" (mode_of fwd) (mode_of bwd);
+      Alcotest.(check (list bool)) "same verdicts" (answers_of fwd) (answers_of bwd);
+      if mode_of fwd = "conservative" then incr quarantined
+    end
+  done;
+  Alcotest.(check bool) "some batch crashed" true (!quarantined > 0)
+
 let test_deadline_timeout () =
   let config = { Dispatch.default_config with Dispatch.allow_inject = true } in
   let srv = Dispatch.create ~config () in
@@ -891,6 +917,8 @@ let () =
             test_stale_serves_last_good;
           Alcotest.test_case "quarantine to conservative" `Quick
             test_quarantine_conservative;
+          Alcotest.test_case "crash injection ignores pair order" `Quick
+            test_crash_order_independent;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
           Alcotest.test_case "shedding" `Quick test_shedding ] );
       ( "clock",

@@ -304,6 +304,133 @@ let prop_json_roundtrip_fixpoint =
       | reparsed -> Support.Json.to_string reparsed = s
       | exception Support.Json.Parse_error _ -> false)
 
+(* The decoder against its baseline, the peek-and-substring parser in
+   [Reference]: the same value, or the same [Parse_error] message, on
+   every input. Floats compare by their bits. *)
+let decode parse s =
+  match parse s with
+  | v -> Ok v
+  | exception Support.Json.Parse_error msg -> Error ("Parse_error: " ^ msg)
+  | exception e -> Error ("raised " ^ Printexc.to_string e)
+
+let rec same_json (a : Support.Json.t) (b : Support.Json.t) =
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List xs, List ys -> List.equal same_json xs ys
+  | Obj xs, Obj ys ->
+    List.equal (fun (k, v) (k', v') -> String.equal k k' && same_json v v') xs ys
+  | (Null | Bool _ | Int _ | String _), _ -> a = b
+  | (Float _ | List _ | Obj _), _ -> false
+
+let agrees s =
+  match (decode Support.Json.of_string s, decode Reference.json_of_string s) with
+  | Ok a, Ok b -> same_json a b
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
+let check_agrees s =
+  if not (agrees s) then
+    let show = function
+      | Ok v -> "value " ^ Support.Json.to_string v
+      | Error m -> m
+    in
+    Alcotest.failf "%S: decoder gives %s, baseline %s" s
+      (show (decode Support.Json.of_string s))
+      (show (decode Reference.json_of_string s))
+
+let prop_json_matches_baseline =
+  let scalar =
+    QCheck.Gen.(
+      oneof
+        [ json_gen;
+          map (fun i -> Support.Json.Int i) int;
+          map (fun f -> Support.Json.Float f) float ])
+  in
+  QCheck.Test.make ~name:"json: decoder = baseline on printed values"
+    ~count:500
+    (QCheck.make ~print:Support.Json.to_string
+       QCheck.Gen.(
+         oneof [ json_gen; map (fun l -> Support.Json.List l) (list_size (int_bound 8) scalar) ]))
+    (fun v -> agrees (Support.Json.to_string v))
+
+(* Byte-level mutants of the daemon's real request lines: a byte
+   replaced (by a JSON-significant character or any byte), deleted or
+   duplicated, or the line cut short — one to three edits each. *)
+let test_json_mutants () =
+  let rpc meth params =
+    Support.Json.(
+      to_string
+        (Obj
+           [ ("jsonrpc", String "2.0"); ("id", Int 17); ("method", String meth);
+             ("params", Obj params) ]))
+  in
+  let lines =
+    [ rpc "alias"
+        Support.Json.
+          [ ("doc", String "scale"); ("oracle", String "SMFieldTypeRefs");
+            ( "pairs",
+              List
+                (List.init 12 (fun i -> List [ Int (i * 37 mod 528); Int (i * 101 mod 528) ])) ) ];
+      rpc "change"
+        Support.Json.
+          [ ("name", String "scale");
+            ( "edits",
+              List
+                [ Obj
+                    [ ("start", Int 4120); ("end", Int 4121);
+                      ("text", String "    g7 := NEW (T7);\n\t\"q\"\\ \001") ] ] ) ];
+      rpc "alias" Support.Json.[ ("doc", String "d"); ("deadline_ms", Float 2.5) ] ]
+  in
+  let significant = "{}[],:\"\\ -+.eE0123456789tfnu" in
+  let rng = Random.State.make [| 0x15; 0x0DE |] in
+  let mutate line =
+    let b = Buffer.create (String.length line) in
+    let n = String.length line in
+    let at = Random.State.int rng n in
+    (match Random.State.int rng 5 with
+    | 0 | 1 ->
+      let c =
+        if Random.State.bool rng then
+          significant.[Random.State.int rng (String.length significant)]
+        else Char.chr (Random.State.int rng 256)
+      in
+      Buffer.add_string b (String.sub line 0 at);
+      Buffer.add_char b c;
+      Buffer.add_string b (String.sub line (at + 1) (n - at - 1))
+    | 2 ->
+      Buffer.add_string b (String.sub line 0 at);
+      Buffer.add_string b (String.sub line (at + 1) (n - at - 1))
+    | 3 ->
+      Buffer.add_string b (String.sub line 0 (at + 1));
+      Buffer.add_string b (String.sub line at (n - at))
+    | _ -> Buffer.add_string b (String.sub line 0 at));
+    Buffer.contents b
+  in
+  List.iter check_agrees lines;
+  for _ = 1 to 4000 do
+    let line = List.nth lines (Random.State.int rng (List.length lines)) in
+    let rec go k line = if k = 0 || line = "" then line else go (k - 1) (mutate line) in
+    check_agrees (go (1 + Random.State.int rng 3) line)
+  done
+
+let test_json_number_edges () =
+  let nines k = String.make k '9' in
+  let numbers =
+    [ "-"; "1-2"; "007"; "-0"; "+5"; "1e5"; "0"; "-7"; "--1"; "1."; ".5";
+      "1e"; "1.5e-3"; "1E400"; "-1e400"; nines 18; "-" ^ nines 18; nines 19;
+      "-" ^ nines 19; nines 20; "-" ^ nines 20; "1" ^ String.make 17 '0';
+      "1" ^ String.make 18 '0'; "00000000000000000000001";
+      string_of_int max_int; string_of_int min_int;
+      "4611686018427387904"; "-4611686018427387905";
+      "4611686018427387902"; "-4611686018427387903" ]
+  in
+  List.iter
+    (fun t ->
+      List.iter check_agrees
+        [ t; "[" ^ t ^ "]"; "[" ^ t ^ ",1]"; "{\"a\":" ^ t ^ "}"; " " ^ t ^ " ";
+          t ^ "x"; "[" ^ t ^ "]]" ])
+    numbers
+
 (* ------------------------------------------------------------------ *)
 (* Domain_pool edge cases                                              *)
 (* ------------------------------------------------------------------ *)
@@ -383,7 +510,13 @@ let () =
           Alcotest.test_case "exception-free parse" `Quick
             test_json_parse_result;
           QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
-            prop_json_roundtrip_fixpoint ] );
+            prop_json_roundtrip_fixpoint;
+          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
+            prop_json_matches_baseline;
+          Alcotest.test_case "decoder = baseline on mutated requests" `Quick
+            test_json_mutants;
+          Alcotest.test_case "decoder = baseline on number edges" `Quick
+            test_json_number_edges ] );
       ( "domain_pool",
         [ Alcotest.test_case "size-one pool" `Quick test_domain_pool_size_one;
           Alcotest.test_case "exception propagation" `Quick
