@@ -84,7 +84,8 @@ let instr_count proc =
    proc list itself, each proc's entry/locals and per-block instruction
    lists and terminators, and the variable-id counter. Blocks appended
    by the failed pass are dropped by truncating the block Vec; block ids
-   are dense indices, so truncation restores the old id space exactly. *)
+   are dense indices, so truncation restores the old id space exactly.
+   A procedure left with fewer blocks than it had is grown back. *)
 
 type proc_snapshot = {
   ps_proc : proc;
@@ -124,6 +125,9 @@ let restore program sn =
       let p = ps.ps_proc in
       p.pr_entry <- ps.ps_entry;
       p.pr_locals <- ps.ps_locals;
+      while n_blocks p < ps.ps_n_blocks do
+        ignore (new_block p (Instr.Treturn None))
+      done;
       Vec.truncate p.pr_blocks ps.ps_n_blocks;
       Array.iteri
         (fun i (instrs, term) ->

@@ -65,8 +65,9 @@ val snapshot : program -> snapshot
 
 val restore : program -> snapshot -> unit
 (** Roll the program back to a previously captured {!snapshot}. Blocks
-    appended since the snapshot are dropped; instruction lists and
-    terminators revert to their captured values. *)
+    appended since the snapshot are dropped, blocks dropped since are
+    re-created; instruction lists and terminators revert to their
+    captured values. *)
 
 val iter_instrs : proc -> (block -> Instr.t -> unit) -> unit
 

@@ -7,7 +7,6 @@ type binding =
 
 type state = {
   program : Cfg.program;
-  tast : Tast.program;
   proc : Cfg.proc;
   mutable cur : Cfg.block;
   mutable cur_rev : Instr.t list;  (* instructions of [cur], reversed *)
@@ -306,7 +305,7 @@ and lower_if st branches else_ =
 (* Procedures and programs                                             *)
 (* ------------------------------------------------------------------ *)
 
-let lower_proc program tast globals (tp : Tast.proc) : Cfg.proc =
+let lower_proc_into program globals (tp : Tast.proc) : Cfg.proc =
   let params =
     List.map
       (fun (name, mode, ty) ->
@@ -323,7 +322,7 @@ let lower_proc program tast globals (tp : Tast.proc) : Cfg.proc =
   in
   let entry = Cfg.new_block proc (Instr.Treturn None) in
   let st =
-    { program; tast; proc; cur = entry; cur_rev = []; env = Ident.Map.empty;
+    { program; proc; cur = entry; cur_rev = []; env = Ident.Map.empty;
       exit_stack = []; globals }
   in
   (* By-reference formals hold addresses: every use goes through an
@@ -361,8 +360,15 @@ let lower_proc program tast globals (tp : Tast.proc) : Cfg.proc =
   st.cur.Cfg.b_instrs <- List.rev st.cur_rev;
   proc
 
-let lower_program (tast : Tast.program) : Cfg.program =
+type layout = {
+  globals : Reg.var Ident.Tbl.t;
+  ranges : (int * int) Ident.Tbl.t;
+      (* per procedure, the variable ids its lowering allocated *)
+}
+
+let lower_program_layout (tast : Tast.program) =
   let globals = Ident.Tbl.create 32 in
+  let ranges = Ident.Tbl.create 32 in
   let program =
     { Cfg.tenv = tast.Tast.tenv; prog_globals = []; prog_procs = [];
       prog_main = tast.Tast.main_name; next_var_id = 0 }
@@ -376,7 +382,16 @@ let lower_program (tast : Tast.program) : Cfg.program =
       tast.Tast.globals
   in
   let program = { program with Cfg.prog_globals = global_vars } in
-  let procs = List.map (lower_proc program tast globals) tast.Tast.procs in
+  let procs =
+    List.map
+      (fun (tp : Tast.proc) ->
+        let first = program.Cfg.next_var_id in
+        let proc = lower_proc_into program globals tp in
+        Ident.Tbl.replace ranges tp.Tast.p_name
+          (first, program.Cfg.next_var_id);
+        proc)
+      tast.Tast.procs
+  in
   program.Cfg.prog_procs <- procs;
   (* Prepend global initializers to main. *)
   let main = Cfg.find_proc program tast.Tast.main_name in
@@ -390,7 +405,7 @@ let lower_program (tast : Tast.program) : Cfg.program =
     (* Build an init block that runs before the old entry. *)
     let init_block = Cfg.new_block main (Instr.Tjump main.Cfg.pr_entry) in
     let st =
-      { program; tast; proc = main; cur = init_block; cur_rev = [];
+      { program; proc = main; cur = init_block; cur_rev = [];
         env = Ident.Map.empty; exit_stack = []; globals }
     in
     List.iter
@@ -403,7 +418,19 @@ let lower_program (tast : Tast.program) : Cfg.program =
     st.cur.Cfg.b_instrs <- List.rev st.cur_rev;
     main.Cfg.pr_entry <- init_block.Cfg.b_id
   end;
-  program
+  (program, { globals; ranges })
+
+let lower_program tast = fst (lower_program_layout tast)
+
+(* The procedure is lowered against a copy of the program record whose
+   id counter starts where the old lowering's did. *)
+let lower_proc program layout (tp : Tast.proc) =
+  match Ident.Tbl.find_opt layout.ranges tp.Tast.p_name with
+  | None -> None
+  | Some (first, stop) ->
+    let scratch = { program with Cfg.next_var_id = first } in
+    let proc = lower_proc_into scratch layout.globals tp in
+    if scratch.Cfg.next_var_id = stop then Some proc else None
 
 let lower_string ?(file = "<string>") src =
   lower_program (Typecheck.check_string ~file src)

@@ -17,5 +17,19 @@
 
 val lower_program : Minim3.Tast.program -> Cfg.program
 
+type layout
+(** What {!lower_proc} needs from a program's lowering: its global
+    variables by name and the variable ids each procedure was given. *)
+
+val lower_program_layout : Minim3.Tast.program -> Cfg.program * layout
+(** {!lower_program}, also returning the layout. *)
+
+val lower_proc : Cfg.program -> layout -> Minim3.Tast.proc -> Cfg.proc option
+(** [lower_proc program layout tp] lowers a new version of one of
+    [program]'s procedures (matched by name) into the variable ids the
+    old version was given, so it is the procedure {!lower_program} would
+    produce for the edited module. [None] when the new version needs a
+    different number of ids. [program] is not changed. *)
+
 val lower_string : ?file:string -> string -> Cfg.program
 (** Parse, check, lower. *)

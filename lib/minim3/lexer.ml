@@ -14,14 +14,23 @@ type t = {
   mutable line : int;
   mutable bol : int;  (* offset of the start of the current line *)
   mutable tok_loc : Loc.t;  (* where the token [next] last returned starts *)
+  mutable tok_pos : int;  (* the offset of that token *)
   mutable finished : bool;  (* [next] returned [EOF] or raised *)
 }
 
-let create ~file src =
-  { file; src; len = String.length src; pos = 0; line = 1; bol = 0;
-    tok_loc = Loc.dummy; finished = false }
+let create_at ~file src ~pos ~line =
+  let bol =
+    match String.rindex_from_opt src (pos - 1) '\n' with
+    | Some i -> i + 1
+    | None -> 0
+  in
+  { file; src; len = String.length src; pos; line; bol; tok_loc = Loc.dummy;
+    tok_pos = pos; finished = false }
+
+let create ~file src = create_at ~file src ~pos:0 ~line:1
 
 let last_loc t = t.tok_loc
+let last_offset t = t.tok_pos
 
 let loc t = Loc.make ~file:t.file ~line:t.line ~col:(t.pos - t.bol + 1)
 
@@ -202,6 +211,7 @@ let next t =
   let p = t.pos in
   let l = loc t in
   t.tok_loc <- l;
+  t.tok_pos <- p;
   if p >= t.len then begin
     t.finished <- true;
     Token.EOF

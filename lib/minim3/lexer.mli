@@ -15,12 +15,20 @@ val create : file:string -> string -> t
 (** [create ~file source] positions the lexer at the start of [source];
     [file] is used in diagnostics only. *)
 
+val create_at : file:string -> string -> pos:int -> line:int -> t
+(** [create_at ~file source ~pos ~line] positions the lexer at byte [pos]
+    of [source], taking that byte to be on line [line] (columns count from
+    the newline before it). [create] is [create_at ~pos:0 ~line:1]. *)
+
 val next : t -> Token.t
 (** The next token. Returns [EOF] indefinitely at end of input. Raises
     {!Support.Diag.Compile_error} on malformed input. *)
 
 val last_loc : t -> Support.Loc.t
 (** Where the token {!next} last returned starts. *)
+
+val last_offset : t -> int
+(** The byte offset of that token. *)
 
 val finish : t -> unit
 (** Lex the rest of the input, raising its first error, unless {!next} has

@@ -6,9 +6,11 @@ type state = {
   lex : Lexer.t;
   mutable tok : Token.t;
   mutable loc : Loc.t;
+  mutable off : int;  (* byte offset of [tok] *)
   mutable peeked : bool;  (* [next_tok]/[next_loc] hold the following token *)
   mutable next_tok : Token.t;
   mutable next_loc : Loc.t;
+  mutable next_off : int;
   mutable depth : int;  (* open [nested] frames *)
 }
 
@@ -19,6 +21,7 @@ let lookahead st =
   if not st.peeked then begin
     st.next_tok <- Lexer.next st.lex;
     st.next_loc <- Lexer.last_loc st.lex;
+    st.next_off <- Lexer.last_offset st.lex;
     st.peeked <- true
   end;
   st.next_tok
@@ -29,11 +32,13 @@ let advance st =
   if st.peeked then begin
     st.tok <- st.next_tok;
     st.loc <- st.next_loc;
+    st.off <- st.next_off;
     st.peeked <- false
   end
   else begin
     st.tok <- Lexer.next st.lex;
-    st.loc <- Lexer.last_loc st.lex
+    st.loc <- Lexer.last_loc st.lex;
+    st.off <- Lexer.last_offset st.lex
   end
 
 (* Recursion depth bound: nesting deeper than this in expressions,
@@ -591,7 +596,9 @@ let parse_type_decls st =
   in
   go []
 
-let parse_proc st : Ast.proc_decl =
+(* A procedure declaration up to its closing ';', which is left current:
+   the caller decides whether to read past it. *)
+let parse_proc_to_semi st : Ast.proc_decl =
   let loc = current_loc st in
   expect st Token.PROCEDURE;
   let name = expect_ident st in
@@ -609,11 +616,15 @@ let parse_proc st : Ast.proc_decl =
   if not (Ident.equal end_name name) then
     Diag.errorf_at (current_loc st) "procedure ends with '%s', expected '%s'"
       (Ident.name end_name) (Ident.name name);
-  expect st Token.SEMI;
+  if not (Token.equal (current st) Token.SEMI) then
+    error st "expected '%s'" (Token.to_string Token.SEMI);
   { Ast.pr_name = name; pr_params = params; pr_ret = ret; pr_consts = consts;
     pr_locals = locals; pr_body = body; pr_loc = loc }
 
-let parse_module_state st : Ast.module_ =
+type span = { sp_start : int; sp_stop : int; sp_line : int }
+
+let parse_module_state st =
+  let spans = ref [] in
   let loc = current_loc st in
   expect st Token.MODULE;
   let name = expect_ident st in
@@ -633,7 +644,13 @@ let parse_module_state st : Ast.module_ =
       advance st;
       let vs = parse_var_decls st in
       decls (List.rev_append (List.map (fun v -> Ast.Dvar v) vs) acc)
-    | Token.PROCEDURE -> decls (Ast.Dproc (parse_proc st) :: acc)
+    | Token.PROCEDURE ->
+      let start = st.off and line = st.loc.Loc.line in
+      let p = parse_proc_to_semi st in
+      spans :=
+        { sp_start = start; sp_stop = st.off + 1; sp_line = line } :: !spans;
+      advance st;
+      decls (Ast.Dproc p :: acc)
     | _ -> List.rev acc
   in
   let ds = decls [] in
@@ -647,21 +664,21 @@ let parse_module_state st : Ast.module_ =
     Diag.errorf_at (current_loc st) "module ends with '%s', expected '%s'"
       (Ident.name end_name) (Ident.name name);
   expect st Token.DOT;
-  { Ast.mod_name = name; mod_decls = ds; mod_body = body; mod_loc = loc }
+  ( { Ast.mod_name = name; mod_decls = ds; mod_body = body; mod_loc = loc },
+    Array.of_list (List.rev !spans) )
 
 (* Lexing stays ahead of parsing by at most one token, but the outcome is
    that of lexing the whole input first: however [parse] ends, the rest of
    the input is lexed, and a lexical error there replaces the result. *)
+let start lex =
+  let tok = Lexer.next lex in
+  { lex; tok; loc = Lexer.last_loc lex; off = Lexer.last_offset lex;
+    peeked = false; next_tok = Token.EOF; next_loc = Loc.dummy; next_off = 0;
+    depth = 0 }
+
 let run ~file src parse =
   let lex = Lexer.create ~file src in
-  match
-    let tok = Lexer.next lex in
-    let st =
-      { lex; tok; loc = Lexer.last_loc lex; peeked = false; next_tok = Token.EOF;
-        next_loc = Loc.dummy; depth = 0 }
-    in
-    parse st
-  with
+  match parse (start lex) with
   | r ->
     Lexer.finish lex;
     r
@@ -669,7 +686,15 @@ let run ~file src parse =
     Lexer.finish lex;
     raise e
 
-let parse_module ~file src = run ~file src parse_module_state
+let parse_module_spans ~file src = run ~file src parse_module_state
+let parse_module ~file src = fst (parse_module_spans ~file src)
+
+(* Nothing past the closing ';' is lexed: the caller knows the rest of
+   the text, and a declaration that ends where it should is enough. *)
+let parse_proc_at ~file src ~pos ~line =
+  let st = start (Lexer.create_at ~file src ~pos ~line) in
+  let p = parse_proc_to_semi st in
+  (p, st.off + 1)
 
 let parse_expr_string src =
   run ~file:"<expr>" src (fun st ->

@@ -29,9 +29,28 @@ type ctx = {
   recover : Diag.collector option;
       (* when set, statement- and declaration-level errors are recorded
          here and checking continues past them *)
+  limit : Types.tid;
+      (* [max_int], or the type count a procedure's first check started
+         at: a re-check may then neither allocate a type nor use one
+         allocated at or past [limit] (see [check_proc]) *)
 }
 
+(* Raised, instead of touching the type environment, by a check under a
+   [limit] that would allocate a type or use a later one. *)
+exception Off_limits
+
 let err loc fmt = Diag.errorf_at loc fmt
+
+let allocating ctx = if ctx.limit < max_int then raise Off_limits
+
+let within ctx tid = if tid < ctx.limit then tid else raise Off_limits
+
+let intern ctx d =
+  if ctx.limit = max_int then Types.intern ctx.env d
+  else
+    match Types.find ctx.env d with
+    | Some tid -> within ctx tid
+    | None -> raise Off_limits
 
 (* Recovery boundary: without a collector this is transparent; with one,
    a [Compile_error] from [f] is recorded, the scope is rolled back to
@@ -56,8 +75,9 @@ let pp_ty ctx t = Types.to_string ctx.env t
 
 let rec resolve_name ctx name loc : Types.tid =
   match Ident.Tbl.find_opt ctx.type_table name with
-  | Some tid -> tid
+  | Some tid -> within ctx tid
   | None -> (
+    allocating ctx;
     match Ident.Tbl.find_opt ctx.el.decl_map name with
     | None -> err loc "unknown type '%a'" Ident.pp name
     | Some (te, dloc) -> (
@@ -94,15 +114,16 @@ and elab_ty ctx (te : Ast.ty_expr) : Types.tid =
   | Ast.Troot -> Types.tid_root
   | Ast.Tname n -> resolve_name ctx n te.Ast.t_loc
   | Ast.Tarray (len, elem) ->
-    Types.intern ctx.env (Types.Darray (len, elab_ty ctx elem))
+    intern ctx (Types.Darray (len, elab_ty ctx elem))
   | Ast.Trecord fields ->
     let fields = elab_fields ctx fields in
-    Types.intern ctx.env (Types.Drecord fields)
+    intern ctx (Types.Drecord fields)
   | Ast.Tref (brand, target) ->
     (* Anonymous REF type expression: hash-consed structurally. *)
-    Types.intern ctx.env (Types.Dref { target = elab_ty ctx target; brand })
+    intern ctx (Types.Dref { target = elab_ty ctx target; brand })
   | Ast.Tobject od ->
     (* Anonymous object type: nominal with a synthesized name. *)
+    allocating ctx;
     let name = Ident.fresh "Object" in
     let tid = Types.reserve_object ctx.env ~name in
     patch_object_decl ctx tid od te.Ast.t_loc;
@@ -580,8 +601,17 @@ and check_stmt ctx ~ret ~in_loop (s : Ast.stmt) : Tast.stmt =
 (* Declarations                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_proc ctx (p : Ast.proc_decl) psig : Tast.proc =
+(* Local constants are bound in the shared constant table for the
+   body's duration: they are unbound however the check ends, so a failed
+   re-check leaves the module context as it found it. *)
+let check_body ctx (p : Ast.proc_decl) psig : Tast.proc =
   let saved_scope = ctx.scope in
+  let bound = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (Ident.Tbl.remove ctx.consts) !bound;
+      ctx.scope <- saved_scope)
+  @@ fun () ->
   (* Parameters. *)
   List.iter
     (fun (name, mode, ty) ->
@@ -590,16 +620,13 @@ let check_proc ctx (p : Ast.proc_decl) psig : Tast.proc =
       let vr = { Tast.vr_name = name; vr_kind = Tast.Kparam mode; vr_ty = ty } in
       ctx.scope <- (name, { se_var = vr; se_readonly = false }) :: ctx.scope)
     psig.sig_params;
-  (* Local constants shadow nothing global permanently: record and remove. *)
-  let local_consts =
-    List.filter_map
-      (fun (c : Ast.const_decl) ->
-        attempt ctx ~fallback:None (fun () ->
-            let v = eval_const ctx c.Ast.c_value in
-            Ident.Tbl.add ctx.consts c.Ast.c_name v;
-            Some c.Ast.c_name))
-      p.Ast.pr_consts
-  in
+  List.iter
+    (fun (c : Ast.const_decl) ->
+      attempt ctx ~fallback:() (fun () ->
+          let v = eval_const ctx c.Ast.c_value in
+          Ident.Tbl.add ctx.consts c.Ast.c_name v;
+          bound := c.Ast.c_name :: !bound))
+    p.Ast.pr_consts;
   (* Locals. *)
   let elab_local (v : Ast.var_decl) =
     match Ident.Tbl.find_opt ctx.type_table v.Ast.v_name with
@@ -643,8 +670,6 @@ let check_proc ctx (p : Ast.proc_decl) psig : Tast.proc =
       locals
   in
   let body = check_stmts ctx ~ret:psig.sig_ret ~in_loop:false p.Ast.pr_body in
-  List.iter (fun n -> Ident.Tbl.remove ctx.consts n) local_consts;
-  ctx.scope <- saved_scope;
   { Tast.p_name = p.Ast.pr_name; p_params = psig.sig_params;
     p_ret = psig.sig_ret; p_locals = locals; p_body = body;
     p_loc = p.Ast.pr_loc }
@@ -702,14 +727,16 @@ let check_method_impls ctx =
 (* Module                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let check_module_with ?recover (m : Ast.module_) : Tast.program =
+(* Returns the program, the module-level context the check ended with
+   and, per procedure, the type count before and after its body check. *)
+let check_module_with ?recover (m : Ast.module_) =
   let env = Types.create () in
   let ctx =
     { env; type_table = Ident.Tbl.create 64; consts = Ident.Tbl.create 16;
       globals = Ident.Tbl.create 32; proc_sigs = Ident.Tbl.create 32;
       el = { decl_map = Ident.Tbl.create 64; in_progress = Ident.Set.empty;
              pending = [] };
-      scope = []; recover }
+      scope = []; recover; limit = max_int }
   in
   let el = ctx.el in
   (* Register type declarations. *)
@@ -820,13 +847,19 @@ let check_module_with ?recover (m : Ast.module_) : Tast.program =
       global_decls
   in
   (* Procedure bodies. *)
+  let marks = Ident.Tbl.create 32 in
   let procs =
     List.filter_map
       (fun (p : Ast.proc_decl) ->
         match Ident.Tbl.find_opt ctx.proc_sigs p.Ast.pr_name with
         | None -> None  (* signature already failed under recovery *)
         | Some psig ->
-          attempt ctx ~fallback:None (fun () -> Some (check_proc ctx p psig)))
+          let before = Types.count env in
+          let tp =
+            attempt ctx ~fallback:None (fun () -> Some (check_body ctx p psig))
+          in
+          Ident.Tbl.replace marks p.Ast.pr_name (before, Types.count env);
+          tp)
       proc_decls
   in
   (* Module body becomes the synthesized main procedure. *)
@@ -835,16 +868,61 @@ let check_module_with ?recover (m : Ast.module_) : Tast.program =
     { Tast.p_name = Tast.main_ident; p_params = []; p_ret = None;
       p_locals = []; p_body = main_body; p_loc = m.Ast.mod_loc }
   in
-  { Tast.module_name = m.Ast.mod_name; tenv = env; type_names; globals;
-    procs = procs @ [ main ]; main_name = Tast.main_ident }
+  ( { Tast.module_name = m.Ast.mod_name; tenv = env; type_names; globals;
+      procs = procs @ [ main ]; main_name = Tast.main_ident },
+    ctx, marks )
 
-let check_module m = check_module_with m
+let check_module m =
+  let p, _, _ = check_module_with m in
+  p
 
-let check_module_all m =
+type context = { cx : ctx; marks : (int * int) Ident.Tbl.t }
+
+let check_module_context m =
   let c = Diag.collector () in
   match check_module_with ~recover:c m with
-  | p -> if Diag.has_errors c then Error (Diag.diags c) else Ok p
+  | p, cx, marks ->
+    if Diag.has_errors c then Error (Diag.diags c) else Ok (p, { cx; marks })
   | exception Diag.Compile_error d -> Error (Diag.diags c @ [ d ])
+
+let check_module_all m = Result.map fst (check_module_context m)
+
+let same_sig a b =
+  List.equal
+    (fun (n, m, t) (n', m', t') -> Ident.equal n n' && m = m' && t = t')
+    a.sig_params b.sig_params
+  && Option.equal Int.equal a.sig_ret b.sig_ret
+
+(* The re-check runs where the first check of the body ran: under the
+   type count it started at, with a scope of its own and no recovery. A
+   body whose first check allocated types is not re-checked at all: the
+   new body might not allocate them, and the types after it would then
+   be numbered differently. *)
+let check_proc { cx; marks } (p : Ast.proc_decl) =
+  match
+    ( Ident.Tbl.find_opt cx.proc_sigs p.Ast.pr_name,
+      Ident.Tbl.find_opt marks p.Ast.pr_name )
+  with
+  | None, _ | _, None -> Error "no procedure of that name was checked"
+  | Some _, Some (before, after) when after > before ->
+    Error "its first check allocated types"
+  | Some psig, Some (limit, _) -> (
+    let ctx = { cx with scope = []; recover = None; limit } in
+    match
+      let header =
+        { sig_params =
+            List.map
+              (fun (pd : Ast.param_decl) ->
+                (pd.Ast.p_name, pd.Ast.p_mode, elab_ty ctx pd.Ast.p_ty))
+              p.Ast.pr_params;
+          sig_ret = Option.map (elab_ty ctx) p.Ast.pr_ret }
+      in
+      if same_sig header psig then Ok (check_body ctx p psig)
+      else Error "the header changed"
+    with
+    | r -> r
+    | exception Diag.Compile_error d -> Error (Diag.to_string d)
+    | exception Off_limits -> Error "the check would allocate a type")
 
 let check_string ?(file = "<string>") src =
   check_module (Parser.parse_module ~file src)

@@ -19,6 +19,27 @@
 val check_module : Ast.module_ -> Tast.program
 (** Stops at the first error. *)
 
+type context
+(** What a successful {!check_module_context} ends with: the module's
+    types, constants, globals and procedure signatures, and for each
+    procedure the type count its body check started at and whether that
+    check allocated types. *)
+
+val check_module_context :
+  Ast.module_ -> (Tast.program * context, Support.Diag.t list) result
+(** {!check_module_all}, also returning the context for {!check_proc}. *)
+
+val check_proc : context -> Ast.proc_decl -> (Tast.proc, string) result
+(** Re-check a new declaration of one of the context's procedures, as
+    the module check would check it in place of the old one. [Ok] only
+    if its header elaborates to the old signature, its body checks with
+    no diagnostic, and the check neither allocates a type nor uses one
+    allocated after the old body's check began; nor is it tried when
+    the old body's check allocated types. Under these conditions the
+    module check of the edited module yields the same type environment
+    and, for this procedure, the same typed procedure. [Error] says
+    which condition failed. Leaves the context as it was. *)
+
 val check_string : ?file:string -> string -> Tast.program
 (** Parse then check. *)
 

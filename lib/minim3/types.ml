@@ -129,6 +129,8 @@ let intern env d =
     Hashtbl.add env.cons key tid;
     tid
 
+let find env d = Hashtbl.find_opt env.cons (key_of_desc d)
+
 let new_object env ~name ~super ~brand ~fields ~methods ~overrides =
   (match super with
   | Some s -> (

@@ -65,6 +65,10 @@ val intern : env -> desc -> tid
     {!new_object} instead (raises {!Support.Diag.Compile_error}
     otherwise). *)
 
+val find : env -> desc -> tid option
+(** The tid {!intern} would return for a structural type, if it already
+    exists; allocates nothing. *)
+
 val new_object :
   env ->
   name:Ident.t ->

@@ -12,6 +12,8 @@ type report = {
   workers : int;
   cancelled : int;
   partial_edits : int;
+  body_edits : int;
+  fast_edits : int;
   violations : string list;
 }
 
@@ -27,6 +29,8 @@ let report_json r =
       ("workers", Json.Int r.workers);
       ("cancelled", Json.Int r.cancelled);
       ("partial_edits", Json.Int r.partial_edits);
+      ("body_edits", Json.Int r.body_edits);
+      ("fast_edits", Json.Int r.fast_edits);
       ( "violations",
         Json.List (List.map (fun v -> Json.String v) r.violations) ) ]
 
@@ -56,6 +60,8 @@ type state = {
   mutable n_checked : int;
   mutable n_recovered : int;
   mutable n_edits : int;  (* successful partial-edit rebuilds *)
+  mutable n_body_edits : int;  (* of those, body-local digit edits *)
+  mutable n_fast : int;  (* of those, the ones the store re-read alone *)
   mutable viol : string list;
 }
 
@@ -499,19 +505,8 @@ let op_close st =
    two sequential edits to exercise LSP splice semantics (the second
    edit's offsets address the text the first already produced). *)
 let edits_for st old_s new_s =
-  let lo = String.length old_s and ln = String.length new_s in
-  let p = ref 0 in
-  while !p < lo && !p < ln && old_s.[!p] = new_s.[!p] do
-    incr p
-  done;
-  let s = ref 0 in
-  while
-    !s < lo - !p && !s < ln - !p && old_s.[lo - 1 - !s] = new_s.[ln - 1 - !s]
-  do
-    incr s
-  done;
-  let start = !p and stop = lo - !s in
-  let text = String.sub new_s !p (ln - !s - !p) in
+  let start, stop, new_stop = Store.changed_range old_s new_s in
+  let text = String.sub new_s start (new_stop - start) in
   if String.length text > 1 && Prng.int st.rng 10 < 3 then begin
     let k = String.length text / 2 in
     [ (start, stop, String.sub text 0 k);
@@ -559,6 +554,77 @@ let op_partial_edit st =
        (invalid_params), the build crash-injected (document_error), or
        accepted — only the accepted case advances the model. *)
     record_change st m target resp
+
+(* The offset of a random digit of an integer literal inside a procedure
+   body (between its BEGIN and its closing ';') of [source], if any. *)
+let body_digit st source =
+  match Minim3.Parser.parse_module_spans ~file:"chaos" source with
+  | exception Diag.Compile_error _ -> None
+  | _, spans ->
+    let word c =
+      match c with
+      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+      | _ -> false
+    in
+    let digit c = c >= '0' && c <= '9' in
+    let found = ref [] in
+    Array.iter
+      (fun (sp : Minim3.Parser.span) ->
+        let body = ref sp.sp_start in
+        while
+          !body + 5 <= sp.sp_stop && String.sub source !body 5 <> "BEGIN"
+        do
+          incr body
+        done;
+        for i = !body to sp.sp_stop - 1 do
+          if digit source.[i] && not (word source.[i - 1]) then
+            found := i :: !found
+        done)
+      spans;
+    if !found = [] then None else Some (Prng.pick st.rng !found)
+
+let fast_edits st name =
+  Store.with_doc_read (Dispatch.store st.srv) name (function
+    | Some d -> Store.edits_fast d
+    | None -> 0)
+
+(* A body-local edit: one digit of a literal inside a procedure body,
+   which the store should re-read alone. A third of them go through the
+   worker pool and are cancelled at once, so the fast path also runs
+   under cancellation; the fresh-reference checks then pin whichever
+   source won. *)
+let op_body_edit st =
+  let name = Prng.pick st.rng doc_pool in
+  match model_for st name with
+  | None -> ()
+  | Some m -> (
+    let source = m.md_good_source in
+    match body_digit st source with
+    | None -> ()
+    | Some at ->
+      let d =
+        (Char.code source.[at] - Char.code '0' + 1 + Prng.int st.rng 9) mod 10
+      in
+      let edits = [ (at, at + 1, string_of_int d) ] in
+      let target = Result.get_ok (Store.splice ~source ~edits) in
+      let before = fast_edits st name in
+      let resp =
+        if Prng.int st.rng 3 = 0 then begin
+          let id = st.n_ops in
+          let fut = send_async st ~client:"bx" (change_req st name edits) in
+          let cfut =
+            send_async st ~client:"bx" (req st "cancel" [ ("id", Json.Int id) ])
+          in
+          ignore (await st cfut);
+          await st fut
+        end
+        else send st (change_req st name edits)
+      in
+      if result_member resp "memrefs" <> None then begin
+        record_change st m target resp;
+        st.n_body_edits <- st.n_body_edits + 1;
+        st.n_fast <- st.n_fast + (fast_edits st name - before)
+      end)
 
 (* Fire a long slow-injected alias batch on its own client, then cancel
    it by id. Either the cancel wins (structured Cancelled rejection with
@@ -766,7 +832,7 @@ let run ?(workers = 0) ~seed ~ops () =
       docs = Hashtbl.create 8; refs = Hashtbl.create 8;
       ref_paths = Hashtbl.create 8; n_ops = 0; n_ok = 0; n_err = 0;
       code_counts = Hashtbl.create 8; n_checked = 0; n_recovered = 0;
-      n_edits = 0; viol = [] }
+      n_edits = 0; n_body_edits = 0; n_fast = 0; viol = [] }
   in
   (* Seed one document so query ops have a target from the start. *)
   op_good_update st;
@@ -775,7 +841,8 @@ let run ?(workers = 0) ~seed ~ops () =
       (2, op_bad_envelope); (1, op_unknown_method); (10, op_alias_check);
       (2, op_alias_oob); (1, op_oversized); (1, op_deadline);
       (2, op_modref); (2, op_health); (1, op_batch); (1, op_close);
-      (3, op_partial_edit); (1, op_cancel_storm); (1, op_interleaved) ]
+      (3, op_partial_edit); (3, op_body_edit); (1, op_cancel_storm);
+      (1, op_interleaved) ]
   in
   let total = List.fold_left (fun a (w, _) -> a + w) 0 weighted in
   let pick_op n =
@@ -796,6 +863,8 @@ let run ?(workers = 0) ~seed ~ops () =
     ("slowpoke" :: "cancelme" :: doc_pool);
   cpu_burn_check st;
   recovery_sweep st;
+  if st.n_body_edits > 0 && st.n_fast = 0 then
+    violate st "%d body-local edits, none re-read alone" st.n_body_edits;
   let pool_workers = Dispatch.workers st.srv in
   Dispatch.stop st.srv;
   { ops = st.n_ops; oks = st.n_ok; errors = st.n_err;
@@ -807,5 +876,6 @@ let run ?(workers = 0) ~seed ~ops () =
     cancelled =
       Option.value ~default:0
         (Hashtbl.find_opt st.code_counts (Rpc.code_name Rpc.Cancelled));
-    partial_edits = st.n_edits;
+    partial_edits = st.n_edits; body_edits = st.n_body_edits;
+    fast_edits = st.n_fast;
     violations = List.rev st.viol }

@@ -23,7 +23,9 @@
       crashing, or quarantined.
     - {b Partial edits}: a [change] request with ranged edits must leave
       the document answering exactly like a whole-source [update] to the
-      same target text.
+      same target text. Body-local edits (one digit inside a procedure
+      body, some of them cancelled at once) drive the store's fast path,
+      which must be taken at least once when any was accepted.
     - {b Cancellation}: a cancel storm against in-flight slow queries
       must only ever produce full answers or structured [Cancelled]
       rejections with a partial [completed] count, and the target
@@ -32,8 +34,10 @@
       CPU (asserted by comparing process CPU time to wall time across a
       batch of slow queries).
 
-    Fully deterministic for a given [workers] count: the same
-    (workers, seed, ops) replays the same storm. *)
+    Deterministic for a given [workers] count: the same (workers, seed,
+    ops) replays the same storm, except that with [workers > 0] whether a
+    cancel beats the request it targets depends on timing, and a body
+    edit that a cancel did not stop changes the rest of the storm. *)
 
 type report = {
   ops : int;  (** requests sent *)
@@ -45,6 +49,11 @@ type report = {
   workers : int;  (** worker-pool size the storm ran with *)
   cancelled : int;  (** structured [Cancelled] rejections observed *)
   partial_edits : int;  (** [change] requests verified against splices *)
+  body_edits : int;
+      (** of those, edits of one digit inside a procedure body *)
+  fast_edits : int;
+      (** of those, the ones the store re-read alone ({!Store.edits_fast});
+          a storm with body edits and none of these is a violation *)
   violations : string list;  (** empty iff every invariant held *)
 }
 

@@ -38,10 +38,22 @@ let () =
    pure at query time (see [may_alias]); and the engine's lazily-built
    mod-ref state is serialized by [dc_omutex]. *)
 
+(* What the edit path re-reads one procedure against: the last full
+   front-end run's results, kept current across fast edits. *)
+type front = {
+  fr_spans : Minim3.Parser.span array;
+      (* the top-level procedure declarations; the [i]th lowers to the
+         [i]th of [prog_procs] *)
+  fr_context : Minim3.Typecheck.context;
+  fr_layout : Ir.Lower.layout;
+  fr_fingerprints : int array;  (* [Ir.Fingerprint.proc] of [prog_procs] *)
+}
+
 type doc = {
   dc_name : string;
   mutable dc_source : string;  (* last-good source *)
   mutable dc_program : Ir.Cfg.program;  (* last-good lowered program *)
+  mutable dc_front : front;  (* for [dc_source] and [dc_program] *)
   mutable dc_engine : Tbaa.Engine.t;  (* last-good engine *)
   mutable dc_opt_session : Opt.Pass_manager.session option;
       (* incremental optimizer state, carried across revisions *)
@@ -56,6 +68,9 @@ type doc = {
   dc_queries : int Atomic.t;
   dc_degraded : int Atomic.t;  (* queries answered below Fresh *)
   mutable dc_failed_updates : int;
+  mutable dc_edits_fast : int;  (* edits that re-read one procedure *)
+  mutable dc_edits_full : int;  (* edits that needed the full front end *)
+  mutable dc_last_fallback : string option;  (* why the last of those did *)
 }
 
 type t = {
@@ -208,38 +223,8 @@ let optimizer_schedule =
       Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
       rle = true; copyprop = true; dse = true }
 
-let snapshot_program (p : Ir.Cfg.program) =
-  ( p.Ir.Cfg.prog_procs, p.Ir.Cfg.next_var_id,
-    List.map
-      (fun (proc : Ir.Cfg.proc) ->
-        ( proc, proc.Ir.Cfg.pr_entry, proc.Ir.Cfg.pr_locals,
-          Array.init (Ir.Cfg.n_blocks proc) (fun i ->
-              let b = Ir.Cfg.block proc i in
-              (b.Ir.Cfg.b_instrs, b.Ir.Cfg.b_term)) ))
-      p.Ir.Cfg.prog_procs )
-
-let restore_program (p : Ir.Cfg.program) (procs, next_id, saved) =
-  p.Ir.Cfg.prog_procs <- procs;
-  List.iter
-    (fun ((proc : Ir.Cfg.proc), entry, locals, blocks) ->
-      let nb = Array.length blocks in
-      while Ir.Cfg.n_blocks proc < nb do
-        ignore (Ir.Cfg.new_block proc (Ir.Instr.Treturn None))
-      done;
-      if Ir.Cfg.n_blocks proc > nb then Vec.truncate proc.Ir.Cfg.pr_blocks nb;
-      Array.iteri
-        (fun i (instrs, term) ->
-          let b = Ir.Cfg.block proc i in
-          b.Ir.Cfg.b_instrs <- instrs;
-          b.Ir.Cfg.b_term <- term)
-        blocks;
-      proc.Ir.Cfg.pr_entry <- entry;
-      proc.Ir.Cfg.pr_locals <- locals)
-    saved;
-  p.Ir.Cfg.next_var_id <- next_id
-
 let optimize_doc d program =
-  let saved = snapshot_program program in
+  let saved = Ir.Cfg.snapshot program in
   match
     let s =
       match d.dc_opt_session with
@@ -267,15 +252,131 @@ let optimize_doc d program =
       :: session_fields)
   with
   | stats ->
-    restore_program program saved;
+    Ir.Cfg.restore program saved;
     d.dc_opt <- Some stats
   | exception e ->
     (* The optimizer is advisory: a crash there must not degrade the
        query path. Restore the lowering, drop the (possibly corrupt)
        session, and surface the error in the stats instead. *)
-    restore_program program saved;
+    Ir.Cfg.restore program saved;
     d.dc_opt_session <- None;
     d.dc_opt <- Some (Json.Obj [ ("error", Json.String (Printexc.to_string e)) ])
+
+(* ------------------------------------------------------------------ *)
+(* The front end                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let changed_range a b =
+  let la = String.length a and lb = String.length b in
+  let n = min la lb in
+  let p = ref 0 in
+  while !p < n && String.unsafe_get a !p = String.unsafe_get b !p do
+    incr p
+  done;
+  let s = ref 0 in
+  while
+    !s < n - !p
+    && String.unsafe_get a (la - 1 - !s) = String.unsafe_get b (lb - 1 - !s)
+  do
+    incr s
+  done;
+  (!p, la - !s, lb - !s)
+
+let fingerprints program =
+  Array.of_list (List.map Ir.Fingerprint.proc program.Ir.Cfg.prog_procs)
+
+(* Parse, check and lower the whole source; the diagnostics are
+   [Typecheck.check_string_all]'s. *)
+let read_full ~name ~source =
+  match Minim3.Parser.parse_module_spans ~file:name source with
+  | exception Diag.Compile_error d -> Error [ d ]
+  | ast, spans -> (
+    match Minim3.Typecheck.check_module_context ast with
+    | Error diags -> Error diags
+    | Ok (tast, context) ->
+      let program, layout = Ir.Lower.lower_program_layout tast in
+      Ok
+        ( program,
+          { fr_spans = spans; fr_context = context; fr_layout = layout;
+            fr_fingerprints = fingerprints program } ))
+
+(* The procedure whose declaration holds the changed bytes [start, stop)
+   of the old source and keeps its own first and last byte. *)
+let enclosing spans start stop =
+  let k = ref (-1) in
+  Array.iteri
+    (fun i (sp : Minim3.Parser.span) -> if sp.sp_start < start then k := i)
+    spans;
+  if !k >= 0 && stop < spans.(!k).Minim3.Parser.sp_stop then Some !k else None
+
+let count_newlines s start stop =
+  let n = ref 0 in
+  for i = start to stop - 1 do
+    if String.unsafe_get s i = '\n' then incr n
+  done;
+  !n
+
+(* The fast path: when the edit stays inside one procedure declaration,
+   re-read only that declaration and lower it into a new program that
+   shares every other procedure with the last-good one, which is not
+   changed. [Error] says why the edit needs a full rebuild; under the
+   conditions checked here the result equals a full rebuild's. *)
+let reread d ~name ~source =
+  let ( let* ) = Result.bind in
+  let check ok reason = if ok then Ok () else Error reason in
+  let old = d.dc_source and fr = d.dc_front in
+  let procs = d.dc_program.Ir.Cfg.prog_procs in
+  let start, old_stop, new_stop = changed_range old source in
+  if old_stop = start && new_stop = start then Ok (d.dc_program, fr)
+  else
+    let* k =
+      Option.to_result ~none:"the edit is not inside one procedure declaration"
+        (enclosing fr.fr_spans start old_stop)
+    in
+    let (sp : Minim3.Parser.span) = fr.fr_spans.(k) in
+    let delta = new_stop - old_stop in
+    let* decl, stop =
+      try
+        Ok
+          (Minim3.Parser.parse_proc_at ~file:name source ~pos:sp.sp_start
+             ~line:sp.sp_line)
+      with Diag.Compile_error e -> Error (Diag.to_string e)
+    in
+    let* () =
+      check (stop = sp.sp_stop + delta)
+        "the declaration no longer ends where it did"
+    in
+    let* () =
+      check
+        (Ident.equal decl.Minim3.Ast.pr_name (List.nth procs k).Ir.Cfg.pr_name)
+        "the header changed"
+    in
+    let* tproc = Minim3.Typecheck.check_proc fr.fr_context decl in
+    let* proc =
+      match Ir.Lower.lower_proc d.dc_program fr.fr_layout tproc with
+      | Some proc -> Ok proc
+      | None -> Error "the procedure needs a different number of variables"
+      | exception Diag.Compile_error e -> Error (Diag.to_string e)
+    in
+    let fps = Array.copy fr.fr_fingerprints in
+    fps.(k) <- Ir.Fingerprint.proc proc;
+    let lines =
+      count_newlines source start new_stop - count_newlines old start old_stop
+    in
+    let shift i (sp : Minim3.Parser.span) =
+      if i < k then sp
+      else if i = k then { sp with sp_stop = sp.sp_stop + delta }
+      else
+        { sp_start = sp.sp_start + delta; sp_stop = sp.sp_stop + delta;
+          sp_line = sp.sp_line + lines }
+    in
+    Ok
+      ( { d.dc_program with
+          Ir.Cfg.prog_procs =
+            List.mapi (fun i p -> if i = k then proc else p) procs },
+        { fr with
+          fr_spans = Array.mapi shift fr.fr_spans;
+          fr_fingerprints = fps } )
 
 (* The body of [open_or_update], run under the document's exclusive
    lock (callers below take it). *)
@@ -300,19 +401,38 @@ let open_or_update_locked t ~name ~source ~inject ~cancelled =
             raise (Injected_fault "build fault (injected)")
           | _ -> ())
         inject;
-      match Minim3.Typecheck.check_string_all ~file:name source with
+      (* [fallback] is [Some reason] when an open document needed the
+         full rebuild. *)
+      let read, fallback =
+        match existing with
+        | None -> (read_full ~name ~source, None)
+        | Some d -> (
+          match reread d ~name ~source with
+          | Ok r -> (Ok r, None)
+          | Error reason -> (read_full ~name ~source, Some reason))
+      in
+      let count_edit d =
+        match fallback with
+        | None -> d.dc_edits_fast <- d.dc_edits_fast + 1
+        | Some _ ->
+          d.dc_edits_full <- d.dc_edits_full + 1;
+          d.dc_last_fallback <- fallback
+      in
+      match read with
       | Error diags ->
+        Option.iter count_edit existing;
         degrade_on_failure existing
           (match diags with
           | d :: _ -> Diag.to_string d
           | [] -> "compile error");
         Rejected (existing, diags)
-      | Ok tast ->
-        let program = Ir.Lower.lower_program tast in
+      | Ok (program, front) ->
         let check () = if cancelled () then raise Update_cancelled in
         let engine =
           match existing with
-          | Some d -> Tbaa.Engine.update ~check d.dc_engine program
+          | Some d ->
+            Tbaa.Engine.update ~check ~fingerprints:front.fr_fingerprints
+              d.dc_engine program
           | None ->
             check ();
             Tbaa.Engine.create program
@@ -321,8 +441,10 @@ let open_or_update_locked t ~name ~source ~inject ~cancelled =
         let doc =
           match existing with
           | Some d ->
+            count_edit d;
             d.dc_source <- source;
             d.dc_program <- program;
+            d.dc_front <- front;
             d.dc_engine <- engine;
             d.dc_paths <- paths;
             d.dc_mode <- Fresh;
@@ -333,13 +455,15 @@ let open_or_update_locked t ~name ~source ~inject ~cancelled =
           | None ->
             let d =
               { dc_name = name; dc_source = source; dc_program = program;
-                dc_engine = engine; dc_opt_session = None; dc_opt = None;
+                dc_front = front; dc_engine = engine; dc_opt_session = None;
+                dc_opt = None;
                 dc_paths = paths; dc_mode = Fresh;
                 dc_last_error = None; dc_inject = inject;
                 dc_omutex = Mutex.create ();
                 dc_generation = 1; dc_attempts = attempts;
                 dc_queries = Atomic.make 0; dc_degraded = Atomic.make 0;
-                dc_failed_updates = 0 }
+                dc_failed_updates = 0; dc_edits_fast = 0; dc_edits_full = 0;
+                dc_last_fallback = None }
             in
             Mutex.protect t.st_mutex (fun () ->
                 Hashtbl.replace t.docs name d);
@@ -430,6 +554,9 @@ let queries d = Atomic.get d.dc_queries
 let degraded_queries d = Atomic.get d.dc_degraded
 let failed_updates d = d.dc_failed_updates
 let last_error d = d.dc_last_error
+let edits_fast d = d.dc_edits_fast
+let edits_full d = d.dc_edits_full
+let last_fallback d = d.dc_last_fallback
 let source d = d.dc_source
 let engine d = d.dc_engine
 let program d = d.dc_program
@@ -505,6 +632,12 @@ let health_json d =
       ("queries", Json.Int (Atomic.get d.dc_queries));
       ("degraded_queries", Json.Int (Atomic.get d.dc_degraded));
       ("failed_updates", Json.Int d.dc_failed_updates);
+      ("edits_fast", Json.Int d.dc_edits_fast);
+      ("edits_full", Json.Int d.dc_edits_full);
+      ( "last_fallback",
+        match d.dc_last_fallback with
+        | Some r -> Json.String r
+        | None -> Json.Null );
       ( "last_error",
         match d.dc_last_error with
         | Some e -> Json.String e

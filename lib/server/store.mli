@@ -107,7 +107,24 @@ val open_or_update :
     store created with [allow_inject:false] are ignored. Takes the
     document's exclusive lock. [cancelled] (default: never) is polled at
     {!Tbaa.Engine.update} loop boundaries; once it returns [true] the
-    build aborts with [Cancelled] without touching the document. *)
+    build aborts with [Cancelled] without touching the document.
+
+    {b Edits.} For an open document the changed bytes are found by
+    {!changed_range} against the last-good source. When they lie inside
+    one top-level procedure declaration (neither its first nor its last
+    byte changed), only that declaration is re-parsed, re-checked and
+    re-lowered, into a new program that shares every other procedure
+    and the type environment with the last-good one (which is not
+    changed); the carried fingerprints go to {!Tbaa.Engine.update}.
+    Every other edit takes the full rebuild: one outside every
+    procedure or on a declaration boundary, one whose local parse fails
+    or ends elsewhere, a changed header, any diagnostic, a check that
+    would allocate a type or use one allocated after the old body's
+    check began (or an old body whose check allocated one), or a body
+    needing a different number of variable ids. Either way the program,
+    fingerprints, type environment, answers and diagnostics are exactly
+    those of a full rebuild. {!edits_fast}, {!edits_full} and
+    {!last_fallback} say which path edits took. *)
 
 val splice :
   source:string -> edits:(int * int * string) list ->
@@ -118,6 +135,13 @@ val splice :
     range) if any range is out of bounds or inverted; the source is
     never partially applied. *)
 
+val changed_range : string -> string -> int * int * int
+(** [changed_range old_s new_s] is [(start, old_stop, new_stop)]: [new_s]
+    is [old_s] with bytes [\[start, old_stop)] replaced by [new_s]'s
+    bytes [\[start, new_stop)], the rest being the longest common prefix
+    and then the longest common suffix of what remains. Both ranges are
+    empty iff the strings are equal. *)
+
 type change_outcome =
   | Changed of update_outcome  (** edits spliced; build outcome inside *)
   | No_such_doc  (** the document is not open *)
@@ -127,8 +151,8 @@ val change :
   ?cancelled:(unit -> bool) ->
   t -> name:string -> edits:(int * int * string) list -> change_outcome
 (** Incremental [didChange]: splice [edits] into the document's
-    last-good source and rebuild through the same fingerprint-keyed
-    {!Tbaa.Engine.update} path as {!open_or_update} (unchanged
+    last-good source and rebuild through {!open_or_update} (an edit
+    inside one procedure re-reads only that procedure; unchanged
     procedures are not re-summarized), preserving the document's fault
     injection. Takes the exclusive lock; never raises. *)
 
@@ -143,6 +167,17 @@ val queries : doc -> int
 val degraded_queries : doc -> int
 val failed_updates : doc -> int
 val last_error : doc -> string option
+
+val edits_fast : doc -> int
+(** Edits (builds of an open document that were installed or rejected)
+    whose front end re-read one procedure; see {!open_or_update}. *)
+
+val edits_full : doc -> int
+(** Edits that needed the full front end. *)
+
+val last_fallback : doc -> string option
+(** Why the most recent of those did. *)
+
 val source : doc -> string
 (** Last-good source. *)
 

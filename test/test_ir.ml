@@ -402,6 +402,38 @@ END M.
   Alcotest.(check string) "output is 7" "7" before;
   Alcotest.(check string) "output unchanged" before (run ())
 
+(* --- snapshots ---------------------------------------------------------- *)
+
+(* A rollback undoes blocks added and blocks lost alike: the daemon's
+   side optimization, the guarded pass runner and the benchmark's replay
+   all rely on [Cfg.restore] to give back the lowering byte for byte. *)
+let test_restore_regrows () =
+  let program =
+    lower
+      {|
+MODULE M;
+VAR g: INTEGER;
+PROCEDURE P (n: INTEGER) =
+  BEGIN
+    IF n > 0 AND g > 0 THEN g := n; ELSE g := 0; END;
+  END P;
+BEGIN P (1); END M.
+|}
+  in
+  let text () = Format.asprintf "%a" Cfg.pp_program program in
+  let before = text () in
+  let p = proc_named program "P" in
+  let n = Cfg.n_blocks p in
+  let snap = Cfg.snapshot program in
+  ignore (Cfg.new_block p (Instr.Treturn None));
+  (Cfg.block p 0).Cfg.b_instrs <- [];
+  Cfg.restore program snap;
+  Alcotest.(check string) "added block dropped" before (text ());
+  Vec.truncate p.Cfg.pr_blocks 1;
+  Cfg.restore program snap;
+  Alcotest.(check int) "lost blocks re-created" n (Cfg.n_blocks p);
+  Alcotest.(check string) "lost blocks restored" before (text ())
+
 let () =
   Alcotest.run "ir"
     [ ( "apath",
@@ -420,4 +452,7 @@ let () =
             test_dataflow_backward_liveness ] );
       ( "callgraph",
         [ Alcotest.test_case "virtual targets" `Quick test_callgraph_virtual;
-          Alcotest.test_case "recursion" `Quick test_callgraph_recursion ] ) ]
+          Alcotest.test_case "recursion" `Quick test_callgraph_recursion ] );
+      ( "snapshot",
+        [ Alcotest.test_case "restore re-grows a shrunk procedure" `Quick
+            test_restore_regrows ] ) ]
