@@ -11,8 +11,10 @@ test:
 # The CI gate: everything compiles (including tests and benches), the test
 # suite passes, `tbaac optimize` runs end to end with structured stats on a
 # real workload (once with every pass on, PRE and copy propagation
-# included, validating the IR after each), and an optimized simulator run
-# audits clean.
+# included, validating the IR after each), an optimized simulator run
+# audits clean, and the auditor catches the miscompiles a fault-injected
+# oracle causes on the production pass path (the audit must exit nonzero
+# with at least one violation line).
 check:
 	dune build @all
 	dune runtest
@@ -20,6 +22,9 @@ check:
 	dune exec bin/tbaac.exe -- optimize --workload format --licm --slf --dse --jobs 2 --stats
 	dune exec bin/tbaac.exe -- optimize --workload m3cg --minv --copyprop --pre --licm --slf --dse --verify-ir --stats
 	dune exec bin/tbaac.exe -- run --workload slisp --audit --quiet
+	out=$$(dune exec bin/tbaac.exe -- audit --workload m3cg --fault-rate 0.05) \
+	  && { echo "$$out"; echo "fault-injected audit found no violation"; exit 1; }; \
+	  echo "$$out" | grep 'violation:'
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --out ""
 
 # The full differential-testing sweep: 200 generated programs through the

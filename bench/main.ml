@@ -64,11 +64,8 @@ let tests =
     (* Table 6 / Figure 8: the optimizer itself. *)
     Test.make ~name:"table6:rle-m3cg"
       (Staged.stage (fun () ->
-           let program = lowered "m3cg" in
-           let e = Tbaa.Engine.create program in
-           let sm = Tbaa.Engine.Sm_field_type_refs in
-           Opt.Rle.run ~modref:(Opt.Modref.of_engine e sm) program
-             (Tbaa.Engine.oracle e sm)));
+           Opt.Pass_manager.run (Opt.Pass.create ()) (lowered "m3cg")
+             [ Opt.Pass_manager.Run Opt.Rle.pass ]));
     Test.make ~name:"fig8:prepare-format"
       (Staged.stage (fun () ->
            Harness.Runner.prepare (workload "format")

@@ -242,7 +242,7 @@ let optimize_cmd =
         line "rle"
           "RLE (%s): %d hoisted, %d eliminated, %d shortened (%d removed)\n"
           (Opt.Pass.oracle_name analysis) hoisted eliminated shortened
-          (Opt.Rle.removed { Opt.Rle.hoisted; eliminated; shortened });
+          (Opt.Rle.removed reports);
         let failures = Opt.Pass_manager.failures reports in
         if failures <> [] then begin
           List.iter

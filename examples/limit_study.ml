@@ -8,19 +8,24 @@
 
      dune exec examples/limit_study.exe *)
 
-let sm = Tbaa.Engine.Sm_field_type_refs
-
+(* Optimize (or not) through the pass manager, keeping the oracle of the
+   program as written: the classifier reads residual loads through it, as
+   in the paper. *)
 let trace ~optimize w =
   let program = Workloads.Workload.lower w in
-  let engine = Tbaa.Engine.create program in
-  let oracle = Tbaa.Engine.oracle engine sm in
-  if optimize then
-    ignore
-      (Opt.Rle.run ~modref:(Opt.Modref.of_engine engine sm) program oracle);
-  ignore (Opt.Local_cse.run program);
+  let ctx = Opt.Pass.create () in
+  let oracle =
+    Tbaa.Engine.cached (Opt.Pass.analysis ctx program)
+      Tbaa.Engine.Sm_field_type_refs
+  in
+  ignore
+    (Opt.Pass_manager.run ctx program
+       (Opt.Pass_manager.schedule
+          { Opt.Pass_manager.Config.none with
+            Opt.Pass_manager.Config.rle = optimize; local_cse = true }));
   let tracer = Sim.Limit.create () in
   let _ = Sim.Interp.run ~on_load:(Sim.Limit.on_load tracer) program in
-  (engine, program, oracle, tracer)
+  (ctx, program, oracle, tracer)
 
 let describe_site (s : Sim.Interp.site) =
   let where =
@@ -41,7 +46,7 @@ let () =
   Printf.printf "limit study: %s\n\n" w.Workloads.Workload.name;
 
   let _, _, _, before = trace ~optimize:false w in
-  let engine, program, oracle, after = trace ~optimize:true w in
+  let ctx, program, oracle, after = trace ~optimize:true w in
   let original = float_of_int (Sim.Limit.total_heap_loads before) in
 
   Printf.printf "heap loads (original run):   %d\n"
@@ -54,7 +59,7 @@ let () =
     (100.0 *. float_of_int (Sim.Limit.total_redundant after) /. original);
 
   (* Classify the residual (one row of Figure 10). *)
-  let modref = Opt.Modref.of_engine (Tbaa.Engine.update engine program) sm in
+  let modref = Opt.Pass.modref ctx program in
   let breakdown = Sim.Classify.classify program oracle modref after in
   print_endline "residual classification:";
   List.iter

@@ -53,26 +53,28 @@ END ListPackage.
 |}
 
 let kinds =
-  [ Tbaa.Engine.Type_decl; Tbaa.Engine.Field_type_decl;
-    Tbaa.Engine.Sm_field_type_refs ]
+  [ Opt.Pass.Otype_decl; Opt.Pass.Ofield_type_decl;
+    Opt.Pass.Osm_field_type_refs ]
 
-(* RLE with one analysis: its oracle and mod-ref both come from the engine. *)
-let rle program kind =
-  let engine = Tbaa.Engine.create program in
-  Opt.Rle.run ~modref:(Opt.Modref.of_engine engine kind) program
-    (Tbaa.Engine.oracle engine kind)
+(* RLE with one analysis: its oracle and mod-ref both come from the
+   context's engine. Returns the loads removed statically. *)
+let rle program oracle_kind =
+  Opt.Rle.removed
+    (Opt.Pass_manager.run
+       (Opt.Pass.create ~oracle_kind ())
+       program [ Opt.Pass_manager.Run Opt.Rle.pass ])
 
 let () =
   print_endline "List-package example (paper §2.4 motivation)\n";
   List.iter
     (fun kind ->
       let program = Lower.lower_string ~file:"list_package" real_source in
-      let stats = rle program kind in
+      let removed = rle program kind in
       let outcome = Sim.Interp.run program in
       Printf.printf
         "%-16s removed %d loads statically; dynamic heap loads: %d (output %s)\n"
-        (Tbaa.Engine.kind_name kind)
-        (Opt.Rle.removed stats)
+        (Opt.Pass.oracle_name kind)
+        removed
         outcome.Sim.Interp.counters.Sim.Interp.heap_loads
         (String.trim outcome.Sim.Interp.output))
     kinds;
@@ -110,8 +112,7 @@ END Tricky.
   List.iter
     (fun kind ->
       let program = Lower.lower_string ~file:"tricky" tricky in
-      let stats = rle program kind in
       Printf.printf "%-16s removed %d loads statically\n"
-        (Tbaa.Engine.kind_name kind)
-        (Opt.Rle.removed stats))
+        (Opt.Pass.oracle_name kind)
+        (rle program kind))
     kinds

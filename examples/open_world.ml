@@ -87,23 +87,23 @@ let report ~branded =
   List.iter
     (fun world ->
       let program = Lower.lower_string ~file:"cache" (library ~branded) in
-      let engine =
-        Tbaa.Engine.create
-          ~config:{ Tbaa.Engine.default_config with Tbaa.Engine.world }
-          program
+      let ctx = Opt.Pass.create ~world () in
+      let engine = Opt.Pass.analysis ctx program in
+      let pairs =
+        Tbaa.Alias_pairs.count
+          (Tbaa.Engine.oracle engine Tbaa.Engine.Sm_field_type_refs)
+          (Tbaa.Engine.facts engine)
       in
-      let sm = Tbaa.Engine.Sm_field_type_refs in
-      let oracle = Tbaa.Engine.oracle engine sm in
-      let pairs = Tbaa.Alias_pairs.count oracle (Tbaa.Engine.facts engine) in
-      let modref = Opt.Modref.of_engine engine sm in
-      let stats = Opt.Rle.run ~modref program oracle in
+      let reports =
+        Opt.Pass_manager.run ctx program [ Opt.Pass_manager.Run Opt.Rle.pass ]
+      in
       let outcome = Sim.Interp.run program in
       Printf.printf
         "%-6s world: %3d local / %3d global alias pairs; RLE removed %d; \
          heap loads %d\n"
         (Tbaa.World.to_string world)
         pairs.Tbaa.Alias_pairs.local_pairs pairs.Tbaa.Alias_pairs.global_pairs
-        (Opt.Rle.removed stats)
+        (Opt.Rle.removed reports)
         outcome.Sim.Interp.counters.Sim.Interp.heap_loads)
     [ Tbaa.World.Closed; Tbaa.World.Open ]
 

@@ -1,9 +1,10 @@
 (* The full whole-program-optimizer pipeline on a real workload.
 
    Takes the k-tree benchmark from the built-in suite and walks the same
-   steps the experiment harness uses: lower, analyze, devirtualize +
-   inline, re-analyze, RLE, baseline local CSE — reporting what each pass
-   did and how the simulated machine numbers move.
+   steps the experiment harness uses: lower, devirtualize + inline, RLE,
+   baseline local CSE — one pass-manager run per step over one context,
+   whose engine re-analyzes incrementally in between — reporting what
+   each pass did and how the simulated machine numbers move.
 
      dune exec examples/optimize_pipeline.exe *)
 
@@ -19,33 +20,29 @@ let () =
     (Workloads.Workload.source_lines w);
 
   (* Base: what GCC-with-standard-optimizations would see. *)
+  let open Opt.Pass_manager in
   let base = Workloads.Workload.lower w in
-  ignore (Opt.Local_cse.run base);
+  ignore (run (Opt.Pass.create ()) base [ Run Opt.Local_cse.pass ]);
   let base_out = Sim.Interp.run base in
   describe "base" base_out;
 
   (* Step 1: method invocation resolution + inlining. *)
   let program = Workloads.Workload.lower w in
-  let pre = Tbaa.Engine.create program in
-  let d =
-    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table pre)
-  in
-  let i = Opt.Inline.run program in
+  let ctx = Opt.Pass.create () in
+  let r = run ctx program [ Run Opt.Devirt.pass; Run Opt.Inline.pass ] in
   Printf.printf "\ndevirt: %d resolved, %d left virtual; inlined %d sites\n"
-    d.Opt.Devirt.resolved d.Opt.Devirt.unresolved i.Opt.Inline.inlined;
+    (sum_stat "devirt" "resolved" r) (sum_stat "devirt" "unresolved" r)
+    (sum_stat "inline" "inlined" r);
 
-  (* Step 2: re-analyze the transformed program and run RLE. *)
-  let engine = Tbaa.Engine.create program in
-  let sm = Tbaa.Engine.Sm_field_type_refs in
-  let stats =
-    Opt.Rle.run ~modref:(Opt.Modref.of_engine engine sm) program
-      (Tbaa.Engine.oracle engine sm)
-  in
+  (* Step 2: RLE over the engine brought up to date with the transformed
+     program. *)
+  let r = run ctx program [ Run Opt.Rle.pass ] in
   Printf.printf "RLE: %d hoisted, %d eliminated, %d shortened\n\n"
-    stats.Opt.Rle.hoisted stats.Opt.Rle.eliminated stats.Opt.Rle.shortened;
+    (sum_stat "rle" "hoisted" r) (sum_stat "rle" "eliminated" r)
+    (sum_stat "rle" "shortened" r);
 
   (* Step 3: the GCC-like baseline runs over everything. *)
-  ignore (Opt.Local_cse.run program);
+  ignore (run ctx program [ Run Opt.Local_cse.pass ]);
   let opt_out = Sim.Interp.run program in
   describe "optimized" opt_out;
 

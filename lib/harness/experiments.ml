@@ -108,15 +108,11 @@ end
 
 (* ------------------------------------------------------------------ *)
 
-let rle_removed w kind =
+let rle_removed ?(pass = Opt.Rle.pass) w kind =
   let program = Workload.lower w in
   let ctx = Opt.Pass.create ~oracle_kind:kind () in
-  let reports =
-    Opt.Pass_manager.run ctx program [ Opt.Pass_manager.Run Opt.Rle.pass ]
-  in
-  Opt.Pass_manager.sum_stat "rle" "hoisted" reports
-  + Opt.Pass_manager.sum_stat "rle" "eliminated" reports
-  + Opt.Pass_manager.sum_stat "rle" "shortened" reports
+  Opt.Rle.removed
+    (Opt.Pass_manager.run ctx program [ Opt.Pass_manager.Run pass ])
 
 module Table6 = struct
   type row = { name : string; td : int; ftd : int; sm : int }
@@ -182,9 +178,12 @@ let traced_run ?(future_work = false) w ~optimize =
   let ctx = Opt.Pass.create () in
   (* Capture the pre-optimization oracle: classification (Figure 10) reads
      residual loads of the optimized program through the alias relation of
-     the program as written, as in the paper. The cached wrapper closes
-     over that analysis, so it stays valid across invalidations. *)
-  let oracle = Opt.Pass.oracle ctx program in
+     the program as written, as in the paper. The cached handle closes
+     over that analysis, so it stays valid across the engine's updates. *)
+  let oracle =
+    Tbaa.Engine.cached (Opt.Pass.analysis ctx program)
+      (Opt.Pass.engine_kind ctx.Opt.Pass.oracle_kind)
+  in
   let schedule =
     let base =
       { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.local_cse = true }
@@ -368,16 +367,29 @@ end
 module Ablation_modref = struct
   type row = { name : string; with_modref : int; without_modref : int }
 
+  (* RLE's own per-procedure body, with every call killing every
+     expression instead of the engine's mod-ref view. *)
+  let calls_kill_all =
+    match Opt.Rle.pass.Opt.Pass.scope with
+    | Opt.Pass.Per_procedure body ->
+      { Opt.Rle.pass with
+        Opt.Pass.scope =
+          Opt.Pass.Per_procedure
+            (fun pc proc ->
+              body
+                { pc with
+                  Opt.Pass.pc_modref =
+                    Opt.Modref.conservative pc.Opt.Pass.pc_program }
+                proc) }
+    | Opt.Pass.Whole_program _ | Opt.Pass.Analysis_free _ ->
+      invalid_arg "Ablation_modref: RLE is not a per-procedure pass"
+
   let compute () =
     List.map
       (fun (w : Workload.t) ->
         let with_m = rle_removed w Opt.Pass.Osm_field_type_refs in
         let without =
-          let program = Workload.lower w in
-          let e = Tbaa.Engine.create program in
-          Opt.Rle.removed
-            (Opt.Rle.run ~modref:(Opt.Modref.conservative program) program
-               (Tbaa.Engine.oracle e Tbaa.Engine.Sm_field_type_refs))
+          rle_removed ~pass:calls_kill_all w Opt.Pass.Osm_field_type_refs
         in
         { name = w.Workload.name; with_modref = with_m; without_modref = without })
       dynamic_seven

@@ -11,10 +11,6 @@
     whose bare address is taken can change behind the compiler's back and
     are excluded from both sides of a copy. *)
 
-type stats = { mutable replaced : int }
-
-val run : Ir.Cfg.program -> stats
-
 val pass : Pass.t
 (** An {!Pass.Enabling} pass: base canonicalization keeps finding cosmetic
     copies round after round, so its [changed] flag must not drive

@@ -12,9 +12,5 @@
     of the calibrated evaluation pipeline (the cost model already charges
     zero for register moves); exposed for the CLI and as infrastructure. *)
 
-type stats = { mutable removed : int }
-
-val run : Ir.Cfg.program -> stats
-
 val pass : Pass.t
 (** Stats: [removed]. *)

@@ -260,13 +260,6 @@ let run_proc ?claims oracle modref proc stats =
   in
   go claims stats.removed
 
-let run ~modref ?claims program oracle =
-  let stats = { removed = 0 } in
-  List.iter
-    (fun proc -> run_proc ?claims oracle modref proc stats)
-    program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "dse";
     role = Pass.Transform;

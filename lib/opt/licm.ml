@@ -30,12 +30,7 @@ let defs_in_loop instrs v =
       | None -> false)
     instrs
 
-let hoist ?claims ?fresh program oracle modref proc stats =
-  let fresh =
-    match fresh with
-    | Some f -> f
-    | None -> fun ~name ~ty ~kind -> Cfg.fresh_var program ~name ~ty ~kind
-  in
+let hoist ?claims ~fresh oracle modref proc stats =
   let dom = Dom.compute proc in
   let loops = Loops.find proc dom in
   List.iter
@@ -116,25 +111,17 @@ let hoist ?claims ?fresh program oracle modref proc stats =
       end)
     loops
 
-let run_proc ?claims ?fresh program oracle modref proc =
+let run_proc (pc : Pass.proc_context) proc =
   let stats = { hoisted = 0 } in
   (* Iterate so loads escape nested loops level by level; each round
      recomputes dominators over the preheaders of the previous one. *)
   let rec rounds budget prev =
-    hoist ?claims ?fresh program oracle modref proc stats;
+    hoist ?claims:pc.Pass.pc_claims ~fresh:pc.Pass.pc_fresh pc.Pass.pc_oracle
+      pc.Pass.pc_modref proc stats;
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
   stats
-
-let run ~modref ?claims program oracle =
-  let total = { hoisted = 0 } in
-  List.iter
-    (fun proc ->
-      let s = run_proc ?claims program oracle modref proc in
-      total.hoisted <- total.hoisted + s.hoisted)
-    program.Cfg.prog_procs;
-  total
 
 let pass =
   { Pass.name = "licm";
@@ -142,10 +129,7 @@ let pass =
     scope =
       Pass.Per_procedure
         (fun pc proc ->
-          let s =
-            run_proc ?claims:pc.Pass.pc_claims ~fresh:pc.Pass.pc_fresh
-              pc.Pass.pc_program pc.Pass.pc_oracle pc.Pass.pc_modref proc
-          in
+          let s = run_proc pc proc in
           { Pass.stats = [ ("hoisted", s.hoisted) ];
             changed = s.hoisted > 0;
             mutated = s.hoisted > 0 }) }

@@ -14,21 +14,7 @@
     relied on is logged under kind ["licm"], and the home temporaries are
     registered for the dynamic auditor's canonicalization. *)
 
-open Tbaa
-
-type stats = { mutable hoisted : int }
-
-val run_proc :
-  ?claims:Claims.t ->
-  ?fresh:(name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var) ->
-  Ir.Cfg.program -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats
-(** One procedure. [fresh] overrides the preheader-home allocator
-    (defaults to {!Ir.Cfg.fresh_var} on the program counter). *)
-
-val run :
-  modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure, with call effects from [modref]. *)
-
 val pass : Pass.t
-(** Runs over the context's cached oracle and engine-backed mod-ref view.
+(** A per-procedure pass over the context's oracle and engine-backed
+    mod-ref view; preheader homes come from the laced allocator.
     [changed] and [mutated] iff any load was hoisted. Stats: [hoisted]. *)

@@ -7,9 +7,5 @@
     configuration (base and TBAA-optimized alike), mirroring the paper's
     setup where the GCC back end runs regardless of what WPO did. *)
 
-type stats = { mutable eliminated : int }
-
-val run : Ir.Cfg.program -> stats
-
 val pass : Pass.t
 (** The GCC-like baseline as a schedulable pass. Stats: [eliminated]. *)

@@ -34,7 +34,6 @@ type context = {
   mutable engine : Engine.t option;
       (* survives invalidation: re-analyses go through Engine.update *)
   mutable stale : bool;  (* [engine] predates the program's current state *)
-  mutable oracle_memo : Oracle.t option;  (* cached wrapper over [engine] *)
   mutable modref_memo : Modref.t option;  (* engine view over [engine] *)
   oracle_counters : Oracle_cache.counters;
       (* accumulates across wrapper incarnations *)
@@ -42,19 +41,18 @@ type context = {
   mutable claims : Claims.t option;  (* when set, RLE logs its oracle bets *)
   mutable fault : fault option;  (* when set, the oracle is fault-injected *)
   mutable oracle_log : (Ir.Apath.t -> Ir.Apath.t -> bool -> unit) option;
-      (* when set, observes every distinct may_alias query (fuzzer hook) *)
+      (* when set, observes each procedure's distinct may_alias queries *)
 }
 
 let create ?(world = World.Closed) ?(oracle_kind = Osm_field_type_refs)
     ?(jobs = 1) () =
   { world; oracle_kind; jobs; engine = None; stale = true;
-    oracle_memo = None; modref_memo = None;
+    modref_memo = None;
     oracle_counters = Oracle_cache.fresh_counters (); analyses_run = 0;
     claims = None; fault = None; oracle_log = None }
 
 let invalidate ctx =
   ctx.stale <- true;
-  ctx.oracle_memo <- None;
   ctx.modref_memo <- None
 
 let analysis ?fingerprints ctx program =
@@ -79,9 +77,10 @@ let analysis ?fingerprints ctx program =
     e
 
 (* The analysis oracle of the configured precision with the fault layer
-   (when installed) applied, but no memoizing cache: the per-procedure
-   engine wraps this per procedure so parallel and sequential execution
-   share one caching structure. *)
+   (when installed) applied, but no memoizing cache: the pass manager
+   wraps this once per procedure. The fault layer sits *under* that cache:
+   flips are deterministic per query, so memoizing flipped answers keeps
+   the view consistent. *)
 let raw_oracle ctx program =
   let raw =
     Engine.oracle (analysis ctx program) (engine_kind ctx.oracle_kind)
@@ -91,19 +90,6 @@ let raw_oracle ctx program =
   | Some f ->
     Oracle_fault.wrap ~flip_class_kills:f.f_class_kills ~stats:f.f_stats
       ~seed:f.f_seed ~rate:f.f_rate raw
-
-let oracle ctx program =
-  match ctx.oracle_memo with
-  | Some o -> o
-  | None ->
-    (* The fault layer sits *under* the cache: flips are deterministic per
-       query, so memoizing flipped answers keeps the view consistent. *)
-    let o =
-      Oracle_cache.wrap ~counters:ctx.oracle_counters ?log:ctx.oracle_log
-        (raw_oracle ctx program)
-    in
-    ctx.oracle_memo <- Some o;
-    o
 
 let modref ctx program =
   match ctx.modref_memo with

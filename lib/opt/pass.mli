@@ -4,12 +4,13 @@
     whole-program pass (devirtualization, inlining — anything that moves
     code across procedure boundaries) receives the shared {!context} and
     the whole program; a per-procedure pass (the paper's clients — RLE,
-    and DSE/SLF/LICM/PRE) provides a [run_proc] over one procedure and a
+    and DSE/SLF/LICM/PRE) provides a body over one procedure and a
     {!proc_context}; an analysis-free pass (copyprop, local CSE, DCE)
-    provides a [run_proc] over one procedure and the program alone. The
-    {!Pass_manager} derives the whole-program run of both per-procedure
-    kinds generically — sequentially or across {!Support.Domain_pool}
-    domains, with byte-identical results either way.
+    provides a body over one procedure and the program alone. The
+    {!Pass_manager} is the only driver of both per-procedure kinds: it
+    runs the body over every procedure — sequentially or across
+    {!Support.Domain_pool} domains, with byte-identical results either
+    way — and no pass exports a whole-program run of its own.
 
     Passes pull the alias analysis they need from a {!context}, which
     keeps one {!Tbaa.Engine.t} and marks it stale whenever a pass mutates
@@ -35,8 +36,13 @@ type fault = {
   f_stats : Oracle_fault.stats;  (** flips actually applied, cumulative *)
 }
 (** Fault-injection configuration: when installed in a context, every
-    oracle handed to passes is wrapped in {!Tbaa.Oracle_fault} (under the
-    memoizing cache, so flips stay consistent). *)
+    oracle handed to passes is wrapped in {!Tbaa.Oracle_fault} (under each
+    procedure's memoizing cache, so flips stay consistent). A
+    fault-injected run takes the same per-procedure path as a plain one;
+    since [f_stats] is not domain-safe, it runs that path on one domain
+    whatever [jobs] says. Under {!Pass_manager.rerun}, a procedure whose
+    recorded result is spliced in does not run, so its flips are not
+    counted again. *)
 
 val fault : ?flip_class_kills:bool -> seed:int -> rate:float -> unit -> fault
 
@@ -52,7 +58,6 @@ type context = {
   mutable stale : bool;
       (** [engine] does not describe the program's current state (set by
           {!invalidate}, cleared by {!analysis}) *)
-  mutable oracle_memo : Oracle.t option;
   mutable modref_memo : Modref.t option;
   oracle_counters : Oracle_cache.counters;
       (** cumulative across re-analyses; the pass manager diffs it per pass *)
@@ -63,12 +68,14 @@ type context = {
   mutable fault : fault option;
   mutable oracle_log : (Ir.Apath.t -> Ir.Apath.t -> bool -> unit) option;
       (** when set, installed as the {!Tbaa.Oracle_cache.wrap} [log]
-          observer: fires once per distinct may-alias pair the optimizer
-          queries, with the (possibly fault-injected) answer. The fuzzer's
-          precision-lattice oracle hangs off this; [None] costs nothing.
-          Installing it (or [fault]) forces per-procedure passes onto the
-          shared sequential path, where "once per distinct pair" is
-          well-defined. *)
+          observer of every procedure's cache: fires once per distinct
+          may-alias pair per procedure per pass run, with the (possibly
+          fault-injected) answer. The fuzzer's precision-lattice oracle
+          hangs off this; [None] costs nothing. The hook need not be
+          domain-safe: a logged context runs per-procedure passes on one
+          domain, on the same path as an unlogged one, so installing it
+          changes nothing the optimizer does. Spliced procedures under
+          {!Pass_manager.rerun} do not fire it. *)
 }
 
 val create :
@@ -84,14 +91,12 @@ val analysis :
     [fingerprints] is passed to {!Engine.update} when the recomputation
     is incremental. *)
 
-val oracle : context -> Ir.Cfg.program -> Oracle.t
-(** The configured-precision oracle over {!analysis}, wrapped in the
-    memoizing cache. Query counts land in [oracle_counters]. *)
-
 val raw_oracle : context -> Ir.Cfg.program -> Oracle.t
-(** The configured-precision oracle with the fault layer (when installed)
-    but *no* memoizing cache: the per-procedure engine wraps this once per
-    procedure, so cache state never crosses domains. *)
+(** The configured-precision oracle over {!analysis}, with the fault layer
+    (when installed) but *no* memoizing cache: the pass manager wraps this
+    once per procedure, so cache state never crosses domains. A client
+    that wants a memoized oracle outside a pass reads it from the engine
+    ({!Tbaa.Engine.cached}). *)
 
 val modref : context -> Ir.Cfg.program -> Modref.t
 (** The memoized mod-ref view of the configured precision, served from the
@@ -101,8 +106,8 @@ val modref : context -> Ir.Cfg.program -> Modref.t
     store_class/addr_taken_var, which the fault layer never wraps. *)
 
 val invalidate : context -> unit
-(** Mark the engine stale and drop the cached oracle and mod-ref views —
-    called by the pass manager after any pass that mutated the program.
+(** Mark the engine stale and drop the cached mod-ref view — called by
+    the pass manager after any pass that mutated the program.
     The engine itself is kept: the next {!analysis} is an incremental
     update. *)
 
@@ -150,16 +155,17 @@ type proc_context = {
           [start + i + k*nprocs], so procedures never contend) *)
 }
 (** What a per-procedure pass may touch while transforming one procedure.
-    Replaces the whole-program trio (context-cached oracle, shared claims
-    ledger, [Cfg.fresh_var] on the shared program counter), all of which
-    are unsafe or non-deterministic across domains. *)
+    It holds the only oracle, ledger and variable allocator a pass sees;
+    a whole-program cache, a shared ledger or [Cfg.fresh_var] on the
+    shared program counter would each be unsafe or non-deterministic
+    across domains. *)
 
 type scope =
   | Whole_program of (context -> Ir.Cfg.program -> outcome)
   | Per_procedure of (proc_context -> Ir.Cfg.proc -> outcome)
-      (** [run_proc]: transform one procedure against a snapshot analysis
-          of the pre-pass program; must confine writes to the procedure
-          itself (and allocations to [pc_fresh]) *)
+      (** transform one procedure against a snapshot analysis of the
+          pre-pass program; must confine writes to the procedure itself
+          (and allocations to [pc_fresh]) *)
   | Analysis_free of (Ir.Cfg.program -> Ir.Cfg.proc -> outcome)
       (** a per-procedure pass that reads no analysis — neither the
           oracle nor mod-ref (copy propagation, local CSE, DCE): it sees

@@ -111,8 +111,8 @@ let snapshot_blocks proc =
       let b = Ir.Cfg.block proc i in
       (b.Ir.Cfg.b_instrs, b.Ir.Cfg.b_term))
 
-(* Run a per-procedure pass over every procedure — the generic derivation
-   of the old whole-program [run].
+(* Run a per-procedure pass over every procedure — the only whole-program
+   run a per-procedure pass has.
 
    Determinism: procedures are independent (each [run_proc] reads only
    its own procedure plus shared read-only analysis state), so the merge
@@ -128,16 +128,15 @@ let snapshot_blocks proc =
      the duration of a multi-domain region, and dataflow's cumulative
      counters are atomics.
 
-   A fault-injected or query-logged context instead runs on the shared
-   sequential path (one cached oracle, the caller's ledger, the plain
-   program allocator): fault statistics and "once per distinct pair" log
-   semantics are whole-program notions that per-procedure caches would
-   change.
+   A fault-injected or query-logged context takes this same path, with
+   the log installed in each procedure's cache, but on one domain: the
+   fault layer's flip counters and the caller's log callback are not
+   domain-safe. Observing a run therefore never changes what it emits.
 
    An analysis-free pass ({!Pass.Analysis_free}) gets no oracle, no
-   mod-ref and no engine refresh, on either path. Fingerprints are read
-   only by the memo (under [rerun]) and by an engine update; outside a
-   memo the update computes them itself, and only when it runs. *)
+   mod-ref and no engine refresh. Fingerprints are read only by the memo
+   (under [rerun]) and by an engine update; outside a memo the update
+   computes them itself, and only when it runs. *)
 let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
   let procs = Array.of_list program.Ir.Cfg.prog_procs in
   let n = Array.length procs in
@@ -150,28 +149,6 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
   in
   let reads_analysis = Pass.reads_analysis p in
   if n = 0 then Pass.unchanged []
-  else if Option.is_some ctx.Pass.fault || Option.is_some ctx.Pass.oracle_log
-  then begin
-    (* This path mutates procedures without maintaining the carried
-       fingerprints; drop them so later slots recompute. *)
-    (match memo with
-    | Some { m_fps = Some tbl; _ } -> Hashtbl.reset tbl
-    | _ -> ());
-    let pc =
-      lazy
-        { Pass.pc_program = program;
-          pc_oracle = Pass.oracle ctx program;
-          pc_modref = Pass.modref ctx program;
-          pc_claims = ctx.Pass.claims;
-          pc_fresh =
-            (fun ~name ~ty ~kind -> Ir.Cfg.fresh_var program ~name ~ty ~kind) }
-    in
-    let outcomes = Array.make n (Pass.unchanged []) in
-    for i = 0 to n - 1 do
-      outcomes.(i) <- run_proc pc procs.(i)
-    done;
-    Pass.merge_outcomes outcomes
-  end
   else begin
     let start = program.Ir.Cfg.next_var_id in
     let want_claims = ctx.Pass.claims <> None in
@@ -260,7 +237,15 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
       hits;
     if nlive > 0 then begin
       let oname = Pass.oracle_name ctx.Pass.oracle_kind in
-      let domains = if ctx.Pass.jobs <= 1 then 1 else min ctx.Pass.jobs nlive in
+      let log = ctx.Pass.oracle_log in
+      (* The flip counters and the log callback are not domain-safe. *)
+      let domains =
+        if
+          ctx.Pass.jobs <= 1 || Option.is_some ctx.Pass.fault
+          || Option.is_some log
+        then 1
+        else min ctx.Pass.jobs nlive
+      in
       let run_live j =
         let i = live.(j) in
         let proc = procs.(i) in
@@ -280,7 +265,7 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
              let c = Oracle_cache.fresh_counters () in
              counters.(i) <- c;
              { Pass.pc_program = program;
-               pc_oracle = Oracle_cache.wrap ~counters:c raw;
+               pc_oracle = Oracle_cache.wrap ~counters:c ?log raw;
                pc_modref = modref;
                pc_claims = claims;
                pc_fresh = fresh })
@@ -370,30 +355,35 @@ let run_one ?memo ctx program ~round (p : Pass.t) : Pass.report =
 (* The one schedule walker, over any per-pass runner: a [Run] item runs
    once; a [Fixpoint] group runs in rounds until no Transform pass finds
    work, at most [max_rounds] of them (Enabling passes keep canonicalizing
-   forever and must not drive the loop). Reports come back in run order. *)
-let walk (run_pass : round:int -> Pass.t -> Pass.report) items =
-  let run_item acc = function
-    | Run p -> run_pass ~round:1 p :: acc
+   forever and must not drive the loop). Each execution is handed its
+   schedule position — [slot] is (item index, index in the group), and
+   with [round] it names the execution independently of how many rounds
+   earlier groups took. Reports come back in run order. *)
+let walk (run_pass : slot:int * int -> round:int -> Pass.t -> Pass.report)
+    items =
+  let run_item (item, acc) = function
+    | Run p -> (item + 1, run_pass ~slot:(item, 0) ~round:1 p :: acc)
     | Fixpoint { passes; max_rounds } ->
       let rec go round acc =
         if round > max_rounds then acc
         else begin
-          let acc, progressed =
+          let _, acc, progressed =
             List.fold_left
-              (fun (acc, progressed) p ->
-                let r = run_pass ~round p in
+              (fun (member, acc, progressed) p ->
+                let r = run_pass ~slot:(item, member) ~round p in
                 let drives = r.Pass.r_changed && p.Pass.role = Pass.Transform in
-                (r :: acc, progressed || drives))
-              (acc, false) passes
+                (member + 1, r :: acc, progressed || drives))
+              (0, acc, false) passes
           in
           if progressed then go (round + 1) acc else acc
         end
       in
-      go 1 acc
+      (item + 1, go 1 acc)
   in
-  List.rev (List.fold_left run_item [] items)
+  List.rev (snd (List.fold_left run_item (0, []) items))
 
-let run ctx program items = walk (run_one ctx program) items
+let run ctx program items =
+  walk (fun ~slot:_ -> run_one ctx program) items
 
 (* ------------------------------------------------------------------ *)
 (* Guarded execution                                                   *)
@@ -448,7 +438,7 @@ let run_one_guarded ctx program ~verify ~quarantine ~round (p : Pass.t) =
 
 let run_guarded ?(verify = false) ctx program items =
   let quarantine : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  walk (run_one_guarded ctx program ~verify ~quarantine) items
+  walk (fun ~slot:_ -> run_one_guarded ctx program ~verify ~quarantine) items
 
 let failures reports =
   List.filter_map
@@ -464,10 +454,14 @@ let failures reports =
 
 (* A session keeps, across runs of the same schedule over successive
    versions of one program: the shared analysis context (whose engine
-   makes mid-pipeline re-analyses incremental), a per-(schedule slot,
+   makes mid-pipeline re-analyses incremental), a per-(schedule position,
    procedure) memo of pass results, a gate engine fed only the
    *pre-optimization* program versions, and the previous version's
-   fingerprints.
+   fingerprints. A position is (item index, index in the group, round):
+   it names the same pass execution in every run, however many rounds a
+   fixpoint group before it took this time. (An execution count would
+   not: one extra copyprop+RLE round shifts every later count onto
+   another pass's record.)
 
    Validity of a memoized result for procedure P at a slot requires
    more than P's input fingerprint: P's transform also consulted the
@@ -480,10 +474,11 @@ let failures reports =
    the oracles stand. *)
 type session = {
   s_ctx : Pass.context;
-  s_slots : (int, (string, slot_entry) Hashtbl.t) Hashtbl.t;
-  s_engines : (int, Engine.t) Hashtbl.t;
-      (* per slot: the context's analysis engine frozen at that pipeline
-         position (see [run_one_slot]) *)
+  s_slots : (int * int * int, (string, slot_entry) Hashtbl.t) Hashtbl.t;
+      (* per position: the memo, keyed by procedure name *)
+  s_engines : (int * int * int, Engine.t) Hashtbl.t;
+      (* per position: the context's analysis engine frozen there (see
+         [run_one_slot]) *)
   mutable s_gate : Engine.t option;
   mutable s_prev_fps : (string, int) Hashtbl.t;
   mutable s_runs : int;
@@ -601,10 +596,8 @@ let rerun s program items =
     if Hashtbl.length cur_fps = nprocs then Some (Hashtbl.copy cur_fps)
     else None
   in
-  let slot = ref 0 in
-  let run_one_slot ~round p =
-    let k = !slot in
-    incr slot;
+  let run_one_slot ~slot:(item, member) ~round p =
+    let k = (item, member, round) in
     let memo =
       match p.Pass.scope with
       | Pass.Per_procedure _ | Pass.Analysis_free _ ->

@@ -11,12 +11,15 @@
     harvest. {!run}, {!run_guarded} and {!rerun} walk a schedule by these
     rules alike; they differ only in how each pass executes.
 
-    A {!Pass.Per_procedure} pass never sees the whole program: the manager
-    derives its whole-program run generically, executing [run_proc] over
-    every procedure — across [context.jobs] {!Support.Domain_pool} domains
-    when asked — and merging outcomes, oracle counters and claims ledgers
-    in program order. Results are byte-identical at any domain count (see
-    {!Pass.proc_context} for the determinism contract). A
+    A {!Pass.Per_procedure} pass never sees the whole program, and the
+    manager is its only driver: no pass exports a whole-program run of
+    its own. The manager executes the pass's body over every procedure —
+    across [context.jobs] {!Support.Domain_pool} domains when asked — and
+    merges outcomes, oracle counters and claims ledgers in program order.
+    Results are byte-identical at any domain count (see
+    {!Pass.proc_context} for the determinism contract). A context with a
+    fault layer or a query log installed takes the same path on one
+    domain, so observing a run never changes what it emits. A
     {!Pass.Analysis_free} pass runs the same way but with no oracle, no
     mod-ref and no engine refresh: the engine stays stale until the next
     pass that reads it.
@@ -65,8 +68,9 @@ val schedule : Config.t -> item list
 
 val run : Pass.context -> Ir.Cfg.program -> item list -> Pass.report list
 (** Execute the schedule; reports are in execution order. Per-procedure
-    passes run across [context.jobs] domains (sequentially when [<= 1])
-    with byte-identical results either way. *)
+    passes run across [context.jobs] domains (sequentially when [<= 1] or
+    when a fault layer or query log is installed) with byte-identical
+    results either way. *)
 
 val run_guarded :
   ?verify:bool -> Pass.context -> Ir.Cfg.program -> item list -> Pass.report list
@@ -82,8 +86,11 @@ val failures : Pass.report list -> (string * string) list
 
 (** {1 Incremental re-runs}
 
-    A session re-optimizes successive versions of one program, memoizing
-    per-procedure pass results keyed by (schedule slot, procedure). On
+    A session re-optimizes successive versions of one program under one
+    schedule, memoizing per-procedure pass results keyed by (schedule
+    position, procedure). A position is (item index, index in its group,
+    round), so it names the same pass execution in every run however many
+    rounds an earlier fixpoint group took. On
     [rerun], a procedure whose pass input is provably unchanged — same
     input fingerprint and allocator state, no edit in it or in anything it
     transitively calls (mod-ref summaries flow callee-to-caller), and no

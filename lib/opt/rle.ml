@@ -9,8 +9,6 @@ type stats = {
   mutable shortened : int;
 }
 
-let removed s = s.hoisted + s.eliminated + s.shortened
-
 (* The kill test for a tracked expression consults the same derived paths
    (its variables, its prefixes, its base variable as a path) for every
    instruction in the procedure; recomputing them per query is quadratic
@@ -165,13 +163,7 @@ let defs_in_loop instrs v =
       | None -> false)
     instrs
 
-let default_fresh program ~name ~ty ~kind =
-  Cfg.fresh_var program ~name ~ty ~kind
-
-let hoist_loops ?claims ?fresh program oracle modref proc stats =
-  let fresh =
-    match fresh with Some f -> f | None -> default_fresh program
-  in
+let hoist_loops ?claims ~fresh program oracle modref proc stats =
   let dom = Dom.compute proc in
   let loops = Loops.find proc dom in
   List.iter
@@ -275,10 +267,7 @@ let hoist_loops ?claims ?fresh program oracle modref proc stats =
    the longest available prefix. A store generates its proper prefixes (it
    reads them to navigate) and its own path (store-to-load forwarding). *)
 
-let cse ?claims ?fresh program oracle modref proc stats =
-  let fresh =
-    match fresh with Some f -> f | None -> default_fresh program
-  in
+let cse ?claims ~fresh program oracle modref proc stats =
   let tenv = program.Cfg.tenv in
   let ids = Apath.Tbl.create 64 in
   let exprs = Vec.create () in
@@ -439,28 +428,21 @@ let cse ?claims ?fresh program oracle modref proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run_proc ?claims ?fresh program oracle modref proc =
+let run_proc (pc : Pass.proc_context) proc =
+  let claims = pc.Pass.pc_claims and fresh = pc.Pass.pc_fresh in
+  let program = pc.Pass.pc_program
+  and oracle = pc.Pass.pc_oracle
+  and modref = pc.Pass.pc_modref in
   let stats = { hoisted = 0; eliminated = 0; shortened = 0 } in
   (* Iterate hoisting so loads escape nested loops level by level; each
      round recomputes dominators over the preheaders of the previous one. *)
   let rec rounds budget prev =
-    hoist_loops ?claims ?fresh program oracle modref proc stats;
+    hoist_loops ?claims ~fresh program oracle modref proc stats;
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
-  cse ?claims ?fresh program oracle modref proc stats;
+  cse ?claims ~fresh program oracle modref proc stats;
   stats
-
-let run ~modref ?claims program oracle =
-  let total = { hoisted = 0; eliminated = 0; shortened = 0 } in
-  List.iter
-    (fun proc ->
-      let s = run_proc ?claims program oracle modref proc in
-      total.hoisted <- total.hoisted + s.hoisted;
-      total.eliminated <- total.eliminated + s.eliminated;
-      total.shortened <- total.shortened + s.shortened)
-    program.Cfg.prog_procs;
-  total
 
 let pass =
   { Pass.name = "rle";
@@ -468,15 +450,21 @@ let pass =
     scope =
       Pass.Per_procedure
         (fun pc proc ->
-          let s =
-            run_proc ?claims:pc.Pass.pc_claims ~fresh:pc.Pass.pc_fresh
-              pc.Pass.pc_program pc.Pass.pc_oracle pc.Pass.pc_modref proc
-          in
+          let s = run_proc pc proc in
           { Pass.stats =
               [ ("hoisted", s.hoisted); ("eliminated", s.eliminated);
                 ("shortened", s.shortened) ];
-            changed = removed s > 0;
+            changed = s.hoisted + s.eliminated + s.shortened > 0;
             (* Even a zero-stat run rewrites loads through home temporaries,
                so the program text (and thus the analysis) is always stale
                afterwards. *)
             mutated = true }) }
+
+let removed reports =
+  List.fold_left
+    (fun acc r ->
+      if r.Pass.r_pass = pass.Pass.name then
+        acc + Pass.stat r "hoisted" + Pass.stat r "eliminated"
+        + Pass.stat r "shortened"
+      else acc)
+    0 reports

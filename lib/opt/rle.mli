@@ -20,12 +20,6 @@
 
 open Tbaa
 
-type stats = {
-  mutable hoisted : int;  (* loads (or load prefixes) moved to preheaders *)
-  mutable eliminated : int;  (* loads replaced by register copies *)
-  mutable shortened : int;  (* loads whose available prefix was reused *)
-}
-
 type query_paths = {
   qp_vars : Ir.Reg.var list;  (* variables the path reads (base and indices) *)
   qp_base : Ir.Apath.t;  (* the base variable as a path *)
@@ -86,25 +80,16 @@ val kill_set :
     The returned set may be shared with the index and with other calls: it
     must not be mutated. *)
 
-val removed : stats -> int
-(** Total loads removed statically — the paper's Table 6 number. *)
-
-val run_proc :
-  ?claims:Claims.t ->
-  ?fresh:(name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var) ->
-  Ir.Cfg.program -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats
-(** One procedure. [fresh] overrides the home-temporary allocator
-    (defaults to {!Ir.Cfg.fresh_var} on the program counter); the
-    per-procedure engine passes its deterministic laced allocator. *)
-
-val run :
-  modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure, with call kills from [modref] (normally
-    {!Modref.of_engine}; {!Modref.conservative} for the ablation). With
-    [claims], the alias/kill answers relied on — and the home temporaries
-    introduced — are logged for the dynamic soundness auditor. *)
-
 val pass : Pass.t
-(** Runs over the context's cached oracle (mod-ref computed internally
-    against it). [changed] iff any load was removed; always [mutated].
-    Stats: [hoisted], [eliminated], [shortened]. *)
+(** A per-procedure pass: call kills come from the context's mod-ref view,
+    home temporaries from the laced allocator, and with a claims ledger
+    the alias/kill answers relied on — and the home temporaries
+    introduced — are logged for the dynamic soundness auditor. [changed]
+    iff any load was removed; always [mutated]. Stats: [hoisted] (loads
+    or load prefixes moved to preheaders), [eliminated] (loads replaced
+    by register copies), [shortened] (loads whose available prefix was
+    reused). *)
+
+val removed : Pass.report list -> int
+(** Total loads removed statically (hoisted + eliminated + shortened)
+    over every RLE run among the reports — the paper's Table 6 number. *)

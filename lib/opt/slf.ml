@@ -165,13 +165,6 @@ let run_proc ?claims (oracle : Oracle.t) modref proc stats =
       proc.Cfg.pr_blocks
   end
 
-let run ~modref ?claims program oracle =
-  let stats = { forwarded = 0 } in
-  List.iter
-    (fun proc -> run_proc ?claims oracle modref proc stats)
-    program.Cfg.prog_procs;
-  stats
-
 let pass =
   { Pass.name = "slf";
     role = Pass.Transform;

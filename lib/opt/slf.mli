@@ -11,18 +11,8 @@
     With [claims], every alias/no-mod answer relied on is logged under
     kind ["slf"] for the dynamic soundness auditor. *)
 
-open Tbaa
-
-type stats = { mutable forwarded : int }
-
-val run_proc :
-  ?claims:Claims.t -> Oracle.t -> Modref.t -> Ir.Cfg.proc -> stats -> unit
-
-val run :
-  modref:Modref.t -> ?claims:Claims.t -> Ir.Cfg.program -> Oracle.t -> stats
-(** Run over every procedure, with call effects from [modref]. *)
-
 val pass : Pass.t
-(** Runs over the context's cached oracle and engine-backed mod-ref view.
+(** A per-procedure pass over the context's oracle and engine-backed
+    mod-ref view.
     [changed] and [mutated] iff any load was forwarded. Stats:
     [forwarded]. *)

@@ -24,14 +24,13 @@ let inputs engine kind =
   let kind = Opt.Pass.engine_kind kind in
   (Opt.Modref.of_engine engine kind, Tbaa.Engine.oracle engine kind)
 
-let rle_with src kind =
+(* Run RLE alone; [stat name] reads one of its counters. *)
+let rle_with src oracle_kind =
   let program = lower src in
   let before = run_out program in
-  let analysis = analyze program in
-  let modref, oracle = inputs analysis kind in
-  let stats = Opt.Rle.run ~modref program oracle in
+  let reports = Passes.run ~oracle_kind program [ Opt.Rle.pass ] in
   let after = run_out program in
-  (program, stats, before, after)
+  (program, Passes.stat reports Opt.Rle.pass, before, after)
 
 (* --- mod-ref ----------------------------------------------------------- *)
 
@@ -83,11 +82,8 @@ BEGIN END M.
       writer
   in
   let eliminated writer =
-    let program = lower (src writer) in
-    let analysis = analyze program in
-    let modref, oracle = inputs analysis sm in
-    let stats = Opt.Rle.run ~modref program oracle in
-    stats.Opt.Rle.eliminated
+    let _, stat, _, _ = rle_with (src writer) sm in
+    stat "eliminated"
   in
   Alcotest.(check bool) "pure call: second load eliminated" true
     (eliminated "sink := 0;" >= 1);
@@ -123,7 +119,7 @@ END M.
 let test_rle_hoists_invariant_prefix () =
   let program, stats, before, after = rle_with figure6_src sm in
   Alcotest.(check bool) "hoisted at least one prefix" true
-    (stats.Opt.Rle.hoisted >= 1);
+    (stats "hoisted" >= 1);
   Alcotest.(check string) "behaviour preserved" before after;
   (* The load of a.b must now be outside the loop: run and compare heap
      loads with the unoptimized program. *)
@@ -158,7 +154,7 @@ END M.
 
 let test_rle_cse_prefix () =
   let _, stats, before, after = rle_with figure7_src sm in
-  Alcotest.(check bool) "prefix reused" true (stats.Opt.Rle.shortened >= 1);
+  Alcotest.(check bool) "prefix reused" true (stats "shortened" >= 1);
   Alcotest.(check string) "behaviour preserved" before after
 
 let test_rle_cse_full () =
@@ -184,7 +180,7 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check bool) "eliminated the second load" true
-    (stats.Opt.Rle.eliminated >= 1);
+    (stats "eliminated" >= 1);
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 42" "42" after
 
@@ -207,7 +203,7 @@ END M.
 |}
   in
   let _, stats, _, after = rle_with src sm in
-  Alcotest.(check bool) "load forwarded" true (stats.Opt.Rle.eliminated >= 1);
+  Alcotest.(check bool) "load forwarded" true (stats "eliminated" >= 1);
   Alcotest.(check string) "output is 7" "7" after
 
 let test_rle_killed_by_may_alias_store () =
@@ -236,7 +232,7 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check int) "no elimination across the aliasing store" 0
-    stats.Opt.Rle.eliminated;
+    (stats "eliminated");
   Alcotest.(check string) "behaviour preserved" before after;
   (* a reads 3, the aliasing store makes b read 5: an unsound CSE would
      print 6 instead. *)
@@ -267,16 +263,14 @@ END M.
   in
   let _, stats, before, after = rle_with src sm in
   Alcotest.(check bool) "eliminated across independent store" true
-    (stats.Opt.Rle.eliminated >= 1);
+    (stats "eliminated" >= 1);
   Alcotest.(check string) "behaviour preserved" before after
 
 let test_rle_precision_ordering_on_counts () =
   (* A more precise oracle can only remove at least as many loads. *)
-  let removed kind =
-    let program = lower figure6_src in
-    let analysis = analyze program in
-    let modref, oracle = inputs analysis kind in
-    Opt.Rle.removed (Opt.Rle.run ~modref program oracle)
+  let removed oracle_kind =
+    Opt.Rle.removed
+      (Passes.run ~oracle_kind (lower figure6_src) [ Opt.Rle.pass ])
   in
   Alcotest.(check bool) "SMFieldTypeRefs >= TypeDecl" true
     (removed sm >= removed td)
@@ -308,7 +302,7 @@ END M.
 |}
   in
   let _, stats, before, after = rle_with src sm in
-  Alcotest.(check int) "no full redundancy" 0 stats.Opt.Rle.eliminated;
+  Alcotest.(check int) "no full redundancy" 0 (stats "eliminated");
   Alcotest.(check string) "behaviour preserved" before after
 
 (* --- devirtualization / inlining --------------------------------------- *)
@@ -467,14 +461,11 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let a = analyze program in
-  let modref, oracle = inputs a sm in
-  let pstats = Opt.Pre.run ~modref program oracle in
-  let rstats = Opt.Rle.run ~modref program oracle in
+  let reports = Passes.run program [ Opt.Pre.pass; Opt.Rle.pass ] in
   Alcotest.(check bool) "PRE inserted on the else edge" true
-    (pstats.Opt.Pre.inserted >= 1);
+    (Passes.stat reports Opt.Pre.pass "inserted" >= 1);
   Alcotest.(check bool) "the conditional load is now eliminated" true
-    (rstats.Opt.Rle.eliminated >= 1);
+    (Passes.stat reports Opt.Rle.pass "eliminated" >= 1);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_pre_skips_unprofitable () =
@@ -502,12 +493,9 @@ BEGIN
 END M.
 |}
   in
-  let program = lower src in
-  let a = analyze program in
-  let modref, oracle = inputs a sm in
-  let pstats = Opt.Pre.run ~modref program oracle in
+  let reports = Passes.run (lower src) [ Opt.Pre.pass ] in
   Alcotest.(check int) "no insertion without a carrying sibling" 0
-    pstats.Opt.Pre.inserted
+    (Passes.stat reports Opt.Pre.pass "inserted")
 
 let test_copyprop_enables_breakup_recovery () =
   (* The Breakup pattern: the same address reached via p and via h.next.
@@ -537,15 +525,13 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let a = analyze program in
-  let modref, oracle = inputs a sm in
-  let first = Opt.Rle.run ~modref program oracle in
-  let cp = Opt.Copyprop.run program in
-  let second = Opt.Rle.run ~modref program oracle in
-  Alcotest.(check bool) "copies were propagated" true (cp.Opt.Copyprop.replaced >= 1);
+  ignore (Passes.run program [ Opt.Rle.pass ]);
+  let reports = Passes.run program [ Opt.Copyprop.pass; Opt.Rle.pass ] in
+  let stat = Passes.stat reports in
+  Alcotest.(check bool) "copies were propagated" true
+    (stat Opt.Copyprop.pass "replaced" >= 1);
   Alcotest.(check bool) "second RLE pass finds the breakup redundancy" true
-    (second.Opt.Rle.eliminated + second.Opt.Rle.shortened >= 1);
-  ignore first;
+    (stat Opt.Rle.pass "eliminated" + stat Opt.Rle.pass "shortened" >= 1);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_copyprop_respects_redefinition () =
@@ -568,16 +554,16 @@ END M.
 |}
   in
   let program = lower src in
-  ignore (Opt.Copyprop.run program);
+  ignore (Passes.run program [ Opt.Copyprop.pass ]);
   Alcotest.(check string) "3" "3" (run_out program)
 
 (* Three corners of the copy universe, each with the rewritten procedure
    text, the rewrite count and the program output pinned. *)
 let copyprop_corner src =
   let program = lower src in
-  let s = Opt.Copyprop.run program in
+  let reports = Passes.run program [ Opt.Copyprop.pass ] in
   let text = Format.asprintf "%a" Cfg.pp_proc (proc_named program "P") in
-  (s.Opt.Copyprop.replaced, text, run_out program)
+  (Passes.stat reports Opt.Copyprop.pass "replaced", text, run_out program)
 
 let test_copyprop_repeated_copy () =
   (* [b := a] occurs twice; both occurrences are the one copy (b, a), so
@@ -816,9 +802,10 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let stats = Opt.Dce.run program in
+  let reports = Passes.run program [ Opt.Dce.pass ] in
   (* a's load, b's and c's ALU ops, plus the lowering temporaries. *)
-  Alcotest.(check bool) "removed the dead chain" true (stats.Opt.Dce.removed >= 3);
+  Alcotest.(check bool) "removed the dead chain" true
+    (Passes.stat reports Opt.Dce.pass "removed" >= 3);
   Alcotest.(check string) "behaviour preserved" before (run_out program);
   let p = proc_named program "P" in
   let loads = ref 0 in
@@ -852,7 +839,7 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  ignore (Opt.Dce.run program);
+  ignore (Passes.run program [ Opt.Dce.pass ]);
   Alcotest.(check string) "effects survive" before (run_out program);
   Alcotest.(check string) "output is 6" "6" before
 
@@ -860,25 +847,25 @@ let test_dce_fixpoint_on_workload () =
   (* Running DCE twice must find nothing the second time. *)
   let w = Workloads.Suite.find "format" in
   let program = Workloads.Workload.lower w in
-  ignore (Opt.Dce.run program);
-  let second = Opt.Dce.run program in
-  Alcotest.(check int) "idempotent" 0 second.Opt.Dce.removed
+  ignore (Passes.run program [ Opt.Dce.pass ]);
+  let second = Passes.run program [ Opt.Dce.pass ] in
+  Alcotest.(check int) "idempotent" 0
+    (Passes.stat second Opt.Dce.pass "removed")
 
 (* --- new TBAA clients: DSE, SLF, LICM ---------------------------------- *)
 
-let client_with run src kind =
+(* Run one client alone; the first component reads its counters. *)
+let client_with pass src oracle_kind =
   let program = lower src in
   let before = run_out program in
-  let analysis = analyze program in
-  let modref, oracle = inputs analysis kind in
-  let stats = run ~modref program oracle in
+  let reports = Passes.run ~oracle_kind program [ pass ] in
   let after = run_out program in
-  (stats, before, after)
+  (Passes.stat reports pass, before, after)
 
 let test_dse_removes_overwritten_store () =
   let stats, before, after =
     client_with
-      (fun ~modref p o -> Opt.Dse.run ~modref p o)
+      Opt.Dse.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -897,7 +884,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "dead store removed" 1 stats.Opt.Dse.removed;
+  Alcotest.(check int) "dead store removed" 1 (stats "removed");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 5" "5" before
 
@@ -926,9 +913,9 @@ END M.
   List.iter
     (fun kind ->
       let stats, before, after =
-        client_with (fun ~modref p o -> Opt.Dse.run ~modref p o) src kind
+        client_with Opt.Dse.pass src kind
       in
-      Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
+      Alcotest.(check int) "store kept" 0 (stats "removed");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 21" "21" before)
     [ sm; td ]
@@ -939,7 +926,7 @@ let test_dse_kept_by_reading_call () =
      so the interprocedural ref summary must cover navigation reads. *)
   let stats, before, after =
     client_with
-      (fun ~modref p o -> Opt.Dse.run ~modref p o)
+      Opt.Dse.pass
       {|
 MODULE M;
 TYPE Arr = REF ARRAY OF INTEGER;
@@ -960,7 +947,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "store read by call kept" 0 stats.Opt.Dse.removed;
+  Alcotest.(check int) "store read by call kept" 0 (stats "removed");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 8" "8" before
 
@@ -995,9 +982,9 @@ END M.
   List.iter
     (fun kind ->
       let stats, before, after =
-        client_with (fun ~modref p o -> Opt.Dse.run ~modref p o) src kind
+        client_with Opt.Dse.pass src kind
       in
-      Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
+      Alcotest.(check int) "store kept" 0 (stats "removed");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 12" "12" before)
     [ sm; td ]
@@ -1030,9 +1017,9 @@ END M.
   List.iter
     (fun kind ->
       let stats, before, after =
-        client_with (fun ~modref p o -> Opt.Dse.run ~modref p o) src kind
+        client_with Opt.Dse.pass src kind
       in
-      Alcotest.(check int) "store kept" 0 stats.Opt.Dse.removed;
+      Alcotest.(check int) "store kept" 0 (stats "removed");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 12" "12" before)
     [ sm; td ]
@@ -1040,7 +1027,7 @@ END M.
 let test_slf_forwards_stored_atom () =
   let stats, before, after =
     client_with
-      (fun ~modref p o -> Opt.Slf.run ~modref p o)
+      Opt.Slf.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -1060,7 +1047,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "load forwarded" 1 stats.Opt.Slf.forwarded;
+  Alcotest.(check int) "load forwarded" 1 (stats "forwarded");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 3" "3" before
 
@@ -1092,9 +1079,9 @@ END M.
   List.iter
     (fun kind ->
       let stats, before, after =
-        client_with (fun ~modref p o -> Opt.Slf.run ~modref p o) src kind
+        client_with Opt.Slf.pass src kind
       in
-      Alcotest.(check int) "forwarding blocked" 0 stats.Opt.Slf.forwarded;
+      Alcotest.(check int) "forwarding blocked" 0 (stats "forwarded");
       Alcotest.(check string) "behaviour preserved" before after;
       Alcotest.(check string) "output is 2" "2" before)
     [ sm; td ]
@@ -1105,7 +1092,7 @@ let test_slf_blocked_by_byref_atom_write () =
      resurrect the stale value. *)
   let stats, before, after =
     client_with
-      (fun ~modref p o -> Opt.Slf.run ~modref p o)
+      Opt.Slf.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -1128,14 +1115,14 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "stale atom not forwarded" 0 stats.Opt.Slf.forwarded;
+  Alcotest.(check int) "stale atom not forwarded" 0 (stats "forwarded");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 4" "4" before
 
 let test_licm_hoists_invariant_load () =
   let stats, before, after =
     client_with
-      (fun ~modref p o -> Opt.Licm.run ~modref p o)
+      Opt.Licm.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -1158,7 +1145,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "load hoisted" 1 stats.Opt.Licm.hoisted;
+  Alcotest.(check int) "load hoisted" 1 (stats "hoisted");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 6" "6" before
 
@@ -1167,7 +1154,7 @@ let test_licm_blocked_by_modding_call () =
      cell's class, so the load is not invariant. *)
   let stats, before, after =
     client_with
-      (fun ~modref p o -> Opt.Licm.run ~modref p o)
+      Opt.Licm.pass
       {|
 MODULE M;
 TYPE Node = OBJECT val: INTEGER; END;
@@ -1192,7 +1179,7 @@ END M.
 |}
       sm
   in
-  Alcotest.(check int) "hoist blocked" 0 stats.Opt.Licm.hoisted;
+  Alcotest.(check int) "hoist blocked" 0 (stats "hoisted");
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 6" "6" before
 
@@ -1224,12 +1211,9 @@ BEGIN
 END M.
 |}
   in
-  let kinds_used run kind =
-    let program = lower src in
-    let analysis = analyze program in
+  let kinds_used pass kind =
     let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-    let modref, oracle = inputs analysis sm in
-    ignore (run ~claims ~modref program oracle);
+    ignore (Passes.run ~claims (lower src) [ pass ]);
     let pairs = Tbaa.Claims.disjoint_pairs claims in
     Alcotest.(check bool)
       (kind ^ " made at least one no-alias bet")
@@ -1242,17 +1226,11 @@ END M.
       pairs
   in
   Alcotest.(check bool) "dse bets carry kind dse" true
-    (kinds_used
-       (fun ~claims ~modref p o -> Opt.Dse.run ~modref ~claims p o)
-       "dse");
+    (kinds_used Opt.Dse.pass "dse");
   Alcotest.(check bool) "slf bets carry kind slf" true
-    (kinds_used
-       (fun ~claims ~modref p o -> Opt.Slf.run ~modref ~claims p o)
-       "slf");
+    (kinds_used Opt.Slf.pass "slf");
   Alcotest.(check bool) "licm bets carry kind licm" true
-    (kinds_used
-       (fun ~claims ~modref p o -> Opt.Licm.run ~modref ~claims p o)
-       "licm")
+    (kinds_used Opt.Licm.pass "licm")
 
 (* --- pipeline ----------------------------------------------------------- *)
 

@@ -4,10 +4,15 @@
      the full fuzz configuration matrix and the generator seeds —
      program text, per-pass stats, oracle counters, and claims-ledger
      totals all equal;
+   - observing a run (a query log, a claims ledger, or both) changes
+     neither the optimized program nor the reports, and a fault-injected
+     run emits the same at any domain count;
    - incremental [Pass_manager.rerun] is indistinguishable from a
      from-scratch run for each mutation kind (constant toggle, store
-     duplication, store-block erasure, procedure removal), and actually
-     reuses memoized work for a body-local single-procedure edit;
+     duplication, store-block erasure, procedure removal) and along a
+     chain of edits that changes a fixpoint group's round count, and
+     actually reuses memoized work for a body-local single-procedure
+     edit;
    - [run], [run_guarded] and [rerun] walk a schedule alike: a fixpoint
      group stops at [max_rounds], only Transform passes drive it, and
      guarded execution without failures reports what plain execution
@@ -78,16 +83,79 @@ let test_parallel_matches_sequential () =
     seeds
 
 (* ------------------------------------------------------------------ *)
+(* Observation does not perturb                                        *)
+(* ------------------------------------------------------------------ *)
+
+let full_schedule =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+      slf = true; rle = true; copyprop = true; dse = true; local_cse = true }
+
+(* What a run emits: a digest of the optimized program and the reports. *)
+let emitted program reports =
+  Digest.to_hex (Digest.string (print_program program)) ^ " "
+  ^ stats_sig reports
+
+(* The fuzzer and the auditor optimize with a query log and a claims
+   ledger installed; what they certify must be what a plain run emits. *)
+let test_observation_does_not_perturb () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let run ~log ~ledger =
+        let program = Workloads.Workload.lower w in
+        let ctx = Opt.Pass.create () in
+        if log then ctx.Opt.Pass.oracle_log <- Some (fun _ _ _ -> ());
+        if ledger then
+          ctx.Opt.Pass.claims <- Some (Tbaa.Claims.create ~oracle:"observed");
+        emitted program (Opt.Pass_manager.run ctx program full_schedule)
+      in
+      let plain = run ~log:false ~ledger:false in
+      List.iter
+        (fun (label, log, ledger) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s run = plain run" w.Workloads.Workload.name
+               label)
+            plain (run ~log ~ledger))
+        [ ("logged", true, false); ("ledger", false, true);
+          ("logged+ledger", true, true) ])
+    Workloads.Suite.all
+
+(* A fault-injected run ignores [jobs] (its flip counters are not
+   domain-safe) and so emits the same at any domain count. *)
+let test_fault_run_domain_independent () =
+  List.iter
+    (fun (w : Workloads.Workload.t) ->
+      let run ~jobs =
+        let program = Workloads.Workload.lower w in
+        let ctx = Opt.Pass.create ~jobs () in
+        let claims = Tbaa.Claims.create ~oracle:"fault" in
+        let fault = Opt.Pass.fault ~seed:7 ~rate:0.05 () in
+        ctx.Opt.Pass.claims <- Some claims;
+        ctx.Opt.Pass.fault <- Some fault;
+        let reports = Opt.Pass_manager.run_guarded ctx program full_schedule in
+        let flips = fault.Opt.Pass.f_stats in
+        Printf.sprintf "%s claims=%d/%d flips=%d/%d"
+          (emitted program reports) (Tbaa.Claims.n_pairs claims)
+          (Tbaa.Claims.n_records claims) flips.Tbaa.Oracle_fault.alias_flips
+          flips.Tbaa.Oracle_fault.kill_flips
+      in
+      Alcotest.(check string)
+        (w.Workloads.Workload.name ^ ": jobs=2 = jobs=1")
+        (run ~jobs:1) (run ~jobs:2))
+    Workloads.Suite.all
+
+(* ------------------------------------------------------------------ *)
 (* Incremental rerun ≡ from-scratch                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The daemon's configuration: every per-procedure client on, plus the
    whole-program fixpoint in front to prove whole-program passes rerun
    live. *)
-let rerun_schedule =
-  Opt.Pass_manager.schedule
-    { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
-      slf = true; rle = true; copyprop = true; dse = true; local_cse = false }
+let rerun_config =
+  { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+    slf = true; rle = true; copyprop = true; dse = true; local_cse = false }
+
+let rerun_schedule = Opt.Pass_manager.schedule rerun_config
 
 let rerun_context () = Opt.Pass.create ~jobs:2 ()
 
@@ -146,6 +214,55 @@ let test_rerun_mutations () =
     (fun (label, mutate) ->
       List.iter (check_rerun_matches_scratch ~label ~mutate) seeds)
     mutations
+
+(* Chained edits to one generated program (size 1, seed 55), each
+   version re-lowered and edited from scratch, rerun through one session
+   and compared with a from-scratch run after every edit. The chain
+   changes how many rounds the copyprop+RLE fixpoint takes, which must not
+   shift any later pass onto another pass's memoized results. *)
+let test_rerun_chained_edits () =
+  let source = (Gen.Generator.generate ~size:1 55).Gen.Generator.source in
+  let chain =
+    Test_mutations.
+      [ toggle_const; erase_store_block; toggle_const; erase_store_block;
+        erase_store_block ]
+  in
+  let version k =
+    let p = Lower.lower_string ~file:"<gen>" source in
+    List.iteri (fun j edit -> if j < k then ignore (edit p)) chain;
+    p
+  in
+  let rounds reports =
+    List.length (Opt.Pass_manager.reports_for "copyprop" reports)
+  in
+  List.iter
+    (fun (label, schedule) ->
+      let s = Opt.Pass_manager.session (rerun_context ()) in
+      let r0 = Opt.Pass_manager.rerun s (version 0) schedule in
+      let round_counts = ref [ rounds r0 ] in
+      List.iteri
+        (fun j _ ->
+          let k = j + 1 in
+          let p1 = version k in
+          let r1 = Opt.Pass_manager.rerun s p1 schedule in
+          let p2 = version k in
+          let r2 = Opt.Pass_manager.run (rerun_context ()) p2 schedule in
+          round_counts := rounds r2 :: !round_counts;
+          let l = Printf.sprintf "%s edit %d" label k in
+          Alcotest.(check string)
+            (l ^ ": program bytes") (print_program p2) (print_program p1);
+          Alcotest.(check string)
+            (l ^ ": report stats") (stats_sig r2) (stats_sig r1))
+        chain;
+      Alcotest.(check bool)
+        (label ^ ": the chain changes the fixpoint's round count")
+        true
+        (List.length (List.sort_uniq compare !round_counts) > 1))
+    [ ("full", rerun_schedule);
+      ( "daemon",
+        (* the daemon's schedule: every per-procedure client *)
+        Opt.Pass_manager.schedule
+          { rerun_config with Opt.Pass_manager.Config.devirt_inline = false } ) ]
 
 (* A digest-changing but fact-preserving single-procedure edit must
    actually hit the memo: procedures outside the edit's caller closure
@@ -343,9 +460,16 @@ let () =
     [ ( "parallel",
         [ Alcotest.test_case "parallel == sequential over fuzz matrix" `Slow
             test_parallel_matches_sequential ] );
+      ( "observation",
+        [ Alcotest.test_case "log and ledger do not perturb" `Quick
+            test_observation_does_not_perturb;
+          Alcotest.test_case "fault run independent of jobs" `Quick
+            test_fault_run_domain_independent ] );
       ( "incremental",
         [ Alcotest.test_case "rerun == from-scratch per mutation kind" `Slow
             test_rerun_mutations;
+          Alcotest.test_case "rerun == from-scratch along chained edits"
+            `Quick test_rerun_chained_edits;
           Alcotest.test_case "single-proc edit reuses memo" `Quick
             test_rerun_reuses ] );
       ( "walker",

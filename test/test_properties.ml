@@ -24,13 +24,10 @@ let preserves_output transform seed =
   transform program;
   String.equal reference (output program)
 
-let prop_rle_preserves kind name =
+let prop_rle_preserves oracle_kind name =
   QCheck.Test.make ~name ~count Gen_prog.arbitrary
     (preserves_output (fun program ->
-         let e = Tbaa.Engine.create program in
-         let kind = Opt.Pass.engine_kind kind in
-         let modref = Opt.Modref.of_engine e kind in
-         ignore (Opt.Rle.run ~modref program (Tbaa.Engine.oracle e kind))))
+         ignore (Passes.run ~oracle_kind program [ Opt.Rle.pass ])))
 
 let prop_full_pipeline_preserves =
   QCheck.Test.make ~name:"pipeline (devirt+inline+RLE+local CSE) preserves output"
@@ -45,11 +42,13 @@ let prop_full_pipeline_preserves =
 
 let prop_dce_preserves =
   QCheck.Test.make ~name:"DCE preserves output" ~count Gen_prog.arbitrary
-    (preserves_output (fun program -> ignore (Opt.Dce.run program)))
+    (preserves_output (fun program ->
+         ignore (Passes.run program [ Opt.Dce.pass ])))
 
 let prop_local_cse_preserves =
   QCheck.Test.make ~name:"local CSE preserves output" ~count Gen_prog.arbitrary
-    (preserves_output (fun program -> ignore (Opt.Local_cse.run program)))
+    (preserves_output (fun program ->
+         ignore (Passes.run program [ Opt.Local_cse.pass ])))
 
 (* --- oracle cache transparency ------------------------------------------ *)
 

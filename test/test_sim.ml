@@ -386,14 +386,14 @@ let test_limit_detects_redundancy () =
   Alcotest.(check bool) "found a redundant load" true
     (Sim.Limit.total_redundant tracer >= 1)
 
-(* RLE under SMFieldTypeRefs with the engine's mod-ref view; returns both
-   for classifying the residual loads. *)
+(* RLE under SMFieldTypeRefs; returns the oracle and mod-ref view of the
+   program as written, for classifying the residual loads. *)
 let rle_sm program =
   let engine = Tbaa.Engine.create program in
   let sm = Tbaa.Engine.Sm_field_type_refs in
   let oracle = Tbaa.Engine.oracle engine sm in
   let modref = Opt.Modref.of_engine engine sm in
-  ignore (Opt.Rle.run ~modref program oracle);
+  ignore (Passes.run program [ Opt.Rle.pass ]);
   (oracle, modref)
 
 let test_limit_rle_removes_redundancy () =

@@ -122,7 +122,10 @@ let test_ktree_dope_redundancy () =
   let program = Workloads.Workload.lower w in
   let ctx = Opt.Pass.create () in
   (* classify through the alias relation of the program as written *)
-  let oracle = Opt.Pass.oracle ctx program in
+  let oracle =
+    Tbaa.Engine.cached (Opt.Pass.analysis ctx program)
+      (Opt.Pass.engine_kind ctx.Opt.Pass.oracle_kind)
+  in
   ignore
     (Opt.Pass_manager.run ctx program
        (Opt.Pass_manager.schedule
