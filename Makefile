@@ -28,7 +28,7 @@ check:
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --out ""
 
 # The full differential-testing sweep: 200 generated programs through the
-# 24-configuration matrix and all four oracles, then a fault-injected run
+# 27-configuration matrix and all four oracles, then a fault-injected run
 # that must produce shrunk, replaying counterexamples (the fuzzer testing
 # itself). Slower than `check`; run before releases.
 fuzz:

@@ -154,8 +154,11 @@ val timings : t -> timings
 
 type update_report = {
   ur_recomputed : Ident.t list;
-      (** procedures whose summaries were recomputed, sorted *)
+      (** procedures whose summaries were recomputed, sorted: every
+          procedure whose fingerprint changed, plus any whose callees'
+          signatures did *)
   ur_oracles_rebuilt : bool;
+      (** [false] implies an unchanged procedure list (names and order) *)
   ur_callgraph_rebuilt : bool;
 }
 

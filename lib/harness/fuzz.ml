@@ -39,11 +39,15 @@ let variants =
     ("rle+pre", { rle with pre = true });
     ("minv+rle", { rle with devirt_inline = true });
     (* The non-RLE clients, each alone (isolating its bets for the audit
-       and lattice oracles), then everything at once (interactions). *)
+       and lattice oracles), then together (interactions), then the whole
+       pass stack. *)
     ("licm", { none with licm = true });
     ("slf", { none with slf = true });
     ("dse", { none with dse = true });
-    ("licm+slf+rle+dse", { rle with licm = true; slf = true; dse = true }) ]
+    ("licm+slf+rle+dse", { rle with licm = true; slf = true; dse = true });
+    ( "all",
+      { devirt_inline = true; licm = true; pre = true; slf = true; rle = true;
+        copyprop = true; dse = true; local_cse = true } ) ]
 
 let all_configs () =
   List.concat_map

@@ -61,12 +61,12 @@ let add_oracle_counters ~into (o : Oracle_cache.counters) =
    merge consumed, keyed by the *input* fingerprint and the allocator
    state. A recorded entry replayed under identical conditions is
    byte-for-byte what the live run would produce, so [rerun] may splice
-   it without re-running the pass. *)
+   it without re-running the pass. Entries are indexed by the procedure's
+   position in [prog_procs] (its allocator lane); see [rerun] for why the
+   position alone names the procedure. *)
 type slot_entry = {
   e_in_fp : int;  (* Fingerprint.proc of the input body *)
   e_out_fp : int;  (* Fingerprint.proc of the output body (= of a splice) *)
-  e_index : int;  (* position in prog_procs (the allocator lane) *)
-  e_nprocs : int;  (* lane stride *)
   e_start : int;  (* program.next_var_id at pass start *)
   e_count : int;  (* temps this procedure allocated *)
   e_entry : int;
@@ -77,17 +77,17 @@ type slot_entry = {
   e_claims : Claims.t option;  (* per-procedure ledger, if one was kept *)
 }
 
-type memo_slot = {
-  m_tbl : (string, slot_entry) Hashtbl.t;  (* keyed by procedure name *)
-  m_valid : Ir.Cfg.proc -> bool;  (* dependency gate beyond the fingerprint *)
-  m_fps : (string, int) Hashtbl.t option;
-      (* when set (by [rerun], only for duplicate-free programs): each
-         procedure's current fingerprint, carried across schedule slots —
-         a splice advances it to [e_out_fp], a live run to the fresh
-         body's fingerprint — so each slot skips re-walking every body.
-         Missing names are computed (and recorded) on demand. *)
-  m_reused : int ref;
-  m_reran : int ref;
+(* What one [rerun] hands each per-procedure slot, all indexed by
+   procedure position. *)
+type memo = {
+  m_entries : slot_entry option array;  (* this slot's recorded results *)
+  m_valid : bool array;  (* dependency gate beyond the fingerprint *)
+  m_fps : int array;
+      (* each procedure's current fingerprint, carried across slots: a
+         splice advances it to [e_out_fp], a live run to the fresh body's
+         fingerprint, so no slot re-walks every body *)
+  mutable m_reused : int;
+  mutable m_reran : int;
 }
 
 let splice proc (e : slot_entry) =
@@ -152,45 +152,21 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
   else begin
     let start = program.Ir.Cfg.next_var_id in
     let want_claims = ctx.Pass.claims <> None in
-    (* Under a memo: each procedure's input fingerprint, carried from slot
-       to slot when the memo keeps them. *)
-    let memo =
-      Option.map
-        (fun m ->
-          let fps =
-            match m.m_fps with
-            | Some tbl ->
-              Array.map
-                (fun proc ->
-                  let nm = Ident.name proc.Ir.Cfg.pr_name in
-                  match Hashtbl.find_opt tbl nm with
-                  | Some fp -> fp
-                  | None ->
-                    let fp = Ir.Fingerprint.proc proc in
-                    Hashtbl.replace tbl nm fp;
-                    fp)
-                procs
-            | None -> Array.map Ir.Fingerprint.proc procs
-          in
-          (m, fps))
-        memo
-    in
     (* Which procedures can replay a memoized result. *)
-    let hits = Array.make n None in
-    (match memo with
-    | Some (m, fps) ->
-      Array.iteri
-        (fun i proc ->
-          match Hashtbl.find_opt m.m_tbl (Ident.name proc.Ir.Cfg.pr_name) with
-          | Some e
-            when e.e_in_fp = fps.(i) && e.e_index = i && e.e_nprocs = n
-                 && e.e_start = start
-                 && ((not want_claims) || e.e_claims <> None)
-                 && m.m_valid proc ->
-            hits.(i) <- Some e
-          | _ -> ())
-        procs
-    | None -> ());
+    let hits =
+      match memo with
+      | Some m ->
+        Array.mapi
+          (fun i -> function
+            | Some e
+              when e.e_in_fp = m.m_fps.(i) && e.e_start = start
+                   && ((not want_claims) || e.e_claims <> None)
+                   && m.m_valid.(i) ->
+              Some e
+            | _ -> None)
+          m.m_entries
+      | None -> Array.make n None
+    in
     let live = ref [] in
     for i = n - 1 downto 0 do
       if hits.(i) = None then live := i :: !live
@@ -208,7 +184,9 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
            builds the engine's merged-effects table now: that build
            mutates the engine, which must not happen concurrently. *)
         ignore
-          (Pass.analysis ?fingerprints:(Option.map snd memo) ctx program);
+          (Pass.analysis
+             ?fingerprints:(Option.map (fun m -> m.m_fps) memo)
+             ctx program);
         Some (Pass.raw_oracle ctx program, Pass.modref ctx program)
       end
     in
@@ -217,18 +195,12 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
     let outcomes = Array.make n (Pass.unchanged []) in
     let counters = Array.make n dummy_counters in
     let ledgers = Array.make n None in
-    let fps_tbl =
-      match memo with Some ({ m_fps; _ }, _) -> m_fps | None -> None
-    in
     Array.iteri
       (fun i h ->
         match h with
         | Some e ->
           splice procs.(i) e;
-          (match fps_tbl with
-          | Some tbl ->
-            Hashtbl.replace tbl (Ident.name procs.(i).Ir.Cfg.pr_name) e.e_out_fp
-          | None -> ());
+          Option.iter (fun m -> m.m_fps.(i) <- e.e_out_fp) memo;
           counts.(i) <- e.e_count;
           outcomes.(i) <- e.e_outcome;
           counters.(i) <- e.e_counters;
@@ -296,25 +268,21 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
         ledgers
     | None -> ());
     (match memo with
-    | Some (m, fps) ->
-      m.m_reused := !(m.m_reused) + (n - nlive);
-      m.m_reran := !(m.m_reran) + nlive;
+    | Some m ->
+      m.m_reused <- m.m_reused + (n - nlive);
+      m.m_reran <- m.m_reran + nlive;
       Array.iter
         (fun i ->
           let proc = procs.(i) in
           let out_fp = Ir.Fingerprint.proc proc in
-          (match m.m_fps with
-          | Some tbl ->
-            Hashtbl.replace tbl (Ident.name proc.Ir.Cfg.pr_name) out_fp
-          | None -> ());
-          Hashtbl.replace m.m_tbl
-            (Ident.name proc.Ir.Cfg.pr_name)
-            { e_in_fp = fps.(i); e_out_fp = out_fp; e_index = i; e_nprocs = n;
-              e_start = start; e_count = counts.(i);
-              e_entry = proc.Ir.Cfg.pr_entry;
-              e_locals = proc.Ir.Cfg.pr_locals;
-              e_blocks = snapshot_blocks proc; e_outcome = outcomes.(i);
-              e_counters = counters.(i); e_claims = ledgers.(i) })
+          m.m_entries.(i) <-
+            Some
+              { e_in_fp = m.m_fps.(i); e_out_fp = out_fp; e_start = start;
+                e_count = counts.(i); e_entry = proc.Ir.Cfg.pr_entry;
+                e_locals = proc.Ir.Cfg.pr_locals;
+                e_blocks = snapshot_blocks proc; e_outcome = outcomes.(i);
+                e_counters = counters.(i); e_claims = ledgers.(i) };
+          m.m_fps.(i) <- out_fp)
         live
     | None -> ());
     Pass.merge_outcomes outcomes
@@ -454,33 +422,46 @@ let failures reports =
 
 (* A session keeps, across runs of the same schedule over successive
    versions of one program: the shared analysis context (whose engine
-   makes mid-pipeline re-analyses incremental), a per-(schedule position,
-   procedure) memo of pass results, a gate engine fed only the
-   *pre-optimization* program versions, and the previous version's
-   fingerprints. A position is (item index, index in the group, round):
-   it names the same pass execution in every run, however many rounds a
-   fixpoint group before it took this time. (An execution count would
-   not: one extra copyprop+RLE round shifts every later count onto
+   makes mid-pipeline re-analyses incremental), one record per schedule
+   position holding that position's memo of pass results and its frozen
+   analysis engine, and a gate engine fed only the *pre-optimization*
+   program versions. A position is (item index, index in the group,
+   round): it names the same pass execution in every run, however many
+   rounds a fixpoint group before it took this time. (An execution count
+   would not: one extra copyprop+RLE round shifts every later count onto
    another pass's record.)
+
+   Within a position, a memo entry is indexed by the procedure's position
+   in [prog_procs] alone. That names the same procedure (and allocator
+   lane) in every run the memo survives into: no pass adds, drops or
+   reorders procedures, and the gate keeps its oracles and call graph
+   only when the procedure list is unchanged — any other update flushes
+   the memo.
 
    Validity of a memoized result for procedure P at a slot requires
    more than P's input fingerprint: P's transform also consulted the
    type-level oracle (a whole-program artifact) and its callees' merged
    mod-ref summaries. The gate engine's update report covers the former —
    if the oracles' canonical inputs changed at all, everything is
-   flushed — and the reverse-call-graph closure of the edited procedures
+   flushed — and the reverse-call-graph closure of the procedures whose
+   summaries it recomputed (every procedure whose fingerprint changed)
    covers the latter: summaries flow callee-to-caller, so only edited
    procedures and their (transitive) callers can observe an edit while
-   the oracles stand. *)
+   the oracles stand. The gate diffs against the previous run only, so
+   a position's entries are replayed only in the run right after the one
+   that recorded them; a position an earlier run skipped (its fixpoint
+   took fewer rounds) starts over. *)
+type slot = {
+  mutable sl_entries : slot_entry option array;  (* by procedure position *)
+  mutable sl_run : int;  (* the last run that visited this position *)
+  mutable sl_engine : Engine.t option;
+      (* the context's analysis engine frozen here (see [rerun]) *)
+}
+
 type session = {
   s_ctx : Pass.context;
-  s_slots : (int * int * int, (string, slot_entry) Hashtbl.t) Hashtbl.t;
-      (* per position: the memo, keyed by procedure name *)
-  s_engines : (int * int * int, Engine.t) Hashtbl.t;
-      (* per position: the context's analysis engine frozen there (see
-         [run_one_slot]) *)
+  s_slots : (int * int * int, slot) Hashtbl.t;
   mutable s_gate : Engine.t option;
-  mutable s_prev_fps : (string, int) Hashtbl.t;
   mutable s_runs : int;
   mutable s_reused : int;  (* last run: (pass execution, proc) splices *)
   mutable s_reran : int;  (* last run: (pass execution, proc) live runs *)
@@ -488,67 +469,54 @@ type session = {
 }
 
 let session ctx =
-  { s_ctx = ctx; s_slots = Hashtbl.create 16; s_engines = Hashtbl.create 16;
-    s_gate = None; s_prev_fps = Hashtbl.create 64; s_runs = 0; s_reused = 0;
-    s_reran = 0; s_flushes = 0 }
+  { s_ctx = ctx; s_slots = Hashtbl.create 16; s_gate = None; s_runs = 0;
+    s_reused = 0; s_reran = 0; s_flushes = 0 }
 
 let session_context s = s.s_ctx
 
-(* Each procedure's fingerprint in program order, and the same keyed by
-   name. *)
-let fingerprints program =
-  let fps =
-    Array.of_list (List.map Ir.Fingerprint.proc program.Ir.Cfg.prog_procs)
-  in
-  let tbl = Hashtbl.create 64 in
-  List.iteri
-    (fun i p -> Hashtbl.replace tbl (Ident.name p.Ir.Cfg.pr_name) fps.(i))
-    program.Ir.Cfg.prog_procs;
-  (fps, tbl)
-
 (* The procedures whose memoized pass results an edit may invalidate:
-   the edited (or added/removed) procedures plus everything that can
-   reach them in the call graph. *)
+   the edited procedures plus everything that can reach them in the call
+   graph. *)
 let contaminated_set program ~dirty =
-  let tainted : (string, unit) Hashtbl.t = Hashtbl.create 32 in
-  List.iter (fun nm -> Hashtbl.replace tainted nm ()) dirty;
-  (* callee name -> caller names, over the current program *)
-  let callers : (string, string list) Hashtbl.t = Hashtbl.create 64 in
+  let tainted = Ident.Tbl.create 32 in
+  List.iter (fun nm -> Ident.Tbl.replace tainted nm ()) dirty;
+  (* callee -> callers, over the current program *)
+  let callers = Ident.Tbl.create 64 in
   List.iter
     (fun p ->
-      let caller = Ident.name p.Ir.Cfg.pr_name in
+      let caller = p.Ir.Cfg.pr_name in
       Ident.Set.iter
-        (fun callee ->
-          let c = Ident.name callee in
-          Hashtbl.replace callers c
-            (caller :: Option.value (Hashtbl.find_opt callers c) ~default:[]))
+        (fun c ->
+          Ident.Tbl.replace callers c
+            (caller :: Option.value (Ident.Tbl.find_opt callers c) ~default:[]))
         (Ir.Callgraph.callees program p))
     program.Ir.Cfg.prog_procs;
   let rec close = function
     | [] -> ()
     | nm :: rest ->
-      let callers_of = Option.value (Hashtbl.find_opt callers nm) ~default:[] in
-      let fresh =
-        List.filter (fun c -> not (Hashtbl.mem tainted c)) callers_of
+      let callers_of =
+        Option.value (Ident.Tbl.find_opt callers nm) ~default:[]
       in
-      List.iter (fun c -> Hashtbl.replace tainted c ()) fresh;
+      let fresh =
+        List.filter (fun c -> not (Ident.Tbl.mem tainted c)) callers_of
+      in
+      List.iter (fun c -> Ident.Tbl.replace tainted c ()) fresh;
       close (List.rev_append fresh rest)
   in
   close dirty;
   tainted
-
-let flush_memo s =
-  Hashtbl.reset s.s_slots;
-  s.s_flushes <- s.s_flushes + 1
 
 let rerun s program items =
   s.s_runs <- s.s_runs + 1;
   s.s_reused <- 0;
   s.s_reran <- 0;
   let ctx = s.s_ctx in
-  let fp_array, cur_fps = fingerprints program in
-  (* The dependency gate for this run's memo lookups. *)
-  let valid =
+  let procs = Array.of_list program.Ir.Cfg.prog_procs in
+  let n = Array.length procs in
+  (* Each procedure's current fingerprint (see [memo.m_fps]), seeded from
+     exactly the program state the gate and the first slot see. *)
+  let fps = Array.map Ir.Fingerprint.proc procs in
+  let gate_report =
     match s.s_gate with
     | None ->
       s.s_gate <-
@@ -556,62 +524,46 @@ let rerun s program items =
           (Engine.create
              ~config:{ Engine.default_config with Engine.world = ctx.Pass.world }
              program);
-      flush_memo s;
-      fun _ -> false
-    | Some e -> (
-      let e = Engine.update ~fingerprints:fp_array e program in
+      None
+    | Some e ->
+      let e = Engine.update ~fingerprints:fps e program in
       s.s_gate <- Some e;
-      match Engine.last_update e with
-      | Some r
-        when (not r.Engine.ur_oracles_rebuilt)
-             && not r.Engine.ur_callgraph_rebuilt ->
-        let dirty = ref [] in
-        Hashtbl.iter
-          (fun nm fp ->
-            match Hashtbl.find_opt s.s_prev_fps nm with
-            | Some old when old = fp -> ()
-            | _ -> dirty := nm :: !dirty)
-          cur_fps;
-        Hashtbl.iter
-          (fun nm _ ->
-            if not (Hashtbl.mem cur_fps nm) then dirty := nm :: !dirty)
-          s.s_prev_fps;
-        let tainted = contaminated_set program ~dirty:!dirty in
-        fun proc -> not (Hashtbl.mem tainted (Ident.name proc.Ir.Cfg.pr_name))
-      | _ ->
-        (* The type-level facts (or the call graph) moved: every cached
-           answer is suspect. Start over. *)
-        flush_memo s;
-        fun _ -> false)
+      Engine.last_update e
   in
-  s.s_prev_fps <- cur_fps;
+  (* The dependency gate for this run's memo lookups. *)
+  let valid =
+    match gate_report with
+    | Some r
+      when (not r.Engine.ur_oracles_rebuilt)
+           && not r.Engine.ur_callgraph_rebuilt ->
+      let tainted = contaminated_set program ~dirty:r.Engine.ur_recomputed in
+      Array.map (fun p -> not (Ident.Tbl.mem tainted p.Ir.Cfg.pr_name)) procs
+    | _ ->
+      (* First run, or the type-level facts (or the call graph) moved:
+         every cached answer is suspect. Start over. *)
+      s.s_flushes <- s.s_flushes + 1;
+      Array.make n false
+  in
   Pass.invalidate ctx;
-  (* Fingerprints carried from slot to slot (see [memo_slot.m_fps]).
-     Seeded from the input fingerprints — computed over exactly the
-     program state the first slot will see. Only sound when names are
-     unique: the table is name-keyed, and a duplicate would let one
-     procedure's fingerprint vouch for another's body. *)
-  let live_fps =
-    let nprocs = List.length program.Ir.Cfg.prog_procs in
-    if Hashtbl.length cur_fps = nprocs then Some (Hashtbl.copy cur_fps)
-    else None
-  in
   let run_one_slot ~slot:(item, member) ~round p =
     let k = (item, member, round) in
+    let sl =
+      match Hashtbl.find_opt s.s_slots k with
+      | Some sl -> sl
+      | None ->
+        let sl = { sl_entries = [||]; sl_run = 0; sl_engine = None } in
+        Hashtbl.add s.s_slots k sl;
+        sl
+    in
     let memo =
       match p.Pass.scope with
       | Pass.Per_procedure _ | Pass.Analysis_free _ ->
-        let tbl =
-          match Hashtbl.find_opt s.s_slots k with
-          | Some t -> t
-          | None ->
-            let t = Hashtbl.create 64 in
-            Hashtbl.add s.s_slots k t;
-            t
-        in
+        if sl.sl_run <> s.s_runs - 1 || Array.length sl.sl_entries <> n then
+          sl.sl_entries <- Array.make n None;
+        sl.sl_run <- s.s_runs;
         Some
-          { m_tbl = tbl; m_valid = valid; m_fps = live_fps;
-            m_reused = ref 0; m_reran = ref 0 }
+          { m_entries = sl.sl_entries; m_valid = valid; m_fps = fps;
+            m_reused = 0; m_reran = 0 }
       | Pass.Whole_program _ -> None
     in
     (* Install this slot's private analysis engine, so a mid-pipeline
@@ -624,16 +576,18 @@ let rerun s program items =
        describes the current program state, and the slot engine will
        simply absorb a slightly larger diff whenever it is next used. *)
     let analyzed = Pass.reads_analysis p in
-    (match Hashtbl.find_opt s.s_engines k with
+    (match sl.sl_engine with
     | Some e when analyzed && ctx.Pass.stale -> ctx.Pass.engine <- Some e
     | _ -> ());
     let r = run_one ?memo ctx program ~round p in
-    (* A whole-program pass mutates procedures without maintaining the
-       carried fingerprints; drop them so later slots recompute. *)
-    (match p.Pass.scope with
-    | Pass.Whole_program _ ->
-      Option.iter (fun tbl -> Hashtbl.reset tbl) live_fps
-    | Pass.Per_procedure _ | Pass.Analysis_free _ -> ());
+    (match memo with
+    | Some m ->
+      s.s_reused <- s.s_reused + m.m_reused;
+      s.s_reran <- s.s_reran + m.m_reran
+    | None ->
+      (* A whole-program pass mutates procedures without maintaining the
+         carried fingerprints. *)
+      Array.iteri (fun i proc -> fps.(i) <- Ir.Fingerprint.proc proc) procs);
     (* First visit of a slot: freeze a private copy of the engine at this
        position. (The rolling engine object itself keeps flowing to the
        next unseen slot, so copies never alias.) Later visits mutate the
@@ -641,15 +595,8 @@ let rerun s program items =
        analysis-free slot neither installs nor freezes one: it never
        brings the engine to its position, so the rolling engine flows on
        to the next slot that does. *)
-    if analyzed && not (Hashtbl.mem s.s_engines k) then
-      Option.iter
-        (fun e -> Hashtbl.replace s.s_engines k (Engine.copy e))
-        ctx.Pass.engine;
-    (match memo with
-    | Some m ->
-      s.s_reused <- s.s_reused + !(m.m_reused);
-      s.s_reran <- s.s_reran + !(m.m_reran)
-    | None -> ());
+    if analyzed && Option.is_none sl.sl_engine then
+      sl.sl_engine <- Option.map Engine.copy ctx.Pass.engine;
     r
   in
   walk run_one_slot items

@@ -87,20 +87,24 @@ val failures : Pass.report list -> (string * string) list
 (** {1 Incremental re-runs}
 
     A session re-optimizes successive versions of one program under one
-    schedule, memoizing per-procedure pass results keyed by (schedule
-    position, procedure). A position is (item index, index in its group,
-    round), so it names the same pass execution in every run however many
-    rounds an earlier fixpoint group took. On
-    [rerun], a procedure whose pass input is provably unchanged — same
-    input fingerprint and allocator state, no edit in it or in anything it
-    transitively calls (mod-ref summaries flow callee-to-caller), and no
-    change to the whole-program type oracles (checked by a gate
-    {!Tbaa.Engine} fed only the pre-optimization program versions) — has
-    its recorded output body, stats, oracle counters and claims spliced in
-    instead of re-running the pass. Misses run live (in parallel, when the
-    context asks) and refresh the memo. Reports and the resulting program
-    are byte-identical to a from-scratch {!run} with a fresh context.
-    Whole-program passes always run live. *)
+    schedule, memoizing per-procedure pass results per schedule position,
+    indexed by the procedure's position in [prog_procs]. A schedule
+    position is (item index, index in its group, round), so it names the
+    same pass execution in every run however many rounds an earlier
+    fixpoint group took. A gate {!Tbaa.Engine} fed only the
+    pre-optimization program versions decides validity: when its update
+    rebuilds the type oracles or the call graph — always the case when
+    the procedure list changes — the memo is flushed, so a procedure
+    position names the same procedure in every run the memo survives
+    into. Otherwise, on [rerun], a procedure whose pass input is provably
+    unchanged — same input fingerprint and allocator state, and neither
+    it nor anything it transitively calls among the gate's recomputed
+    procedures (mod-ref summaries flow callee-to-caller) — has its
+    recorded output body, stats, oracle counters and claims spliced in
+    instead of re-running the pass. Misses run live (in parallel, when
+    the context asks) and refresh the memo. Reports and the resulting
+    program are byte-identical to a from-scratch {!run} with a fresh
+    context. Whole-program passes always run live. *)
 
 type session
 

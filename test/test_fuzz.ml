@@ -105,14 +105,14 @@ let test_fault_injection_counterexample () =
 
 let test_matrix_covers_new_clients () =
   let names = Harness.Fuzz.config_names () in
-  Alcotest.(check int) "three analyses x eight variants" 24
+  Alcotest.(check int) "three analyses x nine variants" 27
     (List.length names);
   List.iter
     (fun n ->
       Alcotest.(check bool) ("matrix includes " ^ n) true (List.mem n names))
     [ "TypeDecl:licm"; "FieldTypeDecl:slf"; "SMFieldTypeRefs:dse";
       "SMFieldTypeRefs:licm+slf+rle+dse"; "TypeDecl:rle";
-      "FieldTypeDecl:minv+rle" ]
+      "FieldTypeDecl:minv+rle"; "TypeDecl:all" ]
 
 (* --- per-client fault injection caught by the auditor -------------------- *)
 

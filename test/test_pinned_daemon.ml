@@ -22,34 +22,6 @@ let rpc id meth params =
 
 let oracles = [ "TypeDecl"; "FieldTypeDecl"; "SMFieldTypeRefs" ]
 
-let find_from text pat from =
-  let n = String.length text and m = String.length pat in
-  let rec matches i k = k = m || (text.[i + k] = pat.[k] && matches i (k + 1)) in
-  let rec go i =
-    if i + m > n then raise Not_found else if matches i 0 then i else go (i + 1)
-  in
-  go from
-
-let after text pat from = find_from text pat from + String.length pat
-
-(* Two edits change the constant in a worker's [g.a := x + d]; the third
-   retargets what a library procedure allocates and stores to, which
-   moves its mod-ref effects and those of every worker that calls it. *)
-let edits text =
-  let digit i d =
-    let at = after text "x + " (after text (Printf.sprintf "PROCEDURE P%d ()" i) 0) in
-    (at, at + 1, string_of_int d)
-  in
-  let retarget j t =
-    let start =
-      after text "x := x + 1;\n"
-        (after text (Printf.sprintf "PROCEDURE L%d (VAR x: INTEGER) =" j) 0)
-    in
-    let stop = find_from text (Printf.sprintf "  END L%d;" j) start in
-    (start, stop, Printf.sprintf "    g%d := NEW (T%d);\n    g%d.a := x;\n" t t t)
-  in
-  [ digit 17 7; digit 150 3; retarget 5 40 ]
-
 let stream buf ~inject =
   let d =
     Server.Dispatch.create
@@ -117,7 +89,7 @@ let stream buf ~inject =
                     [ Json.Obj
                         [ ("start", Json.Int start); ("end", Json.Int stop);
                           ("text", Json.String text) ] ] ) ])))
-    (edits source);
+    (Test_mutations.scale_edits source);
   queries ()
 
 let test_digest () =

@@ -9,10 +9,11 @@
      run emits the same at any domain count;
    - incremental [Pass_manager.rerun] is indistinguishable from a
      from-scratch run for each mutation kind (constant toggle, store
-     duplication, store-block erasure, procedure removal) and along a
-     chain of edits that changes a fixpoint group's round count, and
-     actually reuses memoized work for a body-local single-procedure
-     edit;
+     duplication, store-block erasure, procedure removal, procedure swap
+     — the last two must flush the memo) and along a chain of edits that
+     changes a fixpoint group's round count, actually reuses memoized
+     work for a body-local single-procedure edit, and reuses exactly the
+     pinned amount on the daemon's schedule;
    - [run], [run_guarded] and [rerun] walk a schedule alike: a fixpoint
      group stops at [max_rounds], only Transform passes drive it, and
      guarded execution without failures reports what plain execution
@@ -59,7 +60,7 @@ let run_once ~jobs (oracle_kind, passes) program =
 
 let test_parallel_matches_sequential () =
   let configs = Harness.Fuzz.all_configs () in
-  Alcotest.(check int) "fuzz matrix size" 24 (List.length configs);
+  Alcotest.(check int) "fuzz matrix size" 27 (List.length configs);
   List.iter
     (fun seed ->
       List.iter
@@ -169,14 +170,35 @@ let drop_last_proc (program : Cfg.program) =
         program.Cfg.prog_procs;
     Some last.Cfg.pr_name
 
-let mutations =
-  [ ("toggle-const", fun p -> Option.is_some (Test_mutations.toggle_const p));
-    ("dup-store", fun p -> Option.is_some (Test_mutations.dup_store p));
-    ( "erase-store-block",
-      fun p -> Option.is_some (Test_mutations.erase_store_block p) );
-    ("drop-proc", fun p -> Option.is_some (drop_last_proc p)) ]
+(* Swap the first two procedures: same bodies and names, new positions.
+   The session's memo is indexed by procedure position, so a reorder must
+   flush it. *)
+let swap_procs (program : Cfg.program) =
+  match program.Cfg.prog_procs with
+  | a :: b :: rest ->
+    program.Cfg.prog_procs <- b :: a :: rest;
+    true
+  | _ -> false
 
-let check_rerun_matches_scratch ~label ~mutate seed =
+(* (label, mutation, whether it changes the procedure list — and so must
+   flush the session's memo) *)
+let mutations =
+  [ ( "toggle-const",
+      (fun p -> Option.is_some (Test_mutations.toggle_const p)),
+      false );
+    ("dup-store", (fun p -> Option.is_some (Test_mutations.dup_store p)), false);
+    ( "erase-store-block",
+      (fun p -> Option.is_some (Test_mutations.erase_store_block p)),
+      false );
+    ("drop-proc", (fun p -> Option.is_some (drop_last_proc p)), true);
+    ("swap-procs", swap_procs, true) ]
+
+let flushes s =
+  match Json.member "flushes" (Opt.Pass_manager.session_stats s) with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.fail "session_stats has no flushes"
+
+let check_rerun_matches_scratch ~label ~mutate ~reorders seed =
   let ctx = rerun_context () in
   let s = Opt.Pass_manager.session ctx in
   (* Cold run over the unedited program populates the memo. *)
@@ -189,6 +211,7 @@ let check_rerun_matches_scratch ~label ~mutate seed =
   else begin
     let claims1 = Tbaa.Claims.create ~oracle:"rerun" in
     ctx.Opt.Pass.claims <- Some claims1;
+    let flushes0 = flushes s in
     let r1 = Opt.Pass_manager.rerun s p1 rerun_schedule in
     (* From-scratch reference on an identically edited copy. *)
     let p2 = lower_gen seed in
@@ -198,6 +221,9 @@ let check_rerun_matches_scratch ~label ~mutate seed =
     ctx2.Opt.Pass.claims <- Some claims2;
     let r2 = Opt.Pass_manager.run ctx2 p2 rerun_schedule in
     let l = Printf.sprintf "%s seed=%d" label seed in
+    if reorders then
+      Alcotest.(check bool)
+        (l ^ ": the memo was flushed") true (flushes s > flushes0);
     Alcotest.(check string)
       (l ^ ": program bytes") (print_program p2) (print_program p1);
     Alcotest.(check string) (l ^ ": report stats") (stats_sig r2) (stats_sig r1);
@@ -211,8 +237,8 @@ let check_rerun_matches_scratch ~label ~mutate seed =
 
 let test_rerun_mutations () =
   List.iter
-    (fun (label, mutate) ->
-      List.iter (check_rerun_matches_scratch ~label ~mutate) seeds)
+    (fun (label, mutate, reorders) ->
+      List.iter (check_rerun_matches_scratch ~label ~mutate ~reorders) seeds)
     mutations
 
 (* Chained edits to one generated program (size 1, seed 55), each
@@ -289,6 +315,45 @@ let test_rerun_reuses () =
       end)
     seeds;
   Alcotest.(check bool) "some seed reused memoized procedure results" true !hit
+
+(* The session's reuse on the daemon's schedule, pinned: the Gen.Scale
+   document, then the pinned daemon test's three edits applied one after
+   another, each version lowered from source and rerun through one
+   session. A change that loses (or invents) reuse moves these counts. *)
+let test_rerun_pinned_reuse () =
+  let schedule =
+    Opt.Pass_manager.schedule
+      { Opt.Pass_manager.Config.none with
+        Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
+        rle = true; copyprop = true; dse = true }
+  in
+  let source = Gen.Scale.source 200 in
+  let versions =
+    List.rev
+      (List.fold_left
+         (fun acc (start, stop, text) ->
+           let prev = List.hd acc in
+           (String.sub prev 0 start ^ text
+           ^ String.sub prev stop (String.length prev - stop))
+           :: acc)
+         [ source ]
+         (Test_mutations.scale_edits source))
+  in
+  let s = Opt.Pass_manager.session (Opt.Pass.create ()) in
+  let counts =
+    List.map
+      (fun src ->
+        ignore
+          (Opt.Pass_manager.rerun s
+             (Lower.lower_string ~file:"<scale>" src)
+             schedule);
+        Opt.Pass_manager.session_counts s)
+      versions
+  in
+  Alcotest.(check (list (pair int int)))
+    "(reused, reran): cold, P17 digit, P150 digit, L5 retarget"
+    [ (0, 1631); (1624, 7); (1631, 0); (1526, 105) ]
+    counts
 
 (* ------------------------------------------------------------------ *)
 (* The schedule walker                                                 *)
@@ -471,7 +536,9 @@ let () =
           Alcotest.test_case "rerun == from-scratch along chained edits"
             `Quick test_rerun_chained_edits;
           Alcotest.test_case "single-proc edit reuses memo" `Quick
-            test_rerun_reuses ] );
+            test_rerun_reuses;
+          Alcotest.test_case "daemon schedule's reuse is pinned" `Quick
+            test_rerun_pinned_reuse ] );
       ( "walker",
         [ Alcotest.test_case "fixpoint stops at max_rounds" `Quick
             test_fixpoint_stops_at_max_rounds;
