@@ -9,6 +9,46 @@ type stats = { mutable replaced : int }
 let eligible_var excluded (v : Reg.var) =
   v.Reg.v_kind <> Reg.Vglobal && not (Hashtbl.mem excluded v.Reg.v_id)
 
+let is_copy excluded = function
+  | Instr.Iassign (v, Instr.Ratom (Reg.Avar u)) ->
+    (not (Reg.var_equal v u)) && eligible_var excluded v && eligible_var excluded u
+  | _ -> false
+
+(* Delete each copy into a variable every use of which the rewrite
+   replaced: such a variable is register-resident and read nowhere in the
+   procedure any more, so its copies are dead. Deleting [v := u] removes a
+   use of [u], which may leave [u] unread in turn. *)
+let delete_copies proc touched is_copy =
+  let uses = Hashtbl.create 64 in
+  let count k (v : Reg.var) =
+    Hashtbl.replace uses v.Reg.v_id
+      (k + Option.value (Hashtbl.find_opt uses v.Reg.v_id) ~default:0)
+  in
+  Vec.iter
+    (fun b ->
+      List.iter (fun i -> List.iter (count 1) (Instr.vars_used i)) b.Cfg.b_instrs;
+      match b.Cfg.b_term with
+      | Instr.Tbranch (Reg.Avar v, _, _) | Instr.Treturn (Some (Reg.Avar v)) -> count 1 v
+      | _ -> ())
+    proc.Cfg.pr_blocks;
+  let deleted = ref true in
+  let dead = function
+    | Instr.Iassign (v, Instr.Ratom (Reg.Avar u)) as i
+      when is_copy i && Hashtbl.mem touched v.Reg.v_id
+           && Option.value (Hashtbl.find_opt uses v.Reg.v_id) ~default:0 = 0 ->
+      count (-1) u;
+      Hashtbl.replace touched u.Reg.v_id ();
+      deleted := true;
+      true
+    | _ -> false
+  in
+  while !deleted do
+    deleted := false;
+    Vec.iter
+      (fun b -> b.Cfg.b_instrs <- List.filter (fun i -> not (dead i)) b.Cfg.b_instrs)
+      proc.Cfg.pr_blocks
+  done
+
 let run_proc program proc stats =
   ignore program;
   (* Variables whose bare address escapes can be written through pointers;
@@ -19,13 +59,12 @@ let run_proc program proc stats =
       | Instr.Iaddr (_, ap) when not (Apath.is_memory_ref ap) ->
         Hashtbl.replace excluded (Apath.base ap).Reg.v_id ()
       | _ -> ());
+  let is_copy = is_copy excluded in
   (* Universe of copy occurrences. *)
   let copies = Vec.create () in
   Cfg.iter_instrs proc (fun _ i ->
       match i with
-      | Instr.Iassign (v, Instr.Ratom (Reg.Avar u))
-        when (not (Reg.var_equal v u))
-             && eligible_var excluded v && eligible_var excluded u ->
+      | Instr.Iassign (v, Instr.Ratom (Reg.Avar u)) when is_copy i ->
         ignore (Vec.push copies (v, u))
       | _ -> ());
   let n = Vec.length copies in
@@ -63,9 +102,7 @@ let run_proc program proc stats =
     in
     let copy_id_of instr =
       match instr with
-      | Instr.Iassign (v, Instr.Ratom (Reg.Avar u))
-        when (not (Reg.var_equal v u))
-             && eligible_var excluded v && eligible_var excluded u ->
+      | Instr.Iassign (v, Instr.Ratom (Reg.Avar u)) when is_copy instr ->
         Hashtbl.find_opt first_id (v.Reg.v_id, u.Reg.v_id)
       | _ -> None
     in
@@ -99,8 +136,10 @@ let run_proc program proc stats =
     in
     (* Rewrite pass: canonicalize each used variable through the available
        copies (transitively, with a bound against cycles). The rewrite only
-       tracks the fact; [unused_kill] absorbs the kill side. *)
+       tracks the fact; [unused_kill] absorbs the kill side. [touched]
+       collects the variables some use of which was rewritten. *)
     let unused_kill = Bitset.create n in
+    let touched = Hashtbl.create 16 in
     Vec.iter
       (fun b ->
         let fact = Bitset.copy result.Dataflow.inn.(b.Cfg.b_id) in
@@ -123,7 +162,10 @@ let run_proc program proc stats =
         in
         let subst_var v =
           let c = canonical v in
-          if not (Reg.var_equal c v) then stats.replaced <- stats.replaced + 1;
+          if not (Reg.var_equal c v) then begin
+            stats.replaced <- stats.replaced + 1;
+            Hashtbl.replace touched v.Reg.v_id ()
+          end;
           c
         in
         let subst_atom = function
@@ -148,9 +190,7 @@ let run_proc program proc stats =
             (fun instr ->
               let instr' =
                 match instr with
-                | Instr.Iassign (v, Instr.Ratom (Reg.Avar u))
-                  when (not (Reg.var_equal v u))
-                       && eligible_var excluded v && eligible_var excluded u ->
+                | Instr.Iassign _ when is_copy instr ->
                   (* Leave copy instructions intact: rewriting their source
                      would orphan them in the copy universe; [canonical]
                      already follows chains transitively. *)
@@ -176,7 +216,8 @@ let run_proc program proc stats =
           | Instr.Tbranch (a, t, f) -> Instr.Tbranch (subst_atom a, t, f)
           | Instr.Treturn a -> Instr.Treturn (Option.map subst_atom a)
           | t -> t))
-      proc.Cfg.pr_blocks
+      proc.Cfg.pr_blocks;
+    if Hashtbl.length touched > 0 then delete_copies proc touched is_copy
   end
 
 let pass =

@@ -5,7 +5,9 @@
     ([p := t] then [p.val]), the access paths [p.val] and [t.val] are
     syntactically different and RLE cannot connect them. This pass
     replaces uses of a variable with its (transitively) available copy
-    source, canonicalizing path bases so a second RLE pass can.
+    source, canonicalizing path bases so a second RLE pass can. A copy
+    into a variable every use of which it rewrote is then deleted (and,
+    in turn, a copy whose only reader that deletion removed).
 
     Only register-resident variables participate: globals and variables
     whose bare address is taken can change behind the compiler's back and
@@ -14,5 +16,6 @@
 val pass : Pass.t
 (** An {!Pass.Enabling} pass: base canonicalization keeps finding cosmetic
     copies round after round, so its [changed] flag must not drive
-    fixed-point convergence — only what it unlocks for RLE counts. Stats:
-    [replaced]. *)
+    fixed-point convergence — only what it unlocks for RLE counts.
+    [changed] and [mutated] iff a use was rewritten (a deletion needs
+    one). Stats: [replaced]. *)

@@ -5,7 +5,7 @@
     code across procedure boundaries) receives the shared {!context} and
     the whole program; a per-procedure pass (the paper's clients — RLE,
     and DSE/SLF/LICM/PRE) provides a body over one procedure and a
-    {!proc_context}; an analysis-free pass (copyprop, local CSE, DCE)
+    {!proc_context}; an analysis-free pass (copyprop, local CSE)
     provides a body over one procedure and the program alone. The
     {!Pass_manager} is the only driver of both per-procedure kinds: it
     runs the body over every procedure — sequentially or across
@@ -118,9 +118,11 @@ type outcome = {
   changed : bool;
       (** found and applied work — drives fixed-point convergence *)
   mutated : bool;
-      (** touched the program text at all — forces re-analysis. A pass can
-          be [mutated] without being [changed] (RLE rewrites loads through
-          home temporaries even when nothing was redundant). *)
+      (** touched the program text at all — forces re-analysis. [false]
+          promises the procedure's {!Ir.Fingerprint.proc} did not move. A
+          pass can be [mutated] without being [changed]: RLE splits a
+          store's scalar prefixes into home temporaries even when it
+          removed no load. *)
 }
 
 val unchanged : (string * int) list -> outcome
@@ -168,7 +170,7 @@ type scope =
           (and allocations to [pc_fresh]) *)
   | Analysis_free of (Ir.Cfg.program -> Ir.Cfg.proc -> outcome)
       (** a per-procedure pass that reads no analysis — neither the
-          oracle nor mod-ref (copy propagation, local CSE, DCE): it sees
+          oracle nor mod-ref (copy propagation, local CSE): it sees
           only the enclosing program, read-only, and its own procedure,
           and allocates no variables. The pass manager runs it without
           bringing the engine up to date, so a stale engine stays stale

@@ -262,10 +262,22 @@ let hoist_loops ?claims ~fresh program oracle modref proc stats =
 
 (* Universe: every selector-prefix of every loaded or stored path. A load of
    a.b^.c performs three memory reads (a.b, a.b^, and .c), so it generates
-   availability for all three prefixes; the rewrite materializes each prefix
-   value in that expression's home temporary so later occurrences can reuse
-   the longest available prefix. A store generates its proper prefixes (it
-   reads them to navigate) and its own path (store-to-load forwarding). *)
+   availability for all three prefixes. A store generates its proper
+   prefixes (it reads them to navigate) and its own path (store-to-load
+   forwarding).
+
+   The rewrite decides before it rewrites. A first walk over the
+   availability sets finds where each access's rewrite starts — an
+   available whole path (the load is eliminated) or the longest available
+   prefix (the access is shortened) — and marks the expression whose home
+   temporary that start reads. The second walk loads a prefix into its
+   home, and gives a load's or store's own path a home, only for a marked
+   expression, at every access that makes it available; so a home that is
+   read holds its expression's value on every path into the read, and an
+   access nothing reuses stays as written. A store is the exception: it
+   still loads its scalar proper prefixes into homes, since loop hoisting
+   moves only loads and a later RLE run hoists those segments out of
+   loops. *)
 
 let cse ?claims ~fresh program oracle modref proc stats =
   let tenv = program.Cfg.tenv in
@@ -285,20 +297,19 @@ let cse ?claims ~fresh program oracle modref proc stats =
         List.iter (fun p -> ignore (intern p)) (scalar_prefixes tenv ap)
       | _ -> ());
   let n = Vec.length exprs in
-  if n = 0 then ()
+  if n = 0 then false
   else begin
     (* The universe is fixed from here on (gens_of re-interns only paths
        already scanned), so the kill index is built once. *)
     let ki = kill_index (Array.init n (Vec.get exprs)) in
+    let self_dependent v ap = List.exists (Reg.var_equal v) (Apath.vars_used ap) in
     (* Expressions an instruction makes available, honoring the
        self-dependence guard on the defined variable. *)
     let gens_of instr =
       match instr with
       | Instr.Iload (v, ap) ->
         List.filter_map
-          (fun p ->
-            if List.exists (Reg.var_equal v) (Apath.vars_used p) then None
-            else Some (intern p))
+          (fun p -> if self_dependent v p then None else Some (intern p))
           (scalar_prefixes tenv ap)
       | Instr.Istore (ap, _) -> List.map intern (scalar_prefixes tenv ap)
       | _ -> []
@@ -307,7 +318,7 @@ let cse ?claims ~fresh program oracle modref proc stats =
     let gen = Array.init nb (fun _ -> Bitset.create n) in
     let kill = Array.init nb (fun _ -> Bitset.create n) in
     (* Each instruction's kill set is computed once and reused by the
-       rewrite walk below. *)
+       decision walk below. *)
     let kills = Array.make nb [] in
     let simulate instr ~gen ~kill =
       let ks = kill_set ?claims oracle modref ki instr in
@@ -332,6 +343,63 @@ let cse ?claims ~fresh program oracle modref proc stats =
         ~kill:(fun b -> kill.(b))
         ~entry_fact:(Bitset.create n) ()
     in
+    (* The scalar-prefix lengths of [ap] shorter than the whole path. *)
+    let proper_lens ap =
+      let m = Apath.length ap in
+      List.filter_map
+        (fun p ->
+          let k = Apath.length p in
+          if k < m then Some k else None)
+        (scalar_prefixes tenv ap)
+    in
+    (* Decide: where each access's rewrite starts — [-1] for an eliminated
+       load, else the length of the longest available prefix it reuses (0
+       for none) — marking in [read] the expression whose home it reads. *)
+    let read = Bitset.create n in
+    let longest_available avail ap lens =
+      List.fold_left
+        (fun best k ->
+          if Bitset.mem avail (intern (Apath.truncate ap k)) then max best k
+          else best)
+        0 lens
+    in
+    let start_of avail instr =
+      let shortened ap k =
+        if k > 0 then begin
+          stats.shortened <- stats.shortened + 1;
+          Bitset.add read (intern (Apath.truncate ap k))
+        end;
+        k
+      in
+      match instr with
+      | Instr.Iload (v, ap) when self_dependent v ap -> 0
+      | Instr.Iload (_, ap) ->
+        let full = intern ap in
+        if Bitset.mem avail full then begin
+          stats.eliminated <- stats.eliminated + 1;
+          Bitset.add read full;
+          -1
+        end
+        else shortened ap (longest_available avail ap (proper_lens ap))
+      | Instr.Istore (ap, _) ->
+        shortened ap (longest_available avail ap (proper_lens ap))
+      | _ -> 0
+    in
+    let starts = Array.make nb [] in
+    Vec.iter
+      (fun b ->
+        let id = b.Cfg.b_id in
+        let avail = Bitset.copy result.Dataflow.inn.(id) in
+        starts.(id) <-
+          List.map2
+            (fun instr ks ->
+              let s = start_of avail instr in
+              Bitset.diff_into ~dst:avail ks;
+              List.iter (Bitset.add avail) (gens_of instr);
+              s)
+            b.Cfg.b_instrs kills.(id))
+      proc.Cfg.pr_blocks;
+    (* Rewrite. *)
     let home = Array.make n None in
     let home_temp e =
       match home.(e) with
@@ -345,87 +413,70 @@ let cse ?claims ~fresh program oracle modref proc stats =
         home.(e) <- Some v;
         v
     in
-
-    (* Walk the scalar-prefix lengths of [ap] up to [upto], loading each
-       segment into its home, starting from the longest available prefix.
-       Returns the emitted loads and the (base, consumed) for the rest. *)
-    let build_segments avail ap lens =
-      let avail_len =
-        List.fold_left
-          (fun best k ->
-            if Bitset.mem avail (intern (Apath.truncate ap k)) then max best k
-            else best)
-          0 lens
-      in
-      let start_base =
-        if avail_len = 0 then Apath.base ap
-        else home_temp (intern (Apath.truncate ap avail_len))
-      in
-      let loads, final_base, consumed =
+    let marked ap = Bitset.mem read (intern ap) in
+    (* Navigate [ap] from the home of its length-[s] prefix (from its base
+       when [s = 0]), loading each scalar proper prefix longer than [s]
+       that [keep] selects into its home. Returns the loads and the (base,
+       consumed length) the rest of the access continues from. *)
+    let segments ap s keep =
+      let start = if s = 0 then Apath.base ap else home_temp (intern (Apath.truncate ap s)) in
+      let loads, base, consumed =
         List.fold_left
           (fun (acc, base, consumed) k ->
-            if k <= avail_len then (acc, base, consumed)
+            if k <= s || not (keep k) then (acc, base, consumed)
             else begin
               let h = home_temp (intern (Apath.truncate ap k)) in
-              let load =
-                Instr.Iload (h, Apath.make base (Apath.sels_between ap consumed k))
-              in
-              (load :: acc, h, k)
+              (Instr.Iload (h, Apath.make base (Apath.sels_between ap consumed k)) :: acc, h, k)
             end)
-          ([], start_base, avail_len) lens
+          ([], start, s) (proper_lens ap)
       in
-      (List.rev loads, final_base, consumed, avail_len)
+      (List.rev loads, base, consumed)
     in
-    (* Rewrite one memory instruction into a chain that reuses the longest
-       available prefix and materializes every scalar prefix's home. *)
-    let rewrite_chain avail instr =
+    let rest base ap consumed = Apath.make base (Apath.sels_from ap consumed) in
+    let rewrite instr s =
       match instr with
-      | Instr.Iload (v, ap)
-        when List.exists (Reg.var_equal v) (Apath.vars_used ap) ->
-        [ instr ]  (* self-dependent loads are left untouched *)
+      | Instr.Iload (v, ap) when s < 0 ->
+        [ Instr.Iassign (v, Instr.Ratom (Reg.Avar (home_temp (intern ap)))) ]
       | Instr.Iload (v, ap) ->
-        let m = Apath.length ap in
-        let lens = List.map Apath.length (scalar_prefixes tenv ap) in
-        let full = intern ap in
-        if Bitset.mem avail full then begin
-          stats.eliminated <- stats.eliminated + 1;
-          [ Instr.Iassign (v, Instr.Ratom (Reg.Avar (home_temp full))) ]
-        end
-        else begin
-          let loads, _, _, avail_len = build_segments avail ap lens in
-          if avail_len > 0 then stats.shortened <- stats.shortened + 1;
-          ignore m;
-          loads @ [ Instr.Iassign (v, Instr.Ratom (Reg.Avar (home_temp full))) ]
-        end
-      | Instr.Istore (ap, a) ->
-        let m = Apath.length ap in
-        let proper =
-          List.filter (fun k -> k < m)
-            (List.map Apath.length (scalar_prefixes tenv ap))
+        (* A self-dependent load makes available only the prefixes that do
+           not read its destination; only those may need a home. *)
+        let self = self_dependent v ap in
+        let keep k =
+          let p = Apath.truncate ap k in
+          marked p && not (self && self_dependent v p)
         in
-        let nav, final_base, consumed, avail_len = build_segments avail ap proper in
-        if avail_len > 0 then stats.shortened <- stats.shortened + 1;
-        nav
-        @ [ Instr.Istore
-              (Apath.make final_base (Apath.sels_between ap consumed m), a);
-            Instr.Iassign (home_temp (intern ap), Instr.Ratom a) ]
+        let loads, base, consumed = segments ap s keep in
+        if (not self) && marked ap then begin
+          let h = home_temp (intern ap) in
+          loads
+          @ [ Instr.Iload (h, rest base ap consumed);
+              Instr.Iassign (v, Instr.Ratom (Reg.Avar h)) ]
+        end
+        else if consumed = 0 then [ instr ]
+        else loads @ [ Instr.Iload (v, rest base ap consumed) ]
+      | Instr.Istore (ap, a) ->
+        let loads, base, consumed = segments ap s (fun _ -> true) in
+        let store = if consumed = 0 then instr else Instr.Istore (rest base ap consumed, a) in
+        if marked ap then
+          loads @ [ store; Instr.Iassign (home_temp (intern ap), Instr.Ratom a) ]
+        else loads @ [ store ]
       | _ -> [ instr ]
     in
+    let rewrote = ref false in
     Vec.iter
       (fun b ->
-        let avail = Bitset.copy result.Dataflow.inn.(b.Cfg.b_id) in
-        let rewritten =
+        b.Cfg.b_instrs <-
           List.concat
             (List.map2
-               (fun instr ks ->
-                 let out = rewrite_chain avail instr in
-                 Bitset.diff_into ~dst:avail ks;
-                 List.iter (Bitset.add avail) (gens_of instr);
-                 out)
-               b.Cfg.b_instrs kills.(b.Cfg.b_id))
-        in
-        b.Cfg.b_instrs <- rewritten)
-      proc.Cfg.pr_blocks
+               (fun instr s ->
+                 match rewrite instr s with
+                 | [ i ] when i == instr -> [ i ]
+                 | out ->
+                   rewrote := true;
+                   out)
+               b.Cfg.b_instrs starts.(b.Cfg.b_id)))
+      proc.Cfg.pr_blocks;
+    !rewrote
   end
 
 let run_proc (pc : Pass.proc_context) proc =
@@ -441,8 +492,8 @@ let run_proc (pc : Pass.proc_context) proc =
     if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
   in
   rounds 4 0;
-  cse ?claims ~fresh program oracle modref proc stats;
-  stats
+  let rewrote = cse ?claims ~fresh program oracle modref proc stats in
+  (stats, stats.hoisted > 0 || rewrote)
 
 let pass =
   { Pass.name = "rle";
@@ -450,15 +501,12 @@ let pass =
     scope =
       Pass.Per_procedure
         (fun pc proc ->
-          let s = run_proc pc proc in
+          let s, mutated = run_proc pc proc in
           { Pass.stats =
               [ ("hoisted", s.hoisted); ("eliminated", s.eliminated);
                 ("shortened", s.shortened) ];
             changed = s.hoisted + s.eliminated + s.shortened > 0;
-            (* Even a zero-stat run rewrites loads through home temporaries,
-               so the program text (and thus the analysis) is always stale
-               afterwards. *)
-            mutated = true }) }
+            mutated }) }
 
 let removed reports =
   List.fold_left

@@ -12,7 +12,11 @@
       available is replaced by a register copy from the expression's home
       temporary. A store makes its own path available (store-to-load
       forwarding), exactly like GCC's baseline behaviour the paper
-      normalizes against.
+      normalizes against. It decides before it rewrites: a home is
+      written only for an expression some eliminated load or shortened
+      access reads, so an access nothing reuses stays as written — except
+      a store, which still loads its scalar proper prefixes into homes for
+      a later run's loop hoisting.
 
     Like the paper's implementation, this does no partial redundancy
     elimination and no copy propagation — those two gaps are what the
@@ -85,7 +89,9 @@ val pass : Pass.t
     home temporaries from the laced allocator, and with a claims ledger
     the alias/kill answers relied on — and the home temporaries
     introduced — are logged for the dynamic soundness auditor. [changed]
-    iff any load was removed; always [mutated]. Stats: [hoisted] (loads
+    iff any load was removed; [mutated] iff the procedure's text changed
+    (a removed load, or a split store or a home write where none was
+    removed). Stats: [hoisted] (loads
     or load prefixes moved to preheaders), [eliminated] (loads replaced
     by register copies), [shortened] (loads whose available prefix was
     reused). *)

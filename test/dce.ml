@@ -1,5 +1,6 @@
 open Support
 open Ir
+open Opt
 
 type stats = { mutable removed : int }
 

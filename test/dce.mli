@@ -8,9 +8,9 @@
     procedures or pointers may read them), as are terminator operands and
     everything a surviving instruction uses.
 
-    Runs to a fixed point so chains of dead definitions disappear. Not part
-    of the calibrated evaluation pipeline (the cost model already charges
-    zero for register moves); exposed for the CLI and as infrastructure. *)
+    Runs to a fixed point so chains of dead definitions disappear. No
+    schedule runs it: the tests use it as the measure of the dead code the
+    optimizer leaves behind. *)
 
-val pass : Pass.t
+val pass : Opt.Pass.t
 (** Stats: [removed]. *)

@@ -8,11 +8,14 @@
    over the tracked expressions; the baseline asks the per-expression kill
    test of every expression. The JSON decoder scans by index and reads
    plain integers digit by digit; the baseline is the peek-and-substring
-   parser it replaced. *)
+   parser it replaced. Dead-code elimination ({!Dce}) measures what the
+   optimizer leaves dead. *)
 
 open Support
 open Minim3
 open Ir
+
+module Dce = Dce
 
 (* The whole-program facts pass: every procedure's contribution, merged in
    program order. *)

@@ -223,7 +223,7 @@ let test_run_all_digest () =
   E.run_all ppf;
   Format.pp_print_flush ppf ();
   Alcotest.(check string)
-    "md5 of the experiments' output" "51c768ac4d3a27a768e54a43edfec992"
+    "md5 of the experiments' output" "62001d4d05e7b864953e3df8c634e90b"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =

@@ -184,6 +184,56 @@ END M.
   Alcotest.(check string) "behaviour preserved" before after;
   Alcotest.(check string) "output is 42" "42" after
 
+(* RLE decides before it rewrites: in a procedure where it eliminates,
+   hoists, shortens and splits nothing, nothing reads a home, so the
+   procedure comes out byte-identical — multi-prefix loads, a store with
+   no scalar proper prefix and a loop with variant loads included — while
+   a sibling procedure with a redundant load is rewritten. *)
+let test_rle_untouched_proc_identical () =
+  let src =
+    {|
+MODULE M;
+TYPE Node = OBJECT val: INTEGER; next: Node; END;
+VAR n: Node; sink: INTEGER;
+PROCEDURE Q () =
+  VAR a: INTEGER; b: INTEGER;
+  BEGIN
+    a := n.next.val;
+    b := n.next.val;
+    sink := a + b;
+  END Q;
+PROCEDURE P (m: Node) =
+  BEGIN
+    sink := m.next.val;
+    m.val := sink + 1;
+    WHILE m # NIL DO
+      sink := sink + m.val;
+      m := m.next;
+    END;
+  END P;
+BEGIN
+  n := NEW (Node);
+  n.next := NEW (Node);
+  n.next.val := 4;
+  n.next.next := n;
+  Q ();
+  P (n);
+  PrintInt (sink);
+END M.
+|}
+  in
+  let program = lower src in
+  let text name = Format.asprintf "%a" Cfg.pp_proc (proc_named program name) in
+  let before = run_out program and p_before = text "P" and q_before = text "Q" in
+  let reports = Passes.run program [ Opt.Rle.pass ] in
+  Alcotest.(check int) "one load eliminated" 1
+    (Passes.stat reports Opt.Rle.pass "eliminated");
+  Alcotest.(check int) "nothing hoisted" 0
+    (Passes.stat reports Opt.Rle.pass "hoisted");
+  Alcotest.(check string) "P byte-identical" p_before (text "P");
+  Alcotest.(check bool) "Q rewritten" true (q_before <> text "Q");
+  Alcotest.(check string) "behaviour preserved" before (run_out program)
+
 let test_rle_store_forwarding () =
   let src =
     {|
@@ -558,7 +608,9 @@ END M.
   Alcotest.(check string) "3" "3" (run_out program)
 
 (* Three corners of the copy universe, each with the rewritten procedure
-   text, the rewrite count and the program output pinned. *)
+   text, the rewrite count and the program output pinned. A copy into a
+   variable whose every use was rewritten is deleted, and so, in turn, is
+   a copy whose only reader that deletion removed. *)
 let copyprop_corner src =
   let program = lower src in
   let reports = Passes.run program [ Opt.Copyprop.pass ] in
@@ -567,7 +619,8 @@ let copyprop_corner src =
 
 let test_copyprop_repeated_copy () =
   (* [b := a] occurs twice; both occurrences are the one copy (b, a), so
-     the second regenerates it after [a]'s redefinition killed it. *)
+     the second regenerates it after [a]'s redefinition killed it. Every
+     use of a, b, c and d is rewritten, so all their copies go. *)
   let replaced, text, out =
     copyprop_corner
       {|
@@ -592,14 +645,14 @@ END M.
   in
   Alcotest.(check int) "replaced" 4 replaced;
   Alcotest.(check string) "procedure"
-    "procedure P (entry B0)\nB0:\n  t#6 := x + 1\n  a := t#6\n  b := a\n\
-    \  t#7 := t#6 + 1\n  c := t#7\n  t#8 := x + 5\n  a := t#8\n  b := a\n\
-    \  t#9 := t#8 + t#7\n  d := t#9\n  sink := t#9\n  return\n"
+    "procedure P (entry B0)\nB0:\n  t#6 := x + 1\n  t#7 := t#6 + 1\n\
+    \  t#8 := x + 5\n  t#9 := t#8 + t#7\n  sink := t#9\n  return\n"
     text;
   Alcotest.(check string) "output" "15" out
 
 let test_copyprop_long_chain () =
-  (* [canonical] follows at most 8 copies: a10 resolves to a2, not a0. *)
+  (* [canonical] follows at most 8 copies: a10 resolves to a2, not a0.
+     The copies a3..a10, read only along the chain, go; a2 is still read. *)
   let replaced, text, out =
     copyprop_corner
       {|
@@ -622,15 +675,13 @@ END M.
   Alcotest.(check int) "replaced" 1 replaced;
   Alcotest.(check string) "procedure"
     "procedure P (entry B0)\nB0:\n  t#13 := x + 1\n  a0 := t#13\n  a1 := a0\n\
-    \  a2 := a1\n  a3 := a2\n  a4 := a3\n  a5 := a4\n  a6 := a5\n  a7 := a6\n\
-    \  a8 := a7\n  a9 := a8\n  a10 := a9\n  t#14 := a2 + 1\n  sink := t#14\n\
-    \  return\n"
+    \  a2 := a1\n  t#14 := a2 + 1\n  sink := t#14\n  return\n"
     text;
   Alcotest.(check string) "output" "6" out
 
 let test_copyprop_source_redefined () =
   (* [a] is redefined between [b := a] and [c := a]: uses of [b] keep [b],
-     uses of [c] become the new [a]'s source. *)
+     uses of [c] become the new [a]'s source, and [c := a] goes. *)
   let replaced, text, out =
     copyprop_corner
       {|
@@ -654,8 +705,8 @@ END M.
   Alcotest.(check int) "replaced" 2 replaced;
   Alcotest.(check string) "procedure"
     "procedure P (entry B0)\nB0:\n  t#5 := x + 1\n  a := t#5\n  b := a\n\
-    \  t#6 := t#5 + 10\n  a := t#6\n  c := a\n  t#7 := b * 100\n\
-    \  t#8 := t#7 + t#6\n  sink := t#8\n  return\n"
+    \  t#6 := t#5 + 10\n  a := t#6\n  t#7 := b * 100\n  t#8 := t#7 + t#6\n\
+    \  sink := t#8\n  return\n"
     text;
   Alcotest.(check string) "output" "515" out
 
@@ -802,10 +853,10 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let reports = Passes.run program [ Opt.Dce.pass ] in
+  let reports = Passes.run program [ Reference.Dce.pass ] in
   (* a's load, b's and c's ALU ops, plus the lowering temporaries. *)
   Alcotest.(check bool) "removed the dead chain" true
-    (Passes.stat reports Opt.Dce.pass "removed" >= 3);
+    (Passes.stat reports Reference.Dce.pass "removed" >= 3);
   Alcotest.(check string) "behaviour preserved" before (run_out program);
   let p = proc_named program "P" in
   let loads = ref 0 in
@@ -839,7 +890,7 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  ignore (Passes.run program [ Opt.Dce.pass ]);
+  ignore (Passes.run program [ Reference.Dce.pass ]);
   Alcotest.(check string) "effects survive" before (run_out program);
   Alcotest.(check string) "output is 6" "6" before
 
@@ -847,10 +898,10 @@ let test_dce_fixpoint_on_workload () =
   (* Running DCE twice must find nothing the second time. *)
   let w = Workloads.Suite.find "format" in
   let program = Workloads.Workload.lower w in
-  ignore (Passes.run program [ Opt.Dce.pass ]);
-  let second = Passes.run program [ Opt.Dce.pass ] in
+  ignore (Passes.run program [ Reference.Dce.pass ]);
+  let second = Passes.run program [ Reference.Dce.pass ] in
   Alcotest.(check int) "idempotent" 0
-    (Passes.stat second Opt.Dce.pass "removed")
+    (Passes.stat second Reference.Dce.pass "removed")
 
 (* --- new TBAA clients: DSE, SLF, LICM ---------------------------------- *)
 
@@ -1343,6 +1394,8 @@ let () =
         [ Alcotest.test_case "figure 6: hoist" `Quick test_rle_hoists_invariant_prefix;
           Alcotest.test_case "figure 7: prefix cse" `Quick test_rle_cse_prefix;
           Alcotest.test_case "full cse" `Quick test_rle_cse_full;
+          Alcotest.test_case "untouched procedure identical" `Quick
+            test_rle_untouched_proc_identical;
           Alcotest.test_case "store forwarding" `Quick test_rle_store_forwarding;
           Alcotest.test_case "killed by alias" `Quick test_rle_killed_by_may_alias_store;
           Alcotest.test_case "independent store" `Quick

@@ -18,7 +18,11 @@
      group stops at [max_rounds], only Transform passes drive it, and
      guarded execution without failures reports what plain execution
      does;
-   - the versioned JSON envelope round-trips. *)
+   - the versioned JSON envelope round-trips;
+   - over the full stack, a per-procedure pass that reports
+     [mutated = false] left the procedure's fingerprint as it was (a
+     planted false flag is caught), and the dead code the optimizer
+     leaves behind is pinned. *)
 
 open Support
 open Ir
@@ -460,6 +464,110 @@ let test_guarded_matches_run () =
     seeds
 
 (* ------------------------------------------------------------------ *)
+(* The output contract over the full stack                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The ten workloads, the scale document and generated seeds 0-99. *)
+let contract_corpus () =
+  List.map Workloads.Workload.lower Workloads.Suite.all
+  @ [ Lower.lower_string ~file:"<scale>" (Gen.Scale.source 200) ]
+  @ List.init 100 (fun seed ->
+        Lower.lower_string ~file:"<gen>"
+          (Gen.Generator.generate ~size:3 seed).Gen.Generator.source)
+
+(* [items] with every per-procedure pass wrapped to fingerprint its
+   procedure around the body: each run that reports [mutated = false]
+   yet changed the procedure is added to [violations]. [plant] rewrites
+   an outcome before the check, to show a false flag is caught. *)
+let fingerprint_checked ?(plant = fun _ o -> o) violations items =
+  let wrap (p : Opt.Pass.t) =
+    let check (proc : Cfg.proc) body =
+      let before = Fingerprint.proc proc in
+      let o = plant p (body ()) in
+      if (not o.Opt.Pass.mutated) && Fingerprint.proc proc <> before then
+        violations :=
+          (p.Opt.Pass.name ^ ":" ^ Ident.name proc.Cfg.pr_name)
+          :: !violations;
+      o
+    in
+    match p.Opt.Pass.scope with
+    | Opt.Pass.Per_procedure f ->
+      { p with
+        scope = Opt.Pass.Per_procedure (fun pc proc -> check proc (fun () -> f pc proc)) }
+    | Opt.Pass.Analysis_free f ->
+      { p with
+        scope = Opt.Pass.Analysis_free (fun prog proc -> check proc (fun () -> f prog proc)) }
+    | Opt.Pass.Whole_program _ -> p
+  in
+  List.map
+    (function
+      | Opt.Pass_manager.Run p -> Opt.Pass_manager.Run (wrap p)
+      | Opt.Pass_manager.Fixpoint g ->
+        Opt.Pass_manager.Fixpoint { g with passes = List.map wrap g.passes })
+    items
+
+let count_copies program =
+  let n = ref 0 in
+  List.iter
+    (fun proc ->
+      Cfg.iter_instrs proc (fun _ i ->
+          match i with
+          | Instr.Iassign (_, Instr.Ratom (Reg.Avar _)) -> incr n
+          | _ -> ()))
+    program.Cfg.prog_procs;
+  !n
+
+(* One checked full-stack run over the corpus: the [mutated] violations,
+   then the instructions and the copies reference DCE removes after it. *)
+let contract_run =
+  lazy
+    (let violations = ref [] in
+     let dead = ref 0 and dead_copies = ref 0 in
+     List.iter
+       (fun program ->
+         ignore
+           (Opt.Pass_manager.run (Opt.Pass.create ()) program
+              (fingerprint_checked violations full_schedule));
+         let copies = count_copies program in
+         let reports = Passes.run program [ Reference.Dce.pass ] in
+         dead := !dead + Passes.stat reports Reference.Dce.pass "removed";
+         dead_copies := !dead_copies + copies - count_copies program)
+       (contract_corpus ());
+     (List.rev !violations, !dead, !dead_copies))
+
+let test_mutated_contract () =
+  let violations, _, _ = Lazy.force contract_run in
+  Alcotest.(check (list string)) "unflagged text changes" [] violations
+
+(* A false flag is caught: RLE claiming [mutated] only when it removed a
+   load hides the stores it split (and the homes it wrote) in procedures
+   where it removed nothing. *)
+let test_planted_flag_caught () =
+  let violations = ref [] in
+  let plant (p : Opt.Pass.t) (o : Opt.Pass.outcome) =
+    if p.Opt.Pass.name = "rle" then { o with Opt.Pass.mutated = o.Opt.Pass.changed }
+    else o
+  in
+  List.iter
+    (fun w ->
+      ignore
+        (Opt.Pass_manager.run (Opt.Pass.create ()) (Workloads.Workload.lower w)
+           (fingerprint_checked ~plant violations full_schedule)))
+    Workloads.Suite.all;
+  Alcotest.(check bool) "violations found" true (!violations <> [])
+
+(* Each access RLE rewrites through a home is one that a later access
+   reads, and copy propagation deletes the copies it made dead; what stays
+   dead after the full stack is pinned here, copies included. It is not
+   0: the unoptimized lowering already carries 2,681 dead instructions,
+   and a store's proper prefixes get homes whether or not anything reads
+   them. *)
+let test_dead_code_pinned () =
+  let _, dead, dead_copies = Lazy.force contract_run in
+  Alcotest.(check (pair int int)) "dead instructions, dead copies" (9154, 2811)
+    (dead, dead_copies)
+
+(* ------------------------------------------------------------------ *)
 (* The versioned JSON envelope                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -549,6 +657,13 @@ let () =
       ( "timing",
         [ Alcotest.test_case "pass time on the monotonic clock" `Quick
             test_pass_time_monotonic ] );
+      ( "contract",
+        [ Alcotest.test_case "mutated = false leaves the text" `Slow
+            test_mutated_contract;
+          Alcotest.test_case "a planted false flag is caught" `Slow
+            test_planted_flag_caught;
+          Alcotest.test_case "dead code after the full stack" `Slow
+            test_dead_code_pinned ] );
       ( "envelope",
         [ Alcotest.test_case "versioned envelope round-trips" `Quick
             test_envelope_roundtrip ] ) ]

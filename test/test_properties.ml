@@ -43,7 +43,7 @@ let prop_full_pipeline_preserves =
 let prop_dce_preserves =
   QCheck.Test.make ~name:"DCE preserves output" ~count Gen_prog.arbitrary
     (preserves_output (fun program ->
-         ignore (Passes.run program [ Opt.Dce.pass ])))
+         ignore (Passes.run program [ Reference.Dce.pass ])))
 
 let prop_local_cse_preserves =
   QCheck.Test.make ~name:"local CSE preserves output" ~count Gen_prog.arbitrary
