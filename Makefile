@@ -80,11 +80,16 @@ serve-smoke:
 
 # A sampling profile (bench/prof/sprof.ml): inclusive, self and leaf-chain
 # tables. PROF_WHAT is scale (compiles of the 200-worker Gen.Scale
-# document), pool (the generated-mix pool), ide (ide-session-shaped
-# alias/modref lines and an edit every ten queries, served through
-# Server.Dispatch.handle_line on the Gen.Scale document) or a workload
-# name; PROF_SECONDS is the CPU time to sample, e.g.
-#   make profile PROF_WHAT=ide PROF_SECONDS=20
+# document), pool (the generated-mix pool), paper (the ten workloads), ide
+# (ide-session-shaped alias/modref lines and an edit every ten queries,
+# served through Server.Dispatch.handle_line on the Gen.Scale document) or
+# a workload name; sim-scale, sim-pool, sim-paper or sim-WORKLOAD optimize
+# those programs once and sample only the simulator running them.
+# PROF_SECONDS is the CPU time to sample, e.g.
+#   make profile PROF_WHAT=sim-paper PROF_SECONDS=20
+# Stacks are recorded at the next safe point, so allocating frames are
+# over-weighted: confirm a hot frame with a timed ablation before
+# rewriting it.
 PROF_WHAT ?= scale
 PROF_SECONDS ?= 10
 profile:

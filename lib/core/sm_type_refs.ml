@@ -4,9 +4,7 @@ open Minim3
 type variant = Grouped | Per_type
 
 type t = {
-  env : Types.env;
   variant : variant;
-  group_of : int -> int list;  (* the set this type was merged into *)
   trt : Bitset.t array;  (* TypeRefsTable(t) as a bitset, built eagerly *)
   rows : Bitset.t array;  (* precomputed pairwise-compat matrix *)
 }
@@ -38,13 +36,27 @@ let build ?(variant = Grouped) ~(facts : Facts.t) ~world () =
   let env = facts.Facts.tenv in
   let n = Types.count env in
   let pairs = merge_pairs facts world in
-  let group_of =
+  (* group.(t): the set t was merged into, as a bitset. *)
+  let group =
     match variant with
     | Grouped ->
-      (* Figure 2 steps 1-2: union-find over the type table. *)
+      (* Figure 2 steps 1-2: union-find over the type table, then one bitset
+         per root, shared by its members, in a single pass. *)
       let uf = Union_find.create n in
       List.iter (fun (dst, src) -> Union_find.union uf dst src) pairs;
-      fun t -> Union_find.group uf t
+      let by_root = Array.make n None in
+      Array.init n (fun t ->
+          let r = Union_find.find uf t in
+          let s =
+            match by_root.(r) with
+            | Some s -> s
+            | None ->
+              let s = Bitset.create n in
+              by_root.(r) <- Some s;
+              s
+          in
+          Bitset.add s t;
+          s)
     | Per_type ->
       (* Footnote 2: directed reachability — reach(T) accumulates the types
          assigned (transitively) into T, without symmetrizing. *)
@@ -59,43 +71,48 @@ let build ?(variant = Grouped) ~(facts : Facts.t) ~world () =
             if Bitset.cardinal reach.(dst) <> before then changed := true)
           pairs
       done;
-      fun t -> Bitset.elements reach.(t)
+      reach
   in
-  (* Figure 2 step 3: TypeRefsTable (t) = group (t) ∩ Subtypes (t), for every
-     t up front. Subtypes sets come from the interval-labeled forest (one
-     O(1) containment test per candidate) instead of a subtype walk each. *)
-  let fl = Types.forest_labels env in
-  let objects = ref [] in
-  for u = n - 1 downto 0 do
-    if Types.is_object env u then objects := u :: !objects
+  (* Figure 2 step 3: TypeRefsTable (t) = Subtypes (t) ∩ group (t), for
+     every t up front. An object's Subtypes is itself plus its inheritance
+     children's, built bottom-up over the forest; a non-object type has
+     only itself, and NIL has none. *)
+  let trt = Array.init n (fun _ -> Bitset.create n) in
+  let children = Array.make n [] and roots = ref [] in
+  for t = n - 1 downto 0 do
+    match Types.desc env t with
+    | Types.Dobject { Types.obj_super = Some s; _ } ->
+      children.(s) <- t :: children.(s)
+    | Types.Dobject { Types.obj_super = None; _ } -> roots := t :: !roots
+    | _ -> if t <> Types.tid_null then Bitset.add trt.(t) t
   done;
-  let objects = !objects in
-  let trt =
-    Array.init n (fun tid ->
-        let subs = Bitset.create n in
-        if Types.is_object env tid then
-          List.iter
-            (fun u -> if Types.label_subtype fl u tid then Bitset.add subs u)
-            objects
-        else if tid <> Types.tid_null then Bitset.add subs tid;
-        let grp = Bitset.of_list n (group_of tid) in
-        Bitset.inter_into ~dst:grp subs;
-        grp)
+  let rec subtypes t =
+    Bitset.add trt.(t) t;
+    List.iter
+      (fun c ->
+        subtypes c;
+        Bitset.union_into ~dst:trt.(t) trt.(c))
+      children.(t)
   in
+  List.iter subtypes !roots;
+  Array.iteri (fun t s -> Bitset.inter_into ~dst:s group.(t)) trt;
   (* The full pairwise compat matrix: rows.(t1) holds every t2 whose
-     TypeRefsTable intersects t1's. n is the program's type count (dozens),
-     so the n²/2 early-exit intersection tests are build-time noise — and
-     they turn every subsequent compat query into one bitset probe. *)
-  let rows = Array.init n (fun _ -> Bitset.create n) in
-  for i = 0 to n - 1 do
-    for j = i to n - 1 do
-      if Bitset.intersects trt.(i) trt.(j) then begin
-        Bitset.add rows.(i) j;
-        Bitset.add rows.(j) i
-      end
-    done
-  done;
-  { env; variant; group_of; trt; rows }
+     TypeRefsTable intersects t1's, read off the transpose. holders.(u) is
+     the set of types whose TypeRefsTable contains u, so rows.(t) is the
+     union of holders.(u) over u in TypeRefsTable (t): Σ|TypeRefsTable|
+     word-parallel unions at build time, and every compat query is one
+     bitset probe. *)
+  let holders = Array.init n (fun _ -> Bitset.create n) in
+  Array.iteri (fun t s -> Bitset.iter (fun u -> Bitset.add holders.(u) t) s) trt;
+  let rows =
+    Array.map
+      (fun s ->
+        let row = Bitset.create n in
+        Bitset.iter (fun u -> Bitset.union_into ~dst:row holders.(u)) s;
+        row)
+      trt
+  in
+  { variant; trt; rows }
 
 let trt t tid =
   if tid < 0 || tid >= Array.length t.trt then

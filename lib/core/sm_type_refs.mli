@@ -23,6 +23,11 @@ type variant = Grouped | Per_type
 
 type t
 
+val merge_pairs : Facts.t -> World.t -> (Types.tid * Types.tid) list
+(** The [(dst, src)] pairs step 2 merges: the program's assignments whose
+    static types differ, plus the open-world forced merges under
+    {!World.Open}. *)
+
 val build : ?variant:variant -> facts:Facts.t -> world:World.t -> unit -> t
 (** Default variant is {!Grouped}. *)
 

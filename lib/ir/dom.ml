@@ -1,76 +1,77 @@
-open Support
-
 type t = {
-  doms : Bitset.t option array;  (* per block: set of dominators; None = unreachable *)
-  idoms : int option array;
+  idom : int array;  (* dominator-tree parent; the entry its own; -1 = unreachable *)
+  pre : int array;  (* dominator-tree preorder number; -1 = unreachable *)
+  size : int array;  (* dominator-subtree size *)
 }
 
 let compute proc =
   let n = Cfg.n_blocks proc in
-  let rpo = Cfg.reverse_postorder proc in
-  let preds = Cfg.predecessors proc in
-  let doms : Bitset.t option array = Array.make n None in
   let entry = proc.Cfg.pr_entry in
-  let full () =
-    let s = Bitset.create n in
-    Bitset.fill s;
-    s
+  let rpo = Array.of_list (Cfg.reverse_postorder proc) in
+  let preds = Cfg.predecessors proc in
+  let order = Array.make n (-1) in
+  Array.iteri (fun i b -> order.(b) <- i) rpo;
+  (* Cooper, Harvey and Kennedy, "A Simple, Fast Dominance Algorithm":
+     [idom] holds each processed block's current dominator-tree parent, the
+     entry its own; [intersect] walks two fingers up the tree to their
+     nearest common ancestor, the deeper one (later in reverse postorder)
+     first. *)
+  let idom = Array.make n (-1) in
+  idom.(entry) <- entry;
+  let rec intersect a b =
+    if a = b then a
+    else if order.(a) > order.(b) then intersect idom.(a) b
+    else intersect a idom.(b)
   in
-  List.iter (fun b -> doms.(b) <- Some (full ())) rpo;
-  let entry_set = Bitset.create n in
-  Bitset.add entry_set entry;
-  doms.(entry) <- Some entry_set;
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
+    Array.iter
       (fun b ->
         if b <> entry then begin
-          let inter = full () in
-          let has_pred = ref false in
-          List.iter
-            (fun p ->
-              match doms.(p) with
-              | Some dp ->
-                has_pred := true;
-                Bitset.inter_into ~dst:inter dp
-              | None -> ())
-            preds.(b);
-          if !has_pred then begin
-            Bitset.add inter b;
-            match doms.(b) with
-            | Some old when Bitset.equal old inter -> ()
-            | _ ->
-              doms.(b) <- Some inter;
-              changed := true
+          let next =
+            List.fold_left
+              (fun acc p ->
+                if idom.(p) < 0 then acc
+                else if acc < 0 then p
+                else intersect p acc)
+              (-1) preds.(b)
+          in
+          if next <> idom.(b) then begin
+            idom.(b) <- next;
+            changed := true
           end
         end)
       rpo
   done;
-  (* Immediate dominators: the unique strict dominator dominated by all other
-     strict dominators. *)
-  let idoms = Array.make n None in
-  List.iter
-    (fun b ->
-      if b <> entry then
-        match doms.(b) with
-        | None -> ()
-        | Some db ->
-          let strict = List.filter (fun d -> d <> b) (Bitset.elements db) in
-          let is_idom c =
-            List.for_all
-              (fun d ->
-                d = c
-                ||
-                match doms.(c) with Some dc -> Bitset.mem dc d | None -> false)
-              strict
-          in
-          idoms.(b) <- List.find_opt is_idom strict)
+  (* Preorder numbers and subtree sizes on the dominator tree make
+     [dominates] an interval test. *)
+  let children = Array.make n [] in
+  Array.iter
+    (fun b -> if b <> entry then children.(idom.(b)) <- b :: children.(idom.(b)))
     rpo;
-  { doms; idoms }
+  let pre = Array.make n (-1) and size = Array.make n 1 in
+  let preorder = Array.make (Array.length rpo) entry in
+  let rec walk clock = function
+    | [] -> ()
+    | b :: rest ->
+      pre.(b) <- clock;
+      preorder.(clock) <- b;
+      walk (clock + 1) (List.rev_append children.(b) rest)
+  in
+  walk 0 [ entry ];
+  for i = Array.length preorder - 1 downto 1 do
+    let b = preorder.(i) in
+    size.(idom.(b)) <- size.(idom.(b)) + size.(b)
+  done;
+  { idom; pre; size }
+
+let reachable t b = t.pre.(b) >= 0
 
 let dominates t a b =
-  match t.doms.(b) with Some db -> Bitset.mem db a | None -> false
+  let pa = t.pre.(a) and pb = t.pre.(b) in
+  pa >= 0 && pa <= pb && pb < pa + t.size.(a)
 
-let idom t b = t.idoms.(b)
-let reachable t b = t.doms.(b) <> None
+let idom t b =
+  let d = t.idom.(b) in
+  if d < 0 || d = b then None else Some d

@@ -1,6 +1,9 @@
-(** Dominator computation (iterative bit-vector algorithm over reverse
-    postorder). Only blocks reachable from the entry participate;
-    unreachable blocks dominate nothing and are dominated by nothing. *)
+(** Dominator computation: Cooper, Harvey and Kennedy's iterative
+    immediate-dominator algorithm over reverse postorder ("A Simple, Fast
+    Dominance Algorithm", 2001), then preorder intervals on the dominator
+    tree, so {!dominates} is O(1). Only blocks reachable from the entry
+    participate; unreachable blocks dominate nothing and are dominated by
+    nothing. *)
 
 type t
 

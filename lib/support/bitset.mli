@@ -2,7 +2,8 @@
 
     The dataflow framework (available loads) and the alias-pair counters use
     these for dense sets over small integer universes. All binary operations
-    require both operands to come from universes of the same width. *)
+    require both operands to come from universes of the same width, and run
+    a machine word (62 elements) at a time. *)
 
 type t
 
@@ -33,7 +34,18 @@ val inter_into : dst:t -> t -> unit
 val diff_into : dst:t -> t -> unit
 
 val iter : (int -> unit) -> t -> unit
+(** [iter f t] calls [f] on each element in ascending order. [f] may add
+    elements to or remove them from [t] itself: the scan continues from the
+    element just visited over the set as it is now, so an element added
+    above the cursor is visited, one removed above it is skipped, and
+    changes at or below the cursor are not seen — as under a scan that
+    tests each element of the universe in turn. *)
+
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+(** Ascending, with the same mutation contract as {!iter}. *)
+
 val elements : t -> int list
+(** Ascending. *)
+
 val of_list : int -> int list -> t
 val pp : Format.formatter -> t -> unit

@@ -23,8 +23,8 @@ val same : t -> int -> int -> bool
 (** [same t a b] iff [a] and [b] are in one set. *)
 
 val group : t -> int -> int list
-(** All elements of [x]'s set, ascending. O(n) — fine for the type-table
-    sizes the analysis sees. *)
+(** All elements of [x]'s set, ascending. O(n) per call: to group a
+    whole table, bucket every element by {!find} in one pass instead. *)
 
 val groups : t -> int list list
 (** All equivalence classes, each ascending, ordered by representative. *)

@@ -8,8 +8,13 @@
    over the tracked expressions; the baseline asks the per-expression kill
    test of every expression. The JSON decoder scans by index and reads
    plain integers digit by digit; the baseline is the peek-and-substring
-   parser it replaced. Dead-code elimination ({!Dce}) measures what the
-   optimizer leaves dead. *)
+   parser it replaced. Dominators come from Cooper-Harvey-Kennedy idoms
+   and dominator-tree intervals; the baseline ({!Dom}) is the iterative
+   bit-vector algorithm. The TypeRefsTable is built from per-root group
+   bitsets, bottom-up Subtypes and a transpose; the baseline
+   ({!type_refs}) filters each group against interval-tested Subtypes and
+   runs the n²/2 pairwise intersection tests. Dead-code elimination
+   ({!Dce}) measures what the optimizer leaves dead. *)
 
 open Support
 open Minim3
@@ -98,6 +103,140 @@ let modref program (oracle : Tbaa.Oracle.t) =
     program.Cfg.prog_procs;
   Opt.Modref.of_summaries program (fun name ->
       Option.value (Hashtbl.find_opt summaries name) ~default:empty)
+
+(* Dominators by the iterative bit-vector algorithm over reverse
+   postorder: each reachable block's full dominator set, and the idom as
+   the strict dominator every other strict dominator dominates. *)
+module Dom = struct
+  type t = {
+    doms : Bitset.t option array;  (* None = unreachable *)
+    idoms : int option array;
+  }
+
+  let compute proc =
+    let n = Cfg.n_blocks proc in
+    let rpo = Cfg.reverse_postorder proc in
+    let preds = Cfg.predecessors proc in
+    let doms : Bitset.t option array = Array.make n None in
+    let entry = proc.Cfg.pr_entry in
+    let full () =
+      let s = Bitset.create n in
+      Bitset.fill s;
+      s
+    in
+    List.iter (fun b -> doms.(b) <- Some (full ())) rpo;
+    let entry_set = Bitset.create n in
+    Bitset.add entry_set entry;
+    doms.(entry) <- Some entry_set;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun b ->
+          if b <> entry then begin
+            let inter = full () in
+            let has_pred = ref false in
+            List.iter
+              (fun p ->
+                match doms.(p) with
+                | Some dp ->
+                  has_pred := true;
+                  Bitset.inter_into ~dst:inter dp
+                | None -> ())
+              preds.(b);
+            if !has_pred then begin
+              Bitset.add inter b;
+              match doms.(b) with
+              | Some old when Bitset.equal old inter -> ()
+              | _ ->
+                doms.(b) <- Some inter;
+                changed := true
+            end
+          end)
+        rpo
+    done;
+    let idoms = Array.make n None in
+    List.iter
+      (fun b ->
+        if b <> entry then
+          match doms.(b) with
+          | None -> ()
+          | Some db ->
+            let strict = List.filter (fun d -> d <> b) (Bitset.elements db) in
+            let is_idom c =
+              List.for_all
+                (fun d ->
+                  d = c
+                  ||
+                  match doms.(c) with
+                  | Some dc -> Bitset.mem dc d
+                  | None -> false)
+                strict
+            in
+            idoms.(b) <- List.find_opt is_idom strict)
+      rpo;
+    { doms; idoms }
+
+  let dominates t a b =
+    match t.doms.(b) with Some db -> Bitset.mem db a | None -> false
+
+  let idom t b = t.idoms.(b)
+  let reachable t b = t.doms.(b) <> None
+end
+
+(* SMTypeRefs' TypeRefsTable and compat rows by the pairwise build: each
+   type's merged set as a list, filtered against its Subtypes by one
+   interval test per object type, then every pair of tables intersected.
+   Returns [(trt, rows)], both indexed by tid. *)
+let type_refs ?(variant = Tbaa.Sm_type_refs.Grouped) ~(facts : Tbaa.Facts.t)
+    ~world () =
+  let env = facts.Tbaa.Facts.tenv in
+  let n = Types.count env in
+  let pairs = Tbaa.Sm_type_refs.merge_pairs facts world in
+  let group_of =
+    match variant with
+    | Tbaa.Sm_type_refs.Grouped ->
+      let uf = Union_find.create n in
+      List.iter (fun (dst, src) -> Union_find.union uf dst src) pairs;
+      fun t -> Union_find.group uf t
+    | Tbaa.Sm_type_refs.Per_type ->
+      let reach = Array.init n (fun i -> Bitset.of_list n [ i ]) in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (dst, src) ->
+            let before = Bitset.cardinal reach.(dst) in
+            Bitset.union_into ~dst:reach.(dst) reach.(src);
+            if Bitset.cardinal reach.(dst) <> before then changed := true)
+          pairs
+      done;
+      fun t -> Bitset.elements reach.(t)
+  in
+  let fl = Types.forest_labels env in
+  let objects = List.filter (Types.is_object env) (List.init n Fun.id) in
+  let trt =
+    Array.init n (fun tid ->
+        let subs = Bitset.create n in
+        if Types.is_object env tid then
+          List.iter
+            (fun u -> if Types.label_subtype fl u tid then Bitset.add subs u)
+            objects
+        else if tid <> Types.tid_null then Bitset.add subs tid;
+        let grp = Bitset.of_list n (group_of tid) in
+        Bitset.inter_into ~dst:grp subs;
+        grp)
+  in
+  let rows = Array.init n (fun _ -> Bitset.create n) in
+  for i = 0 to n - 1 do
+    for j = i to n - 1 do
+      if Bitset.intersects trt.(i) trt.(j) then begin
+        Bitset.add rows.(i) j;
+        Bitset.add rows.(j) i
+      end
+    done
+  done;
+  (trt, rows)
 
 (* The kill set of one instruction over [exprs]: bit [i] iff the instruction
    may change expression [i], with the instruction-side data resolved

@@ -124,6 +124,45 @@ let test_type_refs_matrix_matches_reference () =
         [ Tbaa.Sm_type_refs.Grouped; Tbaa.Sm_type_refs.Per_type ])
     seeds
 
+(* The TypeRefsTable and compat rows against the pairwise build
+   ([Reference.type_refs]): both variants, closed and open world, over the
+   workloads, the scale document and the seeds above. *)
+let test_type_refs_match_pairwise_build () =
+  let corpus =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        (w.Workloads.Workload.name, Workloads.Workload.lower w))
+      Workloads.Suite.all
+    @ [ ("scale", Lower.lower_string ~file:"<scale>" (Gen.Scale.source 200)) ]
+    @ List.map (fun seed -> (Printf.sprintf "seed %d" seed, lower_gen seed)) seeds
+  in
+  List.iter
+    (fun (name, program) ->
+      let facts = Reference.facts program in
+      let tenv = facts.Tbaa.Facts.tenv in
+      List.iter
+        (fun (variant, world) ->
+          let sm = Tbaa.Sm_type_refs.build ~variant ~facts ~world () in
+          let matrix = Tbaa.Sm_type_refs.compat_matrix sm in
+          let trt, rows = Reference.type_refs ~variant ~facts ~world () in
+          Array.iteri
+            (fun t s ->
+              if Tbaa.Sm_type_refs.type_refs sm t <> Support.Bitset.elements s
+              then Alcotest.failf "%s: TypeRefsTable (%d) differs" name t)
+            trt;
+          all_tid_pairs tenv (fun t1 t2 ->
+              let expect =
+                t1 <> Minim3.Types.tid_null && t2 <> Minim3.Types.tid_null
+                && Support.Bitset.mem rows.(t1) t2
+              in
+              if Tbaa.Compat.query matrix t1 t2 <> expect then
+                Alcotest.failf "%s: compat (%d, %d) differs" name t1 t2))
+        [ (Tbaa.Sm_type_refs.Grouped, Tbaa.World.Closed);
+          (Tbaa.Sm_type_refs.Grouped, Tbaa.World.Open);
+          (Tbaa.Sm_type_refs.Per_type, Tbaa.World.Closed);
+          (Tbaa.Sm_type_refs.Per_type, Tbaa.World.Open) ])
+    corpus
+
 (* --- the Engine facade -------------------------------------------------- *)
 
 let test_engine_cached_and_counters () =
@@ -196,7 +235,9 @@ let () =
         [ Alcotest.test_case "interval subtyping = reference" `Quick
             test_subtyping_matches_reference;
           Alcotest.test_case "TypeRefs matrix = per-query intersection" `Quick
-            test_type_refs_matrix_matches_reference ] );
+            test_type_refs_matrix_matches_reference;
+          Alcotest.test_case "TypeRefs = pairwise build" `Quick
+            test_type_refs_match_pairwise_build ] );
       ( "engine facade",
         [ Alcotest.test_case "cached handles and shared counters" `Quick
             test_engine_cached_and_counters;

@@ -179,6 +179,99 @@ let test_dominators_diamond () =
   Alcotest.(check (option int)) "idom of 3 is 0" (Some 0) (Dom.idom dom 3);
   Alcotest.(check bool) "reflexive" true (Dom.dominates dom 3 3)
 
+(* Dominators against the bit-vector baseline ([Reference.Dom]): every
+   block pair's [dominates], every [idom] and [reachable]. *)
+let check_dom_matches_reference label proc =
+  let dom = Dom.compute proc and ref_dom = Reference.Dom.compute proc in
+  let n = Cfg.n_blocks proc in
+  for b = 0 to n - 1 do
+    if Dom.reachable dom b <> Reference.Dom.reachable ref_dom b then
+      Alcotest.failf "%s: reachable %d" label b;
+    if Dom.idom dom b <> Reference.Dom.idom ref_dom b then
+      Alcotest.failf "%s: idom %d" label b;
+    for a = 0 to n - 1 do
+      if Dom.dominates dom a b <> Reference.Dom.dominates ref_dom a b then
+        Alcotest.failf "%s: dominates %d %d" label a b
+    done
+  done
+
+(* The workloads, the scale document and generated seeds 0-99, as
+   lowered and after the full schedule (inlining splits blocks, LICM and
+   RLE add preheaders, PRE splits edges). *)
+let test_dom_matches_reference_corpus () =
+  let full =
+    Opt.Pass_manager.schedule
+      { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+        slf = true; rle = true; copyprop = true; dse = true; local_cse = true }
+  in
+  let corpus =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        (w.Workloads.Workload.name, fun () -> Workloads.Workload.lower w))
+      Workloads.Suite.all
+    @ [ ( "scale",
+          fun () -> Lower.lower_string ~file:"<scale>" (Gen.Scale.source 200) ) ]
+    @ List.init 100 (fun seed ->
+          ( Printf.sprintf "seed %d" seed,
+            fun () ->
+              Lower.lower_string ~file:"<gen>"
+                (Gen.Generator.generate ~size:3 seed).Gen.Generator.source ))
+  in
+  List.iter
+    (fun (name, lower) ->
+      let program = lower () in
+      let check stage =
+        List.iter
+          (fun proc ->
+            check_dom_matches_reference
+              (Printf.sprintf "%s %s %s" name stage (Ident.name proc.Cfg.pr_name))
+              proc)
+          program.Cfg.prog_procs
+      in
+      check "lowered";
+      ignore (Opt.Pass_manager.run (Opt.Pass.create ()) program full);
+      check "optimized")
+    corpus
+
+(* Random CFGs: unreachable blocks, self-loops, irreducible regions and an
+   entry with predecessors all arise from random edges and a random entry;
+   the first cases pin the single-block procedure. *)
+let test_dom_matches_reference_random () =
+  let rand = Random.State.make [| 0xD0; 2001 |] in
+  let entry_preds = ref 0 and unreachable = ref 0 and self_loops = ref 0 in
+  for case = 0 to 2999 do
+    let n = if case < 2 then 1 else 1 + Random.State.int rand 14 in
+    let proc =
+      { Cfg.pr_name = Ident.intern "random"; pr_params = []; pr_ret = None;
+        pr_blocks = Vec.create (); pr_entry = 0; pr_locals = [] }
+    in
+    let blocks = Array.init n (fun _ -> Cfg.new_block proc (Instr.Treturn None)) in
+    let target () = Random.State.int rand n in
+    Array.iteri
+      (fun i b ->
+        b.Cfg.b_term <-
+          (if case = 1 then Instr.Tjump i
+           else
+             match Random.State.int rand 5 with
+             | 0 -> Instr.Treturn None
+             | 1 | 2 -> Instr.Tjump (target ())
+             | _ -> Instr.Tbranch (Reg.Abool true, target (), target ())))
+      blocks;
+    proc.Cfg.pr_entry <- Random.State.int rand n;
+    let preds = Cfg.predecessors proc in
+    if preds.(proc.Cfg.pr_entry) <> [] then incr entry_preds;
+    if List.length (Cfg.reverse_postorder proc) < n then incr unreachable;
+    if Array.exists (fun b -> List.mem b preds.(b)) (Array.init n Fun.id) then
+      incr self_loops;
+    check_dom_matches_reference (Printf.sprintf "random CFG %d" case) proc
+  done;
+  List.iter
+    (fun (what, k) ->
+      if k < 100 then Alcotest.failf "only %d random CFGs with %s" k what)
+    [ ("an entry with predecessors", !entry_preds);
+      ("unreachable blocks", !unreachable);
+      ("self-loops", !self_loops) ]
+
 let test_loops_in_while () =
   let program =
     lower
@@ -444,6 +537,10 @@ let () =
           Alcotest.test_case "short circuit" `Quick test_short_circuit_blocks ] );
       ( "dom/loops",
         [ Alcotest.test_case "diamond dominators" `Quick test_dominators_diamond;
+          Alcotest.test_case "dominators = reference on the corpus" `Slow
+            test_dom_matches_reference_corpus;
+          Alcotest.test_case "dominators = reference on random CFGs" `Quick
+            test_dom_matches_reference_random;
           Alcotest.test_case "while loop" `Quick test_loops_in_while;
           Alcotest.test_case "preheader" `Quick test_preheader_insertion ] );
       ( "dataflow",

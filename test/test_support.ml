@@ -156,6 +156,217 @@ let prop_bitset_union_cardinal =
       Bitset.inter_into ~dst:i b;
       Bitset.cardinal u + Bitset.cardinal i = Bitset.cardinal a + Bitset.cardinal b)
 
+(* Bitset against a [bool array] model. Each case runs a random operation
+   sequence on two sets [a] and [b] over one universe, mirroring every
+   operation on the model, and after each step compares every observer.
+   The universes straddle the 62-element word boundary. [Scan] runs [iter]
+   (or [fold]) with a callback that adds or removes elements at offsets
+   below, at and above the cursor; the model replays the same callback
+   under an element-by-element scan. Each operation's first [bool] picks
+   the set it acts on ([true] is [a]). *)
+type bitset_op =
+  | Add of bool * int
+  | Remove of bool * int
+  | Clear of bool
+  | Fill of bool
+  | Copy of bool  (* the chosen set becomes a copy of the other *)
+  | Of_list of bool * int list
+  | Union of bool
+  | Inter of bool
+  | Diff of bool
+  | Scan of bool * bool * (int * bool) list
+      (* target, by fold, cyclic plan of (offset, add) per visit *)
+
+let bitset_universes = [ 0; 1; 61; 62; 63; 124; 200; 1000 ]
+
+let pp_bitset_op = function
+  | Add (w, i) -> Printf.sprintf "add %b %d" w i
+  | Remove (w, i) -> Printf.sprintf "remove %b %d" w i
+  | Clear w -> Printf.sprintf "clear %b" w
+  | Fill w -> Printf.sprintf "fill %b" w
+  | Copy w -> Printf.sprintf "copy %b" w
+  | Of_list (w, xs) ->
+    Printf.sprintf "of_list %b [%s]" w
+      (String.concat ";" (List.map string_of_int xs))
+  | Union w -> Printf.sprintf "union %b" w
+  | Inter w -> Printf.sprintf "inter %b" w
+  | Diff w -> Printf.sprintf "diff %b" w
+  | Scan (w, by_fold, plan) ->
+    Printf.sprintf "scan %b fold=%b [%s]" w by_fold
+      (String.concat ";"
+         (List.map
+            (fun (d, add) -> Printf.sprintf "%+d%s" d (if add then "+" else "-"))
+            plan))
+
+let gen_bitset_case =
+  let open QCheck.Gen in
+  let* u = oneofl bitset_universes in
+  let elt = int_bound 1099 in
+  let op =
+    frequency
+      [ (6, map2 (fun w i -> Add (w, i)) bool elt);
+        (3, map2 (fun w i -> Remove (w, i)) bool elt);
+        (1, map (fun w -> Clear w) bool);
+        (1, map (fun w -> Fill w) bool);
+        (1, map (fun w -> Copy w) bool);
+        (1, map2 (fun w xs -> Of_list (w, xs)) bool (list_size (int_bound 8) elt));
+        (2, map (fun w -> Union w) bool);
+        (2, map (fun w -> Inter w) bool);
+        (2, map (fun w -> Diff w) bool);
+        ( 3,
+          map3
+            (fun w f plan -> Scan (w, f, plan))
+            bool bool
+            (list_size (int_range 1 4) (pair (int_range (-70) 70) bool)) ) ]
+  in
+  let+ ops = list_size (int_bound 40) op in
+  (u, ops)
+
+let arb_bitset_case =
+  QCheck.make gen_bitset_case ~print:(fun (u, ops) ->
+      Printf.sprintf "universe %d: %s" u
+        (String.concat ", " (List.map pp_bitset_op ops)))
+
+(* Elements are drawn up to 1099 and reduced into the universe; an element
+   drawn at or past 1000 is tried as-is, to exercise the universe guard. *)
+let bitset_matches_model (u, ops) =
+  let a = ref (Bitset.create u) and b = ref (Bitset.create u) in
+  let ma = ref (Array.make u false) and mb = ref (Array.make u false) in
+  let pick w = if w then (a, ma) else (b, mb) in
+  let other w = if w then (b, mb) else (a, ma) in
+  let elt i = if i >= 1000 || u = 0 then i - 1000 + u else i mod u in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let model_elements m =
+    List.filter (fun i -> m.(i)) (List.init (Array.length m) Fun.id)
+  in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt in
+  let observe step =
+    List.iter
+      (fun (s, m, name) ->
+        let s = !s and m = !m in
+        let els = model_elements m in
+        if Bitset.universe s <> u then fail "step %d: %s universe" step name;
+        for i = 0 to u - 1 do
+          if Bitset.mem s i <> m.(i) then fail "step %d: %s mem %d" step name i
+        done;
+        if Bitset.elements s <> els then fail "step %d: %s elements" step name;
+        let visited = ref [] in
+        Bitset.iter (fun i -> visited := i :: !visited) s;
+        if List.rev !visited <> els then fail "step %d: %s iter order" step name;
+        if List.rev (Bitset.fold (fun i acc -> i :: acc) s []) <> els then
+          fail "step %d: %s fold order" step name;
+        if Bitset.cardinal s <> List.length els then
+          fail "step %d: %s cardinal" step name;
+        if Bitset.is_empty s <> (els = []) then fail "step %d: %s is_empty" step name;
+        if not (Bitset.equal s (Bitset.of_list u els)) then
+          fail "step %d: %s equal to its rebuild" step name;
+        let shown = Format.asprintf "%a" Bitset.pp s in
+        let expect =
+          "{" ^ String.concat ", " (List.map string_of_int els) ^ "}"
+        in
+        if shown <> expect then fail "step %d: %s pp %s" step name shown)
+      [ (a, ma, "a"); (b, mb, "b") ];
+    let ea = model_elements !ma and eb = model_elements !mb in
+    if Bitset.equal !a !b <> (ea = eb) then fail "step %d: equal" step;
+    if Bitset.intersects !a !b <> List.exists (fun i -> !mb.(i)) ea then
+      fail "step %d: intersects" step
+  in
+  let binop w f g =
+    let s, m = pick w and s', m' = other w in
+    f ~dst:!s !s';
+    m := Array.mapi (fun i x -> g x !m'.(i)) !m
+  in
+  observe 0;
+  List.iteri
+    (fun step op ->
+      (match op with
+      | Add (w, i) ->
+        let s, m = pick w and i = elt i in
+        if i < 0 || i >= u then begin
+          if not (raises (fun () -> Bitset.add !s i)) then
+            fail "step %d: add %d accepted outside universe %d" step i u
+        end
+        else begin
+          Bitset.add !s i;
+          !m.(i) <- true
+        end
+      | Remove (w, i) ->
+        let s, m = pick w and i = elt i in
+        if i < 0 || i >= u then begin
+          if
+            not
+              (raises (fun () -> Bitset.remove !s i)
+              && raises (fun () -> Bitset.mem !s i))
+          then fail "step %d: remove/mem %d accepted outside universe %d" step i u
+        end
+        else begin
+          Bitset.remove !s i;
+          !m.(i) <- false
+        end
+      | Clear w ->
+        let s, m = pick w in
+        Bitset.clear !s;
+        m := Array.make u false
+      | Fill w ->
+        let s, m = pick w in
+        Bitset.fill !s;
+        m := Array.make u true
+      | Copy w ->
+        let s, m = pick w and s', m' = other w in
+        s := Bitset.copy !s';
+        m := Array.copy !m'
+      | Of_list (w, xs) ->
+        let s, m = pick w in
+        let xs = List.filter (fun i -> i >= 0 && i < u) (List.map elt xs) in
+        s := Bitset.of_list u xs;
+        m := Array.make u false;
+        List.iter (fun i -> !m.(i) <- true) xs
+      | Union w -> binop w Bitset.union_into ( || )
+      | Inter w -> binop w Bitset.inter_into ( && )
+      | Diff w -> binop w Bitset.diff_into (fun x y -> x && not y)
+      | Scan (w, by_fold, plan) ->
+        let s, m = pick w in
+        let plan = Array.of_list plan in
+        (* The k-th visit at cursor i adds or removes i + offset (when in
+           the universe), on whichever of set or model it is handed. *)
+        let mutate k i set_bit =
+          let d, add = plan.(k mod Array.length plan) in
+          let j = i + d in
+          if j >= 0 && j < u then set_bit j add
+        in
+        let visits = ref [] in
+        let callback i =
+          mutate (List.length !visits) i (fun j add ->
+              if add then Bitset.add !s j else Bitset.remove !s j);
+          visits := i :: !visits
+        in
+        if by_fold then
+          ignore (Bitset.fold (fun i () -> callback i) !s ())
+        else Bitset.iter callback !s;
+        let expect = ref [] in
+        for i = 0 to u - 1 do
+          if !m.(i) then begin
+            mutate (List.length !expect) i (fun j add -> !m.(j) <- add);
+            expect := i :: !expect
+          end
+        done;
+        if !visits <> !expect then
+          fail "step %d: scan under mutation visited [%s], model [%s]" step
+            (String.concat ";" (List.rev_map string_of_int !visits))
+            (String.concat ";" (List.rev_map string_of_int !expect)));
+      observe (step + 1))
+    ops;
+  if u > 0 then begin
+    let wider = Bitset.create (u + 1) in
+    if not (raises (fun () -> Bitset.union_into ~dst:!a wider)) then
+      fail "union across universes accepted"
+  end;
+  true
+
+let prop_bitset_model =
+  QCheck.Test.make ~name:"bitset: operation sequences match a bool-array model"
+    ~count:400 arb_bitset_case bitset_matches_model
+
 let prop_groups_partition =
   QCheck.Test.make ~name:"union_find: groups form a partition" ~count:100
     QCheck.(pair (int_range 1 16) (small_list (pair small_nat small_nat)))
@@ -495,7 +706,8 @@ let () =
           Alcotest.test_case "ops" `Quick test_bitset_ops;
           Alcotest.test_case "fill" `Quick test_bitset_fill;
           Alcotest.test_case "universe guard" `Quick test_bitset_universe_guard;
-          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_bitset_union_cardinal ] );
+          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_bitset_union_cardinal;
+          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_bitset_model ] );
       ( "vec",
         [ Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "growth" `Quick test_vec_growth ] );
