@@ -117,7 +117,7 @@ let tests =
 (* ------------------------------------------------------------------ *)
 
 (* One JSON-lines record per (workload, config, pass) when --stats is
-   given; always a summary table of oracle-cache effectiveness, and a
+   given; always a summary table of oracle queries per run, and a
    BENCH_passmgr.json snapshot for cross-run comparison. *)
 
 let stats_mode = Array.exists (String.equal "--stats") Sys.argv
@@ -130,10 +130,10 @@ let sweep_configs =
       Harness.Runner.copyprop = true } ]
 
 let pass_manager_sweep () =
-  print_endline "\n=== Pass-manager instrumentation (oracle cache) ===\n";
-  Printf.printf "%-14s %-16s %8s %8s %9s %9s\n" "workload" "config" "queries"
-    "hits" "hit rate" "time ms";
-  print_endline (String.make 70 '-');
+  print_endline "\n=== Pass-manager instrumentation (oracle queries) ===\n";
+  Printf.printf "%-14s %-16s %8s %9s\n" "workload" "config" "queries"
+    "time ms";
+  print_endline (String.make 50 '-');
   let records = ref [] in
   List.iter
     (fun (w : Workloads.Workload.t) ->
@@ -152,10 +152,8 @@ let pass_manager_sweep () =
               if stats_mode then print_endline (Support.Json.to_string j))
             reports;
           let c = Opt.Pass_manager.oracle_counters reports in
-          Printf.printf "%-14s %-16s %8d %8d %8.1f%% %9.2f\n"
+          Printf.printf "%-14s %-16s %8d %9.2f\n"
             w.Workloads.Workload.name cname (Tbaa.Oracle_cache.queries c)
-            (Tbaa.Oracle_cache.hits c)
-            (100.0 *. Tbaa.Oracle_cache.hit_rate c)
             (Opt.Pass_manager.total_time_ms reports))
         sweep_configs)
     Workloads.Suite.dynamic;
@@ -200,7 +198,7 @@ let run_bechamel () =
 let () =
   (* Part 1: regenerate every table and figure. *)
   Harness.Experiments.run_all Format.std_formatter;
-  (* Part 2: per-pass instrumentation and oracle-cache effectiveness. *)
+  (* Part 2: per-pass instrumentation and oracle queries. *)
   pass_manager_sweep ();
   (* Part 3: time the machinery. *)
   print_endline "\n=== Bechamel micro-benchmarks (one per table/figure) ===\n";

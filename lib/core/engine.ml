@@ -70,10 +70,7 @@ type t = {
   mutable sm_field_type_refs : Oracle.t;
   mutable sm : Sm_type_refs.t;
   mutable timings : timings;
-  counters : Oracle_cache.counters;  (* shared across the cached handles *)
-  mutable cached_type_decl : Oracle.t option;
-  mutable cached_field_type_decl : Oracle.t option;
-  mutable cached_sm : Oracle.t option;
+  counters : Oracle_cache.counters;  (* shared across the counted handles *)
   mutable effects : (kind * effects_state) list;
   incr : incr_stats;
 }
@@ -182,8 +179,7 @@ let create ?(config = default_config) ?(domains = 1) program =
     cond = condense_summaries proc_names summaries;
     facts; type_decl; field_type_decl; sm_field_type_refs; sm;
     timings = { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
-    counters = Oracle_cache.fresh_counters (); cached_type_decl = None;
-    cached_field_type_decl = None; cached_sm = None; effects = [];
+    counters = Oracle_cache.fresh_counters (); effects = [];
     incr = fresh_incr () }
 
 (* An independent engine frozen at [t]'s current analysis state, O(procs).
@@ -191,15 +187,12 @@ let create ?(config = default_config) ?(domains = 1) program =
    condensation, effects states — [update_effects_state] builds over
    copies) except [summaries], which it patches in place; copying that one
    table is enough to decouple the two engines' futures. Everything shared
-   is immutable. The copy gets its own counters, cached oracle handles and
-   incremental stats so the originals keep counting for [t] alone. *)
+   is immutable. The copy gets its own query counters and incremental
+   stats so the originals keep counting for [t] alone. *)
 let copy t =
   { t with
     summaries = Ident.Tbl.copy t.summaries;
     counters = Oracle_cache.fresh_counters ();
-    cached_type_decl = None;
-    cached_field_type_decl = None;
-    cached_sm = None;
     incr = fresh_incr () }
 
 let facts t = t.facts
@@ -215,21 +208,7 @@ let oracle t = function
 
 let oracles t = [ t.type_decl; t.field_type_decl; t.sm_field_type_refs ]
 
-let cached t kind =
-  let slot, set =
-    match kind with
-    | Type_decl ->
-      (t.cached_type_decl, fun o -> t.cached_type_decl <- Some o)
-    | Field_type_decl ->
-      (t.cached_field_type_decl, fun o -> t.cached_field_type_decl <- Some o)
-    | Sm_field_type_refs -> (t.cached_sm, fun o -> t.cached_sm <- Some o)
-  in
-  match slot with
-  | Some o -> o
-  | None ->
-    let o = Oracle_cache.wrap ~counters:t.counters (oracle t kind) in
-    set o;
-    o
+let cached t kind = Oracle_cache.wrap ~counters:t.counters (oracle t kind)
 
 let type_refs_table t = Sm_type_refs.type_refs t.sm
 let counters t = t.counters
@@ -331,12 +310,6 @@ let modref_merged t kind name =
 
 let sorted_names names = List.sort_uniq Ident.compare names
 
-let drop_oracle_state t =
-  t.cached_type_decl <- None;
-  t.cached_field_type_decl <- None;
-  t.cached_sm <- None;
-  t.effects <- []
-
 (* Everything changed (or the type environment did, which every summary
    and oracle reads through): recompute from scratch.
 
@@ -372,7 +345,7 @@ let rebuild t program =
   t.sm_field_type_refs <- sm_field_type_refs;
   t.sm <- sm;
   t.timings <- { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
-  drop_oracle_state t;
+  t.effects <- [];
   t.incr.summaries_recomputed <-
     t.incr.summaries_recomputed + Array.length sums;
   t.incr.oracles_rebuilt <- t.incr.oracles_rebuilt + 1;
@@ -656,7 +629,7 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
       t.sm_field_type_refs <- sm_field_type_refs;
       t.sm <- sm;
       t.timings <- { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
-      drop_oracle_state t;
+      t.effects <- [];
       incr.oracles_rebuilt <- incr.oracles_rebuilt + 1);
     incr.last_report <-
       Some { ur_recomputed = sorted_names recomputed_names;
@@ -681,7 +654,6 @@ let update_stats t =
     ("oracles_rebuilt", i.oracles_rebuilt) ]
 
 let stats t =
-  let c = t.counters in
   Json.Obj
     [ ("world", Json.String (match world t with
           | World.Closed -> "closed"
@@ -696,10 +668,7 @@ let stats t =
            ("type_decl", Json.Float t.timings.type_decl_ms);
            ("field_type_decl", Json.Float t.timings.field_type_decl_ms);
            ("sm_field_type_refs", Json.Float t.timings.sm_ms) ]);
-      ("queries", Json.Int (Oracle_cache.queries c));
-      ("hits", Json.Int (Oracle_cache.hits c));
-      ("misses", Json.Int (Oracle_cache.misses c));
-      ("hit_rate", Json.Float (Oracle_cache.hit_rate c));
+      ("queries", Json.Int (Oracle_cache.queries t.counters));
       ("paths_interned", Json.Int (Ir.Apath.interned ()));
       ("alocs_interned", Json.Int (Aloc.interned ()));
       ("incremental",

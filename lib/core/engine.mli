@@ -5,7 +5,7 @@
     analysis summaries ({!Summary.t}, keyed by structural fingerprints),
     the merged program facts, the paper's three alias oracles over
     precomputed O(1) compatibility cores, the TypeRefsTable, per-phase
-    construction timings, and (on demand) memoized oracle handles with
+    construction timings, and (on demand) counted oracle handles with
     shared query counters plus per-oracle mod-ref effect views
     ({!modref_direct}/{!modref_merged}).
 
@@ -91,21 +91,23 @@ val copy : t -> t
     state, O(procedures): later {!update}s of either engine never affect
     the other. Cheap — everything immutable is shared; only the one
     in-place-patched table is duplicated. The copy starts with fresh
-    query counters, cached oracle handles and incremental stats. Lets a
+    query counters and incremental stats. Lets a
     client keep per-pipeline-position analysis snapshots (e.g. the pass
     manager's incremental sessions) so each position re-analyzes only
     its own diff. *)
 
 val oracle : t -> kind -> Oracle.t
-(** The raw (unmemoized) oracle handle. *)
+(** The raw (uncounted) oracle handle. *)
 
 val oracles : t -> Oracle.t list
 (** All three, in increasing precision order: TypeDecl, FieldTypeDecl,
     SMFieldTypeRefs. *)
 
 val cached : t -> kind -> Oracle.t
-(** A memoized handle ({!Oracle_cache.wrap}) built on first use — one per
-    kind per engine, all accumulating into {!counters}. *)
+(** A counted handle ({!Oracle_cache.wrap}) over {!oracle}: it answers
+    exactly as the raw handle does and counts each query into
+    {!counters}. Each call builds a new handle; every handle of one engine
+    shares the counters. *)
 
 val facts : t -> Facts.t
 val world : t -> World.t
@@ -123,7 +125,7 @@ val type_refs_table : t -> Types.tid -> Types.tid list
 (** The SMTypeRefs TypeRefsTable, also used by method resolution. *)
 
 val counters : t -> Oracle_cache.counters
-(** Query/hit/miss counters shared by every {!cached} handle. *)
+(** Query counters shared by every {!cached} handle. *)
 
 (** {1 Mod-ref effect views}
 
@@ -173,5 +175,5 @@ val update_stats : t -> (string * int) list
 
 val stats : t -> Json.t
 (** One structured record: configuration, type count, per-phase build
-    times, cached-query counters, intern-table sizes, and the
+    times, the counted handles' total queries, intern-table sizes, and the
     incremental reuse counters. *)

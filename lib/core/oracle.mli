@@ -21,7 +21,8 @@ type t = {
           given path (queried prefix-by-prefix by clients)? Contract: the
           answer is a relation between the class and [store_class] of the
           path — two paths with equal store classes get equal answers.
-          {!Oracle_cache} relies on this to key its memo by class pairs. *)
+          {!Oracle_fault} relies on this to key its flips by class
+          pairs. *)
   addr_taken_var : Reg.var -> bool;
       (** Was this variable's own slot ever exposed by address-taking? *)
   stats : unit -> Support.Json.t;

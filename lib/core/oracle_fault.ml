@@ -6,9 +6,9 @@ type stats = { mutable alias_flips : int; mutable kill_flips : int }
 let fresh_stats () = { alias_flips = 0; kill_flips = 0 }
 
 (* Flip decisions must be a deterministic function of the *query*, not of
-   call order: [Oracle_cache] memoizes answers, so the same question
-   asked twice must flip (or not) identically, and RLE's claim ledger
-   must agree with the answers the dataflow actually consumed. We hash a
+   call order: the same question asked twice must flip (or not)
+   identically, so that RLE's claim ledger agrees with the answers the
+   dataflow actually consumed. We hash a
    canonical key for each query, mix it with the seed through a
    splitmix64-style finalizer, and flip when the mixed value falls below
    the rate threshold.
@@ -43,7 +43,7 @@ let wrap ?(flip_class_kills = true) ?(stats = fresh_stats ()) ~seed ~rate
     (oracle : Oracle.t) : Oracle.t =
   let may_alias ap1 ap2 =
     let answer = oracle.Oracle.may_alias ap1 ap2 in
-    (* Symmetric key, mirroring the cache's pair canonicalization. *)
+    (* Symmetric key: may_alias is symmetric in every analysis. *)
     let h1 = path_key ap1 and h2 = path_key ap2 in
     let lo, hi = if h1 <= h2 then (h1, h2) else (h2, h1) in
     if decide ~seed ~rate ((lo * 31) + hi + 1) then begin
@@ -56,9 +56,9 @@ let wrap ?(flip_class_kills = true) ?(stats = fresh_stats ()) ~seed ~rate
     let answer = oracle.Oracle.class_kills cls ap in
     if not flip_class_kills then answer
     else begin
-      (* Keyed by (class, the path's own store class) — the same
-         granularity [Oracle_cache] memoizes at, so cached and uncached
-         runs see identical faults. *)
+      (* Keyed by (class, the path's own store class): the {!Oracle}
+         contract makes the answer a function of that pair, so every path
+         of one store class sees the same fault. *)
       let key =
         (aloc_key cls * 31) + aloc_key (oracle.Oracle.store_class ap) + 2
       in

@@ -3,9 +3,8 @@
 
     [wrap ~seed ~rate oracle] returns an oracle that deterministically
     flips a [rate] fraction of [may_alias] and [class_kills] answers.
-    Flips are a pure function of (seed, query), not of call order, so
-    they commute with {!Oracle_cache} memoization and repeat identically
-    across runs — a flipped "no alias" stays flipped everywhere it is
+    Flips are a pure function of (seed, query), not of call order, so a
+    question asked twice flips identically and runs repeat identically — a flipped "no alias" stays flipped everywhere it is
     consulted, which is what lets the dynamic auditor pin the resulting
     miscompile on a concrete claim. [compat], [store_class] and
     [addr_taken_var] are passed through untouched. *)

@@ -10,7 +10,7 @@
       and the run must be audit-clean ({!Sim.Audit} finds no claim the
       execution contradicts);
     + {b precision lattice} — every may-alias query the optimizer
-      actually makes (observed via {!Tbaa.Oracle_cache}'s log hook) must
+      actually makes (every query, via {!Tbaa.Oracle_cache}'s log hook) must
       be monotone across TypeDecl ⊒ FieldTypeDecl ⊒ SMFieldTypeRefs;
     + {b typecheck round-trip} — pretty-print ∘ parse is a fixpoint and
       the reprint still typechecks;

@@ -202,10 +202,7 @@ let report_to_json ?(extra = []) r =
         ("time_ms", Float r.r_time_ms); ("changed", Bool r.r_changed);
         ("stats", of_stats r.r_stats);
         ( "oracle",
-          Obj
-            [ ("queries", Int (Oracle_cache.queries r.r_oracle));
-              ("hits", Int (Oracle_cache.hits r.r_oracle));
-              ("hit_rate", Float (Oracle_cache.hit_rate r.r_oracle)) ] );
+          Obj [ ("queries", Int (Oracle_cache.queries r.r_oracle)) ] );
         ( "dataflow",
           Obj
             [ ("solves", Int r.r_dataflow.Ir.Dataflow.solves);

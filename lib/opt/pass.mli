@@ -68,9 +68,8 @@ type context = {
   mutable fault : fault option;
   mutable oracle_log : (Ir.Apath.t -> Ir.Apath.t -> bool -> unit) option;
       (** when set, installed as the {!Tbaa.Oracle_cache.wrap} [log]
-          observer of every procedure's cache: fires once per distinct
-          may-alias pair per procedure per pass run, with the (possibly
-          fault-injected) answer. The fuzzer's precision-lattice oracle
+          observer of every procedure's counted oracle: fires once per
+          may-alias query, with the (possibly fault-injected) answer. The fuzzer's precision-lattice oracle
           hangs off this; [None] costs nothing. The hook need not be
           domain-safe: a logged context runs per-procedure passes on one
           domain, on the same path as an unlogged one, so installing it
@@ -93,9 +92,9 @@ val analysis :
 
 val raw_oracle : context -> Ir.Cfg.program -> Oracle.t
 (** The configured-precision oracle over {!analysis}, with the fault layer
-    (when installed) but *no* memoizing cache: the pass manager wraps this
-    once per procedure, so cache state never crosses domains. A client
-    that wants a memoized oracle outside a pass reads it from the engine
+    (when installed) but no query counter: the pass manager wraps this
+    once per procedure, so counters never cross domains. A client that
+    wants a counted oracle outside a pass reads it from the engine
     ({!Tbaa.Engine.cached}). *)
 
 val modref : context -> Ir.Cfg.program -> Modref.t
@@ -145,7 +144,7 @@ type proc_context = {
       (** the enclosing program — read-only shared state (type
           environment, procedure list); per-procedure passes must not
           mutate anything outside their own procedure *)
-  pc_oracle : Oracle.t;  (** memoizing-cached, private to this procedure *)
+  pc_oracle : Oracle.t;  (** counted, private to this procedure *)
   pc_modref : Modref.t;  (** shared, read-only (forced before use) *)
   pc_claims : Claims.t option;
       (** private per-procedure ledger, merged in program order *)
@@ -198,7 +197,7 @@ type report = {
   r_changed : bool;
   r_stats : (string * int) list;
   r_oracle : Oracle_cache.counters;
-      (** oracle queries/misses during this pass run only *)
+      (** oracle queries during this pass run only *)
   r_dataflow : Ir.Dataflow.counters;
       (** dataflow solves/iterations during this pass run only *)
   r_analyses : int;

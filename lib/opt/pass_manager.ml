@@ -121,15 +121,16 @@ let snapshot_blocks proc =
 
    - fresh variables come from a laced allocator (procedure [i]'s [k]-th
      temp is [start + i + k*n]), used identically at any domain count;
-   - every procedure gets a private memoizing oracle cache over the raw
-     analysis oracle (the raw closures are pure) and a private claims
-     ledger, merged in program order afterwards;
+   - every procedure gets a private counted oracle over the raw analysis
+     oracle (the raw closures are pure) and a private claims ledger, both
+     merged in program order afterwards;
    - the [Apath]/[Aloc] intern tables flip into mutex-guarded mode for
      the duration of a multi-domain region, and dataflow's cumulative
      counters are atomics.
 
    A fault-injected or query-logged context takes this same path, with
-   the log installed in each procedure's cache, but on one domain: the
+   the log installed in each procedure's counted oracle, but on one
+   domain: the
    fault layer's flip counters and the caller's log callback are not
    domain-safe. Observing a run therefore never changes what it emits.
 

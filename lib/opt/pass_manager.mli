@@ -146,4 +146,4 @@ val first_stat : string -> string -> Pass.report list -> int
 val total_time_ms : Pass.report list -> float
 
 val oracle_counters : Pass.report list -> Tbaa.Oracle_cache.counters
-(** Oracle-cache activity summed across the reports. *)
+(** Oracle queries summed across the reports. *)

@@ -171,8 +171,6 @@ let test_engine_cached_and_counters () =
   let refs = paths_of (Tbaa.Engine.facts engine) in
   let raw = Tbaa.Engine.oracle engine Tbaa.Engine.Sm_field_type_refs in
   let cached = Tbaa.Engine.cached engine Tbaa.Engine.Sm_field_type_refs in
-  Alcotest.(check bool) "cached handle is memoized per kind" true
-    (cached == Tbaa.Engine.cached engine Tbaa.Engine.Sm_field_type_refs);
   List.iter
     (fun p ->
       List.iter
@@ -182,13 +180,12 @@ let test_engine_cached_and_counters () =
             (cached.Tbaa.Oracle.may_alias p q))
         refs)
     refs;
-  let c = Tbaa.Engine.counters engine in
-  Alcotest.(check int) "hits + misses = queries"
-    (Tbaa.Oracle_cache.queries c)
-    (Tbaa.Oracle_cache.hits c + Tbaa.Oracle_cache.misses c);
-  if refs <> [] then
-    Alcotest.(check bool) "some queries were counted" true
-      (Tbaa.Oracle_cache.queries c > 0)
+  let other = Tbaa.Engine.cached engine Tbaa.Engine.Type_decl in
+  List.iter (fun p -> ignore (other.Tbaa.Oracle.may_alias p p)) refs;
+  let n = List.length refs in
+  Alcotest.(check int) "every handle counts into the engine's counters"
+    ((n * n) + n)
+    (Tbaa.Engine.counters engine).Tbaa.Oracle_cache.alias_queries
 
 let test_engine_stats_shape () =
   let program = lower_gen 4 in
@@ -205,8 +202,8 @@ let test_engine_stats_shape () =
     (fun k ->
       Alcotest.(check bool) (Printf.sprintf "stats has %S" k) true
         (List.mem k keys))
-    [ "world"; "variant"; "types"; "build_ms"; "queries"; "hits"; "misses";
-      "hit_rate"; "paths_interned"; "alocs_interned" ];
+    [ "world"; "variant"; "types"; "build_ms"; "queries"; "paths_interned";
+      "alocs_interned" ];
   let t = Tbaa.Engine.timings engine in
   Alcotest.(check bool) "timings are non-negative" true
     (t.Tbaa.Engine.facts_ms >= 0.

@@ -1372,18 +1372,6 @@ let test_reports_no_double_counting () =
     + Opt.Pass_manager.sum_stat "rle" "eliminated" reports
     + Opt.Pass_manager.sum_stat "rle" "shortened" reports)
 
-let test_passmgr_cache_hit_rate () =
-  let w = Workloads.Suite.find "m3cg" in
-  let _, reports =
-    Harness.Runner.prepare w
-      (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)
-  in
-  let c = Opt.Pass_manager.oracle_counters reports in
-  Alcotest.(check bool) "oracle was queried" true
-    (Tbaa.Oracle_cache.queries c > 0);
-  Alcotest.(check bool) "cache hit rate above 50%" true
-    (Tbaa.Oracle_cache.hit_rate c > 0.5)
-
 let () =
   Alcotest.run "opt"
     [ ( "modref",
@@ -1465,6 +1453,4 @@ let () =
         [ Alcotest.test_case "seed counts reproduced" `Quick
             test_passmgr_seed_counts;
           Alcotest.test_case "no double counting" `Quick
-            test_reports_no_double_counting;
-          Alcotest.test_case "oracle cache hit rate" `Quick
-            test_passmgr_cache_hit_rate ] ) ]
+            test_reports_no_double_counting ] ) ]

@@ -39,14 +39,13 @@ let stats_sig reports =
   String.concat ";"
     (List.map
        (fun (r : Opt.Pass.report) ->
-         Printf.sprintf "%s#%d changed=%b %s oracle=%d/%d" r.Opt.Pass.r_pass
+         Printf.sprintf "%s#%d changed=%b %s oracle=%d" r.Opt.Pass.r_pass
            r.Opt.Pass.r_round r.Opt.Pass.r_changed
            (String.concat ","
               (List.map
                  (fun (k, v) -> Printf.sprintf "%s=%d" k v)
                  r.Opt.Pass.r_stats))
-           (Tbaa.Oracle_cache.queries r.Opt.Pass.r_oracle)
-           (Tbaa.Oracle_cache.hits r.Opt.Pass.r_oracle))
+           (Tbaa.Oracle_cache.queries r.Opt.Pass.r_oracle))
        reports)
 
 (* ------------------------------------------------------------------ *)
@@ -439,9 +438,7 @@ let test_guarded_matches_run () =
   let summary reports =
     List.map
       (fun (r : Opt.Pass.report) ->
-        Printf.sprintf "%s analyses=%d misses=%d"
-          (stats_sig [ r ]) r.Opt.Pass.r_analyses
-          (Tbaa.Oracle_cache.misses r.Opt.Pass.r_oracle))
+        Printf.sprintf "%s analyses=%d" (stats_sig [ r ]) r.Opt.Pass.r_analyses)
       reports
   in
   List.iter

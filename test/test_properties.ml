@@ -50,114 +50,22 @@ let prop_local_cse_preserves =
     (preserves_output (fun program ->
          ignore (Passes.run program [ Opt.Local_cse.pass ])))
 
-(* --- oracle cache transparency ------------------------------------------ *)
+(* --- oracle query counting ---------------------------------------------- *)
 
-(* The memoizing wrapper must be observationally identical to the raw
-   oracle: same may_alias on every (ordered) pair of heap references —
-   asked twice, so the second answer comes from the table — and same
-   compat/class_kills/store_class on every reference. *)
-let prop_oracle_cache_transparent =
-  QCheck.Test.make ~name:"Oracle_cache.wrap answers like the raw oracle"
-    ~count Gen_prog.arbitrary (fun seed ->
-      let program = lower seed in
-      let a = Tbaa.Engine.create program in
-      let refs =
-        List.map
-          (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
-      in
-      List.for_all
-        (fun raw ->
-          let counters = Tbaa.Oracle_cache.fresh_counters () in
-          let cached = Tbaa.Oracle_cache.wrap ~counters raw in
-          List.for_all
-            (fun ap1 ->
-              List.for_all
-                (fun ap2 ->
-                  let once = cached.Tbaa.Oracle.may_alias ap1 ap2 in
-                  Bool.equal once (raw.Tbaa.Oracle.may_alias ap1 ap2)
-                  && Bool.equal once (cached.Tbaa.Oracle.may_alias ap1 ap2))
-                refs
-              &&
-              let cls = raw.Tbaa.Oracle.store_class ap1 in
-              Tbaa.Aloc.equal cls (cached.Tbaa.Oracle.store_class ap1)
-              && Bool.equal
-                   (raw.Tbaa.Oracle.class_kills cls ap1)
-                   (cached.Tbaa.Oracle.class_kills cls ap1))
-            refs
-          && Tbaa.Oracle_cache.misses counters
-             <= Tbaa.Oracle_cache.queries counters)
-        (Tbaa.Engine.oracles a))
-
-(* The counters must account for every query exactly once: over an
-   arbitrary interleaved sequence of may_alias / class_kills /
-   store_class queries (with repeats, so the hit path is exercised),
-   hits + misses = queries, and the cached answer agrees with the raw
-   oracle on each individual call. *)
-let prop_oracle_cache_counters =
-  QCheck.Test.make ~name:"Oracle_cache counters: hits + misses = queries"
-    ~count
-    QCheck.(pair Gen_prog.arbitrary (small_list (triple small_nat small_nat (int_range 0 2))))
-    (fun (seed, picks) ->
-      let program = lower seed in
-      let a = Tbaa.Engine.create program in
-      let refs =
-        List.map
-          (fun (r : Tbaa.Facts.memref) -> r.Tbaa.Facts.mr_path)
-          (Tbaa.Engine.facts a).Tbaa.Facts.memrefs
-      in
-      let n = List.length refs in
-      n = 0
-      || List.for_all
-           (fun raw ->
-             let counters = Tbaa.Oracle_cache.fresh_counters () in
-             let cached = Tbaa.Oracle_cache.wrap ~counters raw in
-             let agreed =
-               List.for_all
-                 (fun (i, j, op) ->
-                   let x = List.nth refs (i mod n)
-                   and y = List.nth refs (j mod n) in
-                   match op with
-                   | 0 ->
-                     Bool.equal
-                       (cached.Tbaa.Oracle.may_alias x y)
-                       (raw.Tbaa.Oracle.may_alias x y)
-                   | 1 ->
-                     let cls = raw.Tbaa.Oracle.store_class x in
-                     Bool.equal
-                       (cached.Tbaa.Oracle.class_kills cls y)
-                       (raw.Tbaa.Oracle.class_kills cls y)
-                   | _ ->
-                     Tbaa.Aloc.equal
-                       (cached.Tbaa.Oracle.store_class x)
-                       (raw.Tbaa.Oracle.store_class x))
-                 picks
-             in
-             agreed
-             && Tbaa.Oracle_cache.hits counters + Tbaa.Oracle_cache.misses counters
-                = Tbaa.Oracle_cache.queries counters)
-           (Tbaa.Engine.oracles a))
-
-(* The wrapper carries the last class's id while the physically-same class
-   repeats and memoizes each path's store-class id: over random streams
-   that repeat a class physically, pass structurally equal but physically
-   distinct copies, and repeat paths, every answer must match the raw
-   oracle and all four counter pairs must match the accounting of a plain
-   memo keyed by structure — a query per call, a miss per distinct
-   (unordered tid pair | canonical path pair | class pair | path). *)
-let copy_class = function
-  | Tbaa.Aloc.Lfield (f, r, c) -> Tbaa.Aloc.Lfield (f, r, c)
-  | Tbaa.Aloc.Lelem (a, e) -> Tbaa.Aloc.Lelem (a, e)
-  | Tbaa.Aloc.Ltarget t -> Tbaa.Aloc.Ltarget t
-  | Tbaa.Aloc.Lvar (i, t) -> Tbaa.Aloc.Lvar (i, t)
-
-let prop_oracle_cache_class_ids =
-  QCheck.Test.make ~name:"Oracle_cache class ids: answers and counters"
+(* The counting wrapper must be observationally identical to the raw
+   oracle and count exactly one query per call on the leg called: over
+   random streams of compat / may_alias / store_class / class_kills
+   queries (with repeats), every answer must match the raw oracle, each
+   leg's queries and misses must equal the calls made on it, and the log
+   must see every may_alias call, in order, with its answer. *)
+let prop_oracle_cache_counts =
+  QCheck.Test.make
+    ~name:"Oracle_cache.wrap answers like the raw oracle, one query per call"
     ~count
     QCheck.(
       pair Gen_prog.arbitrary
         (list_of_size (Gen.int_range 50 300)
-           (triple (int_range 0 5) small_nat small_nat)))
+           (triple (int_range 0 3) small_nat small_nat)))
     (fun (seed, picks) ->
       let program = lower seed in
       let a = Tbaa.Engine.create program in
@@ -173,82 +81,59 @@ let prop_oracle_cache_class_ids =
       n = 0
       || List.for_all
            (fun (raw : Tbaa.Oracle.t) ->
-             let classes =
-               Array.map
-                 (fun ap ->
-                   let v = Apath.base ap in
-                   if Apath.is_memory_ref ap then raw.Tbaa.Oracle.store_class ap
-                   else Tbaa.Aloc.Lvar (v.Reg.v_id, v.Reg.v_ty))
-                 refs
-             in
              let c = Tbaa.Oracle_cache.fresh_counters () in
-             let cached = Tbaa.Oracle_cache.wrap ~counters:c raw in
-             let seen = Hashtbl.create 64 in
-             let want_misses = Array.make 4 0 and want_queries = Array.make 4 0 in
-             let ask leg key =
-               want_queries.(leg) <- want_queries.(leg) + 1;
-               if not (Hashtbl.mem seen (leg, key)) then begin
-                 Hashtbl.add seen (leg, key) ();
-                 want_misses.(leg) <- want_misses.(leg) + 1
-               end
+             let logged = ref [] and asked = ref [] in
+             let counted =
+               Tbaa.Oracle_cache.wrap ~counters:c
+                 ~log:(fun p q r -> logged := (p, q, r) :: !logged)
+                 raw
              in
-             let last_cls = ref classes.(0) and last_ap = ref refs.(0) in
+             let calls = Array.make 4 0 in
              let agreed =
                List.for_all
                  (fun (op, i, j) ->
                    let x = refs.(i mod n) and y = refs.(j mod n) in
+                   calls.(op) <- calls.(op) + 1;
                    match op with
                    | 0 ->
                      let t1 = Apath.ty x and t2 = Apath.ty y in
-                     ask 0 (min t1 t2, max t1 t2);
                      Bool.equal
-                       (cached.Tbaa.Oracle.compat t1 t2)
+                       (counted.Tbaa.Oracle.compat t1 t2)
                        (raw.Tbaa.Oracle.compat t1 t2)
                    | 1 ->
-                     let h1 = Apath.hash x and h2 = Apath.hash y in
-                     let p, q =
-                       if h1 < h2 || (h1 = h2 && Apath.compare x y <= 0) then
-                         (x, y)
-                       else (y, x)
-                     in
-                     ask 1 (Apath.id p, Apath.id q);
-                     Bool.equal
-                       (cached.Tbaa.Oracle.may_alias x y)
-                       (raw.Tbaa.Oracle.may_alias x y)
+                     let r = raw.Tbaa.Oracle.may_alias x y in
+                     asked := (x, y, r) :: !asked;
+                     Bool.equal (counted.Tbaa.Oracle.may_alias x y) r
                    | 2 ->
-                     ask 3 (Apath.id x, 0);
                      Tbaa.Aloc.equal
-                       (cached.Tbaa.Oracle.store_class x)
+                       (counted.Tbaa.Oracle.store_class x)
                        (raw.Tbaa.Oracle.store_class x)
                    | _ ->
-                     (* 3: the last class again, physically; 4: a fresh
-                        structural copy; 5: a pool class as it is. The
-                        path repeats physically on every other query. *)
                      let cls =
-                       match op with
-                       | 3 -> !last_cls
-                       | 4 -> copy_class classes.(i mod n)
-                       | _ -> classes.(i mod n)
+                       if Apath.is_memory_ref x then raw.Tbaa.Oracle.store_class x
+                       else
+                         let v = Apath.base x in
+                         Tbaa.Aloc.Lvar (v.Reg.v_id, v.Reg.v_ty)
                      in
-                     let ap = if j mod 2 = 0 then !last_ap else y in
-                     last_cls := cls;
-                     last_ap := ap;
-                     ask 2
-                       ( Tbaa.Aloc.id cls,
-                         Tbaa.Aloc.id (raw.Tbaa.Oracle.store_class ap) );
                      Bool.equal
-                       (cached.Tbaa.Oracle.class_kills cls ap)
-                       (raw.Tbaa.Oracle.class_kills cls ap))
+                       (counted.Tbaa.Oracle.class_kills cls y)
+                       (raw.Tbaa.Oracle.class_kills cls y))
                  picks
              in
              let open Tbaa.Oracle_cache in
+             let want = Array.to_list calls in
              agreed
-             && [ c.compat_queries; c.alias_queries; c.class_queries;
-                  c.store_queries ]
-                = Array.to_list want_queries
-             && [ c.compat_misses; c.alias_misses; c.class_misses;
-                  c.store_misses ]
-                = Array.to_list want_misses)
+             && [ c.compat_queries; c.alias_queries; c.store_queries;
+                  c.class_queries ]
+                = want
+             && [ c.compat_misses; c.alias_misses; c.store_misses;
+                  c.class_misses ]
+                = want
+             && List.length !logged = List.length !asked
+             && List.for_all2
+                  (fun (p, q, r) (p', q', r') ->
+                    p == p' && q == q' && Bool.equal r r')
+                  !logged !asked)
            (Tbaa.Engine.oracles a))
 
 (* --- precision lattice --------------------------------------------------- *)
@@ -534,9 +419,7 @@ let () =
           Alcotest.test_case "guarded run rolls back invalid IR" `Quick
             test_guarded_rolls_back_invalid_ir ] );
       ( "oracle cache",
-        [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_oracle_cache_transparent;
-          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_oracle_cache_counters;
-          QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
-            prop_oracle_cache_class_ids ] );
+        [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ())
+            prop_oracle_cache_counts ] );
       ( "printer", [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_printer_roundtrip ] );
       ( "determinism", [ QCheck_alcotest.to_alcotest ~rand:(pinned_rand ()) prop_interp_deterministic ] ) ]
