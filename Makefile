@@ -28,11 +28,15 @@ check:
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --out ""
 
 # The full differential-testing sweep: 200 generated programs through the
-# 27-configuration matrix and all four oracles, then a fault-injected run
-# that must produce shrunk, replaying counterexamples (the fuzzer testing
-# itself). Slower than `check`; run before releases.
+# 27-configuration matrix and all four oracles, eleven larger (size 3)
+# programs that include the null-zone regressions (seeds 3045 and 5047),
+# then a fault-injected run that must produce shrunk, replaying
+# counterexamples (the fuzzer testing itself). Slower than `check`; run
+# before releases.
 fuzz:
 	dune exec bin/tbaac.exe -- fuzz --count 200 --seed 1
+	dune exec bin/tbaac.exe -- fuzz --size 3 --seed 3045 --count 1
+	dune exec bin/tbaac.exe -- fuzz --size 3 --seed 5040 --count 10
 	dune exec bin/tbaac.exe -- fuzz --count 25 --seed 1 --fault-rate 0.05
 
 # The defense-in-depth gate: the whole workload suite through the guarded

@@ -3,15 +3,19 @@ open Ir
 
 type stats = { mutable replaced : int }
 
-(* A copy is a register-to-register [Iassign (v, Ratom (Avar u))]. The
-   dataflow fact is the set of copies whose equality still holds. *)
+(* A copy is a register-to-register [Iassign (v, Ratom (Avar u))] between
+   variables of the same static type: substituting [u] for [v] as a path
+   base then keeps every path's static type, which NIL's null zones are
+   keyed by. The dataflow fact is the set of copies whose equality still
+   holds. *)
 
 let eligible_var excluded (v : Reg.var) =
   v.Reg.v_kind <> Reg.Vglobal && not (Hashtbl.mem excluded v.Reg.v_id)
 
 let is_copy excluded = function
   | Instr.Iassign (v, Instr.Ratom (Reg.Avar u)) ->
-    (not (Reg.var_equal v u)) && eligible_var excluded v && eligible_var excluded u
+    (not (Reg.var_equal v u)) && v.Reg.v_ty = u.Reg.v_ty
+    && eligible_var excluded v && eligible_var excluded u
   | _ -> false
 
 (* Delete each copy into a variable every use of which the rewrite

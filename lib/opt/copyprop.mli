@@ -11,7 +11,15 @@
 
     Only register-resident variables participate: globals and variables
     whose bare address is taken can change behind the compiler's back and
-    are excluded from both sides of a copy. *)
+    are excluded from both sides of a copy.
+
+    Only copies between variables of the same static type propagate.
+    A NIL dereference reads the null zone of the path's static type
+    (DESIGN.md §5), so rewriting [v.f] into [u.f] with [u] of a proper
+    subtype of [v]'s type would read another zone on a faulting path. With
+    the guard every rewrite keeps each path's static type, and every
+    assignment's type pair — hence SMFieldTypeRefs' merges — is
+    unchanged. *)
 
 val pass : Pass.t
 (** An {!Pass.Enabling} pass: base canonicalization keeps finding cosmetic

@@ -713,6 +713,138 @@ END M.
 (* --- kill index --------------------------------------------------------- *)
 
 (* Every prefix of every loaded or stored path, in first-seen order. *)
+
+(* Regressions (generator seeds 5047 and 3045 at size 3, shrunk): a NIL
+   dereference reads the null zone of the path's static type, so copy
+   propagation may substitute a base only from a variable of the same
+   static type. Without that guard, RLE's home [rle#8 : C0] for
+   [o2.link] takes the copy [rle#8 := o7.next] ([C3]) and [o2.link.c]
+   becomes a read of C3's zone, which the store [o7.next.c := 9] wrote. *)
+let null_zone_case config src () =
+  Alcotest.(check (list string))
+    (config ^ " matches the unoptimized run") []
+    (List.map
+       (fun f -> f.Harness.Fuzz.f_detail)
+       (Harness.Fuzz.check_source
+          ~only:(Harness.Fuzz.Diff_semantics, config)
+          ~name:"null-zone" src))
+
+let null_zone_5047 =
+  {|MODULE Fz5047;
+
+TYPE
+  C0 = OBJECT
+               c: INTEGER;
+  END;
+
+TYPE
+  C2 = OBJECT
+               link: C0;
+  END;
+
+TYPE
+  C3 = C0 OBJECT
+  END;
+
+TYPE
+  C5 = OBJECT
+               next: C3;
+  END;
+
+TYPE
+  C7 = C5 OBJECT
+  END;
+
+VAR
+  o2: C2;
+
+VAR
+  o7: C7;
+
+BEGIN
+       o2.link := o7.next;
+       o7.next.c := 9;
+       PrintInt (o2.link.c);
+END Fz5047.|}
+
+let null_zone_3045 =
+  {|MODULE Fz3045;
+
+TYPE
+  BVec = BRANDED "fz" REF ARRAY OF INTEGER;
+
+TYPE
+  FArr = ARRAY [0..7] OF INTEGER;
+
+TYPE
+  C0 = OBJECT
+               tag: INTEGER;
+  METHODS
+           tally (k: INTEGER): INTEGER := Im_C0_tally;
+  END;
+
+TYPE
+  C3 = C0 OBJECT
+  END;
+
+TYPE
+  C7 = OBJECT
+               c: INTEGER;
+  END;
+
+TYPE
+  C8 = OBJECT
+               link: C3;
+  END;
+
+VAR
+  o7: C7;
+
+VAR
+  o8: C8;
+
+VAR
+  bv0: BVec;
+
+VAR
+  fa0: FArr;
+
+VAR
+  g1: INTEGER;
+
+PROCEDURE Im_C0_tally (self: C0; k: INTEGER): INTEGER =
+VAR
+     x0: INTEGER;
+     x1: INTEGER;
+     w0: INTEGER;
+     w1: INTEGER;
+     w2: INTEGER;
+     w3: INTEGER;
+BEGIN
+       self.tag := fa0[0];
+END Im_C0_tally;
+
+PROCEDURE P2 (VAR z: INTEGER; n: INTEGER) =
+VAR
+     x0: INTEGER;
+     x1: INTEGER;
+     w0: INTEGER;
+     w1: INTEGER;
+     w2: INTEGER;
+     w3: INTEGER;
+BEGIN
+       o8.link.tally (0);
+END P2;
+
+BEGIN
+       g1 := 19;
+       FOR fi := 0 TO 7 DO
+                            fa0[fi] := g1;
+       END;
+       P2 (o7.c, bv0[5]);
+       PrintInt (o8.link.tag);
+END Fz3045.|}
+
 let tracked_exprs proc =
   let seen = Apath.Tbl.create 64 and acc = ref [] in
   Cfg.iter_instrs proc (fun _ i ->
@@ -1411,7 +1543,11 @@ let () =
           Alcotest.test_case "chain past the bound" `Quick
             test_copyprop_long_chain;
           Alcotest.test_case "source redefined" `Quick
-            test_copyprop_source_redefined ] );
+            test_copyprop_source_redefined;
+          Alcotest.test_case "null zone: seed 5047 (rle+copyprop)" `Quick
+            (null_zone_case "TypeDecl:rle+copyprop" null_zone_5047);
+          Alcotest.test_case "null zone: seed 3045 (all passes)" `Quick
+            (null_zone_case "TypeDecl:all" null_zone_3045) ] );
       ( "kill index",
         [ Alcotest.test_case "memory-resident defs" `Quick
             test_kill_index_memory_defs;

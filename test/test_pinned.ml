@@ -60,7 +60,7 @@ let test_digest () =
     (fun ledger ->
       List.iter (fun program -> output buf ~ledger (program ())) (programs ()))
     [ false; true ];
-  Alcotest.(check string) "md5 of the optimizer's output" "3b4d8eed909f736489c033b8e28de969"
+  Alcotest.(check string) "md5 of the optimizer's output" "2066cf765f04bdca9d50f190fdda7481"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let () =

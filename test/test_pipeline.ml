@@ -561,7 +561,7 @@ let test_planted_flag_caught () =
    them. *)
 let test_dead_code_pinned () =
   let _, dead, dead_copies = Lazy.force contract_run in
-  Alcotest.(check (pair int int)) "dead instructions, dead copies" (9154, 2811)
+  Alcotest.(check (pair int int)) "dead instructions, dead copies" (9132, 2789)
     (dead, dead_copies)
 
 (* ------------------------------------------------------------------ *)
