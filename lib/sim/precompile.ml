@@ -265,17 +265,6 @@ and cproc = {
 (* Runtime state                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* A program's compiled procedures, reusable across runs of the SAME
-   (physically identical) program: everything baked into a [cproc] —
-   layout offsets, global addresses, images, call targets — is a pure
-   function of the program. The only per-run state living in compiled
-   code is each site's memo cell, so reuse just resets those ([cu_sites]
-   registers every cell ever built). *)
-type compiled_unit = {
-  cu_targets : (int, ptarget) Hashtbl.t;  (* proc ident id -> target *)
-  mutable cu_sites : csite list;
-}
-
 type state = {
   program : Cfg.program;
   tenv : Types.env;
@@ -310,7 +299,8 @@ type state = {
   on_access : (access -> unit) option;
   traced : bool;  (* either hook is set *)
   global_addrs : int Reg.Var_tbl.t;  (* global -> static address *)
-  cu : compiled_unit;
+  targets : (int, ptarget) Hashtbl.t;
+      (* proc ident id -> target; each run compiles the program afresh *)
   mutable next_site : int;
   mutable next_activation : int;
   null_zones : (int, int) Hashtbl.t;
@@ -817,13 +807,8 @@ let catom_of cc = function
   | Reg.Anil -> CAconst (0, t_nil)
 
 let mk_site cc ~block ~index kind ~path =
-  let cs =
-    { cs_proc = cc.cc_proc.Cfg.pr_name; cs_block = block; cs_index = index;
-      cs_kind = kind; cs_path = path; cs_site = None }
-  in
-  let cu = cc.cc_st.cu in
-  cu.cu_sites <- cs :: cu.cu_sites;
-  cs
+  { cs_proc = cc.cc_proc.Cfg.pr_name; cs_block = block; cs_index = index;
+    cs_kind = kind; cs_path = path; cs_site = None }
 
 let compile_path cc ~block ~index (ap : Apath.t) : cpath =
   let st = cc.cc_st in
@@ -901,11 +886,11 @@ let compile_new st ty ~has_len : cnew =
 
 let target_of st (proc : Cfg.proc) =
   let key = Ident.id proc.Cfg.pr_name in
-  match Hashtbl.find_opt st.cu.cu_targets key with
+  match Hashtbl.find_opt st.targets key with
   | Some pt -> pt
   | None ->
     let pt = { pt_proc = proc; pt_code = None } in
-    Hashtbl.replace st.cu.cu_targets key pt;
+    Hashtbl.replace st.targets key pt;
     pt
 
 let find_target st name =
@@ -1394,8 +1379,9 @@ and call st pt nargs dst dtag =
 (* Program entry                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The caches below are per domain ([Domain.DLS]): runs on different
-   domains share no compiled unit, site memo cell or hint table. *)
+(* The heap hints below are per domain ([Domain.DLS]): runs on different
+   domains share no hint table. Compiled code is never shared: every run
+   compiles the program it is given. *)
 
 (* Capacity hints carried across runs: regrowing the simulated heap from
    empty costs a doubling series of multi-megabyte array copies (all
@@ -1421,19 +1407,6 @@ let note_heap_len program len =
   | Some cap when cap >= len -> ()
   | _ -> Hashtbl.replace hints key len
 
-(* One-entry compiled-code cache, hit only on PHYSICAL program equality
-   (so a hit can never mean "a different program"). Repeated runs of the
-   same program — the benchmark harness, the differential suite, the
-   memoized experiment runner — skip recompilation entirely; reuse resets
-   every site memo cell so site ids are still assigned per run in first
-   dynamic occurrence order. [compile_busy] guards reentrant runs (a run
-   started from inside another run's hook compiles privately). *)
-let compiled_cache : (Cfg.program * compiled_unit) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let compile_busy : bool ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref false)
-
 let min_heap = 256
 let min_regs = 256
 let min_static = 1024
@@ -1441,20 +1414,11 @@ let min_static = 1024
 let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
     outcome =
   let hints = Domain.DLS.get heap_hints in
-  let cache = Domain.DLS.get compiled_cache in
-  let busy = Domain.DLS.get compile_busy in
   let hint_key = heap_hint_key program in
   let heap_cap =
     match Hashtbl.find_opt hints hint_key with
     | Some cap -> max cap min_heap
     | None -> min_heap
-  in
-  let cu =
-    match !cache with
-    | Some (p, cu) when p == program && not !busy ->
-      List.iter (fun cs -> cs.cs_site <- None) cu.cu_sites;
-      cu
-    | _ -> { cu_targets = Hashtbl.create 32; cu_sites = [] }
   in
   let st =
     { program; tenv = program.Cfg.tenv; layout = Layout.create program.Cfg.tenv;
@@ -1468,7 +1432,8 @@ let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
       heap_loads = 0; other_loads = 0; stores = 0; calls = 0;
       allocations = 0; on_load; on_access;
       traced = Option.is_some on_load || Option.is_some on_access;
-      global_addrs = Reg.Var_tbl.create 32; cu; next_site = 0;
+      global_addrs = Reg.Var_tbl.create 32; targets = Hashtbl.create 32;
+      next_site = 0;
       next_activation = 0; null_zones = Hashtbl.create 16 }
   in
   (* Globals are allocated before any procedure compiles, so compiled
@@ -1481,21 +1446,15 @@ let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
       else raw_write st a 0 (default_tag st.tenv g.Reg.v_ty);
       Reg.Var_tbl.replace st.global_addrs g a)
     program.Cfg.prog_globals;
-  let was_busy = !busy in
-  busy := true;
   let halted =
-    Fun.protect
-      ~finally:(fun () -> busy := was_busy)
-      (fun () ->
-        match Cfg.find_proc_opt program program.Cfg.prog_main with
-        | None -> true
-        | Some main -> (
-          match invoke st (target_of st main) 0 with
-          | () -> false
-          | exception Halt_program -> true
-          | exception Out_of_fuel -> true))
+    match Cfg.find_proc_opt program program.Cfg.prog_main with
+    | None -> true
+    | Some main -> (
+      match invoke st (target_of st main) 0 with
+      | () -> false
+      | exception Halt_program -> true
+      | exception Out_of_fuel -> true)
   in
-  if not was_busy then cache := Some (program, cu);
   note_heap_len program st.heap_len;
   { output = Buffer.contents st.out_buf;
     counters =

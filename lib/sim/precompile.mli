@@ -95,7 +95,7 @@ val run :
   Cfg.program ->
   outcome
 (** Pre-compiling run. Procedures are compiled lazily, at their first
-    call; site memo cells are per-run, so site ids are still assigned in
-    order of first dynamic occurrence. Compiled code and heap capacity
-    hints are cached per domain, so runs on different domains share
-    nothing. *)
+    call, and every run compiles afresh, so a program optimized in place
+    between two runs is simulated as it now stands. Site ids are assigned
+    in order of first dynamic occurrence. Heap capacity hints are kept per
+    domain, so runs on different domains share nothing. *)

@@ -259,6 +259,33 @@ END M.
   Alcotest.(check string) "same output" a.Sim.Interp.output b.Sim.Interp.output;
   Alcotest.(check int) "same cycles" a.Sim.Interp.cycles b.Sim.Interp.cycles
 
+(* A program optimized in place between two runs must be simulated as it
+   now stands: the second run of slisp, optimized under RLE + local CSE
+   after a first run, counts what a fresh lowering optimized the same way
+   counts (a compiled-code cache keyed on the program's physical identity
+   once replayed the unoptimized code). *)
+let test_rerun_after_in_place_optimization () =
+  let w = Workloads.Suite.find "slisp" in
+  let optimize program =
+    ignore (Passes.run program [ Opt.Rle.pass; Opt.Local_cse.pass ])
+  in
+  let program = Workloads.Workload.lower w in
+  let first = Sim.Interp.run program in
+  optimize program;
+  let again = Sim.Interp.run program in
+  let fresh =
+    let p = Workloads.Workload.lower w in
+    optimize p;
+    Sim.Interp.run p
+  in
+  let loads o = o.Sim.Interp.counters.Sim.Interp.heap_loads in
+  Alcotest.(check bool) "the optimization removes heap loads" true
+    (loads fresh < loads first);
+  Alcotest.(check int) "heap loads = fresh lowering's" (loads fresh)
+    (loads again);
+  Alcotest.(check int) "cycles = fresh lowering's" fresh.Sim.Interp.cycles
+    again.Sim.Interp.cycles
+
 (* --- layout ------------------------------------------------------------- *)
 
 let test_layout_offsets () =
@@ -536,7 +563,9 @@ let () =
       ( "counters",
         [ Alcotest.test_case "loads" `Quick test_load_counters;
           Alcotest.test_case "dope loads" `Quick test_dope_load_counted;
-          Alcotest.test_case "determinism" `Quick test_determinism ] );
+          Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "rerun after in-place optimization" `Quick
+            test_rerun_after_in_place_optimization ] );
       ( "layout",
         [ Alcotest.test_case "offsets" `Quick test_layout_offsets;
           Alcotest.test_case "inheritance" `Quick test_layout_inherited_offsets ] );
