@@ -787,6 +787,14 @@ and exec_builtin st frame ~block ~index dst b args =
 
 let run_reference ?(fuel = 50_000_000) ?on_load ?on_access
     (program : Cfg.program) : outcome =
+  (* This engine boxes every heap cell, so a large run's heap is several
+     times the compiled engine's. Start it on a collected heap: the major
+     collector paces itself by allocation, so garbage an earlier large run
+     left behind can otherwise still be unreclaimed while this heap grows,
+     and the process's peak memory is the sum of both. This is the
+     semantic baseline, not a production path (tests, benchmark set-up and
+     bench_sim's old leg call it). *)
+  Gc.full_major ();
   let st =
     { program; layout = Layout.create program.Cfg.tenv;
       static_mem = Array.make 4096 Value.Vnil; static_len = 0;
