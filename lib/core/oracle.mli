@@ -27,8 +27,8 @@ type t = {
       (** Was this variable's own slot ever exposed by address-taking? *)
   stats : unit -> Support.Json.t;
       (** Structured self-description: at minimum the oracle's name and
-          kind; wrappers (cache, fault injection) override it with their
-          live counters. Stable hook for [--stats] consumers. *)
+          kind. The counting and fault-injection wrappers pass it
+          through. Stable hook for [--stats] consumers. *)
 }
 
 val raw_stats : name:string -> unit -> Support.Json.t

@@ -69,8 +69,9 @@ type context = {
   mutable oracle_log : (Ir.Apath.t -> Ir.Apath.t -> bool -> unit) option;
       (** when set, installed as the {!Tbaa.Oracle_cache.wrap} [log]
           observer of every procedure's counted oracle: fires once per
-          may-alias query, with the (possibly fault-injected) answer. The fuzzer's precision-lattice oracle
-          hangs off this; [None] costs nothing. The hook need not be
+          may-alias query, with the (possibly fault-injected) answer.
+          The fuzzer's precision-lattice oracle hangs off this; [None]
+          costs nothing. The hook need not be
           domain-safe: a logged context runs per-procedure passes on one
           domain, on the same path as an unlogged one, so installing it
           changes nothing the optimizer does. Spliced procedures under

@@ -130,9 +130,8 @@ let snapshot_blocks proc =
 
    A fault-injected or query-logged context takes this same path, with
    the log installed in each procedure's counted oracle, but on one
-   domain: the
-   fault layer's flip counters and the caller's log callback are not
-   domain-safe. Observing a run therefore never changes what it emits.
+   domain: the fault layer's flip counters and the caller's log callback
+   are not domain-safe. Observing a run therefore never changes what it emits.
 
    An analysis-free pass ({!Pass.Analysis_free}) gets no oracle, no
    mod-ref and no engine refresh. Fingerprints are read only by the memo
