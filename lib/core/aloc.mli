@@ -19,20 +19,7 @@ type t =
   | Lvar of int * Types.tid
       (** a specific variable's slot ([v_id]) and its type *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-
-val id : t -> int
-(** Dense intern id (process-wide): [id a = id b] iff [equal a b]. Memo
-    tables key on this int instead of hashing the class structurally. *)
-
-val interned : unit -> int
-(** Number of distinct classes interned so far. *)
-
-val set_concurrent : bool -> unit
-(** Enter/leave concurrent-interning mode: while set, {!id} serializes
-    intern-table access under a mutex (see {!Ir.Apath.set_concurrent}). *)
 
 val pp : Types.env -> Format.formatter -> t -> unit
 

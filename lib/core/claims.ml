@@ -93,7 +93,6 @@ let kinds t p1 p2 =
 
 let note_home t (v : Reg.var) path = Hashtbl.replace t.cl_homes v.Reg.v_id path
 let home t v_id = Hashtbl.find_opt t.cl_homes v_id
-let iter_homes f t = Hashtbl.iter f t.cl_homes
 let n_pairs t = Pair_tbl.length t.cl_pairs
 
 let n_records t =

@@ -46,8 +46,6 @@ val note_home : t -> Reg.var -> Apath.t -> unit
 val home : t -> int -> Apath.t option
 (** Look up the materialized path of a home temp by variable id. *)
 
-val iter_homes : (int -> Apath.t -> unit) -> t -> unit
-
 val n_pairs : t -> int
 (** Distinct path pairs queried. *)
 

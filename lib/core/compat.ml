@@ -18,17 +18,15 @@ open Minim3
 
    NIL denotes no location and is compatible with nothing, in both. *)
 
-type t = { c_name : string; c_query : Types.tid -> Types.tid -> bool }
+type t = Types.tid -> Types.tid -> bool
 
-let name t = t.c_name
-let query t = t.c_query
-let fn t = t.c_query
+let fn t = t
 
 let subtyping env =
   let fl = Types.forest_labels env in
   let n = Types.count env in
   let is_obj = Array.init n (fun i -> Types.is_object env i) in
-  let c_query t1 t2 =
+  fun t1 t2 ->
     t1 <> Types.tid_null && t2 <> Types.tid_null
     && (t1 = t2
        ||
@@ -38,14 +36,10 @@ let subtyping env =
        else
          (* types allocated after the labeling — fall back to the walk *)
          Types.subtype env t1 t2 || Types.subtype env t2 t1)
-  in
-  { c_name = "subtyping"; c_query }
 
-let of_rows ~name rows =
+let of_rows rows =
   let n = Array.length rows in
-  let c_query t1 t2 =
+  fun t1 t2 ->
     if t1 < 0 || t1 >= n || t2 < 0 || t2 >= n then
       invalid_arg "Compat.of_rows: bad tid";
     t1 <> Types.tid_null && t2 <> Types.tid_null && Bitset.mem rows.(t1) t2
-  in
-  { c_name = name; c_query }

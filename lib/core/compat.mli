@@ -12,18 +12,14 @@ open Minim3
 
 type t
 
-val name : t -> string
-
-val query : t -> Types.tid -> Types.tid -> bool
-(** O(1). NIL is compatible with nothing. *)
-
 val fn : t -> Types.tid -> Types.tid -> bool
-(** [query], partially applied — the shape the oracle record stores. *)
+(** The O(1) query, the shape the oracle record stores. NIL is compatible
+    with nothing. *)
 
 val subtyping : Types.env -> t
 (** Interval-labeled subtype forest: compat iff equal or ancestor-related
     objects. One linear labeling pass at construction. *)
 
-val of_rows : name:string -> Bitset.t array -> t
-(** [of_rows rows]: [query t1 t2 = Bitset.mem rows.(t1) t2] (after the NIL
+val of_rows : Bitset.t array -> t
+(** [of_rows rows]: [fn t t1 t2 = Bitset.mem rows.(t1) t2] (after the NIL
     guard). Raises [Invalid_argument] on tids outside the matrix. *)

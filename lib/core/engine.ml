@@ -56,11 +56,6 @@ type t = {
   config : config;
   domains : int;
   mutable program : Ir.Cfg.program;
-  mutable find : Ident.t -> Ir.Cfg.proc option;
-  mutable find_procs : Ir.Cfg.proc list;
-      (* the procedure list [find] was built over — while a program's
-         [prog_procs] is physically unchanged (in-place body edits), the
-         index can be reused *)
   mutable proc_names : Ident.t list;  (* program order, duplicates kept *)
   mutable summaries : Summary.t Ident.Tbl.t;
   mutable cond : Ir.Callgraph.condensation;
@@ -153,17 +148,16 @@ let build_oracles config facts =
    sequential merge in program order — byte-identical to the monolithic
    whole-program pass. *)
 let summarize ~domains program =
-  let find = Facts.index program in
   let procs = Array.of_list program.Ir.Cfg.prog_procs in
-  let sums = par_map ~domains procs (Summary.compute program ~find) in
+  let sums = par_map ~domains procs (Summary.compute program) in
   let facts =
     Facts.merge program.Ir.Cfg.tenv
       (Array.to_list (Array.map (fun s -> s.Summary.sp_contrib) sums))
   in
-  (find, sums, facts)
+  (sums, facts)
 
 let create ?(config = default_config) ?(domains = 1) program =
-  let (find, sums, facts), facts_ms =
+  let (sums, facts), facts_ms =
     timed (fun () -> summarize ~domains program)
   in
   let summaries = summaries_table sums in
@@ -174,8 +168,7 @@ let create ?(config = default_config) ?(domains = 1) program =
       type_decl_ms, field_type_decl_ms, sm_ms =
     build_oracles config facts
   in
-  { config; domains; program; find;
-    find_procs = program.Ir.Cfg.prog_procs; proc_names; summaries;
+  { config; domains; program; proc_names; summaries;
     cond = condense_summaries proc_names summaries;
     facts; type_decl; field_type_decl; sm_field_type_refs; sm;
     timings = { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
@@ -197,9 +190,7 @@ let copy t =
 
 let facts t = t.facts
 let world t = t.config.world
-let config t = t.config
 let program t = t.program
-let domains t = t.domains
 
 let oracle t = function
   | Type_decl -> t.type_decl
@@ -320,7 +311,7 @@ let sorted_names names = List.sort_uniq Ident.compare names
    untouched and stays fully usable on its last-good analysis; only the
    [incr] statistics counters may reflect the aborted attempt. *)
 let rebuild t program =
-  let (find, sums, facts), facts_ms =
+  let (sums, facts), facts_ms =
     timed (fun () -> summarize ~domains:t.domains program)
   in
   let summaries = summaries_table sums in
@@ -334,8 +325,6 @@ let rebuild t program =
   in
   (* Commit: nothing below raises. *)
   t.program <- program;
-  t.find <- find;
-  t.find_procs <- program.Ir.Cfg.prog_procs;
   t.proc_names <- proc_names;
   t.summaries <- summaries;
   t.cond <- cond;
@@ -362,10 +351,10 @@ let rebuild t program =
 
    [old_st] is never mutated — the new state is built over copies of its
    tables, so an exception part-way through an update leaves the engine's
-   installed effects views intact. [find]/[cond] are the post-update
-   procedure index and condensation (passed in because the engine's own
-   fields are only assigned once the whole update has succeeded). *)
-let update_effects_state t kind old_st ~find ~cond ~nprocs ~changed
+   installed effects views intact. [program]/[cond] are the post-update
+   program and condensation (passed in because the engine's own fields
+   are only assigned once the whole update has succeeded). *)
+let update_effects_state t kind old_st program ~cond ~nprocs ~changed
     ~cond_reused =
   let incr = t.incr in
   let o = oracle t kind in
@@ -373,7 +362,7 @@ let update_effects_state t kind old_st ~find ~cond ~nprocs ~changed
   let direct_changed = Ident.Tbl.create 16 in
   List.iter
     (fun name ->
-      match find name with
+      match Ir.Cfg.find_proc_opt program name with
       | None -> ()
       | Some proc ->
         let d =
@@ -450,10 +439,6 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
   end
   else begin
     let incr = t.incr in
-    let find =
-      if program.Ir.Cfg.prog_procs == t.find_procs then t.find
-      else Facts.index program
-    in
     let procs = Array.of_list program.Ir.Cfg.prog_procs in
     let n = Array.length procs in
     let old_summaries = t.summaries in
@@ -464,7 +449,7 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
       match Ident.Tbl.find_opt sig_memo name with
       | Some s -> s
       | None ->
-        let s = Summary.signature_of ~find name in
+        let s = Summary.signature_of program name in
         Ident.Tbl.add sig_memo name s;
         s
     in
@@ -497,7 +482,7 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
            exception-safety contract below covers cancellation too. *)
         check ();
         let i = invalid.(k) in
-        slots.(i) <- Some (Summary.compute program ~find procs.(i)));
+        slots.(i) <- Some (Summary.compute program procs.(i)));
     let sums =
       Array.map (function Some s -> s | None -> assert false) slots
     in
@@ -599,15 +584,13 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
         List.map
           (fun (kind, st) ->
             ( kind,
-              update_effects_state t kind st ~find ~cond:new_cond ~nprocs:n
+              update_effects_state t kind st program ~cond:new_cond ~nprocs:n
                 ~changed:recomputed_names ~cond_reused ))
           t.effects
       else []
     in
     (* Commit: nothing below raises. *)
     t.program <- program;
-    t.find <- find;
-    t.find_procs <- program.Ir.Cfg.prog_procs;
     t.proc_names <- new_names;
     (match new_summaries with
     | Some tbl -> t.summaries <- tbl
@@ -638,8 +621,6 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
     t
   end
 
-let summary t name = Ident.Tbl.find_opt t.summaries name
-let condensation t = t.cond
 let last_update t = t.incr.last_report
 
 let update_stats t =
@@ -670,7 +651,6 @@ let stats t =
            ("sm_field_type_refs", Json.Float t.timings.sm_ms) ]);
       ("queries", Json.Int (Oracle_cache.queries t.counters));
       ("paths_interned", Json.Int (Ir.Apath.interned ()));
-      ("alocs_interned", Json.Int (Aloc.interned ()));
       ("incremental",
        Json.Obj
          (List.map

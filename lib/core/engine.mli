@@ -111,15 +111,7 @@ val cached : t -> kind -> Oracle.t
 
 val facts : t -> Facts.t
 val world : t -> World.t
-val config : t -> config
 val program : t -> Ir.Cfg.program
-val domains : t -> int
-
-val summary : t -> Ident.t -> Summary.t option
-(** The current per-procedure summary, if the procedure exists. *)
-
-val condensation : t -> Ir.Callgraph.condensation
-(** The call-graph SCC condensation the engine schedules merges over. *)
 
 val type_refs_table : t -> Types.tid -> Types.tid list
 (** The SMTypeRefs TypeRefsTable, also used by method resolution. *)
@@ -167,11 +159,6 @@ type update_report = {
 val last_update : t -> update_report option
 (** What the most recent {!update} actually did; [None] before the
     first one. *)
-
-val update_stats : t -> (string * int) list
-(** Cumulative reused/recomputed counts across all {!update}s (plus
-    lazy effect-view builds), as a deterministic association list —
-    also embedded in {!stats} under ["incremental"]. *)
 
 val stats : t -> Json.t
 (** One structured record: configuration, type count, per-phase build

@@ -43,22 +43,12 @@ let record_assignment tenv acc ~dst ~src =
   then (dst, src) :: acc
   else acc
 
-let index program =
-  let tbl = Ident.Tbl.create 64 in
-  (* First binding wins, mirroring [Cfg.find_proc_opt]'s List.find_opt. *)
-  List.iter
-    (fun (p : Cfg.proc) ->
-      if not (Ident.Tbl.mem tbl p.Cfg.pr_name) then
-        Ident.Tbl.add tbl p.Cfg.pr_name p)
-    program.Cfg.prog_procs;
-  fun name -> Ident.Tbl.find_opt tbl name
-
 (* One procedure's facts, in encounter order (the traversal — params, then
    blocks in id order, instructions then terminator — is byte-for-byte the
    historical whole-program pass restricted to one procedure). Pure: reads
    the IR and the type environment, interns nothing, touches no global
    state — safe to run on many procedures concurrently. *)
-let collect_proc (program : Cfg.program) ~find (proc : Cfg.proc) : contrib =
+let collect_proc (program : Cfg.program) (proc : Cfg.proc) : contrib =
   let tenv = program.Cfg.tenv in
   let assignments = ref [] in
   let field_addrs = ref [] in
@@ -114,7 +104,7 @@ let collect_proc (program : Cfg.program) ~find (proc : Cfg.proc) : contrib =
             | None -> var_addrs := Apath.base ap :: !var_addrs)
           | Instr.Icall (dst, target, args) ->
             let bind_callee callee =
-              match find callee with
+              match Cfg.find_proc_opt program callee with
               | None -> ()
               | Some cp ->
                 (* Virtual calls carry the receiver as the first actual;

@@ -54,16 +54,10 @@ type contrib = {
 }
 (** One procedure's facts, each list in encounter order. *)
 
-val index : Ir.Cfg.program -> Ident.t -> Ir.Cfg.proc option
-(** An O(1) procedure lookup built once over the procedure list
-    (first binding wins, like [Cfg.find_proc_opt]). Read-only after
-    construction — safe to share across domains. *)
-
-val collect_proc :
-  Ir.Cfg.program -> find:(Ident.t -> Ir.Cfg.proc option) -> Ir.Cfg.proc -> contrib
+val collect_proc : Ir.Cfg.program -> Ir.Cfg.proc -> contrib
 (** Collect one procedure's facts. Pure (interns nothing, reads only the
-    IR and [tenv] through [find]); safe to call concurrently on distinct
-    procedures. *)
+    IR, [tenv] and callee signatures through [Cfg.find_proc_opt]); safe
+    to call concurrently on distinct procedures. *)
 
 val merge : Minim3.Types.env -> contrib list -> t
 (** Merge per-procedure contributions given in program order. Produces

@@ -14,9 +14,3 @@ type t = {
 
 let raw_stats ~name () =
   Json.Obj [ ("oracle", Json.String name); ("kind", Json.String "raw") ]
-
-let kills_load t ~store ~load =
-  List.exists (fun prefix -> t.may_alias store prefix) (Apath.prefixes load)
-  (* A store through a dereference can also overwrite the load's *base
-     variable* when that variable's address escaped. *)
-  || t.class_kills (t.store_class store) (Apath.of_var (Apath.base load))

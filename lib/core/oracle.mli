@@ -33,8 +33,3 @@ type t = {
 
 val raw_stats : name:string -> unit -> Support.Json.t
 (** The default [stats] payload for an unwrapped analysis oracle. *)
-
-val kills_load : t -> store:Apath.t -> load:Apath.t -> bool
-(** Convenience for intraprocedural kills: does a store through [store]
-    possibly change the value of the memory expression [load]? True iff the
-    store location may alias any selector-prefix of [load]. *)

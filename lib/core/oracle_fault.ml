@@ -15,7 +15,7 @@ let fresh_stats () = { alias_flips = 0; kill_flips = 0 }
 
    The keys must also be stable across *processes* — a fuzz repro file
    records only (seed, rate), so replaying it in a fresh run must flip
-   the same answers. [Ident.hash] (and hence [Apath.hash]/[Aloc.hash])
+   the same answers. [Ident.hash] (and hence [Apath.hash])
    is the global interning id, which depends on everything the process
    parsed earlier; we hash printed forms instead, whose only ids are
    per-program temp numbers. *)

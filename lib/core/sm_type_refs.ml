@@ -132,10 +132,4 @@ let compat t t1 t2 =
     not (Bitset.is_empty a)
   end
 
-let compat_matrix t =
-  Compat.of_rows
-    ~name:
-      (match t.variant with
-      | Grouped -> "type_refs"
-      | Per_type -> "type_refs(per-type)")
-    t.rows
+let compat_matrix t = Compat.of_rows t.rows

@@ -11,29 +11,30 @@ type t = {
   sp_inputs : Facts.oracle_inputs;
 }
 
-let callee_sigs ~find callees =
+let callee_sigs program callees =
   List.map
     (fun callee ->
-      match find callee with
+      match Cfg.find_proc_opt program callee with
       | Some cp -> (callee, Some (Fingerprint.signature cp))
       | None -> (callee, None))
     (Ident.Set.elements callees)
 
-(* Pure given a frozen program and [find] table: fingerprinting, callee
-   resolution (type-environment reads) and fact collection all intern
-   nothing — safe to run on many procedures concurrently. *)
-let compute program ~find (proc : Cfg.proc) =
+(* Pure given a frozen program: fingerprinting, callee resolution
+   (type-environment reads) and fact collection all intern nothing — safe
+   to run on many procedures concurrently. *)
+let compute program (proc : Cfg.proc) =
   let callees = Callgraph.callees program proc in
-  let contrib = Facts.collect_proc program ~find proc in
+  let contrib = Facts.collect_proc program proc in
   { sp_name = proc.Cfg.pr_name;
     sp_fingerprint = Fingerprint.proc proc;
     sp_signature = Fingerprint.signature proc;
     sp_callees = callees;
-    sp_callee_sigs = callee_sigs ~find callees;
+    sp_callee_sigs = callee_sigs program callees;
     sp_contrib = contrib;
     sp_inputs = Facts.oracle_inputs contrib }
 
-let signature_of ~find name = Option.map Fingerprint.signature (find name)
+let signature_of program name =
+  Option.map Fingerprint.signature (Cfg.find_proc_opt program name)
 
 let reusable old ~fingerprint ~signature_of =
   old.sp_fingerprint = fingerprint

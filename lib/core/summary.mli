@@ -28,13 +28,12 @@ type t = {
   sp_inputs : Facts.oracle_inputs;
 }
 
-val compute :
-  Cfg.program -> find:(Ident.t -> Cfg.proc option) -> Cfg.proc -> t
-(** Summarize one procedure. Pure; safe to call concurrently on distinct
+val compute : Cfg.program -> Cfg.proc -> t
+(** Summarize one procedure, resolving callees through
+    [Cfg.find_proc_opt]. Pure; safe to call concurrently on distinct
     procedures. *)
 
-val signature_of :
-  find:(Ident.t -> Cfg.proc option) -> Ident.t -> int option
+val signature_of : Cfg.program -> Ident.t -> int option
 (** A callee's current signature fingerprint, [None] when it has no body.
     Callers validating many summaries should memoize this per update —
     every caller of a procedure re-reads the same signature. *)

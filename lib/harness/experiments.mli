@@ -127,8 +127,5 @@ end
 val dynamic_seven : Workload.t list
 (** The seven programs of Table 6 / Figures 8, 11, 12. *)
 
-val dynamic_eight : Workload.t list
-(** The eight programs of Figures 9–10 (adds pp). *)
-
 val run_all : Format.formatter -> unit
 (** Render every table and figure, in paper order. *)

@@ -27,7 +27,6 @@
 type oracle_id = Diff_semantics | Precision_lattice | Roundtrip | Ir_validity
 
 val oracle_id_to_string : oracle_id -> string
-val oracle_id_of_string : string -> oracle_id option
 
 type failure = {
   f_oracle : oracle_id;

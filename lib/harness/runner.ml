@@ -156,7 +156,3 @@ let check_outputs_agree w configs =
         divergence_error ~workload:w.Workload.name ~config:(config_name c)
           ~base_output:b.Sim.Interp.output ~output:o.Sim.Interp.output)
     configs
-
-(* The generative fuzzing loop lives in {!Fuzz}; re-exported here so the
-   driver reaches every harness entry point through one module. *)
-let fuzz = Fuzz.run

@@ -29,10 +29,6 @@ val base : config
 val rle_with : Opt.Pass.oracle_kind -> config
 val config_name : config -> string
 
-val oracle_kind : config -> Opt.Pass.oracle_kind
-(** The oracle the configuration's clients consult: [rle]'s kind, else
-    [oracle], else SMFieldTypeRefs. *)
-
 val prepare :
   Workloads.Workload.t -> config -> Ir.Cfg.program * Opt.Pass.report list
 (** Lower a fresh copy and run the configuration's pass schedule
@@ -63,9 +59,6 @@ val audit :
 val reports : Workloads.Workload.t -> config -> Opt.Pass.report list
 (** The pass reports from the memoized preparation of [run]. *)
 
-val run_with_reports :
-  Workloads.Workload.t -> config -> Sim.Interp.outcome * Opt.Pass.report list
-
 val percent_of_base : Workloads.Workload.t -> config -> float
 (** Simulated running time as percent of the base configuration (the
     paper's Figures 8, 11, 12 y-axis). *)
@@ -87,17 +80,3 @@ val check_outputs_agree : Workloads.Workload.t -> config list -> unit
     semantics check. The error carries the workload name, the offending
     configuration, and the first diverging output line, so a fuzz or CI
     failure is actionable without re-running. *)
-
-val fuzz :
-  ?out_dir:string option ->
-  ?fault:int * float ->
-  ?fuel:int ->
-  ?size:int ->
-  ?max_counterexamples:int ->
-  ?log:(string -> unit) ->
-  count:int ->
-  seed:int ->
-  unit ->
-  Fuzz.result
-(** {!Fuzz.run}: generate [count] seeded programs and check each against
-    the four fuzzing oracles, shrinking and persisting counterexamples. *)

@@ -16,13 +16,34 @@ type proc = {
   mutable pr_locals : Reg.var list;
 }
 
+type index = proc Ident.Tbl.t
+
 type program = {
   tenv : Types.env;
   prog_globals : Reg.var list;
   mutable prog_procs : proc list;
   prog_main : Ident.t;
   mutable next_var_id : int;
+  mutable prog_index : index;
 }
+
+(* First binding wins, as in a [List.find_opt] over the list. Built in
+   full before it is installed, so readers on other domains never see a
+   half-built table; read-only afterwards. *)
+let index_of procs =
+  let tbl = Ident.Tbl.create (max 16 (List.length procs)) in
+  List.iter
+    (fun p -> if not (Ident.Tbl.mem tbl p.pr_name) then Ident.Tbl.add tbl p.pr_name p)
+    procs;
+  tbl
+
+let make_program ~tenv ~globals ~main ~next_var_id procs =
+  { tenv; prog_globals = globals; prog_procs = procs; prog_main = main;
+    next_var_id; prog_index = index_of procs }
+
+let set_procs program procs =
+  program.prog_index <- index_of procs;
+  program.prog_procs <- procs
 
 let new_block proc term =
   let b = { b_id = Vec.length proc.pr_blocks; b_instrs = []; b_term = term } in
@@ -58,11 +79,10 @@ let reverse_postorder proc =
   dfs proc.pr_entry;
   !order
 
-let find_proc program name =
-  List.find (fun p -> Ident.equal p.pr_name name) program.prog_procs
+let find_proc program name = Ident.Tbl.find program.prog_index name
+let find_proc_opt program name = Ident.Tbl.find_opt program.prog_index name
 
-let find_proc_opt program name =
-  List.find_opt (fun p -> Ident.equal p.pr_name name) program.prog_procs
+let set_next_var_id program id = program.next_var_id <- id
 
 let fresh_var program ~name ~ty ~kind =
   let id = program.next_var_id in
@@ -118,7 +138,7 @@ let snapshot program =
         program.prog_procs }
 
 let restore program sn =
-  program.prog_procs <- sn.sn_procs;
+  if program.prog_procs != sn.sn_procs then set_procs program sn.sn_procs;
   program.next_var_id <- sn.sn_next_var_id;
   List.iter
     (fun ps ->

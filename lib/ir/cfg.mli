@@ -23,13 +23,27 @@ type proc = {
   mutable pr_locals : Reg.var list;  (* source locals + temporaries, for interp *)
 }
 
-type program = {
+type index
+(** The program's procedure-name index. *)
+
+type program = private {
   tenv : Types.env;
   prog_globals : Reg.var list;
   mutable prog_procs : proc list;
   prog_main : Ident.t;
   mutable next_var_id : int;  (* program-wide variable id counter *)
+  mutable prog_index : index;  (* built over [prog_procs] *)
 }
+(** Private, so that the procedure list and its index change together:
+    build a program with {!make_program}, replace its list with
+    {!set_procs}. *)
+
+val make_program :
+  tenv:Types.env -> globals:Reg.var list -> main:Ident.t -> next_var_id:int ->
+  proc list -> program
+
+val set_procs : program -> proc list -> unit
+(** Replace the procedure list and rebuild the index over it. *)
 
 val new_block : proc -> Instr.terminator -> block
 (** Append a fresh block with the given (provisional) terminator. *)
@@ -47,13 +61,19 @@ val reverse_postorder : proc -> int list
 (** Blocks reachable from entry, in reverse postorder. *)
 
 val find_proc : program -> Ident.t -> proc
-(** Raises [Not_found]. *)
+(** O(1). When the list repeats a name, the first binding wins. Raises
+    [Not_found]. *)
 
 val find_proc_opt : program -> Ident.t -> proc option
+(** As {!find_proc}. The index is read-only between list replacements,
+    so any number of domains may look up at once. *)
 
 val fresh_var :
   program -> name:string -> ty:Types.tid -> kind:Reg.kind -> Reg.var
 (** Allocate a program-unique variable. *)
+
+val set_next_var_id : program -> int -> unit
+(** Move the id counter past ids a caller allocated itself. *)
 
 type snapshot
 (** A rollback point for [restore]: the proc list, each procedure's

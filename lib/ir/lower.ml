@@ -309,11 +309,7 @@ let lower_proc_into program globals (tp : Tast.proc) : Cfg.proc =
   let params =
     List.map
       (fun (name, mode, ty) ->
-        { Reg.v_id =
-            (let id = program.Cfg.next_var_id in
-             program.Cfg.next_var_id <- id + 1;
-             id);
-          v_name = name; v_ty = ty; v_kind = Reg.Vparam mode })
+        Cfg.fresh_var program ~name:(Ident.name name) ~ty ~kind:(Reg.Vparam mode))
       tp.Tast.p_params
   in
   let proc =
@@ -369,30 +365,31 @@ type layout = {
 let lower_program_layout (tast : Tast.program) =
   let globals = Ident.Tbl.create 32 in
   let ranges = Ident.Tbl.create 32 in
-  let program =
-    { Cfg.tenv = tast.Tast.tenv; prog_globals = []; prog_procs = [];
-      prog_main = tast.Tast.main_name; next_var_id = 0 }
-  in
+  let tenv = tast.Tast.tenv and main = tast.Tast.main_name in
+  (* Variables are allocated against [ids]; the program is assembled
+     once every procedure is lowered. *)
+  let ids = Cfg.make_program ~tenv ~globals:[] ~main ~next_var_id:0 [] in
   let global_vars =
     List.map
       (fun (name, ty, _) ->
-        let v = Cfg.fresh_var program ~name:(Ident.name name) ~ty ~kind:Reg.Vglobal in
+        let v = Cfg.fresh_var ids ~name:(Ident.name name) ~ty ~kind:Reg.Vglobal in
         Ident.Tbl.add globals name v;
         v)
       tast.Tast.globals
   in
-  let program = { program with Cfg.prog_globals = global_vars } in
   let procs =
     List.map
       (fun (tp : Tast.proc) ->
-        let first = program.Cfg.next_var_id in
-        let proc = lower_proc_into program globals tp in
-        Ident.Tbl.replace ranges tp.Tast.p_name
-          (first, program.Cfg.next_var_id);
+        let first = ids.Cfg.next_var_id in
+        let proc = lower_proc_into ids globals tp in
+        Ident.Tbl.replace ranges tp.Tast.p_name (first, ids.Cfg.next_var_id);
         proc)
       tast.Tast.procs
   in
-  program.Cfg.prog_procs <- procs;
+  let program =
+    Cfg.make_program ~tenv ~globals:global_vars ~main
+      ~next_var_id:ids.Cfg.next_var_id procs
+  in
   (* Prepend global initializers to main. *)
   let main = Cfg.find_proc program tast.Tast.main_name in
   let inits =
@@ -422,13 +419,16 @@ let lower_program_layout (tast : Tast.program) =
 
 let lower_program tast = fst (lower_program_layout tast)
 
-(* The procedure is lowered against a copy of the program record whose
-   id counter starts where the old lowering's did. *)
+(* The procedure is lowered against a procedure-less program whose id
+   counter starts where the old lowering's did. *)
 let lower_proc program layout (tp : Tast.proc) =
   match Ident.Tbl.find_opt layout.ranges tp.Tast.p_name with
   | None -> None
   | Some (first, stop) ->
-    let scratch = { program with Cfg.next_var_id = first } in
+    let scratch =
+      Cfg.make_program ~tenv:program.Cfg.tenv ~globals:program.Cfg.prog_globals
+        ~main:program.Cfg.prog_main ~next_var_id:first []
+    in
     let proc = lower_proc_into scratch layout.globals tp in
     if scratch.Cfg.next_var_id = stop then Some proc else None
 

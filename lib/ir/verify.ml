@@ -24,15 +24,6 @@ let error_to_string e =
     (match e.ve_instr with Some i -> " {" ^ i ^ "}" | None -> "")
     e.ve_msg
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
-
-let error_to_json e =
-  Json.Obj
-    [ ("proc", Json.String e.ve_proc);
-      ("block", Json.Int e.ve_block);
-      ( "instr",
-        match e.ve_instr with Some i -> Json.String i | None -> Json.Null );
-      ("msg", Json.String e.ve_msg) ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-path well-typedness                                             *)
@@ -323,5 +314,3 @@ let proc_errors (program : Cfg.program) (proc : Cfg.proc) =
 
 let program (program : Cfg.program) =
   List.concat_map (proc_errors program) program.Cfg.prog_procs
-
-let errors_to_json errs = Json.List (List.map error_to_json errs)

@@ -24,6 +24,3 @@ val program : Cfg.program -> error list
 (** All violations found, in procedure order; [] means the IR is clean. *)
 
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit
-val error_to_json : error -> Support.Json.t
-val errors_to_json : error list -> Support.Json.t

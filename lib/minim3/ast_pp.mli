@@ -6,11 +6,6 @@
     semantically — the reprinted program must behave identically on the
     simulator. *)
 
-val pp_ty : Format.formatter -> Ast.ty_expr -> unit
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_module : Format.formatter -> Ast.module_ -> unit
-
 val module_to_string : Ast.module_ -> string
 
 val reprint : file:string -> string -> string

@@ -131,23 +131,6 @@ let intern env d =
 
 let find env d = Hashtbl.find_opt env.cons (key_of_desc d)
 
-let new_object env ~name ~super ~brand ~fields ~methods ~overrides =
-  (match super with
-  | Some s -> (
-    match desc env s with
-    | Dobject _ -> ()
-    | d ->
-      Diag.error "Types.new_object: supertype of %a is %s, not an object type"
-        Ident.pp name (desc_kind d))
-  | None -> ());
-  let info =
-    { obj_name = name; obj_uid = env.next_uid; obj_super = super;
-      obj_brand = brand; obj_fields = fields; obj_methods = methods;
-      obj_overrides = overrides }
-  in
-  env.next_uid <- env.next_uid + 1;
-  push env (Dobject info)
-
 let reserve_ref env ~brand = push env (Dref { target = tid_unit; brand })
 
 let patch_ref env tid ~target =
@@ -178,7 +161,6 @@ let patch_object env tid ~super ~brand ~fields ~methods ~overrides =
       tid (desc_kind d)
 
 let is_object env t = match desc env t with Dobject _ -> true | _ -> false
-let is_ref env t = match desc env t with Dref _ -> true | _ -> false
 
 let is_pointer env t =
   match desc env t with Dobject _ | Dref _ | Dnull -> true | _ -> false
@@ -321,18 +303,6 @@ let rec method_impl env t m =
         | Some s -> method_impl env s m
         | None -> None)))
   | _ -> None
-
-let rec methods_visible env t =
-  match desc env t with
-  | Dobject info ->
-    let inherited =
-      match info.obj_super with Some s -> methods_visible env s | None -> []
-    in
-    let own = Array.to_list (Array.map (fun ms -> ms.ms_name) info.obj_methods) in
-    inherited @ List.filter (fun m -> not (List.memq m inherited)) own
-  | _ -> []
-
-let equal (_ : env) (a : tid) (b : tid) = a = b
 
 (* Descriptors hold only ints, interned idents, strings and tids, so
    polymorphic equality is structural equality; [next_uid] is per-env, so

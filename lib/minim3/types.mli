@@ -62,23 +62,12 @@ val count : env -> int
 
 val intern : env -> desc -> tid
 (** Hash-consed for structural types; [Dobject] descs must be registered via
-    {!new_object} instead (raises {!Support.Diag.Compile_error}
-    otherwise). *)
+    {!reserve_object} and {!patch_object} instead (raises
+    {!Support.Diag.Compile_error} otherwise). *)
 
 val find : env -> desc -> tid option
 (** The tid {!intern} would return for a structural type, if it already
     exists; allocates nothing. *)
-
-val new_object :
-  env ->
-  name:Ident.t ->
-  super:tid option ->
-  brand:string option ->
-  fields:field array ->
-  methods:method_sig array ->
-  overrides:(Ident.t * Ident.t) array ->
-  tid
-(** Allocate a fresh nominal object type. [super] must be an object tid. *)
 
 val reserve_ref : env -> brand:string option -> tid
 (** Allocate a named REF type whose target is not yet known (recursive
@@ -105,7 +94,6 @@ val patch_object :
   unit
 
 val is_object : env -> tid -> bool
-val is_ref : env -> tid -> bool
 
 val is_pointer : env -> tid -> bool
 (** Object, REF or NIL — the types the alias analyses track. *)
@@ -148,11 +136,6 @@ val lookup_method : env -> tid -> Ident.t -> (tid * method_sig) option
 val method_impl : env -> tid -> Ident.t -> Ident.t option
 (** The procedure that implements method [m] for *dynamic* type [t]:
     the innermost OVERRIDES or METHODS default along the chain. *)
-
-val methods_visible : env -> tid -> Ident.t list
-(** All method names an instance of [t] responds to. *)
-
-val equal : env -> tid -> tid -> bool
 
 val env_equal : env -> env -> bool
 (** Structural equality of two whole environments: same tid count, same

@@ -72,7 +72,3 @@ let call_kill_pred t (oracle : Oracle.t) target =
 let call_ref_pred t (oracle : Oracle.t) target =
   if t.kill_all then fun _ -> true
   else call_effect_pred (callee_sets t target (fun s -> s.refs)) oracle
-
-let call_kills t oracle target ap =
-  call_kill_pred t oracle target
-    (Apath.of_var (Apath.base ap) :: Apath.prefixes ap)

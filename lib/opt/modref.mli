@@ -38,11 +38,6 @@ val conservative : Ir.Cfg.program -> t
 val summary : t -> Ident.t -> summary
 (** Empty for unknown procedures. *)
 
-val call_kills : t -> Oracle.t -> Ir.Instr.target -> Ir.Apath.t -> bool
-(** May executing this call change the value of the given memory
-    expression? True iff some possible callee's mod set may write any
-    selector-prefix of the path. *)
-
 val call_kill_pred :
   t -> Oracle.t -> Ir.Instr.target -> Ir.Apath.t list -> bool
 (** [call_kills] with the call-side data (callee mod sets) resolved once

@@ -139,11 +139,6 @@ type t = {
   scope : scope;
 }
 
-let per_procedure p =
-  match p.scope with
-  | Per_procedure _ | Analysis_free _ -> true
-  | Whole_program _ -> false
-
 let reads_analysis p =
   match p.scope with
   | Analysis_free _ -> false

@@ -182,9 +182,6 @@ type t = {
   scope : scope;
 }
 
-val per_procedure : t -> bool
-(** [Per_procedure] or [Analysis_free]. *)
-
 val reads_analysis : t -> bool
 (** False exactly for [Analysis_free] passes. A whole-program pass may
     read the analysis, and then refreshes it by calling {!analysis}. *)

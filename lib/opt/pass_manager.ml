@@ -124,7 +124,7 @@ let snapshot_blocks proc =
    - every procedure gets a private counted oracle over the raw analysis
      oracle (the raw closures are pure) and a private claims ledger, both
      merged in program order afterwards;
-   - the [Apath]/[Aloc] intern tables flip into mutex-guarded mode for
+   - the [Apath] intern table flips into mutex-guarded mode for
      the duration of a multi-domain region, and dataflow's cumulative
      counters are atomics.
 
@@ -246,11 +246,8 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
       in
       if domains > 1 then begin
         Ir.Apath.set_concurrent true;
-        Aloc.set_concurrent true;
         Fun.protect
-          ~finally:(fun () ->
-            Ir.Apath.set_concurrent false;
-            Aloc.set_concurrent false)
+          ~finally:(fun () -> Ir.Apath.set_concurrent false)
           (fun () -> Domain_pool.run ~domains nlive run_live)
       end
       else Domain_pool.run ~domains:1 nlive run_live
@@ -258,7 +255,7 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
     (* Reserve the allocator lanes actually used: the highest id handed
        out is [start + (n-1) + (kmax-1)*n]. *)
     let kmax = Array.fold_left max 0 counts in
-    program.Ir.Cfg.next_var_id <- start + (kmax * n);
+    Ir.Cfg.set_next_var_id program (start + (kmax * n));
     (* Deterministic merges, program order. *)
     Array.iter (fun c -> add_oracle_counters ~into:ctx.Pass.oracle_counters c) counters;
     (match ctx.Pass.claims with
@@ -471,8 +468,6 @@ type session = {
 let session ctx =
   { s_ctx = ctx; s_slots = Hashtbl.create 16; s_gate = None; s_runs = 0;
     s_reused = 0; s_reran = 0; s_flushes = 0 }
-
-let session_context s = s.s_ctx
 
 (* The procedures whose memoized pass results an edit may invalidate:
    the edited procedures plus everything that can reach them in the call

@@ -112,8 +112,6 @@ val session : Pass.context -> session
 (** A fresh session around the given context. The context must not be
     shared with other runs while the session is live. *)
 
-val session_context : session -> Pass.context
-
 val rerun : session -> Ir.Cfg.program -> item list -> Pass.report list
 (** Re-optimize the program (in place, like {!run}) against the memo. The
     first call is a cold run that populates it. The program must be the

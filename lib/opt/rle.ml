@@ -36,8 +36,10 @@ let query_paths ap =
    A definition of [v] invalidates an expression directly when [v] is the
    base or an index of the path; indirectly when [v] is memory-resident for
    others (a global or address-taken variable) and a location of its class
-   may underlie the path. A store kills per {!Oracle.kills_load}; a call
-   kills what its callees' mod sets may write. *)
+   may underlie the path. A store kills the path when it may alias one of
+   the path's selector-prefixes, or the slot of the path's base variable
+   when that variable's address escaped; a call kills what its callees'
+   mod sets may write. *)
 let kill_pred ?claims ?kind (oracle : Oracle.t) modref instr =
   (* Each oracle answer consulted here is a bet the rewrite stands on;
      with a ledger installed, log it against the witness paths so the

@@ -32,8 +32,6 @@
     deadlines and answers a structured [Cancelled] rejection carrying a
     [completed] count, mirroring the [timeout] shape. *)
 
-open Support
-
 type config = {
   max_batch : int;  (** max query pairs per request (default 4096) *)
   max_pending : int;
@@ -77,11 +75,6 @@ val handle_line : t -> string -> string
     newline). Never raises. Processes on the calling thread regardless
     of [workers] — the serialized entry point. *)
 
-val handle_value : t -> Json.t -> Json.t
-(** The same dispatch on an already-parsed value. A top-level array is
-    served as a JSON-RPC batch (one response per element). Never
-    raises. *)
-
 val submit : t -> client:string -> string -> respond:(string -> unit) -> unit
 (** Concurrent entry point: parse [line], then either answer immediately
     on the calling thread (parse errors, oversized lines, queue-full
@@ -109,6 +102,3 @@ val stop : t -> unit
 val shed_line : t -> reason:string -> string
 (** A pre-built [Overloaded] response for transports shedding a request
     they refuse to parse (queue overflow, oversized line). Counted. *)
-
-val health_json : t -> Json.t
-(** The [health] result: per-document states plus server counters. *)

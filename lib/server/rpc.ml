@@ -116,20 +116,8 @@ let float_param_opt rq name =
   | Some (Json.Float f) -> Some f
   | Some _ -> bad rq name "a number"
 
-let bool_param_opt rq name =
-  match param rq name with
-  | None | Some Json.Null -> None
-  | Some (Json.Bool b) -> Some b
-  | Some _ -> bad rq name "a boolean"
-
 let list_param_opt rq name =
   match param rq name with
   | None | Some Json.Null -> None
   | Some (Json.List l) -> Some l
   | Some _ -> bad rq name "an array"
-
-let obj_param_opt rq name =
-  match param rq name with
-  | None | Some Json.Null -> None
-  | Some (Json.Obj _ as o) -> Some o
-  | Some _ -> bad rq name "an object"

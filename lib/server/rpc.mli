@@ -66,6 +66,4 @@ val str_param : request -> string -> string
 val str_param_opt : request -> string -> string option
 val int_param_opt : request -> string -> int option
 val float_param_opt : request -> string -> float option
-val bool_param_opt : request -> string -> bool option
 val list_param_opt : request -> string -> Json.t list option
-val obj_param_opt : request -> string -> Json.t option

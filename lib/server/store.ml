@@ -371,9 +371,10 @@ let reread d ~name ~source =
           sp_line = sp.sp_line + lines }
     in
     Ok
-      ( { d.dc_program with
-          Ir.Cfg.prog_procs =
-            List.mapi (fun i p -> if i = k then proc else p) procs },
+      ( (let p = d.dc_program in
+         Ir.Cfg.make_program ~tenv:p.Ir.Cfg.tenv ~globals:p.Ir.Cfg.prog_globals
+           ~main:p.Ir.Cfg.prog_main ~next_var_id:p.Ir.Cfg.next_var_id
+           (List.mapi (fun i p -> if i = k then proc else p) procs)),
         { fr with
           fr_spans = Array.mapi shift fr.fr_spans;
           fr_fingerprints = fps } )
@@ -550,10 +551,6 @@ let change ?(cancelled = fun () -> false) t ~name ~edits =
 let name d = d.dc_name
 let doc_mode d = d.dc_mode
 let generation d = d.dc_generation
-let queries d = Atomic.get d.dc_queries
-let degraded_queries d = Atomic.get d.dc_degraded
-let failed_updates d = d.dc_failed_updates
-let last_error d = d.dc_last_error
 let edits_fast d = d.dc_edits_fast
 let edits_full d = d.dc_edits_full
 let last_fallback d = d.dc_last_fallback

@@ -163,11 +163,6 @@ val doc_mode : doc -> mode
 val generation : doc -> int
 (** Successful builds installed. *)
 
-val queries : doc -> int
-val degraded_queries : doc -> int
-val failed_updates : doc -> int
-val last_error : doc -> string option
-
 val edits_fast : doc -> int
 (** Edits (builds of an open document that were installed or rejected)
     whose front end re-read one procedure; see {!open_or_update}. *)

@@ -41,10 +41,6 @@ val create : Claims.t -> t
 val on_access : t -> Interp.access -> unit
 (** Pass [on_access t] to {!Interp.run}. *)
 
-val canonical_path : t -> Apath.t -> Apath.t
-(** Splice RLE home-temp bases back to source-level paths (exposed for
-    tests). *)
-
 val n_accesses : t -> int
 val n_paths : t -> int
 (** Distinct canonical paths observed touching memory. *)
@@ -55,7 +51,6 @@ val check : t -> violation list
     made was consistent with this execution. *)
 
 val violation_to_string : violation -> string
-val violation_to_json : violation -> Json.t
 
 val report_json : t -> violation list -> Json.t
 (** Full audit report: ledger sizes, access counts, and violations. *)

@@ -46,8 +46,3 @@ let access t byte_addr =
 
 let hits t = t.hits
 let misses t = t.misses
-
-let reset t =
-  Array.fill t.lines 0 (Array.length t.lines) (-1);
-  t.hits <- 0;
-  t.misses <- 0

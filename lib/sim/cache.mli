@@ -18,4 +18,3 @@ val access : t -> int -> bool
 
 val hits : t -> int
 val misses : t -> int
-val reset : t -> unit

@@ -136,15 +136,6 @@ let classify program oracle modref limit : breakdown =
   let add cat n =
     Hashtbl.replace counts cat (n + Option.value (Hashtbl.find_opt counts cat) ~default:0)
   in
-  (* [Cfg.find_proc_opt] is a linear scan of the program; one indexed
-     lookup table amortizes it over the (possibly many) sites. *)
-  let proc_index = Hashtbl.create 64 in
-  List.iter
-    (fun (p : Cfg.proc) ->
-      let key = Ident.id p.Cfg.pr_name in
-      if not (Hashtbl.mem proc_index key) then Hashtbl.add proc_index key p)
-    program.Cfg.prog_procs;
-  let find_proc name = Hashtbl.find_opt proc_index (Ident.id name) in
   (* Per-procedure caches of the two availability analyses. *)
   let may_cache = Hashtbl.create 16 in
   let perfect_cache = Hashtbl.create 16 in
@@ -181,7 +172,7 @@ let classify program oracle modref limit : breakdown =
           add Encapsulated stat.Limit.ss_redundant
         | Interp.Sexplicit (ap, k) -> (
           let expr = Apath.truncate ap k in
-          match find_proc site.Interp.site_proc with
+          match Cfg.find_proc_opt program site.Interp.site_proc with
           | None -> add Rest stat.Limit.ss_redundant
           | Some proc ->
             if

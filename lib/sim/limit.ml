@@ -102,10 +102,6 @@ let on_load t (e : Interp.load_event) =
 let total_heap_loads t = t.heap_loads
 let total_redundant t = t.redundant
 
-let redundant_fraction t =
-  if t.heap_loads = 0 then 0.0
-  else float_of_int t.redundant /. float_of_int t.heap_loads
-
 let sites t =
   Array.fold_right
     (fun slot acc -> match slot with Some s -> s :: acc | None -> acc)

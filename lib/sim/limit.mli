@@ -26,8 +26,5 @@ val on_load : t -> Interp.load_event -> unit
 val total_heap_loads : t -> int
 val total_redundant : t -> int
 
-val redundant_fraction : t -> float
-(** Redundant heap loads over all heap loads of this run. *)
-
 val sites : t -> site_stat list
 (** Sites with at least one load, in increasing [site_id] order. *)

@@ -77,11 +77,6 @@ type outcome = {
 exception Halt_program
 exception Out_of_fuel
 
-val heap_index : int -> int
-(** The dense 0-based heap slot index behind a (negative) heap address —
-    heap addresses are allocated contiguously, so tracers can index flat
-    arrays by [heap_index addr] instead of hashing addresses. *)
-
 val note_heap_len : Cfg.program -> int -> unit
 (** [note_heap_len program n]: a run of [program] reached [n] heap cells,
     so the next {!run} of it (on this domain) starts with at least that

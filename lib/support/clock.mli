@@ -10,9 +10,6 @@
 val now_ms : unit -> float
 (** Milliseconds since the epoch, clamped non-decreasing. *)
 
-val system_raw : unit -> float
-(** The default raw source: [Unix.gettimeofday () *. 1000.0]. *)
-
 val with_raw : (unit -> float) -> (unit -> 'a) -> 'a
 (** [with_raw source f] runs [f] with [source] as the raw clock and the
     clamp watermark reset — the regression lever for injecting a

@@ -16,8 +16,6 @@ val error : ?loc:Loc.t -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 val errorf_at : Loc.t -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Like {!error} with a mandatory location. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_string : t -> string
 
 (** {1 Multi-error collection}

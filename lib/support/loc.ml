@@ -3,11 +3,3 @@ type t = { file : string; line : int; col : int }
 let dummy = { file = "<synthetic>"; line = 0; col = 0 }
 let make ~file ~line ~col = { file; line; col }
 let pp ppf t = Format.fprintf ppf "%s:%d:%d" t.file t.line t.col
-let to_string t = Format.asprintf "%a" pp t
-
-let compare a b =
-  let c = String.compare a.file b.file in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.line b.line in
-    if c <> 0 then c else Int.compare a.col b.col

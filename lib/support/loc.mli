@@ -17,7 +17,3 @@ val make : file:string -> line:int -> col:int -> t
 
 val pp : Format.formatter -> t -> unit
 (** Renders as ["file:line:col"]. *)
-
-val to_string : t -> string
-
-val compare : t -> t -> int

@@ -9,9 +9,6 @@ type t
 val create : int64 -> t
 (** Seeded generator; a zero seed is remapped to a fixed nonzero constant. *)
 
-val next : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [0 .. bound-1]; requires [bound > 0]. *)
 

@@ -1,8 +1,6 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
-type t = { headers : string list; ncols : int; mutable rows : row list }
+type t = { headers : string list; ncols : int; mutable rows : string list list }
 
 let create ~headers = { headers; ncols = List.length headers; rows = [] }
 
@@ -11,9 +9,7 @@ let add_row t cells =
     invalid_arg
       (Printf.sprintf "Table.add_row: expected %d cells, got %d" t.ncols
          (List.length cells));
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let looks_numeric s =
   s <> ""
@@ -22,8 +18,7 @@ let looks_numeric s =
        s
 
 let render ?aligns t =
-  let rows = List.rev t.rows in
-  let cell_rows = List.filter_map (function Cells c -> Some c | Rule -> None) rows in
+  let cell_rows = List.rev t.rows in
   let widths = Array.of_list (List.map String.length t.headers) in
   List.iter
     (fun cells ->
@@ -61,11 +56,7 @@ let render ?aligns t =
   let total_width =
     Array.fold_left ( + ) 0 widths + (2 * (t.ncols - 1))
   in
-  let rule () = Buffer.add_string buf (String.make total_width '-' ^ "\n") in
   emit_cells t.headers;
-  rule ();
-  List.iter (function Cells c -> emit_cells c | Rule -> rule ()) rows;
+  Buffer.add_string buf (String.make total_width '-' ^ "\n");
+  List.iter emit_cells cell_rows;
   Buffer.contents buf
-
-let cell_float ?(decimals = 2) f = Printf.sprintf "%.*f" decimals f
-let cell_pct r = Printf.sprintf "%.1f%%" (100.0 *. r)

@@ -14,15 +14,6 @@ val create : headers:string list -> t
 val add_row : t -> string list -> unit
 (** Append a row. Raises [Invalid_argument] on column-count mismatch. *)
 
-val add_rule : t -> unit
-(** Append a horizontal separator. *)
-
 val render : ?aligns:align list -> t -> string
 (** Render with one space of padding; numeric-looking columns default to
     right alignment unless [aligns] overrides. *)
-
-val cell_float : ?decimals:int -> float -> string
-(** Format a float for a table cell (default 2 decimals). *)
-
-val cell_pct : float -> string
-(** Format a ratio [0..1] as a percentage with one decimal. *)

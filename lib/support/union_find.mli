@@ -10,9 +10,6 @@ val create : int -> t
 (** [create n] makes a structure over elements [0 .. n-1], each in its own
     singleton set. *)
 
-val size : t -> int
-(** Number of elements. *)
-
 val find : t -> int -> int
 (** Canonical representative of an element's set. Compresses paths. *)
 

@@ -60,13 +60,6 @@ let fold_left f init t =
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
 
-let of_list xs =
-  let t = create () in
-  List.iter (fun x -> ignore (push t x)) xs;
-  t
-
-let map_to_list f t = List.init t.len (fun i -> f t.data.(i))
-
 let exists p t =
   let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
   go 0

@@ -23,6 +23,4 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val of_list : 'a list -> 'a t
-val map_to_list : ('a -> 'b) -> 'a t -> 'b list
 val exists : ('a -> bool) -> 'a t -> bool

@@ -25,9 +25,8 @@ module Dce = Dce
 (* The whole-program facts pass: every procedure's contribution, merged in
    program order. *)
 let facts program =
-  let find = Tbaa.Facts.index program in
   Tbaa.Facts.merge program.Cfg.tenv
-    (List.map (Tbaa.Facts.collect_proc program ~find) program.Cfg.prog_procs)
+    (List.map (Tbaa.Facts.collect_proc program) program.Cfg.prog_procs)
 
 (* TypeDecl's Subtypes-intersection test by chain walking: MiniM3
    subtyping is a forest, so two subtype sets intersect exactly when one

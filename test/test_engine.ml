@@ -94,7 +94,7 @@ let test_subtyping_matches_reference () =
       let tenv = facts.Tbaa.Facts.tenv in
       let fast = Tbaa.Compat.subtyping tenv in
       all_tid_pairs tenv (fun t1 t2 ->
-          let a = Tbaa.Compat.query fast t1 t2
+          let a = Tbaa.Compat.fn fast t1 t2
           and b = Reference.subtyping tenv t1 t2 in
           if not (Bool.equal a b) then
             Alcotest.failf
@@ -115,7 +115,7 @@ let test_type_refs_matrix_matches_reference () =
           in
           let matrix = Tbaa.Sm_type_refs.compat_matrix sm in
           all_tid_pairs tenv (fun t1 t2 ->
-              let a = Tbaa.Compat.query matrix t1 t2
+              let a = Tbaa.Compat.fn matrix t1 t2
               and b = Tbaa.Sm_type_refs.compat sm t1 t2 in
               if not (Bool.equal a b) then
                 Alcotest.failf
@@ -155,7 +155,7 @@ let test_type_refs_match_pairwise_build () =
                 t1 <> Minim3.Types.tid_null && t2 <> Minim3.Types.tid_null
                 && Support.Bitset.mem rows.(t1) t2
               in
-              if Tbaa.Compat.query matrix t1 t2 <> expect then
+              if Tbaa.Compat.fn matrix t1 t2 <> expect then
                 Alcotest.failf "%s: compat (%d, %d) differs" name t1 t2))
         [ (Tbaa.Sm_type_refs.Grouped, Tbaa.World.Closed);
           (Tbaa.Sm_type_refs.Grouped, Tbaa.World.Open);
@@ -202,8 +202,7 @@ let test_engine_stats_shape () =
     (fun k ->
       Alcotest.(check bool) (Printf.sprintf "stats has %S" k) true
         (List.mem k keys))
-    [ "world"; "variant"; "types"; "build_ms"; "queries"; "paths_interned";
-      "alocs_interned" ];
+    [ "world"; "variant"; "types"; "build_ms"; "queries"; "paths_interned" ];
   let t = Tbaa.Engine.timings engine in
   Alcotest.(check bool) "timings are non-negative" true
     (t.Tbaa.Engine.facts_ms >= 0.

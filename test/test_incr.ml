@@ -378,7 +378,7 @@ let test_update_drop_proc () =
       | procs ->
         let engine = Tbaa.Engine.create program in
         force engine;
-        program.Cfg.prog_procs <- take (List.length procs - 1) procs;
+        Cfg.set_procs program (take (List.length procs - 1) procs);
         let engine = Tbaa.Engine.update engine program in
         let fresh = Tbaa.Engine.create program in
         force fresh;

@@ -527,6 +527,130 @@ BEGIN P (1); END M.
   Alcotest.(check int) "lost blocks re-created" n (Cfg.n_blocks p);
   Alcotest.(check string) "lost blocks restored" before (text ())
 
+(* --- the procedure index ---------------------------------------------- *)
+
+(* [Cfg.find_proc_opt] against a scan of the list it indexes: the same
+   procedure (physically) for every name, first binding first, and
+   nothing for a name no procedure has. *)
+let absent_name = Ident.intern "no procedure has this name"
+
+let index_mismatches (program : Cfg.program) =
+  List.filter
+    (fun n ->
+      let scan =
+        List.find_opt (fun (p : Cfg.proc) -> Ident.equal p.Cfg.pr_name n)
+          program.Cfg.prog_procs
+      in
+      not (Option.equal ( == ) scan (Cfg.find_proc_opt program n)))
+    (absent_name :: List.map (fun (p : Cfg.proc) -> p.Cfg.pr_name) program.Cfg.prog_procs)
+
+let check_index what program =
+  match index_mismatches program with
+  | [] -> ()
+  | n :: _ -> Alcotest.failf "%s: the index and the list disagree on %s" what (Ident.name n)
+
+let index_corpus () =
+  List.map
+    (fun (w : Workloads.Workload.t) -> (w.Workloads.Workload.name, w.source))
+    Workloads.Suite.all
+  @ [ ("scale200", Gen.Scale.source 200) ]
+  @ List.init 50 (fun seed ->
+        (Printf.sprintf "gen%d" seed, (Gen.Generator.generate ~size:3 seed).Gen.Generator.source))
+
+let full_stack =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+      slf = true; rle = true; copyprop = true; dse = true; local_cse = true }
+
+(* As lowered; with its first procedure dropped and then restored from a
+   snapshot; after the full optimizer stack. *)
+let test_index_lowered_restored_optimized () =
+  List.iter
+    (fun (name, source) ->
+      let program = Lower.lower_string ~file:name source in
+      check_index (name ^ " as lowered") program;
+      let saved = Cfg.snapshot program in
+      Cfg.set_procs program (List.tl program.Cfg.prog_procs);
+      check_index (name ^ " with its first procedure dropped") program;
+      Cfg.restore program saved;
+      check_index (name ^ " restored") program;
+      ignore (Opt.Pass_manager.run (Opt.Pass.create ()) program full_stack);
+      check_index (name ^ " after the full stack") program)
+    (index_corpus ())
+
+(* A space after the first BEGIN inside a procedure declaration: an edit
+   the store serves by splicing one re-lowered procedure into the list. *)
+let body_edit source =
+  let _, spans = Parser.parse_module_spans ~file:"doc" source in
+  let inside (sp : Parser.span) =
+    let rec go i =
+      if i + 5 > sp.sp_stop - 1 then None
+      else if String.sub source i 5 = "BEGIN" then Some (i + 5)
+      else go (i + 1)
+    in
+    go sp.sp_start
+  in
+  List.find_map inside (Array.to_list spans)
+
+let test_index_store_splice () =
+  let st = Server.Store.create ~allow_inject:false () in
+  List.iter
+    (fun (name, source) ->
+      match body_edit source with
+      | None -> Alcotest.failf "%s: no procedure body to edit" name
+      | Some at -> (
+        (match Server.Store.open_or_update st ~name ~source ~inject:[] with
+        | Server.Store.Updated d -> check_index (name ^ " opened") (Server.Store.program d)
+        | _ -> Alcotest.failf "%s does not open" name);
+        let before = Server.Store.program (Option.get (Server.Store.find st name)) in
+        match Server.Store.change st ~name ~edits:[ (at, at, " ") ] with
+        | Server.Store.Changed (Server.Store.Updated d) ->
+          Alcotest.(check int) (name ^ ": the edit took the fast path") 1
+            (Server.Store.edits_fast d);
+          let after = Server.Store.program d in
+          Alcotest.(check bool) (name ^ ": a new procedure list") true
+            (after.Cfg.prog_procs != before.Cfg.prog_procs);
+          check_index (name ^ " after a splice") after
+        | _ -> Alcotest.failf "%s: the edit was not applied" name))
+    (index_corpus ())
+
+(* A list that names one procedure twice: a distinct copy put after the
+   original, then before it. *)
+let test_index_first_binding_wins () =
+  List.iter
+    (fun (name, source) ->
+      let program = Lower.lower_string ~file:name source in
+      let procs = program.Cfg.prog_procs in
+      let first = List.hd procs in
+      let copy = { first with Cfg.pr_entry = first.Cfg.pr_entry } in
+      Cfg.set_procs program (procs @ [ copy ]);
+      check_index (name ^ " with a later duplicate") program;
+      Alcotest.(check bool) (name ^ ": the original wins") true
+        (Cfg.find_proc program first.Cfg.pr_name == first);
+      Cfg.set_procs program (copy :: procs);
+      check_index (name ^ " with an earlier duplicate") program;
+      Alcotest.(check bool) (name ^ ": the copy wins") true
+        (Cfg.find_proc program first.Cfg.pr_name == copy))
+    (index_corpus ())
+
+(* Two domains look every name up at once, many times over. *)
+let test_index_two_domains () =
+  List.iter
+    (fun (name, source) ->
+      let program = Lower.lower_string ~file:name source in
+      let reader () =
+        let bad = ref 0 in
+        for _ = 1 to 20 do
+          bad := !bad + List.length (index_mismatches program)
+        done;
+        !bad
+      in
+      let other = Domain.spawn reader in
+      let here = reader () in
+      Alcotest.(check int) (name ^ ": mismatches on two domains") 0
+        (here + Domain.join other))
+    (index_corpus ())
+
 let () =
   Alcotest.run "ir"
     [ ( "apath",
@@ -552,4 +676,11 @@ let () =
           Alcotest.test_case "recursion" `Quick test_callgraph_recursion ] );
       ( "snapshot",
         [ Alcotest.test_case "restore re-grows a shrunk procedure" `Quick
-            test_restore_regrows ] ) ]
+            test_restore_regrows ] );
+      ( "proc index",
+        [ Alcotest.test_case "= list scan: lowered, restored, optimized" `Slow
+            test_index_lowered_restored_optimized;
+          Alcotest.test_case "= list scan after a store splice" `Slow
+            test_index_store_splice;
+          Alcotest.test_case "first binding wins" `Quick test_index_first_binding_wins;
+          Alcotest.test_case "two domains read at once" `Quick test_index_two_domains ] ) ]

@@ -167,10 +167,8 @@ let drop_last_proc (program : Cfg.program) =
   match List.rev program.Cfg.prog_procs with
   | [] | [ _ ] -> None
   | last :: _ ->
-    program.Cfg.prog_procs <-
-      List.filter
-        (fun (p : Cfg.proc) -> p != last)
-        program.Cfg.prog_procs;
+    Cfg.set_procs program
+      (List.filter (fun (p : Cfg.proc) -> p != last) program.Cfg.prog_procs);
     Some last.Cfg.pr_name
 
 (* Swap the first two procedures: same bodies and names, new positions.
@@ -179,7 +177,7 @@ let drop_last_proc (program : Cfg.program) =
 let swap_procs (program : Cfg.program) =
   match program.Cfg.prog_procs with
   | a :: b :: rest ->
-    program.Cfg.prog_procs <- b :: a :: rest;
+    Cfg.set_procs program (b :: a :: rest);
     true
   | _ -> false
 
