@@ -186,7 +186,7 @@ let optimize_cmd =
         in
         let reports =
           if verify then
-            Opt.Pass_manager.run_guarded ~verify:true ctx program schedule
+            Opt.Pass_manager.run_guarded ctx program schedule
           else Opt.Pass_manager.run ctx program schedule
         in
         if stats then begin
@@ -436,7 +436,7 @@ let audit_cmd =
           ctx.Opt.Pass.fault <- fault;
           let failures =
             Opt.Pass_manager.failures
-              (Opt.Pass_manager.run_guarded ~verify:true ctx program
+              (Opt.Pass_manager.run_guarded ctx program
                  (Opt.Pass_manager.schedule
                     { Opt.Pass_manager.Config.devirt_inline = minv; licm;
                       pre = false; slf; rle = true; copyprop = false; dse;

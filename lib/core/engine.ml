@@ -156,7 +156,10 @@ let summarize ~domains program =
   in
   (sums, facts)
 
-let create ?(config = default_config) ?(domains = 1) program =
+(* The whole analysis of [program] from scratch — summaries, facts, the
+   condensed call graph and the three oracles — with fresh counters and
+   statistics. *)
+let build config ~domains program =
   let (sums, facts), facts_ms =
     timed (fun () -> summarize ~domains program)
   in
@@ -164,16 +167,19 @@ let create ?(config = default_config) ?(domains = 1) program =
   let proc_names =
     List.map (fun p -> p.Ir.Cfg.pr_name) program.Ir.Cfg.prog_procs
   in
+  let cond = condense_summaries proc_names summaries in
   let type_decl, field_type_decl, sm_field_type_refs, sm,
       type_decl_ms, field_type_decl_ms, sm_ms =
     build_oracles config facts
   in
-  { config; domains; program; proc_names; summaries;
-    cond = condense_summaries proc_names summaries;
+  { config; domains; program; proc_names; summaries; cond;
     facts; type_decl; field_type_decl; sm_field_type_refs; sm;
     timings = { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
     counters = Oracle_cache.fresh_counters (); effects = [];
     incr = fresh_incr () }
+
+let create ?(config = default_config) ?(domains = 1) program =
+  build config ~domains program
 
 (* An independent engine frozen at [t]'s current analysis state, O(procs).
    [update] replaces every composite value wholesale (facts, oracles,
@@ -311,32 +317,21 @@ let sorted_names names = List.sort_uniq Ident.compare names
    untouched and stays fully usable on its last-good analysis; only the
    [incr] statistics counters may reflect the aborted attempt. *)
 let rebuild t program =
-  let (sums, facts), facts_ms =
-    timed (fun () -> summarize ~domains:t.domains program)
-  in
-  let summaries = summaries_table sums in
-  let proc_names =
-    List.map (fun p -> p.Ir.Cfg.pr_name) program.Ir.Cfg.prog_procs
-  in
-  let cond = condense_summaries proc_names summaries in
-  let type_decl, field_type_decl, sm_field_type_refs, sm,
-      type_decl_ms, field_type_decl_ms, sm_ms =
-    build_oracles t.config facts
-  in
+  let f = build t.config ~domains:t.domains program in
   (* Commit: nothing below raises. *)
   t.program <- program;
-  t.proc_names <- proc_names;
-  t.summaries <- summaries;
-  t.cond <- cond;
-  t.facts <- facts;
-  t.type_decl <- type_decl;
-  t.field_type_decl <- field_type_decl;
-  t.sm_field_type_refs <- sm_field_type_refs;
-  t.sm <- sm;
-  t.timings <- { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
+  t.proc_names <- f.proc_names;
+  t.summaries <- f.summaries;
+  t.cond <- f.cond;
+  t.facts <- f.facts;
+  t.type_decl <- f.type_decl;
+  t.field_type_decl <- f.field_type_decl;
+  t.sm_field_type_refs <- f.sm_field_type_refs;
+  t.sm <- f.sm;
+  t.timings <- f.timings;
   t.effects <- [];
   t.incr.summaries_recomputed <-
-    t.incr.summaries_recomputed + Array.length sums;
+    t.incr.summaries_recomputed + List.length f.proc_names;
   t.incr.oracles_rebuilt <- t.incr.oracles_rebuilt + 1;
   t.incr.last_report <-
     Some { ur_recomputed = sorted_names t.proc_names;

@@ -104,7 +104,7 @@ let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
             lattice := (p, q, td, ftd, sm) :: !lattice
         | _ -> ());
   let reports =
-    Opt.Pass_manager.run_guarded ~verify:true ctx program
+    Opt.Pass_manager.run_guarded ctx program
       (Opt.Pass_manager.schedule passes)
   in
   List.iter

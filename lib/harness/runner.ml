@@ -85,7 +85,7 @@ let audit ?fault ?fuel w config =
   ctx.Opt.Pass.claims <- Some claims;
   ctx.Opt.Pass.fault <- fault;
   let reports =
-    Opt.Pass_manager.run_guarded ~verify:true ctx program (schedule config)
+    Opt.Pass_manager.run_guarded ctx program (schedule config)
   in
   let auditor = Sim.Audit.create claims in
   let outcome =

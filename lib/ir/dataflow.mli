@@ -1,6 +1,9 @@
-(** Generic forward bit-vector dataflow over a procedure CFG.
+(** Generic bit-vector dataflow over a procedure CFG.
 
-    Instantiated by the available-loads analysis behind RLE. The client
+    The forward solve is instantiated by copy propagation and through
+    RLE's availability builder ([Opt.Rle]), which RLE, PRE, store-to-load
+    forwarding and the Figure 10 classifier share; the backward solve by
+    dead-store elimination. The client
     provides per-block transfer functions as gen/kill sets over a fixed
     expression universe; the framework iterates to the maximum fixed point
     with intersection ("must" analyses) or union ("may") as confluence. *)

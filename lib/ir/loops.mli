@@ -2,8 +2,9 @@
 
     A back edge is an edge [t -> h] where [h] dominates [t]; its natural
     loop is [h] plus every block that reaches [t] without passing through
-    [h]. Loops sharing a header are merged. RLE's loop-invariant load
-    motion hoists into a dedicated preheader created on demand. *)
+    [h]. Loops sharing a header are merged. The loop hoister RLE and LICM
+    share ([Opt.Rle.hoist_loops]) moves loads into a dedicated preheader
+    created on demand. *)
 
 type loop = {
   header : int;

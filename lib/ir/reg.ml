@@ -36,15 +36,6 @@ let var_equal a b = a.v_id = b.v_id
 let var_compare a b = Int.compare a.v_id b.v_id
 let var_hash v = v.v_id
 
-let atom_equal a b =
-  match (a, b) with
-  | Avar x, Avar y -> var_equal x y
-  | Aint x, Aint y -> x = y
-  | Abool x, Abool y -> x = y
-  | Achar x, Achar y -> x = y
-  | Anil, Anil -> true
-  | (Avar _ | Aint _ | Abool _ | Achar _ | Anil), _ -> false
-
 let atom_ty = function
   | Avar v -> v.v_ty
   | Aint _ -> Types.tid_int

@@ -120,19 +120,6 @@ type module_ = {
   mod_loc : Loc.t;
 }
 
-(* Designators are the subset of expressions that denote locations. *)
-let rec is_designator e =
-  match e.e_desc with
-  | Name _ -> true
-  | Field (base, _) | Index (base, _) -> is_designator base
-  | Deref base -> is_designator base || is_rvalue_pointer base
-  | _ -> false
-
-(* A dereference of any pointer-valued expression is a location even when the
-   pointer itself is computed, e.g. [f(x)^]; MiniM3 restricts pointers to
-   designators for simplicity, so this only admits designators. *)
-and is_rvalue_pointer _ = false
-
 let binop_to_string = function
   | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "DIV" | Mod -> "MOD"
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "=" | Ne -> "#"

@@ -90,9 +90,6 @@ type program = {
 
 let main_ident = Ident.intern "@main"
 
-let find_proc program name =
-  List.find_opt (fun p -> Ident.equal p.p_name name) program.procs
-
 (* Designator test on typed expressions (locations one can assign to or take
    the address of). *)
 let rec is_designator e =

@@ -1,4 +1,5 @@
-(** Loop-invariant load motion as a standalone TBAA client.
+(** Loop-invariant load motion as a standalone TBAA client: RLE's Figure-6
+    hoister ({!Rle.hoist_loops}) over whole paths.
 
     A load whose access path is invariant in a loop — no base or index
     variable redefined in the body, no store in the body may write any
@@ -8,11 +9,12 @@
     preheader; in-loop occurrences become register copies from the
     hoisted home temporary.
 
-    Unlike RLE's Figure-6 phase this moves only whole paths, so its
-    [hoisted] count isolates the pure loop-invariance opportunity the
-    oracle's precision buys. With [claims], every alias/no-mod answer
-    relied on is logged under kind ["licm"], and the home temporaries are
-    registered for the dynamic auditor's canonicalization. *)
+    Unlike RLE, which hoists the longest invariant scalar prefix, this
+    moves only whole paths, so its [hoisted] count isolates the pure
+    loop-invariance opportunity the oracle's precision buys. With
+    [claims], every alias/no-mod answer relied on is logged under kind
+    ["licm"], and the home temporaries are registered for the dynamic
+    auditor's canonicalization. *)
 
 val pass : Pass.t
 (** A per-procedure pass over the context's oracle and engine-backed

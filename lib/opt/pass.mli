@@ -202,10 +202,11 @@ type report = {
       (** engine builds and incremental updates ({!analysis} calls on a
           stale context) charged to this pass run *)
   r_failure : string option;
-      (** guarded execution only ({!Pass_manager.run_guarded}): set when
-          the pass crashed or failed IR validation and was rolled back, or
-          was skipped because it is quarantined; [None] always under the
-          plain {!Pass_manager.run} *)
+      (** guarded execution only ({!Pass_manager.run_guarded}, which
+          validates the IR after every pass): set when the pass crashed or
+          left the IR failing validation and was rolled back, or was
+          skipped because it is quarantined; [None] always under the plain
+          {!Pass_manager.run} *)
 }
 
 val stat : report -> string -> int

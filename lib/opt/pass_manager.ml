@@ -355,7 +355,7 @@ let run ctx program items =
 (* ------------------------------------------------------------------ *)
 
 (* Defense in depth: each pass runs against a rollback snapshot. A pass
-   that raises, or (with [verify]) leaves the IR failing {!Ir.Verify}, is
+   that raises, or leaves the IR failing {!Ir.Verify}, is
    undone — the program reverts to the last-good IR — and quarantined:
    later executions of the same pass are skipped, with the original
    failure echoed in their reports. The schedule keeps going, so one
@@ -378,7 +378,7 @@ let validation_failure errs =
     (if n = 1 then "" else "s")
     (Ir.Verify.error_to_string (List.hd errs))
 
-let run_one_guarded ctx program ~verify ~quarantine ~round (p : Pass.t) =
+let run_one_guarded ctx program ~quarantine ~round (p : Pass.t) =
   match Hashtbl.find_opt quarantine p.Pass.name with
   | Some earlier ->
     failure_report ~round ~reason:("quarantined: " ^ earlier) p
@@ -391,19 +391,17 @@ let run_one_guarded ctx program ~verify ~quarantine ~round (p : Pass.t) =
       { report with Pass.r_changed = false; r_failure = Some reason }
     in
     (match run_one ctx program ~round p with
-    | report ->
-      if not verify then report
-      else (
-        match Ir.Verify.program program with
-        | [] -> report
-        | errs -> roll_back (validation_failure errs) report)
+    | report -> (
+      match Ir.Verify.program program with
+      | [] -> report
+      | errs -> roll_back (validation_failure errs) report)
     | exception exn ->
       let reason = "exception: " ^ Printexc.to_string exn in
       roll_back reason (failure_report ~round ~reason p))
 
-let run_guarded ?(verify = false) ctx program items =
+let run_guarded ctx program items =
   let quarantine : (string, string) Hashtbl.t = Hashtbl.create 8 in
-  walk (fun ~slot:_ -> run_one_guarded ctx program ~verify ~quarantine) items
+  walk (fun ~slot:_ -> run_one_guarded ctx program ~quarantine) items
 
 let failures reports =
   List.filter_map

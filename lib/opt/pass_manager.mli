@@ -72,11 +72,10 @@ val run : Pass.context -> Ir.Cfg.program -> item list -> Pass.report list
     when a fault layer or query log is installed) with byte-identical
     results either way. *)
 
-val run_guarded :
-  ?verify:bool -> Pass.context -> Ir.Cfg.program -> item list -> Pass.report list
+val run_guarded : Pass.context -> Ir.Cfg.program -> item list -> Pass.report list
 (** Like {!run}, but each pass executes against a {!Ir.Cfg.snapshot}: a
-    pass that raises — or, with [verify] (default false), leaves the IR
-    failing {!Ir.Verify.program} — is rolled back to the last-good IR,
+    pass that raises or leaves the IR failing {!Ir.Verify.program} is
+    rolled back to the last-good IR,
     quarantined (subsequent executions are skipped), and recorded via
     [r_failure] in its report; the rest of the schedule continues. With no
     failures the reports are identical to {!run}'s. *)

@@ -1,13 +1,7 @@
 open Support
-open Minim3
 open Ir
 
 type stats = { mutable inserted : int; mutable edges_split : int }
-
-let scalar_prefixes tenv ap =
-  List.filter
-    (fun p -> Types.is_scalar tenv (Apath.ty p))
-    (Apath.prefixes ap)
 
 (* Retarget one edge p -> b to p -> fresh -> b, returning the fresh block.
    Needed when [p] has other successors that must not execute the inserted
@@ -24,72 +18,14 @@ let split_edge proc (p : Cfg.block) b_id =
   fresh
 
 let run_proc ~fresh program oracle modref proc stats =
-  let tenv = program.Cfg.tenv in
-  (* Universe of scalar load-expression prefixes, as in Rle.cse. *)
-  let ids = Apath.Tbl.create 64 in
-  let exprs = Vec.create () in
-  let intern ap =
-    match Apath.Tbl.find_opt ids ap with
-    | Some i -> i
-    | None ->
-      let i = Vec.push exprs ap in
-      Apath.Tbl.add ids ap i;
-      i
-  in
-  Cfg.iter_instrs proc (fun _ i ->
-      match i with
-      | Instr.Iload (_, ap) | Instr.Istore (ap, _) ->
-        List.iter (fun p -> ignore (intern p)) (scalar_prefixes tenv ap)
-      | _ -> ());
-  let n = Vec.length exprs in
-  if n = 0 then ()
-  else begin
-    let ki = Rle.kill_index (Array.init n (Vec.get exprs)) in
-    let gens instr =
-      match instr with
-      | Instr.Iload (v, ap) ->
-        List.filter_map
-          (fun p ->
-            if List.exists (Reg.var_equal v) (Apath.vars_used p) then None
-            else Some (intern p))
-          (scalar_prefixes tenv ap)
-      | Instr.Istore (ap, _) -> List.map intern (scalar_prefixes tenv ap)
-      | _ -> []
-    in
-    let nb = Cfg.n_blocks proc in
-    let gen = Array.init nb (fun _ -> Bitset.create n) in
-    let kill = Array.init nb (fun _ -> Bitset.create n) in
-    (* Each instruction's kill set, computed once for both walks. *)
-    let kills = Array.make nb [] in
-    Vec.iter
-      (fun b ->
-        let id = b.Cfg.b_id in
-        kills.(id) <-
-          List.map
-            (fun i ->
-              let ks = Rle.kill_set oracle modref ki i in
-              Bitset.diff_into ~dst:gen.(id) ks;
-              Bitset.union_into ~dst:kill.(id) ks;
-              List.iter
-                (fun e ->
-                  Bitset.add gen.(id) e;
-                  Bitset.remove kill.(id) e)
-                (gens i);
-              ks)
-            b.Cfg.b_instrs)
-      proc.Cfg.pr_blocks;
-    let must =
-      Dataflow.run ~proc ~universe:n ~confluence:Dataflow.Must
-        ~gen:(fun b -> gen.(b))
-        ~kill:(fun b -> kill.(b))
-        ~entry_fact:(Bitset.create n) ()
-    in
-    let may =
-      Dataflow.run ~proc ~universe:n ~confluence:Dataflow.May
-        ~gen:(fun b -> gen.(b))
-        ~kill:(fun b -> kill.(b))
-        ~entry_fact:(Bitset.create n) ()
-    in
+  (* RLE's expressions and kill rule: one build, solved both ways. *)
+  match Rle.availability program.Cfg.tenv proc ~kills:(Rle.kill_set oracle modref) with
+  | None -> ()
+  | Some av ->
+    let tr = av.Rle.av_transfers in
+    let n = tr.Rle.tr_universe and nb = Cfg.n_blocks proc in
+    let must = Rle.solve proc tr Dataflow.Must in
+    let may = Rle.solve proc tr Dataflow.May in
     (* Expressions loaded in a block *before* any kill of them — the only
        ones an entry-edge insertion can make redundant. *)
     let used_in = Array.init nb (fun _ -> Bitset.create n) in
@@ -97,18 +33,18 @@ let run_proc ~fresh program oracle modref proc stats =
       (fun b ->
         let killed = Bitset.create n in
         List.iter2
-          (fun i ks ->
+          (fun i (ks, _) ->
             (match i with
             | Instr.Iload (_, ap) ->
               List.iter
                 (fun p ->
-                  let e = intern p in
+                  let e = Apath.Tbl.find av.Rle.av_ids p in
                   if not (Bitset.mem killed e) then
                     Bitset.add used_in.(b.Cfg.b_id) e)
-                (scalar_prefixes tenv ap)
+                (Rle.scalar_prefixes program.Cfg.tenv ap)
             | _ -> ());
             Bitset.union_into ~dst:killed ks)
-          b.Cfg.b_instrs kills.(b.Cfg.b_id))
+          b.Cfg.b_instrs tr.Rle.tr_steps.(b.Cfg.b_id))
       proc.Cfg.pr_blocks;
     let preds = Cfg.predecessors proc in
     let dom = Dom.compute proc in
@@ -165,13 +101,12 @@ let run_proc ~fresh program oracle modref proc stats =
         in
         List.iter
           (fun e ->
-            let ap = Vec.get exprs e in
+            let ap = av.Rle.av_exprs.(e) in
             let t = fresh ~name:"pre" ~ty:(Apath.ty ap) ~kind:Reg.Vtemp in
             target.Cfg.b_instrs <- target.Cfg.b_instrs @ [ Instr.Iload (t, ap) ];
             stats.inserted <- stats.inserted + 1)
           (List.sort_uniq compare es))
       (List.sort compare (Hashtbl.fold (fun k es acc -> (k, es) :: acc) by_edge []))
-  end
 
 let pass =
   { Pass.name = "pre";

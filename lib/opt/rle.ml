@@ -85,9 +85,6 @@ let kill_pred ?claims ?kind (oracle : Oracle.t) modref instr =
     fun qp -> dp qp || cp qp.qp_all
   | Instr.Ibuiltin (dst, _, _) -> dst_pred dst
 
-let instr_kills ?claims ?kind oracle modref instr ap =
-  kill_pred ?claims ?kind oracle modref instr (query_paths ap)
-
 (* A dataflow client tests every instruction against every tracked
    expression. Most instructions are definitions of local registers, whose
    kill test is variable membership alone; indexing the expressions by the
@@ -121,12 +118,20 @@ let kill_index exprs =
     qps;
   { ki_qps = qps; ki_readers = readers; ki_none = Bitset.create n }
 
+let readers ki (v : Reg.var) =
+  Option.value (Hashtbl.find_opt ki.ki_readers v.Reg.v_id) ~default:ki.ki_none
+
+let def_kill_set ki instr =
+  match Instr.defined_var instr with
+  | Some v -> readers ki v
+  | None -> ki.ki_none
+
 let kill_set ?claims (oracle : Oracle.t) modref ki instr =
   match instr with
   | Instr.Iassign (v, _) | Instr.Iaddr (v, _) | Instr.Inew (v, _, _)
   | Instr.Iload (v, _) | Instr.Ibuiltin (Some v, _, _)
     when v.Reg.v_kind <> Reg.Vglobal && not (oracle.Oracle.addr_taken_var v) ->
-    Option.value (Hashtbl.find_opt ki.ki_readers v.Reg.v_id) ~default:ki.ki_none
+    readers ki v
   | Instr.Ibuiltin (None, _, _) -> ki.ki_none
   | _ ->
     let n = Array.length ki.ki_qps in
@@ -145,12 +150,111 @@ let scalar_prefixes tenv ap =
   List.filter (fun p -> Types.is_scalar tenv (Apath.ty p)) (Apath.prefixes ap)
 
 (* ------------------------------------------------------------------ *)
+(* Forward availability                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Every instruction's transfer over a fixed universe — its kill set and
+   the expressions it makes available — is taken once, in block and
+   instruction order, and composed into the block's gen/kill. Walks after
+   the solve replay the saved sets, so each kill answer (and each claim
+   logged while taking it) is had once. *)
+type transfers = {
+  tr_universe : int;
+  tr_gen : Bitset.t array;
+  tr_kill : Bitset.t array;
+  tr_steps : (Bitset.t * int list) list array;
+}
+
+let compose proc ~universe ~kills ~gens =
+  let nb = Cfg.n_blocks proc in
+  let gen = Array.init nb (fun _ -> Bitset.create universe) in
+  let kill = Array.init nb (fun _ -> Bitset.create universe) in
+  let steps = Array.make nb [] in
+  Vec.iter
+    (fun b ->
+      let gen = gen.(b.Cfg.b_id) and kill = kill.(b.Cfg.b_id) in
+      steps.(b.Cfg.b_id) <-
+        List.map
+          (fun i ->
+            let ks = kills i in
+            let gs = gens i in
+            Bitset.diff_into ~dst:gen ks;
+            Bitset.union_into ~dst:kill ks;
+            List.iter
+              (fun e ->
+                Bitset.add gen e;
+                Bitset.remove kill e)
+              gs;
+            (ks, gs))
+          b.Cfg.b_instrs)
+    proc.Cfg.pr_blocks;
+  { tr_universe = universe; tr_gen = gen; tr_kill = kill; tr_steps = steps }
+
+let solve proc tr confluence =
+  Dataflow.run ~proc ~universe:tr.tr_universe ~confluence
+    ~gen:(fun b -> tr.tr_gen.(b))
+    ~kill:(fun b -> tr.tr_kill.(b))
+    ~entry_fact:(Bitset.create tr.tr_universe) ()
+
+let replay tr (b : Cfg.block) inn f =
+  let avail = Bitset.copy inn in
+  List.map2
+    (fun instr (ks, gs) ->
+      let r = f avail instr in
+      Bitset.diff_into ~dst:avail ks;
+      List.iter (Bitset.add avail) gs;
+      r)
+    b.Cfg.b_instrs tr.tr_steps.(b.Cfg.b_id)
+
+(* A load makes available the scalar prefixes of its path (it reads each
+   to navigate) except those that read its own destination, whose value it
+   changes; a store makes available its proper prefixes and, by
+   store-to-load forwarding, its own path. *)
+let self_dependent v ap = List.exists (Reg.var_equal v) (Apath.vars_used ap)
+
+type availability = {
+  av_exprs : Apath.t array;
+  av_ids : int Apath.Tbl.t;
+  av_transfers : transfers;
+}
+
+let availability tenv proc ~kills =
+  let ids = Apath.Tbl.create 64 in
+  let exprs = Vec.create () in
+  Cfg.iter_instrs proc (fun _ i ->
+      match i with
+      | Instr.Iload (_, ap) | Instr.Istore (ap, _) ->
+        List.iter
+          (fun p -> if not (Apath.Tbl.mem ids p) then Apath.Tbl.add ids p (Vec.push exprs p))
+          (scalar_prefixes tenv ap)
+      | _ -> ());
+  let n = Vec.length exprs in
+  if n = 0 then None
+  else begin
+    let exprs = Array.init n (Vec.get exprs) in
+    let id = Apath.Tbl.find ids in
+    let gens = function
+      | Instr.Iload (v, ap) ->
+        List.filter_map
+          (fun p -> if self_dependent v p then None else Some (id p))
+          (scalar_prefixes tenv ap)
+      | Instr.Istore (ap, _) -> List.map id (scalar_prefixes tenv ap)
+      | _ -> []
+    in
+    Some
+      { av_exprs = exprs;
+        av_ids = ids;
+        av_transfers = compose proc ~universe:n ~kills:(kills (kill_index exprs)) ~gens }
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Loop-invariant load motion (Figure 6)                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The hoistable unit is the longest *prefix* of a loaded path that is
-   invariant: in the paper's example a.b^[i] is variant in i, but a.b^ is
-   invariant and moves to the preheader. *)
+(* The hoistable unit is the longest invariant candidate prefix of a
+   loaded path: in the paper's example a.b^[i] is variant in i, but a.b^
+   is invariant and moves to the preheader. RLE offers every scalar
+   prefix; LICM offers only the whole path. *)
 
 let loop_instrs proc (loop : Loops.loop) =
   Bitset.fold
@@ -165,7 +269,8 @@ let defs_in_loop instrs v =
       | None -> false)
     instrs
 
-let hoist_loops ?claims ~fresh program oracle modref proc stats =
+let hoist_once ?claims ?kind ~candidates ~fresh oracle modref proc =
+  let hoisted = ref 0 in
   let dom = Dom.compute proc in
   let loops = Loops.find proc dom in
   List.iter
@@ -181,17 +286,16 @@ let hoist_loops ?claims ~fresh program oracle modref proc stats =
                    rewrites that variable's memory slot, which can
                    underlie a cell the candidate prefix navigates through.
                    [kill_pred] reduces to that cheap def test for loads. *)
-                (fun i -> kill_pred ?claims oracle modref i qp)
+                (fun i -> kill_pred ?claims ?kind oracle modref i qp)
                 body_instrs)
       in
       let longest_invariant_prefix ap =
         List.fold_left
           (fun best p -> if prefix_invariant p then Some p else best)
-          None
-          (scalar_prefixes program.Cfg.tenv ap)
+          None (candidates ap)
       in
       (* Collect candidates before mutating: (block, instr, prefix). *)
-      let candidates = ref [] in
+      let moves = ref [] in
       Bitset.iter
         (fun bid ->
           if Loops.executes_every_iteration proc dom loop bid then
@@ -202,7 +306,8 @@ let hoist_loops ?claims ~fresh program oracle modref proc stats =
                   match longest_invariant_prefix ap with
                   | Some p ->
                     (* If the whole path moves, its destination must have no
-                       other definition in the loop. *)
+                       other definition in the loop: the hoisted load
+                       assigns it once, in the preheader's stead. *)
                     let whole = Apath.equal p ap in
                     let v_ok =
                       (not whole)
@@ -215,12 +320,12 @@ let hoist_loops ?claims ~fresh program oracle modref proc stats =
                               body_instrs)
                          = 1
                     in
-                    if v_ok then candidates := (bid, i, p) :: !candidates
+                    if v_ok then moves := (bid, i, p) :: !moves
                   | None -> ())
                 | _ -> ())
               (Cfg.block proc bid).Cfg.b_instrs)
         loop.Loops.body;
-      if !candidates <> [] then begin
+      if !moves <> [] then begin
         let pre = Loops.ensure_preheader proc loop in
         let pre_block = Cfg.block proc pre in
         (* Share one preheader load per distinct hoisted prefix. *)
@@ -252,11 +357,21 @@ let hoist_loops ?claims ~fresh program oracle modref proc stats =
               in
               b.Cfg.b_instrs <-
                 List.map (fun i -> if i == instr then replacement else i) b.Cfg.b_instrs;
-              stats.hoisted <- stats.hoisted + 1
+              incr hoisted
             | _ -> assert false)
-          (List.rev !candidates)
+          (List.rev !moves)
       end)
-    loops
+    loops;
+  !hoisted
+
+(* Iterate so loads escape nested loops level by level; each round
+   recomputes dominators over the preheaders of the previous one. *)
+let hoist_loops ?claims ?kind ~candidates ~fresh oracle modref proc =
+  let rec rounds budget total =
+    let h = hoist_once ?claims ?kind ~candidates ~fresh oracle modref proc in
+    if h > 0 && budget > 0 then rounds (budget - 1) (total + h) else total + h
+  in
+  rounds 4 0
 
 (* ------------------------------------------------------------------ *)
 (* Redundant-load CSE over available expressions (Figure 7)            *)
@@ -283,68 +398,12 @@ let hoist_loops ?claims ~fresh program oracle modref proc stats =
 
 let cse ?claims ~fresh program oracle modref proc stats =
   let tenv = program.Cfg.tenv in
-  let ids = Apath.Tbl.create 64 in
-  let exprs = Vec.create () in
-  let intern ap =
-    match Apath.Tbl.find_opt ids ap with
-    | Some i -> i
-    | None ->
-      let i = Vec.push exprs ap in
-      Apath.Tbl.add ids ap i;
-      i
-  in
-  Cfg.iter_instrs proc (fun _ i ->
-      match i with
-      | Instr.Iload (_, ap) | Instr.Istore (ap, _) ->
-        List.iter (fun p -> ignore (intern p)) (scalar_prefixes tenv ap)
-      | _ -> ());
-  let n = Vec.length exprs in
-  if n = 0 then false
-  else begin
-    (* The universe is fixed from here on (gens_of re-interns only paths
-       already scanned), so the kill index is built once. *)
-    let ki = kill_index (Array.init n (Vec.get exprs)) in
-    let self_dependent v ap = List.exists (Reg.var_equal v) (Apath.vars_used ap) in
-    (* Expressions an instruction makes available, honoring the
-       self-dependence guard on the defined variable. *)
-    let gens_of instr =
-      match instr with
-      | Instr.Iload (v, ap) ->
-        List.filter_map
-          (fun p -> if self_dependent v p then None else Some (intern p))
-          (scalar_prefixes tenv ap)
-      | Instr.Istore (ap, _) -> List.map intern (scalar_prefixes tenv ap)
-      | _ -> []
-    in
-    let nb = Cfg.n_blocks proc in
-    let gen = Array.init nb (fun _ -> Bitset.create n) in
-    let kill = Array.init nb (fun _ -> Bitset.create n) in
-    (* Each instruction's kill set is computed once and reused by the
-       decision walk below. *)
-    let kills = Array.make nb [] in
-    let simulate instr ~gen ~kill =
-      let ks = kill_set ?claims oracle modref ki instr in
-      Bitset.diff_into ~dst:gen ks;
-      Bitset.union_into ~dst:kill ks;
-      List.iter
-        (fun e ->
-          Bitset.add gen e;
-          Bitset.remove kill e)
-        (gens_of instr);
-      ks
-    in
-    Vec.iter
-      (fun b ->
-        let id = b.Cfg.b_id in
-        kills.(id) <-
-          List.map (fun i -> simulate i ~gen:gen.(id) ~kill:kill.(id)) b.Cfg.b_instrs)
-      proc.Cfg.pr_blocks;
-    let result =
-      Dataflow.run ~proc ~universe:n ~confluence:Dataflow.Must
-        ~gen:(fun b -> gen.(b))
-        ~kill:(fun b -> kill.(b))
-        ~entry_fact:(Bitset.create n) ()
-    in
+  match availability tenv proc ~kills:(kill_set ?claims oracle modref) with
+  | None -> false
+  | Some av ->
+    let n = Array.length av.av_exprs in
+    let id = Apath.Tbl.find av.av_ids in
+    let result = solve proc av.av_transfers Dataflow.Must in
     (* The scalar-prefix lengths of [ap] shorter than the whole path. *)
     let proper_lens ap =
       let m = Apath.length ap in
@@ -361,7 +420,7 @@ let cse ?claims ~fresh program oracle modref proc stats =
     let longest_available avail ap lens =
       List.fold_left
         (fun best k ->
-          if Bitset.mem avail (intern (Apath.truncate ap k)) then max best k
+          if Bitset.mem avail (id (Apath.truncate ap k)) then max best k
           else best)
         0 lens
     in
@@ -369,14 +428,14 @@ let cse ?claims ~fresh program oracle modref proc stats =
       let shortened ap k =
         if k > 0 then begin
           stats.shortened <- stats.shortened + 1;
-          Bitset.add read (intern (Apath.truncate ap k))
+          Bitset.add read (id (Apath.truncate ap k))
         end;
         k
       in
       match instr with
       | Instr.Iload (v, ap) when self_dependent v ap -> 0
       | Instr.Iload (_, ap) ->
-        let full = intern ap in
+        let full = id ap in
         if Bitset.mem avail full then begin
           stats.eliminated <- stats.eliminated + 1;
           Bitset.add read full;
@@ -387,19 +446,11 @@ let cse ?claims ~fresh program oracle modref proc stats =
         shortened ap (longest_available avail ap (proper_lens ap))
       | _ -> 0
     in
-    let starts = Array.make nb [] in
+    let starts = Array.make (Cfg.n_blocks proc) [] in
     Vec.iter
       (fun b ->
-        let id = b.Cfg.b_id in
-        let avail = Bitset.copy result.Dataflow.inn.(id) in
-        starts.(id) <-
-          List.map2
-            (fun instr ks ->
-              let s = start_of avail instr in
-              Bitset.diff_into ~dst:avail ks;
-              List.iter (Bitset.add avail) (gens_of instr);
-              s)
-            b.Cfg.b_instrs kills.(id))
+        starts.(b.Cfg.b_id) <-
+          replay av.av_transfers b result.Dataflow.inn.(b.Cfg.b_id) start_of)
       proc.Cfg.pr_blocks;
     (* Rewrite. *)
     let home = Array.make n None in
@@ -407,7 +458,7 @@ let cse ?claims ~fresh program oracle modref proc stats =
       match home.(e) with
       | Some v -> v
       | None ->
-        let ap = Vec.get exprs e in
+        let ap = av.av_exprs.(e) in
         let v = fresh ~name:"rle" ~ty:(Apath.ty ap) ~kind:Reg.Vtemp in
         (match claims with
         | Some c -> Claims.note_home c v ap
@@ -415,19 +466,19 @@ let cse ?claims ~fresh program oracle modref proc stats =
         home.(e) <- Some v;
         v
     in
-    let marked ap = Bitset.mem read (intern ap) in
+    let marked ap = Bitset.mem read (id ap) in
     (* Navigate [ap] from the home of its length-[s] prefix (from its base
        when [s = 0]), loading each scalar proper prefix longer than [s]
        that [keep] selects into its home. Returns the loads and the (base,
        consumed length) the rest of the access continues from. *)
     let segments ap s keep =
-      let start = if s = 0 then Apath.base ap else home_temp (intern (Apath.truncate ap s)) in
+      let start = if s = 0 then Apath.base ap else home_temp (id (Apath.truncate ap s)) in
       let loads, base, consumed =
         List.fold_left
           (fun (acc, base, consumed) k ->
             if k <= s || not (keep k) then (acc, base, consumed)
             else begin
-              let h = home_temp (intern (Apath.truncate ap k)) in
+              let h = home_temp (id (Apath.truncate ap k)) in
               (Instr.Iload (h, Apath.make base (Apath.sels_between ap consumed k)) :: acc, h, k)
             end)
           ([], start, s) (proper_lens ap)
@@ -438,7 +489,7 @@ let cse ?claims ~fresh program oracle modref proc stats =
     let rewrite instr s =
       match instr with
       | Instr.Iload (v, ap) when s < 0 ->
-        [ Instr.Iassign (v, Instr.Ratom (Reg.Avar (home_temp (intern ap)))) ]
+        [ Instr.Iassign (v, Instr.Ratom (Reg.Avar (home_temp (id ap)))) ]
       | Instr.Iload (v, ap) ->
         (* A self-dependent load makes available only the prefixes that do
            not read its destination; only those may need a home. *)
@@ -449,7 +500,7 @@ let cse ?claims ~fresh program oracle modref proc stats =
         in
         let loads, base, consumed = segments ap s keep in
         if (not self) && marked ap then begin
-          let h = home_temp (intern ap) in
+          let h = home_temp (id ap) in
           loads
           @ [ Instr.Iload (h, rest base ap consumed);
               Instr.Iassign (v, Instr.Ratom (Reg.Avar h)) ]
@@ -460,7 +511,7 @@ let cse ?claims ~fresh program oracle modref proc stats =
         let loads, base, consumed = segments ap s (fun _ -> true) in
         let store = if consumed = 0 then instr else Instr.Istore (rest base ap consumed, a) in
         if marked ap then
-          loads @ [ store; Instr.Iassign (home_temp (intern ap), Instr.Ratom a) ]
+          loads @ [ store; Instr.Iassign (home_temp (id ap), Instr.Ratom a) ]
         else loads @ [ store ]
       | _ -> [ instr ]
     in
@@ -479,7 +530,6 @@ let cse ?claims ~fresh program oracle modref proc stats =
                b.Cfg.b_instrs starts.(b.Cfg.b_id)))
       proc.Cfg.pr_blocks;
     !rewrote
-  end
 
 let run_proc (pc : Pass.proc_context) proc =
   let claims = pc.Pass.pc_claims and fresh = pc.Pass.pc_fresh in
@@ -487,13 +537,9 @@ let run_proc (pc : Pass.proc_context) proc =
   and oracle = pc.Pass.pc_oracle
   and modref = pc.Pass.pc_modref in
   let stats = { hoisted = 0; eliminated = 0; shortened = 0 } in
-  (* Iterate hoisting so loads escape nested loops level by level; each
-     round recomputes dominators over the preheaders of the previous one. *)
-  let rec rounds budget prev =
-    hoist_loops ?claims ~fresh program oracle modref proc stats;
-    if stats.hoisted > prev && budget > 0 then rounds (budget - 1) stats.hoisted
-  in
-  rounds 4 0;
+  stats.hoisted <-
+    hoist_loops ?claims ~candidates:(scalar_prefixes program.Cfg.tenv) ~fresh oracle
+      modref proc;
   let rewrote = cse ?claims ~fresh program oracle modref proc stats in
   (stats, stats.hoisted > 0 || rewrote)
 

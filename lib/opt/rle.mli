@@ -1,4 +1,8 @@
-(** Redundant load elimination (paper §3.4.1, Figures 6–7).
+(** Redundant load elimination (paper §3.4.1, Figures 6–7), and the
+    machinery the other forward TBAA clients share with it: the kill rule,
+    the loop hoister (LICM is the hoister over whole paths) and the
+    availability builder (PRE, SLF and the Figure 10 classifier solve over
+    it).
 
     Two phases per procedure, both driven by the alias oracle and the
     interprocedural mod-ref summaries:
@@ -31,8 +35,9 @@ type query_paths = {
   qp_all : Ir.Apath.t list;  (* qp_base :: qp_prefixes *)
 }
 (** The derived paths the kill test consults for one expression, resolved
-    once (shared by the other TBAA clients — SLF and LICM replay the same
-    invalidation reasoning). *)
+    once. SLF tests its bindings' paths through {!kill_pred} with these;
+    the other clients reach them through {!hoist_loops} or a
+    {!kill_index}. *)
 
 val query_paths : Ir.Apath.t -> query_paths
 
@@ -48,19 +53,6 @@ val kill_pred :
     once and returns the per-expression kill test. With [claims], every
     oracle answer consulted is logged against its witness paths under
     client [kind] (default ["rle"]). *)
-
-val instr_kills :
-  ?claims:Claims.t ->
-  ?kind:string ->
-  Oracle.t ->
-  Modref.t ->
-  Ir.Instr.t ->
-  Ir.Apath.t ->
-  bool
-(** May executing this instruction change the value of the given memory
-    expression? (Exposed for the limit-study classifier, which replays
-    RLE's availability reasoning.) With [claims], every oracle answer
-    consulted is logged against its witness paths. *)
 
 type kill_index
 (** A fixed universe of tracked expressions, numbered by array position,
@@ -83,6 +75,97 @@ val kill_set :
     {!kill_pred} over the universe in index order, logging the same claims.
     The returned set may be shared with the index and with other calls: it
     must not be mutated. *)
+
+val def_kill_set : kill_index -> Ir.Instr.t -> Support.Bitset.t
+(** The expressions that read the variable the instruction defines (none
+    when it defines none), by lookup: a perfect alias analysis's kill set,
+    under which no store or call kills anything. Shared like
+    {!kill_set}'s. *)
+
+(** {1 Forward availability}
+
+    Every instruction's transfer over a fixed universe — its kill set and
+    the expressions it makes available — is taken once, in block and
+    instruction order (so claims logged while taking kill sets land in
+    that order), and composed into per-block gen/kill sets. *)
+
+type transfers = {
+  tr_universe : int;
+  tr_gen : Support.Bitset.t array;  (** per block id *)
+  tr_kill : Support.Bitset.t array;
+  tr_steps : (Support.Bitset.t * int list) list array;
+      (** per block id, per instruction: its kill set and its gens *)
+}
+
+val compose :
+  Ir.Cfg.proc ->
+  universe:int ->
+  kills:(Ir.Instr.t -> Support.Bitset.t) ->
+  gens:(Ir.Instr.t -> int list) ->
+  transfers
+(** Gens are applied after kills: an instruction that kills and makes
+    available the same expression leaves it available. *)
+
+val solve : Ir.Cfg.proc -> transfers -> Ir.Dataflow.confluence -> Ir.Dataflow.result
+(** The forward solve from an empty entry fact. *)
+
+val replay :
+  transfers ->
+  Ir.Cfg.block ->
+  Support.Bitset.t ->
+  (Support.Bitset.t -> Ir.Instr.t -> 'a) ->
+  'a list
+(** [replay tr b inn f] applies [f avail instr] to each instruction of [b]
+    in order, [avail] holding the facts just before it, starting from the
+    block-entry facts [inn] (which are not mutated). [avail] is only valid
+    during the call. The block must be as it was when [tr] was composed. *)
+
+val scalar_prefixes : Minim3.Types.env -> Ir.Apath.t -> Ir.Apath.t list
+(** The scalar-typed prefixes of a path, shortest first: the words the
+    machine actually reads to access it (a pointer or a scalar).
+    Aggregate-typed prefixes (an inline record, the array behind a dope)
+    are address arithmetic, not loads. *)
+
+type availability = {
+  av_exprs : Ir.Apath.t array;  (** the universe, by id *)
+  av_ids : int Ir.Apath.Tbl.t;
+  av_transfers : transfers;
+}
+(** RLE's expressions over one procedure: the {!scalar_prefixes} of every
+    path it loads or stores. A load makes available the prefixes of its
+    path that do not read its destination; a store makes available its
+    proper prefixes and its own path. *)
+
+val availability :
+  Minim3.Types.env ->
+  Ir.Cfg.proc ->
+  kills:(kill_index -> Ir.Instr.t -> Support.Bitset.t) ->
+  availability option
+(** [None] when the procedure loads and stores nothing. [kills] is the
+    kill rule over the universe's index: {!kill_set} for TBAA,
+    {!def_kill_set} for a perfect alias analysis. *)
+
+(** {1 The passes} *)
+
+val hoist_loops :
+  ?claims:Claims.t ->
+  ?kind:string ->
+  candidates:(Ir.Apath.t -> Ir.Apath.t list) ->
+  fresh:(name:string -> ty:Minim3.Types.tid -> kind:Ir.Reg.kind -> Ir.Reg.var) ->
+  Oracle.t ->
+  Modref.t ->
+  Ir.Cfg.proc ->
+  int
+(** Figure 6: a load in a block that executes on every iteration of a
+    loop has the longest of its path's [candidates] (shortest first) that
+    is invariant in the loop — no variable it reads is defined in the
+    body, and no instruction of the body may kill it ({!kill_pred}) —
+    moved to the loop's preheader into a home temporary named ["licm"].
+    A whole path moves only when the load's destination has no other
+    definition in the loop. Rounds repeat (at most five) while they hoist,
+    so loads escape nested loops level by level. Returns the number of
+    loads rewritten. With [claims], the oracle answers relied on are
+    logged under [kind] (default ["rle"]) and the homes registered. *)
 
 val pass : Pass.t
 (** A per-procedure pass: call kills come from the context's mod-ref view,

@@ -21,7 +21,8 @@ open Tbaa
    The invalidation test is exactly RLE's kill predicate plus the
    atom-redefinition leg; every oracle answer consulted is logged in the
    claims ledger under kind "slf". Forward must-availability over the
-   distinct (path, atom) bindings, one solve per procedure. *)
+   distinct (path, atom) bindings, composed and solved by RLE's
+   availability machinery, one solve per procedure. *)
 
 type stats = { mutable forwarded : int }
 
@@ -99,69 +100,30 @@ let run_proc ?claims (oracle : Oracle.t) modref proc stats =
       | Instr.Istore (ap, a) -> [ intern ap a ]
       | _ -> []
     in
-    let nb = Cfg.n_blocks proc in
-    let gen = Array.init nb (fun _ -> Bitset.create n) in
-    let kill = Array.init nb (fun _ -> Bitset.create n) in
-    (* Each instruction's kill set and gens are computed exactly once,
-       here; the rewrite walk below replays the saved sets, so each
-       oracle answer lands in the claims ledger once, not once per use. *)
-    let transfers = Array.make nb [] in
+    (* Each instruction's kill set and gens are taken exactly once; the
+       rewrite walk replays the saved sets, so each oracle answer lands
+       in the claims ledger once, not once per use. *)
+    let tr = Rle.compose proc ~universe:n ~kills:kill_set_of ~gens:gens_of in
+    let result = Rle.solve proc tr Dataflow.Must in
     Vec.iter
       (fun b ->
-        let ts =
-          List.map (fun i -> (i, kill_set_of i, gens_of i)) b.Cfg.b_instrs
-        in
-        transfers.(b.Cfg.b_id) <- ts;
-        let gen = gen.(b.Cfg.b_id) and kill = kill.(b.Cfg.b_id) in
-        List.iter
-          (fun (_, ks, gs) ->
-            Bitset.diff_into ~dst:gen ks;
-            Bitset.union_into ~dst:kill ks;
-            List.iter
-              (fun e ->
-                Bitset.add gen e;
-                Bitset.remove kill e)
-              gs)
-          ts)
-      proc.Cfg.pr_blocks;
-    let result =
-      Dataflow.run ~proc ~universe:n ~confluence:Dataflow.Must
-        ~gen:(fun b -> gen.(b))
-        ~kill:(fun b -> kill.(b))
-        ~entry_fact:(Bitset.create n) ()
-    in
-    Vec.iter
-      (fun b ->
-        let avail = Bitset.copy result.Dataflow.inn.(b.Cfg.b_id) in
-        let rewritten =
-          List.map
-            (fun (instr, ks, gs) ->
-              let out =
-                match instr with
-                | Instr.Iload (v, ap) -> (
-                  let live =
-                    List.filter
-                      (Bitset.mem avail)
-                      (Option.value
-                         (Hashtbl.find_opt by_path (Apath.id ap))
-                         ~default:[])
-                  in
-                  match live with
-                  | i :: _ ->
-                    stats.forwarded <- stats.forwarded + 1;
-                    Instr.Iassign (v, Instr.Ratom (snd (Vec.get bindings i)))
-                  | [] -> instr)
-                | _ -> instr
-              in
-              (* The replacement defines the same register the load did,
-                 so the original instruction's transfer is the right one
-                 to track availability with. *)
-              Bitset.diff_into ~dst:avail ks;
-              List.iter (Bitset.add avail) gs;
-              out)
-            transfers.(b.Cfg.b_id)
-        in
-        b.Cfg.b_instrs <- rewritten)
+        (* The replacement defines the same register the load did, so the
+           original instruction's transfer is the right one to track
+           availability with. *)
+        b.Cfg.b_instrs <-
+          Rle.replay tr b result.Dataflow.inn.(b.Cfg.b_id) (fun avail instr ->
+              match instr with
+              | Instr.Iload (v, ap) -> (
+                let live =
+                  List.filter (Bitset.mem avail)
+                    (Option.value (Hashtbl.find_opt by_path (Apath.id ap)) ~default:[])
+                in
+                match live with
+                | i :: _ ->
+                  stats.forwarded <- stats.forwarded + 1;
+                  Instr.Iassign (v, Instr.Ratom (snd (Vec.get bindings i)))
+                | [] -> instr)
+              | _ -> instr))
       proc.Cfg.pr_blocks
   end
 

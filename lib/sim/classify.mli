@@ -15,7 +15,15 @@
       perfect alias analysis — one that never lets a store or a call kill
       it — but TBAA's may-alias kills blocked it. This is the paper's
       "alias failure" bucket, the true imprecision of TBAA.
-    - {b Rest}: everything else. *)
+    - {b Rest}: everything else.
+
+    Conditional and Alias replay RLE's availability reasoning through the
+    builder RLE itself runs on ({!Opt.Rle.availability}): a may-solve
+    under the oracle's kill rule ({!Opt.Rle.kill_set}) and a must-solve
+    under the perfect-alias rule ({!Opt.Rle.def_kill_set}). Each
+    instruction's kill set is taken once per procedure and replayed up to
+    the site, so no oracle question is asked per (instruction,
+    expression) pair. *)
 
 open Tbaa
 

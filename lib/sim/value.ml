@@ -18,15 +18,6 @@ let equal a b =
   | Vaddr x, Vaddr y -> x = y
   | (Vint _ | Vbool _ | Vchar _ | Vnil | Vaddr _), _ -> false
 
-let pp ppf = function
-  | Vint n -> Format.pp_print_int ppf n
-  | Vbool b -> Format.pp_print_bool ppf b
-  | Vchar c -> Format.fprintf ppf "'%c'" c
-  | Vnil -> Format.pp_print_string ppf "NIL"
-  | Vaddr a -> Format.fprintf ppf "@%d" a
-
-let to_string v = Format.asprintf "%a" pp v
-
 (* Default value for a freshly allocated location of the given type. *)
 let default env (tid : Minim3.Types.tid) =
   match Minim3.Types.desc env tid with

@@ -6,7 +6,8 @@
    subtype test reads an interval-labeled forest; the baseline walks the
    supertype chain per query. The optimizer's kill sets come from an index
    over the tracked expressions; the baseline asks the per-expression kill
-   test of every expression. The JSON decoder scans by index and reads
+   test of every expression, and the classifier's availability ({!avail})
+   asks it per (instruction, expression) pair. The JSON decoder scans by index and reads
    plain integers digit by digit; the baseline is the peek-and-substring
    parser it replaced. Dominators come from Cooper-Harvey-Kennedy idoms
    and dominator-tree intervals; the baseline ({!Dom}) is the iterative
@@ -248,6 +249,117 @@ let kill_set ?claims oracle modref exprs instr =
       then Bitset.add s i)
     exprs;
   s
+
+(* RLE's availability as the Figure 10 classifier first replayed it: the
+   scalar-prefix universe interned in scan order, the kill rule [kills
+   instr ap] asked afresh for every (instruction, expression) pair, block
+   gen/kill composed from those answers and solved, and the facts before
+   each instruction rebuilt by walking the block again, pair by pair. The
+   production builder ([Opt.Rle.availability]) takes each instruction's
+   kill set once, over an index. *)
+type avail = {
+  av_exprs : Apath.t Vec.t;
+  av_ids : int Apath.Tbl.t;
+  av_inn : Bitset.t array;
+  av_kills : Instr.t -> Apath.t -> bool;
+}
+
+let build_avail tenv proc ~confluence ~kills =
+  let scalar_prefixes ap =
+    List.filter (fun p -> Types.is_scalar tenv (Apath.ty p)) (Apath.prefixes ap)
+  in
+  let ids = Apath.Tbl.create 64 in
+  let exprs = Vec.create () in
+  let intern ap =
+    match Apath.Tbl.find_opt ids ap with
+    | Some i -> i
+    | None ->
+      let i = Vec.push exprs ap in
+      Apath.Tbl.add ids ap i;
+      i
+  in
+  Cfg.iter_instrs proc (fun _ i ->
+      match i with
+      | Instr.Iload (_, ap) | Instr.Istore (ap, _) ->
+        List.iter (fun p -> ignore (intern p)) (scalar_prefixes ap)
+      | _ -> ());
+  let n = Vec.length exprs in
+  let kill_set instr =
+    let s = Bitset.create n in
+    Vec.iteri (fun i ap -> if kills instr ap then Bitset.add s i) exprs;
+    s
+  in
+  let gens instr =
+    match instr with
+    | Instr.Iload (v, ap) ->
+      List.filter_map
+        (fun p ->
+          if List.exists (Reg.var_equal v) (Apath.vars_used p) then None
+          else Some (intern p))
+        (scalar_prefixes ap)
+    | Instr.Istore (ap, _) -> List.map intern (scalar_prefixes ap)
+    | _ -> []
+  in
+  let nb = Cfg.n_blocks proc in
+  let gen = Array.init nb (fun _ -> Bitset.create n) in
+  let kill = Array.init nb (fun _ -> Bitset.create n) in
+  Vec.iter
+    (fun b ->
+      List.iter
+        (fun i ->
+          let ks = kill_set i in
+          Bitset.diff_into ~dst:gen.(b.Cfg.b_id) ks;
+          Bitset.union_into ~dst:kill.(b.Cfg.b_id) ks;
+          List.iter
+            (fun e ->
+              Bitset.add gen.(b.Cfg.b_id) e;
+              Bitset.remove kill.(b.Cfg.b_id) e)
+            (gens i))
+        b.Cfg.b_instrs)
+    proc.Cfg.pr_blocks;
+  let inn =
+    if n = 0 then Array.init nb (fun _ -> Bitset.create 0)
+    else
+      (Dataflow.run ~proc ~universe:n ~confluence
+         ~gen:(fun b -> gen.(b))
+         ~kill:(fun b -> kill.(b))
+         ~entry_fact:(Bitset.create n) ())
+        .Dataflow.inn
+  in
+  { av_exprs = exprs; av_ids = ids; av_inn = inn; av_kills = kills }
+
+(* The facts just before each instruction of block [bid]. *)
+let avail_before av proc bid =
+  let fact = Bitset.copy av.av_inn.(bid) in
+  List.map
+    (fun instr ->
+      let before = Bitset.copy fact in
+      Vec.iteri (fun j ap -> if av.av_kills instr ap then Bitset.remove fact j) av.av_exprs;
+      let gen p =
+        match Apath.Tbl.find_opt av.av_ids p with
+        | Some k -> Bitset.add fact k
+        | None -> ()
+      in
+      (match instr with
+      | Instr.Iload (v, ap) ->
+        List.iter
+          (fun p -> if not (List.exists (Reg.var_equal v) (Apath.vars_used p)) then gen p)
+          (Apath.prefixes ap)
+      | Instr.Istore (ap, _) -> List.iter gen (Apath.prefixes ap)
+      | _ -> ());
+      before)
+    (Cfg.block proc bid).Cfg.b_instrs
+
+(* The two kill rules the classifier replays: TBAA's, asking
+   [Opt.Rle.kill_pred] per pair, and a perfect alias analysis's, under
+   which only a redefinition of a variable the expression reads kills it. *)
+let tbaa_kills oracle modref instr ap =
+  Opt.Rle.kill_pred oracle modref instr (Opt.Rle.query_paths ap)
+
+let perfect_kills instr ap =
+  match Instr.defined_var instr with
+  | Some v -> List.exists (Reg.var_equal v) (Apath.vars_used ap)
+  | None -> false
 
 (* The daemon's original JSON decoder: a [Some c] per peek, a [Buffer] per
    string and [int_of_string_opt] over every number's text. Same values,

@@ -1,6 +1,8 @@
 (* The export guard: every value a [lib/] interface declares must have a
    caller outside its own module in production code ([lib/], [bin/],
-   [bench/], [examples/]), or be on the allow-list below with a reason.
+   [bench/], [examples/]), or be on the allow-list below with a reason. A
+   [lib/] module with no interface exports its top-level [let]s, and they
+   are held to the same rule.
 
    The scan is by name over the sources (dune copies them in as
    dependencies). A file uses [Mod.name] when it mentions [Mod.name], or
@@ -19,9 +21,12 @@ let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '
 
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '\''
 
-let tokens (s : string) : token array =
+(* Each token with whether it starts its line: top-level definitions of
+   formatted source start at column 0. *)
+let tokens_at_bol (s : string) : (token * bool) array =
   let n = String.length s in
   let out = ref [] in
+  let emit i tok = out := (tok, i = 0 || s.[i - 1] = '\n') :: !out in
   (* [skip_string i] is the index just past the string opening at [i]. *)
   let rec skip_string i =
     if i >= n then n
@@ -71,23 +76,25 @@ let tokens (s : string) : token array =
       else if c = '{' then
         match quoted_string i with
         | Some j -> go j
-        | None -> out := Sym c :: !out; go (i + 1)
+        | None -> emit i (Sym c); go (i + 1)
       else if c = '\'' then
         match char_lit i with Some j -> go j | None -> go (i + 1)
       else if is_ident_start c then begin
         let j = ref (i + 1) in
         while !j < n && is_ident_char s.[!j] do incr j done;
-        out := Ident (String.sub s i (!j - i)) :: !out;
+        emit i (Ident (String.sub s i (!j - i)));
         go !j
       end
       else if c = ' ' || c = '\n' || c = '\t' || c = '\r' then go (i + 1)
       else begin
-        out := Sym c :: !out;
+        emit i (Sym c);
         go (i + 1)
       end
   in
   go 0;
   Array.of_list (List.rev !out)
+
+let tokens s = Array.map fst (tokens_at_bol s)
 
 (* ------------------------------------------------------------------ *)
 (* Sources                                                             *)
@@ -123,6 +130,38 @@ let exported_values toks =
         | Ident name -> acc := name :: !acc
         | Sym _ -> ())
       | _ -> ())
+    toks;
+  List.rev !acc
+
+(* Top-level [let]-bound names of an implementation, each with the token
+   span of its definition: a [let] or [let rec] at column 0, and the
+   [and]s at column 0 that continue it (an [and] after a [type] names a
+   type), each running to the next token at column 0. [let ()] and
+   [let _] bind nothing. *)
+let toplevel_lets toks =
+  let n = Array.length toks in
+  let name_at i =
+    let i = if i < n && fst toks.(i) = Ident "rec" then i + 1 else i in
+    match if i < n then fst toks.(i) else Sym ' ' with
+    | Ident v when v <> "_" -> Some v
+    | _ -> None
+  in
+  let stop_of i =
+    let j = ref (i + 1) in
+    while !j < n && not (snd toks.(!j)) do incr j done;
+    !j
+  in
+  let in_let = ref false and acc = ref [] in
+  Array.iteri
+    (fun i (tok, bol) ->
+      if bol then
+        let bind () =
+          Option.iter (fun v -> acc := (v, i, stop_of i) :: !acc) (name_at (i + 1))
+        in
+        match tok with
+        | Ident "let" -> in_let := true; bind ()
+        | Ident "and" -> if !in_let then bind ()
+        | _ -> in_let := false)
     toks;
   List.rev !acc
 
@@ -183,25 +222,48 @@ let uses u (m, v) =
 (* The scan                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* [interfaces] are the [lib/] [.mli] files, [callers] every production
-   source, each as (path, text). The result lists ["Mod.value"] for every
-   export no file of another module uses. *)
+(* [interfaces] are the [lib/] files that declare exports (each [.mli],
+   and each [.ml] with no [.mli]), [callers] every production source,
+   each as (path, text). The result lists ["Mod.value"] for every export
+   no file of another module uses. A module with no interface may also
+   call its own top-level [let] outside that [let]'s definition: the
+   compiler's unused-value warning does not see such a module, so the
+   guard is what catches a dead helper there. *)
 let uncalled ~interfaces ~callers =
   let usages = List.map (fun (f, text) -> (f, usage_of (tokens text))) callers in
   List.concat_map
-    (fun (mli, text) ->
-      let m = module_of mli in
-      let own f = module_of f = m && Filename.dirname f = Filename.dirname mli in
-      exported_values (tokens text)
-      |> List.filter (fun v ->
-             not (List.exists (fun (f, u) -> (not (own f)) && uses u (m, v)) usages))
-      |> List.map (fun v -> m ^ "." ^ v))
+    (fun (path, text) ->
+      let m = module_of path in
+      let own f = module_of f = m && Filename.dirname f = Filename.dirname path in
+      let called_elsewhere v =
+        List.exists (fun (f, u) -> (not (own f)) && uses u (m, v)) usages
+      in
+      let uncalled_names =
+        if Filename.check_suffix path ".mli" then
+          List.filter (fun v -> not (called_elsewhere v)) (exported_values (tokens text))
+        else
+          let toks = tokens_at_bol text in
+          let rec called_here (v, start, stop) i =
+            i < Array.length toks
+            && (((i < start || i >= stop) && fst toks.(i) = Ident v)
+               || called_here (v, start, stop) (i + 1))
+          in
+          toplevel_lets toks
+          |> List.filter (fun ((v, _, _) as def) -> not (called_here def 0 || called_elsewhere v))
+          |> List.map (fun (v, _, _) -> v)
+      in
+      List.map (fun v -> m ^ "." ^ v) uncalled_names)
     interfaces
 
 let with_text paths = List.map (fun p -> (p, read_file p)) paths
 
 let lib_interfaces () =
-  with_text (List.filter (fun p -> Filename.check_suffix p ".mli") (sources "../lib"))
+  with_text
+    (List.filter
+       (fun p ->
+         Filename.check_suffix p ".mli"
+         || not (Sys.file_exists (p ^ "i")))
+       (sources "../lib"))
 
 (* Each directory must be there: a missing dependency would otherwise read
    as exports nobody calls. *)
@@ -237,6 +299,8 @@ let test_only =
     ("Modref.of_summaries", "the reference closure mod-ref builds through it");
     ("Modref.summary", "tests compare per-procedure mod-ref summaries");
     ("Pass_manager.reports_for", "tests pick one pass's reports from a run");
+    ("Rle.kill_index", "test_opt checks kill_set against the per-expression baseline \
+                        over every prefix, not only the builder's scalar ones");
     ("Dispatch.quiesce", "test_server waits for in-flight work before asserting");
     ("Store.name", "tests identify a document");
     ("Store.edits_full", "test_edit_path counts full rebuilds");
@@ -276,7 +340,16 @@ let test_scanner () =
     (uncalled ~interfaces:[ mli ] ~callers);
   check_list "an opened module's bare names count as calls" []
     (uncalled ~interfaces:[ mli ]
-       ~callers:(("bin/c.ml", "open Widget let _ = planted") :: callers))
+       ~callers:(("bin/c.ml", "open Widget let _ = planted") :: callers));
+  let plain =
+    ( "lib/x/plain.ml",
+      "type t = A\nand dead_type = B\n\nlet helper = 1\nlet used = helper\n\
+       let dead = 2\nlet rec self_only n = self_only n\nand sibling = used\n\
+       let () = ignore sibling\n" )
+  in
+  check_list "an interface-less module's unused top-level lets are flagged"
+    [ "Plain.dead"; "Plain.self_only" ]
+    (uncalled ~interfaces:[ plain ] ~callers:(plain :: callers))
 
 let () =
   Alcotest.run "exports"

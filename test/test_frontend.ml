@@ -365,7 +365,10 @@ let test_check_figure1 () =
 
 let test_check_figure3 () =
   let p = check figure3 in
-  let main = Option.get (Tast.find_proc p Tast.main_ident) in
+  let main =
+    Option.get
+      (List.find_opt (fun q -> Ident.equal q.Tast.p_name Tast.main_ident) p.Tast.procs)
+  in
   Alcotest.(check int) "five statements" 5 (List.length main.Tast.p_body)
 
 let test_check_subtype_assign () =
@@ -423,7 +426,10 @@ BEGIN
 END M.
 |}
   in
-  let main = Option.get (Tast.find_proc p Tast.main_ident) in
+  let main =
+    Option.get
+      (List.find_opt (fun q -> Ident.equal q.Tast.p_name Tast.main_ident) p.Tast.procs)
+  in
   match (List.nth main.Tast.p_body 1).Tast.s_desc with
   | Tast.Sassign ({ Tast.desc = Tast.Efield ({ Tast.desc = Tast.Ederef _; _ }, _); _ }, _) -> ()
   | _ -> Alcotest.fail "expected desugared deref+field"
@@ -547,7 +553,10 @@ BEGIN
 END M.
 |}
   in
-  let main = Option.get (Tast.find_proc p Tast.main_ident) in
+  let main =
+    Option.get
+      (List.find_opt (fun q -> Ident.equal q.Tast.p_name Tast.main_ident) p.Tast.procs)
+  in
   match (List.nth main.Tast.p_body 1).Tast.s_desc with
   | Tast.Swith ([ b1; b2 ], _) ->
     Alcotest.(check bool) "slot is an alias" true b1.Tast.wb_alias;

@@ -132,7 +132,7 @@ let audit_trap ?fault config src =
   ctx.Opt.Pass.claims <- Some claims;
   ctx.Opt.Pass.fault <- fault;
   let _ =
-    Opt.Pass_manager.run_guarded ~verify:true ctx program
+    Opt.Pass_manager.run_guarded ctx program
       (Opt.Pass_manager.schedule config)
   in
   let auditor = Sim.Audit.create claims in
@@ -267,7 +267,7 @@ let run_evil name corrupt =
   in
   let ctx = Opt.Pass.create () in
   let reports =
-    Opt.Pass_manager.run_guarded ~verify:true ctx program
+    Opt.Pass_manager.run_guarded ctx program
       [ Opt.Pass_manager.Run pass ]
   in
   (match Opt.Pass_manager.failures reports with

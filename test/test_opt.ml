@@ -960,6 +960,125 @@ let test_kill_index_programs () =
         oracle_kinds)
     (gen @ workloads)
 
+(* --- availability builder ------------------------------------------------- *)
+
+(* [Opt.Rle.availability]'s universe and its facts before every
+   instruction, solved [Must] and [May], against the per-pair replay
+   ([Reference.build_avail]) under the perfect-alias kill rule and TBAA's
+   under each oracle. Returns how many of the checked facts (over every
+   rule and confluence) were non-empty. *)
+let check_availability label program =
+  let engine = analyze program in
+  let tenv = program.Cfg.tenv in
+  let rules =
+    ("perfect", Opt.Rle.def_kill_set, Reference.perfect_kills)
+    :: List.map
+         (fun kind ->
+           let modref, oracle = inputs engine kind in
+           ( Opt.Pass.oracle_name kind,
+             Opt.Rle.kill_set oracle modref,
+             Reference.tbaa_kills oracle modref ))
+         oracle_kinds
+  in
+  let non_empty = ref 0 in
+  List.iter
+    (fun proc ->
+      List.iter
+        (fun (rule, kills, ref_kills) ->
+          let built = Opt.Rle.availability tenv proc ~kills in
+          List.iter
+            (fun (conf, confluence) ->
+              let where =
+                Printf.sprintf "%s %s %s %s" label (Ident.name proc.Cfg.pr_name) rule conf
+              in
+              let want = Reference.build_avail tenv proc ~confluence ~kills:ref_kills in
+              let universe exprs = String.concat ", " (List.map Apath.to_string exprs) in
+              let want_exprs = universe (Vec.to_list want.Reference.av_exprs) in
+              let check_universe got =
+                if got <> want_exprs then
+                  Alcotest.failf "%s: universe [%s], expected [%s]" where got want_exprs
+              in
+              match built with
+              | None -> check_universe ""
+              | Some av ->
+                check_universe (universe (Array.to_list av.Opt.Rle.av_exprs));
+                let tr = av.Opt.Rle.av_transfers in
+                let inn = (Opt.Rle.solve proc tr confluence).Dataflow.inn in
+                Vec.iter
+                  (fun b ->
+                    let got = Opt.Rle.replay tr b inn.(b.Cfg.b_id) (fun a _ -> Bitset.copy a) in
+                    List.iter2
+                      (fun (instr, got) want ->
+                        if not (Bitset.equal got want) then
+                          Alcotest.failf "%s: facts before %a: %a, expected %a" where Instr.pp
+                            instr Bitset.pp got Bitset.pp want;
+                        if not (Bitset.is_empty got) then incr non_empty)
+                      (List.combine b.Cfg.b_instrs got)
+                      (Reference.avail_before want proc b.Cfg.b_id))
+                  proc.Cfg.pr_blocks)
+            [ ("must", Dataflow.Must); ("may", Dataflow.May) ])
+        rules)
+    program.Cfg.prog_procs;
+  !non_empty
+
+let test_availability_programs () =
+  let gen =
+    List.init 50 (fun seed ->
+        ( Printf.sprintf "gen seed=%d" seed,
+          fun () ->
+            Lower.lower_string ~file:"<gen>"
+              (Gen.Generator.generate ~size:3 seed).Gen.Generator.source ))
+  in
+  let workloads =
+    List.map
+      (fun (w : Workloads.Workload.t) ->
+        (w.Workloads.Workload.name, fun () -> Workloads.Workload.lower w))
+      Workloads.Suite.all
+  in
+  let scale = ("scale 200", fun () -> Lower.lower_string ~file:"<scale>" (Gen.Scale.source 200)) in
+  (* Lowering loads into fresh temporaries, so no lowered load reads its
+     own destination; fusing [t := load AP; v := t] into [v := load AP]
+     where AP reads [v] makes such loads, whose gens the builder must
+     guard. Each program is checked as lowered, fused, and after the full
+     stack (the classifier reads optimized programs). *)
+  let fused = ref 0 in
+  let fuse program =
+    List.iter
+      (fun proc ->
+        Vec.iter
+          (fun b ->
+            let rec go = function
+              | Instr.Iload (t, ap) :: Instr.Iassign (v, Instr.Ratom (Reg.Avar t')) :: rest
+                when Reg.var_equal t t' && List.exists (Reg.var_equal v) (Apath.vars_used ap)
+                ->
+                incr fused;
+                Instr.Iload (v, ap) :: go rest
+              | i :: rest -> i :: go rest
+              | [] -> []
+            in
+            b.Cfg.b_instrs <- go b.Cfg.b_instrs)
+          proc.Cfg.pr_blocks)
+      program.Cfg.prog_procs
+  in
+  let full =
+    Opt.Pass_manager.schedule
+      { Opt.Pass_manager.Config.devirt_inline = true; licm = true; pre = true;
+        slf = true; rle = true; copyprop = true; dse = true; local_cse = true }
+  in
+  List.iter
+    (fun (name, program) ->
+      let program = program () in
+      let lowered = check_availability name program in
+      fuse program;
+      ignore (check_availability (name ^ " fused") program);
+      ignore (Opt.Pass_manager.run (Opt.Pass.create ()) program full);
+      let optimized = check_availability (name ^ " optimized") program in
+      if not (String.starts_with ~prefix:"gen" name) then
+        Alcotest.(check bool) (name ^ ": some fact is non-empty") true
+          (lowered > 0 && optimized > 0))
+    ((scale :: workloads) @ gen);
+  Alcotest.(check bool) "some load was fused" true (!fused > 0)
+
 (* --- dead-code elimination ------------------------------------------------ *)
 
 let test_dce_removes_dead_chain () =
@@ -1553,6 +1672,9 @@ let () =
             test_kill_index_memory_defs;
           Alcotest.test_case "index = per-expression kills" `Slow
             test_kill_index_programs ] );
+      ( "availability",
+        [ Alcotest.test_case "builder = per-pair replay" `Slow
+            test_availability_programs ] );
       ( "dce",
         [ Alcotest.test_case "dead chain" `Quick test_dce_removes_dead_chain;
           Alcotest.test_case "effects kept" `Quick test_dce_keeps_effects;

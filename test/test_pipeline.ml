@@ -446,7 +446,7 @@ let test_guarded_matches_run () =
         Opt.Pass_manager.run (Opt.Pass.create ()) plain rerun_schedule
       in
       let r_guarded =
-        Opt.Pass_manager.run_guarded ~verify:true (Opt.Pass.create ()) guarded
+        Opt.Pass_manager.run_guarded (Opt.Pass.create ()) guarded
           rerun_schedule
       in
       let l = Printf.sprintf "seed %d" seed in

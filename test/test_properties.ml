@@ -247,7 +247,7 @@ let guarded_failures ~claims ?fault program passes =
   ctx.Opt.Pass.claims <- Some claims;
   ctx.Opt.Pass.fault <- fault;
   Opt.Pass_manager.failures
-    (Opt.Pass_manager.run_guarded ~verify:true ctx program
+    (Opt.Pass_manager.run_guarded ctx program
        (Opt.Pass_manager.schedule passes))
 
 (* A sound oracle must survive its own audit: run the guarded pipeline
@@ -353,7 +353,7 @@ let test_guarded_rolls_back_invalid_ir () =
   in
   let ctx = Opt.Pass.create () in
   let reports =
-    Opt.Pass_manager.run_guarded ~verify:true ctx program
+    Opt.Pass_manager.run_guarded ctx program
       [ Opt.Pass_manager.Run corrupt ]
   in
   (match Opt.Pass_manager.failures reports with
