@@ -53,28 +53,28 @@ audit:
 bench:
 	dune exec bench/main.exe
 
-# Ratio-based regression gates: the alias-query legs must stay >= 5x and
-# within 20% of the recorded BENCH_alias.json snapshot; the simulator
-# fast-path legs must stay >= 3x and within 20% of BENCH_sim.json; the
-# optimizer-pipeline warm-edit leg must stay >= 5x of cold (regenerate
-# any snapshot with the same bench's --write flag, e.g.
-#   dune exec bench/bench_alias.exe -- --write
-#   dune exec bench/bench_pipeline.exe -- --write).
+# Absolute regression gates (bench/smoke.ml on the bench/gate.ml harness):
+# every leg times a production path — the alias-query cores, the compiled
+# simulator, the engine and optimizer cold and after a one-procedure edit,
+# the daemon fresh per batch and warm — in ms scaled by bench/e2e's kernel,
+# and fails when its median exceeds the one recorded in BENCH_smoke.json by
+# more than its bound (twice the recorded spread, at least 10%, under 25%).
+# Parse, typecheck and Engine.create must grow at most as n^1.2 from
+# Gen.Scale 400 to 3200; on four or more cores the parallel legs keep
+# their speedup floors. One run reports every failing gate. Regenerate the
+# snapshot with
+#   dune exec bench/smoke.exe -- --write
 # Last, every end-to-end workload runs for about two seconds, traced and
 # untraced, and must finish with no failed operation (bench/e2e/README.md).
 bench-smoke:
-	dune exec bench/bench_alias.exe -- --check
-	dune exec bench/bench_sim.exe -- --check
-	dune exec bench/bench_incr.exe -- --check
-	dune exec bench/bench_server.exe -- --check
-	dune exec bench/bench_pipeline.exe -- --check
+	dune exec bench/smoke.exe -- --check
 	dune build @bench/e2e/smoke
 
 # The daemon robustness gate: storm tbaad's dispatch stack with the
 # seeded chaos harness (malformed JSON, ill-typed documents, oversized
 # batches, deadline-busting queries, fault-injected engines) across
-# several seeds, then fire the load generator's shed/backoff burst via
-# the server bench. Fails on any crash, any non-structured error, any
+# several seeds (the load generator's shed/backoff burst runs in
+# bench-smoke). Fails on any crash, any non-structured error, any
 # unsound degraded answer, or any document that does not recover.
 serve-smoke:
 	dune build bin

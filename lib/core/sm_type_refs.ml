@@ -121,15 +121,4 @@ let trt t tid =
 
 let type_refs t tid = Bitset.elements (trt t tid)
 
-(* Reference implementation: one intersection per query. Kept as the
-   differential baseline for the precomputed matrix (tests, and the "before"
-   leg of the alias microbenchmark). *)
-let compat t t1 t2 =
-  if t1 = Types.tid_null || t2 = Types.tid_null then false
-  else begin
-    let a = Bitset.copy (trt t t1) in
-    Bitset.inter_into ~dst:a (trt t t2);
-    not (Bitset.is_empty a)
-  end
-
 let compat_matrix t = Compat.of_rows t.rows

@@ -35,11 +35,7 @@ val type_refs : t -> Types.tid -> Types.tid list
 (** The TypeRefsTable: all types an access path declared with the given
     type may reference. *)
 
-val compat : t -> Types.tid -> Types.tid -> bool
-(** [TypeRefsTable(t1) ∩ TypeRefsTable(t2) ≠ ∅], evaluated by one
-    intersection per query: the reference implementation for
-    {!compat_matrix} (and the microbenchmark's "before" leg). *)
-
 val compat_matrix : t -> Compat.t
-(** The same relation precomputed for all tid pairs at build time; each
-    query is one bitset probe. This is the core the SM oracles run on. *)
+(** [TypeRefsTable(t1) ∩ TypeRefsTable(t2) ≠ ∅] for every tid pair,
+    precomputed at build time; each query is one bitset probe. This is
+    the core the SM oracles run on. *)

@@ -1,7 +1,7 @@
 (** The [scaleN] corpus: a deterministic well-typed MiniM3 module with [n]
     worker procedures, a 32-procedure library layer they call into, and a
     200-deep object hierarchy — the incremental engine's benchmark and
-    stress subject ([tbaac gen-scale N], [bench_incr]).
+    stress subject ([tbaac gen-scale N], [bench/smoke.ml]).
 
     Unlike {!Generator} there is no seed: [source n] is a pure function of
     [n], byte-identical across runs, so snapshot files keyed to it stay

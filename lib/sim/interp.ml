@@ -793,7 +793,7 @@ let run_reference ?(fuel = 50_000_000) ?on_load ?on_access
      left behind can otherwise still be unreclaimed while this heap grows,
      and the process's peak memory is the sum of both. This is the
      semantic baseline, not a production path (tests, benchmark set-up and
-     bench_sim's old leg call it). *)
+     bench-smoke's engine-agreement check call it). *)
   Gc.full_major ();
   let st =
     { program; layout = Layout.create program.Cfg.tenv;

@@ -110,6 +110,6 @@ val run_reference :
   Cfg.program ->
   outcome
 (** The original tree-walking interpreter, kept as the semantic baseline
-    for differential testing (test_sim_equiv.ml) and as the "old" leg of
-    the simulator microbenchmark. Same observable behaviour as {!run},
+    for differential testing (test_sim_equiv.ml, and the bench-smoke
+    check that both engines agree). Same observable behaviour as {!run},
     only slower. *)

@@ -14,8 +14,10 @@
    bit-vector algorithm. The TypeRefsTable is built from per-root group
    bitsets, bottom-up Subtypes and a transpose; the baseline
    ({!type_refs}) filters each group against interval-tested Subtypes and
-   runs the n²/2 pairwise intersection tests. Dead-code elimination
-   ({!Dce}) measures what the optimizer leaves dead. *)
+   runs the n²/2 pairwise intersection tests. The SM oracles' compat
+   matrix is precomputed; the baseline ({!typerefs_compat}) intersects
+   two TypeRefsTables per query. Dead-code elimination ({!Dce}) measures
+   what the optimizer leaves dead. *)
 
 open Support
 open Minim3
@@ -237,6 +239,14 @@ let type_refs ?(variant = Tbaa.Sm_type_refs.Grouped) ~(facts : Tbaa.Facts.t)
     done
   done;
   (trt, rows)
+
+(* [TypeRefsTable(t1) ∩ TypeRefsTable(t2) ≠ ∅] by one intersection per
+   query. NIL is compatible with nothing. *)
+let typerefs_compat sm t1 t2 =
+  t1 <> Types.tid_null && t2 <> Types.tid_null
+  &&
+  let refs2 = Tbaa.Sm_type_refs.type_refs sm t2 in
+  List.exists (fun u -> List.mem u refs2) (Tbaa.Sm_type_refs.type_refs sm t1)
 
 (* The kill set of one instruction over [exprs]: bit [i] iff the instruction
    may change expression [i], with the instruction-side data resolved

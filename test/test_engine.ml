@@ -116,7 +116,7 @@ let test_type_refs_matrix_matches_reference () =
           let matrix = Tbaa.Sm_type_refs.compat_matrix sm in
           all_tid_pairs tenv (fun t1 t2 ->
               let a = Tbaa.Compat.fn matrix t1 t2
-              and b = Tbaa.Sm_type_refs.compat sm t1 t2 in
+              and b = Reference.typerefs_compat sm t1 t2 in
               if not (Bool.equal a b) then
                 Alcotest.failf
                   "seed %d: matrix %b <> per-query %b on (%d, %d)" seed a b t1
