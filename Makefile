@@ -61,7 +61,11 @@ bench:
 # more than its bound (twice the recorded spread, at least 10%, under 25%).
 # Parse, typecheck and Engine.create must grow at most as n^1.2 from
 # Gen.Scale 400 to 3200; on four or more cores the parallel legs keep
-# their speedup floors. One run reports every failing gate. Regenerate the
+# their speedup floors. The untimed checks (engine agreement, incremental
+# = from scratch, the daemon's burst shed/retry) run after the samples.
+# One run reports every failing gate and check. The recorded medians hold
+# for the box and binary that wrote them, so CI runs the executable
+# without an argument: every leg and check, no timed gate. Regenerate the
 # snapshot with
 #   dune exec bench/smoke.exe -- --write
 # Last, every end-to-end workload runs for about two seconds, traced and

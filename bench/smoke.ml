@@ -24,10 +24,11 @@
    On four or more cores, the parallel engine build, parallel optimizer
    and multi-client daemon are gated on their speedup.
 
-   Untimed checks run once: both simulator engines agree, the updated
-   engine agrees with a fresh one, the incremental optimization is
-   byte-identical to a from-scratch one, and the daemon sheds a burst
-   with structured responses that backoff retries all land. *)
+   Untimed checks run once, after the samples (Gate.check): both
+   simulator engines agree, the updated engine agrees with a fresh one,
+   the incremental optimization is byte-identical to a from-scratch
+   one, and the daemon sheds a burst with structured responses that
+   backoff retries all land. *)
 
 open Support
 
@@ -116,10 +117,11 @@ let traced ~reference program =
 let sim () =
   List.iter
     (fun (name, program, run) ->
-      if run ~reference:true program <> run ~reference:false program then
-        failwith (name ^ ": the compiled engine disagrees with the reference");
       Gate.time ("sim/" ^ name) ~sample_ms:100.0 (fun () () ->
-          sink := !sink lxor run ~reference:false program))
+          sink := !sink lxor run ~reference:false program);
+      Gate.check ("sim/" ^ name ^ " = reference") (fun () ->
+          if run ~reference:true program <> run ~reference:false program then
+            failwith "the compiled engine disagrees with the reference"))
     [ ("table4:simulate-slisp", workload "slisp", untraced);
       ("fig9:traced-run-write_pickle", workload "write_pickle", traced) ]
 
@@ -177,7 +179,7 @@ let incremental () =
       fun () -> force (Tbaa.Engine.update engine program));
   (* The updated engine agrees with a from-scratch analysis of the edited
      program. *)
-  Gate.after (fun () ->
+  Gate.check "incr/update = fresh engine" (fun () ->
       let fresh = Tbaa.Engine.create ~domains:1 program in
       force fresh;
       let facts_u = Tbaa.Engine.facts engine
@@ -231,7 +233,7 @@ let pipeline () =
       let p = scale procs in
       edit ~delta:!delta p;
       fun () -> ignore (Opt.Pass_manager.rerun s p schedule));
-  Gate.after (fun () ->
+  Gate.check "pipeline/incremental = from scratch" (fun () ->
       let reused, reran = Opt.Pass_manager.session_counts s in
       if reused = 0 || reran = 0 then
         failwith "pipeline: the warm rerun reused nothing or re-ran nothing";
@@ -481,8 +483,8 @@ let server () =
   let rng = Prng.create 0x3a3aL in
   Gate.time "server/warm-batch" ~sample_ms:20.0 (fun () () ->
       run_batch d (alias_req rng n));
-  Gate.after (fun () -> stop d);
-  burst_check ();
+  Gate.check "server/stop-warm-daemon" (fun () -> stop d);
+  Gate.check "server/burst-shed-retry" burst_check;
   Gate.speedup "server/multi-client" ~at_least:2.0 ~sample_ms:100.0
     multi_client
 

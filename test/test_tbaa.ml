@@ -260,9 +260,10 @@ let test_figure3_typerefs_table () =
   Alcotest.(check (list int)) "TypeRefs(S2) = {S2}" [ s2 ] (refs s2);
   Alcotest.(check (list int)) "TypeRefs(S3) = {S3}" [ s3 ] (refs s3);
   (* asymmetry: T may refer to S1 objects, S1 never to T's *)
-  Alcotest.(check bool) "compat T S1" true (Reference.typerefs_compat sm t s1);
-  Alcotest.(check bool) "compat S1 S3" false (Reference.typerefs_compat sm s1 s3);
-  Alcotest.(check bool) "compat T S3" false (Reference.typerefs_compat sm t s3)
+  let compat = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat_matrix sm) in
+  Alcotest.(check bool) "compat T S1" true (compat t s1);
+  Alcotest.(check bool) "compat S1 S3" false (compat s1 s3);
+  Alcotest.(check bool) "compat T S3" false (compat t s3)
 
 let test_smtyperefs_no_assignment_no_merge () =
   (* §2.4's motivating example: t and s never assigned between, so
@@ -301,12 +302,13 @@ let test_smtyperefs_variants_agree_here () =
       ~world:Tbaa.World.Closed ()
   in
   let tenv = facts.Tbaa.Facts.tenv in
+  let compat sm = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat_matrix sm) in
+  let compat_g = compat g and compat_p = compat p in
   for t1 = 0 to Types.count tenv - 1 do
     for t2 = 0 to Types.count tenv - 1 do
       (* the per-type variant is at least as precise *)
-      if Reference.typerefs_compat p t1 t2 then
-        Alcotest.(check bool) "per-type ⊑ grouped" true
-          (Reference.typerefs_compat g t1 t2)
+      if compat_p t1 t2 then
+        Alcotest.(check bool) "per-type ⊑ grouped" true (compat_g t1 t2)
     done
   done
 
