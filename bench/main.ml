@@ -68,8 +68,9 @@ let tests =
              [ Opt.Pass_manager.Run Opt.Rle.pass ]));
     Test.make ~name:"fig8:prepare-format"
       (Staged.stage (fun () ->
-           Harness.Runner.prepare (workload "format")
-             (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)));
+           Harness.Runner.optimize
+             (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)
+             (lowered "format")));
     (* Figures 9-10: the traced (limit-study) run. *)
     Test.make ~name:"fig9:traced-run-write_pickle"
       (Staged.stage (fun () ->
@@ -113,59 +114,6 @@ let tests =
     [ 25; 50; 100; 200 ]
 
 (* ------------------------------------------------------------------ *)
-(* Pass-manager instrumentation sweep                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* One JSON-lines record per (workload, config, pass) when --stats is
-   given; always a summary table of oracle queries per run, and a
-   BENCH_passmgr.json snapshot for cross-run comparison. *)
-
-let stats_mode = Array.exists (String.equal "--stats") Sys.argv
-
-let sweep_configs =
-  [ Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs;
-    { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
-      Harness.Runner.minv = true };
-    { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
-      Harness.Runner.copyprop = true } ]
-
-let pass_manager_sweep () =
-  print_endline "\n=== Pass-manager instrumentation (oracle queries) ===\n";
-  Printf.printf "%-14s %-16s %8s %9s\n" "workload" "config" "queries"
-    "time ms";
-  print_endline (String.make 50 '-');
-  let records = ref [] in
-  List.iter
-    (fun (w : Workloads.Workload.t) ->
-      List.iter
-        (fun config ->
-          let cname = Harness.Runner.config_name config in
-          let reports = Harness.Runner.reports w config in
-          let extra =
-            [ ("workload", Support.Json.String w.Workloads.Workload.name);
-              ("config", Support.Json.String cname) ]
-          in
-          List.iter
-            (fun r ->
-              let j = Opt.Pass.report_to_json ~extra r in
-              records := j :: !records;
-              if stats_mode then print_endline (Support.Json.to_string j))
-            reports;
-          let c = Opt.Pass_manager.oracle_counters reports in
-          Printf.printf "%-14s %-16s %8d %9.2f\n"
-            w.Workloads.Workload.name cname (Tbaa.Oracle_cache.queries c)
-            (Opt.Pass_manager.total_time_ms reports))
-        sweep_configs)
-    Workloads.Suite.dynamic;
-  let oc = open_out "BENCH_passmgr.json" in
-  output_string oc
-    (Support.Json.to_string
-       (Support.Json.Obj [ ("records", Support.Json.List (List.rev !records)) ]));
-  output_string oc "\n";
-  close_out oc;
-  print_endline "\n(per-pass records written to BENCH_passmgr.json)"
-
-(* ------------------------------------------------------------------ *)
 
 let run_bechamel () =
   let ols =
@@ -198,8 +146,6 @@ let run_bechamel () =
 let () =
   (* Part 1: regenerate every table and figure. *)
   Harness.Experiments.run_all Format.std_formatter;
-  (* Part 2: per-pass instrumentation and oracle queries. *)
-  pass_manager_sweep ();
-  (* Part 3: time the machinery. *)
+  (* Part 2: time the machinery. *)
   print_endline "\n=== Bechamel micro-benchmarks (one per table/figure) ===\n";
   run_bechamel ()

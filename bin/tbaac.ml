@@ -1,11 +1,15 @@
 (* tbaac — the MiniM3 whole-program optimizer driver.
 
-   Subcommands mirror the pipeline: check (front end), ir (lowering),
-   aliases (the three TBAA analyses and the static metrics), optimize
-   (RLE / devirt+inline with a chosen oracle), run (simulated execution
-   with the machine counters), and experiment (regenerate the paper's
-   tables and figures). Programs come from a file or, with --workload,
-   from the built-in benchmark suite. *)
+   Subcommands mirror the pipeline: check (front end), format (reprint),
+   ir (lowering), aliases (the three TBAA analyses and the static
+   metrics), optimize (RLE / devirt+inline and the other clients with a
+   chosen oracle), run (simulated execution with the machine counters),
+   audit (optimize and run under the soundness auditor), fuzz (generated
+   programs against the differential oracles), gen-scale (the scaleN
+   corpus) and experiment (regenerate the paper's tables and figures).
+   Configurations become optimized programs and audited runs through
+   Harness.Runner. Programs come from a file or, with --workload, from
+   the built-in benchmark suite. *)
 
 open Cmdliner
 
@@ -178,27 +182,17 @@ let optimize_cmd =
       stats verify =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
-        let ctx = Opt.Pass.create ~world ~oracle_kind:analysis ~jobs () in
-        let schedule =
-          Opt.Pass_manager.schedule
-            { Opt.Pass_manager.Config.devirt_inline = minv; licm; pre; slf;
-              rle = true; copyprop; dse; local_cse = false }
+        let config =
+          { Harness.Runner.passes =
+              { Opt.Pass_manager.Config.devirt_inline = minv; licm; pre; slf;
+                rle = true; copyprop; dse; local_cse = false };
+            oracle = analysis; world }
         in
         let reports =
-          if verify then
-            Opt.Pass_manager.run_guarded ctx program schedule
-          else Opt.Pass_manager.run ctx program schedule
+          Harness.Runner.optimize ~jobs ~guarded:verify config program
         in
         if stats then begin
-          let config_desc =
-            String.concat "+"
-              (("rle:" ^ Opt.Pass.oracle_name analysis)
-               :: List.filter_map
-                    (fun (on, tag) -> if on then Some tag else None)
-                    [ (minv, "minv"); (licm, "licm"); (pre, "pre");
-                      (slf, "slf"); (copyprop, "cp"); (dse, "dse");
-                      (world = Tbaa.World.Open, "open") ])
-          in
+          let config_desc = Harness.Runner.config_name config in
           List.iter
             (fun r ->
               let record =
@@ -331,24 +325,24 @@ let run_cmd =
   let run file workload optimize analysis audit fuel quiet =
     with_source file workload (fun name src ->
         let program = Ir.Lower.lower_string ~file:name src in
-        let optimize = optimize || audit in
-        let ctx = Opt.Pass.create ~oracle_kind:analysis () in
-        let claims =
+        let config =
+          if optimize || audit then Harness.Runner.rle_with analysis
+          else Harness.Runner.base
+        in
+        let audited =
           if audit then
-            Some (Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name analysis))
+            Some
+              (Harness.Runner.audit ?fuel
+                 ~label:(Opt.Pass.oracle_name analysis) config program)
           else None
         in
-        ctx.Opt.Pass.claims <- claims;
-        ignore
-          (Opt.Pass_manager.run ctx program
-             (Opt.Pass_manager.schedule
-                { Opt.Pass_manager.Config.none with
-                  Opt.Pass_manager.Config.rle = optimize; local_cse = true }));
-        let auditor = Option.map (fun c -> (Sim.Audit.create c, c)) claims in
-        let on_access =
-          Option.map (fun (a, _) ac -> Sim.Audit.on_access a ac) auditor
+        let o =
+          match audited with
+          | Some r -> r.Harness.Runner.ar_outcome
+          | None ->
+            ignore (Harness.Runner.optimize config program);
+            Sim.Interp.run ?fuel program
         in
-        let o = Sim.Interp.run ?fuel ?on_access program in
         if not quiet then print_string o.Sim.Interp.output;
         let c = o.Sim.Interp.counters in
         Printf.eprintf
@@ -359,10 +353,13 @@ let run_cmd =
           c.Sim.Interp.stores c.Sim.Interp.calls c.Sim.Interp.allocations
           o.Sim.Interp.cycles o.Sim.Interp.cache_hits o.Sim.Interp.cache_misses
           o.Sim.Interp.soft_faults;
-        match auditor with
+        match audited with
         | None -> ()
-        | Some (a, claims) ->
-          let violations = Sim.Audit.check a in
+        | Some r ->
+          let claims = r.Harness.Runner.ar_claims
+          and a = r.Harness.Runner.ar_auditor
+          and violations = r.Harness.Runner.ar_violations
+          and failures = r.Harness.Runner.ar_failures in
           Printf.eprintf
             "audit: %d claim pairs (%d disjoint), %d accesses over %d paths, \
              %d violation%s\n"
@@ -372,11 +369,15 @@ let run_cmd =
             (List.length violations)
             (if List.length violations = 1 then "" else "s");
           List.iter
+            (fun (pass, why) ->
+              Printf.eprintf "audit: pass %s failed: %s\n" pass why)
+            failures;
+          List.iter
             (fun v ->
               Printf.eprintf "audit violation: %s\n"
                 (Sim.Audit.violation_to_string v))
             violations;
-          if violations <> [] then exit 1)
+          if violations <> [] || failures <> [] then exit 1)
   in
   let optimize_arg =
     Arg.(value & flag & info [ "optimize"; "O" ] ~doc:"Apply TBAA + RLE first.")
@@ -416,38 +417,33 @@ let audit_cmd =
         Some (Opt.Pass.fault ~seed:fault_seed ~rate:fault_rate ())
       else None
     in
+    let label =
+      Opt.Pass.oracle_name analysis
+      ^
+      match fault with
+      | Some f ->
+        Printf.sprintf "+fault(seed=%d,rate=%g)" f.Opt.Pass.f_seed
+          f.Opt.Pass.f_rate
+      | None -> ""
+    in
+    let config =
+      { Harness.Runner.passes =
+          { Opt.Pass_manager.Config.none with
+            Opt.Pass_manager.Config.devirt_inline = minv; licm; slf;
+            rle = true; dse };
+        oracle = analysis; world }
+    in
     let failed = ref false in
     List.iter
       (fun (name, src) ->
-        let oracle_label =
-          Opt.Pass.oracle_name analysis
-          ^
-          match fault with
-          | Some f ->
-            Printf.sprintf "+fault(seed=%d,rate=%g)" f.Opt.Pass.f_seed
-              f.Opt.Pass.f_rate
-          | None -> ""
-        in
-        let claims = Tbaa.Claims.create ~oracle:oracle_label in
         try
           let program = Ir.Lower.lower_string ~file:name src in
-          let ctx = Opt.Pass.create ~world ~oracle_kind:analysis () in
-          ctx.Opt.Pass.claims <- Some claims;
-          ctx.Opt.Pass.fault <- fault;
-          let failures =
-            Opt.Pass_manager.failures
-              (Opt.Pass_manager.run_guarded ctx program
-                 (Opt.Pass_manager.schedule
-                    { Opt.Pass_manager.Config.devirt_inline = minv; licm;
-                      pre = false; slf; rle = true; copyprop = false; dse;
-                      local_cse = false }))
-          in
-          let auditor = Sim.Audit.create claims in
-          let o =
-            Sim.Interp.run ?fuel ~on_access:(Sim.Audit.on_access auditor)
-              program
-          in
-          let violations = Sim.Audit.check auditor in
+          let r = Harness.Runner.audit ?fault ?fuel ~label config program in
+          let o = r.Harness.Runner.ar_outcome
+          and auditor = r.Harness.Runner.ar_auditor
+          and claims = r.Harness.Runner.ar_claims
+          and failures = r.Harness.Runner.ar_failures
+          and violations = r.Harness.Runner.ar_violations in
           if violations <> [] || failures <> [] then failed := true;
           if json then
             print_endline

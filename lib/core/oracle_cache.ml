@@ -17,32 +17,27 @@ let fresh_counters () =
 let queries c =
   c.compat_queries + c.alias_queries + c.class_queries + c.store_queries
 
-type snapshot = {
-  s_compat_queries : int;
-  s_compat_misses : int;
-  s_alias_queries : int;
-  s_alias_misses : int;
-  s_class_queries : int;
-  s_class_misses : int;
-  s_store_queries : int;
-  s_store_misses : int;
-}
-
-let snapshot c =
-  { s_compat_queries = c.compat_queries; s_compat_misses = c.compat_misses;
-    s_alias_queries = c.alias_queries; s_alias_misses = c.alias_misses;
-    s_class_queries = c.class_queries; s_class_misses = c.class_misses;
-    s_store_queries = c.store_queries; s_store_misses = c.store_misses }
+let snapshot c = { c with compat_queries = c.compat_queries }
 
 let diff ~before ~after =
-  { compat_queries = after.s_compat_queries - before.s_compat_queries;
-    compat_misses = after.s_compat_misses - before.s_compat_misses;
-    alias_queries = after.s_alias_queries - before.s_alias_queries;
-    alias_misses = after.s_alias_misses - before.s_alias_misses;
-    class_queries = after.s_class_queries - before.s_class_queries;
-    class_misses = after.s_class_misses - before.s_class_misses;
-    store_queries = after.s_store_queries - before.s_store_queries;
-    store_misses = after.s_store_misses - before.s_store_misses }
+  { compat_queries = after.compat_queries - before.compat_queries;
+    compat_misses = after.compat_misses - before.compat_misses;
+    alias_queries = after.alias_queries - before.alias_queries;
+    alias_misses = after.alias_misses - before.alias_misses;
+    class_queries = after.class_queries - before.class_queries;
+    class_misses = after.class_misses - before.class_misses;
+    store_queries = after.store_queries - before.store_queries;
+    store_misses = after.store_misses - before.store_misses }
+
+let add ~into c =
+  into.compat_queries <- into.compat_queries + c.compat_queries;
+  into.compat_misses <- into.compat_misses + c.compat_misses;
+  into.alias_queries <- into.alias_queries + c.alias_queries;
+  into.alias_misses <- into.alias_misses + c.alias_misses;
+  into.class_queries <- into.class_queries + c.class_queries;
+  into.class_misses <- into.class_misses + c.class_misses;
+  into.store_queries <- into.store_queries + c.store_queries;
+  into.store_misses <- into.store_misses + c.store_misses
 
 (* Every query reaches the analysis, so each leg's miss count moves with
    its query count. *)

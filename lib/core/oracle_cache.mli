@@ -29,13 +29,14 @@ val fresh_counters : unit -> counters
 val queries : counters -> int
 (** The sum of the four [*_queries] fields. *)
 
-type snapshot
-(** An immutable copy of a counters record, for before/after diffing. *)
+val snapshot : counters -> counters
+(** A copy of a counters record, for before/after diffing. *)
 
-val snapshot : counters -> snapshot
-
-val diff : before:snapshot -> after:snapshot -> counters
+val diff : before:counters -> after:counters -> counters
 (** The queries that happened between two snapshots. *)
+
+val add : into:counters -> counters -> unit
+(** Add every field of the second record into [into]. *)
 
 val wrap :
   ?counters:counters ->

@@ -185,9 +185,7 @@ let traced_run ?(future_work = false) w ~optimize =
       (Opt.Pass.engine_kind ctx.Opt.Pass.oracle_kind)
   in
   let schedule =
-    let base =
-      { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.local_cse = true }
-    in
+    let base = Runner.base.Runner.passes in
     Opt.Pass_manager.schedule
       (if optimize then
          { base with
@@ -270,9 +268,14 @@ module Figure11 = struct
   let compute () =
     List.map
       (fun (w : Workload.t) ->
+        let with_minv (c : Runner.config) =
+          { c with
+            Runner.passes =
+              { c.Runner.passes with Opt.Pass_manager.Config.devirt_inline = true } }
+        in
         let rle = Runner.rle_with Opt.Pass.Osm_field_type_refs in
-        let minv = { Runner.base with Runner.minv = true } in
-        let both = { rle with Runner.minv = true } in
+        let minv = with_minv Runner.base in
+        let both = with_minv rle in
         { name = w.Workload.name;
           rle = Runner.percent_of_base w rle;
           minv = Runner.percent_of_base w minv;

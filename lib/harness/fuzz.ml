@@ -51,10 +51,11 @@ let variants =
 
 let all_configs () =
   List.concat_map
-    (fun kind ->
+    (fun oracle ->
       List.map
         (fun (vname, passes) ->
-          (Opt.Pass.oracle_name kind ^ ":" ^ vname, (kind, passes)))
+          ( Opt.Pass.oracle_name oracle ^ ":" ^ vname,
+            { Runner.passes; oracle; world = Tbaa.World.Closed } ))
         variants)
     kinds
 
@@ -74,44 +75,42 @@ let first_diff a b =
   go 0
 
 let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
-    (cname, (oracle_kind, passes)) =
+    (cname, config) =
   let program = Ir.Lower.lower_program tast in
-  let claims = Tbaa.Claims.create ~oracle:cname in
-  let ctx = Opt.Pass.create ~oracle_kind () in
-  ctx.Opt.Pass.claims <- Some claims;
-  (match fault with
-  | None -> ()
-  | Some (fseed, rate) ->
-    (* load/store flips only: class-kills flips mostly produce extra
-       (sound) conservatism in RLE's kill sets and are near-unobservable;
-       alias flips are the ones a differential oracle can attribute *)
-    ctx.Opt.Pass.fault <-
-      Some (Opt.Pass.fault ~flip_class_kills:false ~seed:fseed ~rate ()));
-  let lattice = ref [] in
-  ctx.Opt.Pass.oracle_log <-
-    Some
-      (fun p q _ans ->
-        (* Evaluate all three analyses *fresh from the live facts* — the
-           logged answer may be fault-flipped, and the program state the
-           query was made against is the current one, not the final one. *)
-        match ctx.Opt.Pass.engine with
-        | Some e when not ctx.Opt.Pass.stale ->
-          let may k = (Tbaa.Engine.oracle e k).Tbaa.Oracle.may_alias p q in
-          let td = may Tbaa.Engine.Type_decl in
-          let ftd = may Tbaa.Engine.Field_type_decl in
-          let sm = may Tbaa.Engine.Sm_field_type_refs in
-          if (ftd && not td) || (sm && not ftd) || (sm && not td) then
-            lattice := (p, q, td, ftd, sm) :: !lattice
-        | _ -> ());
-  let reports =
-    Opt.Pass_manager.run_guarded ctx program
-      (Opt.Pass_manager.schedule passes)
+  (* load/store flips only: class-kills flips mostly produce extra (sound)
+     conservatism in RLE's kill sets and are near-unobservable; alias
+     flips are the ones a differential oracle can attribute *)
+  let fault =
+    Option.map
+      (fun (fseed, rate) ->
+        Opt.Pass.fault ~flip_class_kills:false ~seed:fseed ~rate ())
+      fault
   in
+  let lattice = ref [] in
+  let observe (ctx : Opt.Pass.context) =
+    ctx.Opt.Pass.oracle_log <-
+      Some
+        (fun p q _ans ->
+          (* Evaluate all three analyses *fresh from the live facts* — the
+             logged answer may be fault-flipped, and the program state the
+             query was made against is the current one, not the final
+             one. *)
+          match ctx.Opt.Pass.engine with
+          | Some e when not ctx.Opt.Pass.stale ->
+            let may k = (Tbaa.Engine.oracle e k).Tbaa.Oracle.may_alias p q in
+            let td = may Tbaa.Engine.Type_decl in
+            let ftd = may Tbaa.Engine.Field_type_decl in
+            let sm = may Tbaa.Engine.Sm_field_type_refs in
+            if (ftd && not td) || (sm && not ftd) || (sm && not td) then
+              lattice := (p, q, td, ftd, sm) :: !lattice
+          | _ -> ())
+  in
+  let r = Runner.audit ?fault ~fuel ~observe ~label:cname config program in
   List.iter
     (fun (pass, reason) ->
       fail Ir_validity cname
         (Printf.sprintf "pass %s rolled back: %s" pass reason))
-    (Opt.Pass_manager.failures reports);
+    r.Runner.ar_failures;
   (match Ir.Verify.program program with
   | [] -> ()
   | err :: _ ->
@@ -124,10 +123,7 @@ let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
          "non-monotone answers for (%s, %s): TypeDecl=%b FieldTypeDecl=%b \
           SMFieldTypeRefs=%b"
          (Ir.Apath.to_string p) (Ir.Apath.to_string q) td ftd sm));
-  let auditor = Sim.Audit.create claims in
-  let out =
-    Sim.Interp.run ~fuel ~on_access:(Sim.Audit.on_access auditor) program
-  in
+  let out = r.Runner.ar_outcome in
   if out.Sim.Interp.halted <> ref_out.Sim.Interp.halted then
     fail Diff_semantics cname
       (Printf.sprintf "termination differs: reference halted=%b, %s halted=%b"
@@ -143,7 +139,7 @@ let check_config ~fuel ~fault ~(ref_out : Sim.Interp.outcome) ~fail tast
          (String.escaped (ctxt ref_out.Sim.Interp.output))
          (String.escaped (ctxt out.Sim.Interp.output)))
   end;
-  match Sim.Audit.check auditor with
+  match r.Runner.ar_violations with
   | [] -> ()
   | v :: _ ->
     fail Diff_semantics cname

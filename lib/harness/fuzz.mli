@@ -34,11 +34,10 @@ type failure = {
   f_detail : string;
 }
 
-val all_configs :
-  unit -> (string * (Opt.Pass.oracle_kind * Opt.Pass_manager.Config.t)) list
-(** The 24 optimized configurations of the matrix (three analyses × eight
+val all_configs : unit -> (string * Runner.config) list
+(** The 27 optimized configurations of the matrix (three analyses × nine
     pass variants), in check order, each paired with its name. Each runs
-    closed-world and sequentially. Exposed so
+    closed-world and sequentially, through {!Runner.audit}. Exposed so
     other suites (the parallel-pipeline byte-identity test) can sweep
     exactly the configurations the fuzzer exercises. *)
 

@@ -1,91 +1,60 @@
 open Workloads
 
 type config = {
-  rle : Opt.Pass.oracle_kind option;
-  minv : bool;
+  passes : Opt.Pass_manager.Config.t;
+  oracle : Opt.Pass.oracle_kind;
   world : Tbaa.World.t;
-  pre : bool;
-  copyprop : bool;
-  licm : bool;
-  slf : bool;
-  dse : bool;
-  oracle : Opt.Pass.oracle_kind option;
 }
 
 let base =
-  { rle = None; minv = false; world = Tbaa.World.Closed; pre = false;
-    copyprop = false; licm = false; slf = false; dse = false; oracle = None }
+  { passes =
+      { Opt.Pass_manager.Config.none with
+        Opt.Pass_manager.Config.local_cse = true };
+    oracle = Opt.Pass.Osm_field_type_refs;
+    world = Tbaa.World.Closed }
 
-let rle_with kind = { base with rle = Some kind }
-
-let oracle_kind c =
-  match (c.rle, c.oracle) with
-  | Some k, _ -> k
-  | None, Some k -> k
-  | None, None -> Opt.Pass.Osm_field_type_refs
+let rle_with oracle =
+  { passes = { base.passes with Opt.Pass_manager.Config.rle = true };
+    oracle;
+    world = base.world }
 
 let config_name c =
-  let rle =
-    match c.rle with
-    | None -> (
-      match c.oracle with
-      | None -> "base"
-      | Some k -> Opt.Pass.oracle_name k)
-    | Some k -> "rle:" ^ Opt.Pass.oracle_name k
-  in
-  let minv = if c.minv then "+minv" else "" in
-  let world =
-    match c.world with Tbaa.World.Closed -> "" | Tbaa.World.Open -> "+open"
-  in
-  let ext =
-    (if c.licm then "+licm" else "")
-    ^ (if c.pre then "+pre" else "")
-    ^ (if c.slf then "+slf" else "")
-    ^ (if c.copyprop then "+cp" else "")
-    ^ if c.dse then "+dse" else ""
-  in
-  rle ^ minv ^ world ^ ext
+  let p = c.passes in
+  let open Opt.Pass_manager.Config in
+  let tag on s = if on then s else "" in
+  let analysis = Opt.Pass.oracle_name c.oracle in
+  (if p.rle then "rle:" ^ analysis
+   else if p.licm || p.pre || p.slf || p.dse then analysis
+   else "base")
+  ^ tag p.devirt_inline "+minv" ^ tag p.licm "+licm" ^ tag p.pre "+pre"
+  ^ tag p.slf "+slf" ^ tag p.copyprop "+cp" ^ tag p.dse "+dse"
+  ^ tag (c.world = Tbaa.World.Open) "+open"
 
-(* The configuration's pass context and schedule; every configuration
-   ends with the local-CSE baseline. *)
-let context config =
-  Opt.Pass.create ~world:config.world ~oracle_kind:(oracle_kind config) ()
+let context ?jobs c =
+  Opt.Pass.create ~world:c.world ~oracle_kind:c.oracle ?jobs ()
 
-let schedule config =
-  Opt.Pass_manager.schedule
-    { Opt.Pass_manager.Config.devirt_inline = config.minv;
-      licm = config.licm;
-      pre = config.pre;
-      slf = config.slf;
-      rle = config.rle <> None;
-      copyprop = config.copyprop;
-      dse = config.dse;
-      local_cse = true }
-
-let prepare w config =
-  let program = Workload.lower w in
-  let reports =
-    Opt.Pass_manager.run (context config) program (schedule config)
+let optimize ?jobs ?(guarded = false) c program =
+  let run =
+    if guarded then Opt.Pass_manager.run_guarded else Opt.Pass_manager.run
   in
-  (program, reports)
+  run (context ?jobs c) program (Opt.Pass_manager.schedule c.passes)
 
 type audit_result = {
   ar_outcome : Sim.Interp.outcome;
   ar_failures : (string * string) list;
+  ar_auditor : Sim.Audit.t;
   ar_violations : Sim.Audit.violation list;
   ar_claims : Tbaa.Claims.t;
 }
 
-let audit ?fault ?fuel w config =
-  let program = Workload.lower w in
-  let ctx = context config in
-  let claims =
-    Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name (oracle_kind config))
-  in
+let audit ?fault ?fuel ?(observe = ignore) ~label c program =
+  let ctx = context c in
+  let claims = Tbaa.Claims.create ~oracle:label in
   ctx.Opt.Pass.claims <- Some claims;
   ctx.Opt.Pass.fault <- fault;
+  observe ctx;
   let reports =
-    Opt.Pass_manager.run_guarded ctx program (schedule config)
+    Opt.Pass_manager.run_guarded ctx program (Opt.Pass_manager.schedule c.passes)
   in
   let auditor = Sim.Audit.create claims in
   let outcome =
@@ -93,25 +62,22 @@ let audit ?fault ?fuel w config =
   in
   { ar_outcome = outcome;
     ar_failures = Opt.Pass_manager.failures reports;
+    ar_auditor = auditor;
     ar_violations = Sim.Audit.check auditor;
     ar_claims = claims }
 
-let memo : (string * string, Sim.Interp.outcome * Opt.Pass.report list)
-    Hashtbl.t =
-  Hashtbl.create 64
+let memo : (string * config, Sim.Interp.outcome) Hashtbl.t = Hashtbl.create 64
 
-let run_with_reports w config =
-  let key = (w.Workload.name, config_name config) in
+let run w c =
+  let key = (w.Workload.name, c) in
   match Hashtbl.find_opt memo key with
-  | Some cached -> cached
+  | Some outcome -> outcome
   | None ->
-    let program, reports = prepare w config in
+    let program = Workload.lower w in
+    ignore (optimize c program);
     let outcome = Sim.Interp.run program in
-    Hashtbl.replace memo key (outcome, reports);
-    (outcome, reports)
-
-let run w config = fst (run_with_reports w config)
-let reports w config = snd (run_with_reports w config)
+    Hashtbl.replace memo key outcome;
+    outcome
 
 let percent_of_base w config =
   let b = run w base in

@@ -1,45 +1,48 @@
-(** Shared (memoized) execution of benchmark configurations.
+(** Optimizer configurations and the runs made under them: the one place
+    a configuration becomes an optimized program ({!optimize}; simulated
+    and memoized per workload as {!run}) or an audited run ({!audit}).
 
-    A configuration describes what the whole-program optimizer did before
-    the simulated run. Every configuration — including the base — finishes
-    with the block-local trivial-alias load CSE ({!Opt.Local_cse}), because
-    the paper normalizes against GCC, which already eliminates redundant
-    loads with no intervening memory writes.
-
-    Preparation goes through {!Opt.Pass_manager}, so every run also yields
-    the per-pass instrumented reports (stats, timing, oracle-cache and
-    dataflow activity); the memo keeps them alongside the simulated
-    outcome. *)
+    A configuration is a pass selection, the analysis the clients query
+    and the world assumption. The paper's configurations start from
+    {!base}, which runs only the block-local trivial-alias load CSE
+    ({!Opt.Local_cse}): the paper normalizes against GCC, which already
+    eliminates redundant loads with no intervening memory writes. *)
 
 type config = {
-  rle : Opt.Pass.oracle_kind option;  (* None = no RLE *)
-  minv : bool;  (* method resolution + inlining (§3.7) *)
+  passes : Opt.Pass_manager.Config.t;
+  oracle : Opt.Pass.oracle_kind;  (** the analysis every client queries *)
   world : Tbaa.World.t;
-  pre : bool;  (* + partial redundancy elimination (extension) *)
-  copyprop : bool;  (* + copy propagation, fixpointed with RLE (extension) *)
-  licm : bool;  (* + loop-invariant load motion (client extension) *)
-  slf : bool;  (* + store-to-load forwarding (client extension) *)
-  dse : bool;  (* + dead-store elimination (client extension) *)
-  oracle : Opt.Pass.oracle_kind option;
-      (* oracle for the non-RLE clients when [rle = None]
-         (default SMFieldTypeRefs); [rle]'s kind wins when set *)
 }
 
 val base : config
-val rle_with : Opt.Pass.oracle_kind -> config
-val config_name : config -> string
+(** Only the local-CSE baseline, SMFieldTypeRefs, closed world. *)
 
-val prepare :
-  Workloads.Workload.t -> config -> Ir.Cfg.program * Opt.Pass.report list
-(** Lower a fresh copy and run the configuration's pass schedule
-    (uncached); returns the optimized program and the pass reports. *)
+val rle_with : Opt.Pass.oracle_kind -> config
+(** [base] plus RLE under the given analysis. *)
+
+val config_name : config -> string
+(** E.g. ["rle:SMFieldTypeRefs+minv+cp+open"]: ["rle:"] and the analysis
+    when RLE runs, the bare analysis when only other clients query it,
+    ["base"] when nothing does; then each further pass and an open
+    world. The local-CSE baseline is not named. *)
+
+val optimize :
+  ?jobs:int -> ?guarded:bool -> config -> Ir.Cfg.program -> Opt.Pass.report list
+(** Optimize the lowered [program] in place under the configuration's
+    schedule (uncached) and return the pass reports. Per-procedure passes
+    run across [jobs] domains (default 1) with byte-identical results.
+    [guarded] (default [false]) runs {!Opt.Pass_manager.run_guarded}: the
+    IR is validated after every pass, and a pass that fails is rolled
+    back and quarantined. *)
 
 val run : Workloads.Workload.t -> config -> Sim.Interp.outcome
-(** Memoized simulated execution. *)
+(** Memoized simulated execution, keyed on the workload and the
+    configuration value. *)
 
 type audit_result = {
   ar_outcome : Sim.Interp.outcome;
-  ar_failures : (string * string) list;  (* quarantined passes: name, reason *)
+  ar_failures : (string * string) list;  (** quarantined passes: name, reason *)
+  ar_auditor : Sim.Audit.t;
   ar_violations : Sim.Audit.violation list;
   ar_claims : Tbaa.Claims.t;
 }
@@ -47,17 +50,19 @@ type audit_result = {
 val audit :
   ?fault:Opt.Pass.fault ->
   ?fuel:int ->
-  Workloads.Workload.t ->
+  ?observe:(Opt.Pass.context -> unit) ->
+  label:string ->
   config ->
+  Ir.Cfg.program ->
   audit_result
-(** [run]'s defense-in-depth sibling (uncached): the configuration's full
-    schedule through the guarded pass manager with IR validation on and a
-    claims ledger installed, then a simulated run under the dynamic
-    soundness auditor. [fault] injects deterministic oracle faults —
-    useful for checking that the auditor would notice a miscompile. *)
-
-val reports : Workloads.Workload.t -> config -> Opt.Pass.report list
-(** The pass reports from the memoized preparation of [run]. *)
+(** The audited run, and the one way to make it: optimize the lowered
+    [program] in place under the configuration's schedule through
+    {!Opt.Pass_manager.run_guarded} (IR validated after every pass) with
+    a claims ledger named [label] installed, then simulate it under the
+    dynamic soundness auditor. [fault] injects deterministic oracle
+    faults — its flip counters accumulate across calls that share it.
+    [observe] receives the pass context before the first pass runs, so a
+    caller can hang an oracle log on it or read its live engine. *)
 
 val percent_of_base : Workloads.Workload.t -> config -> float
 (** Simulated running time as percent of the base configuration (the

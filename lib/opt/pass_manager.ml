@@ -30,29 +30,6 @@ module Config = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Oracle-counter arithmetic (shared by the per-procedure merge and the
-   report aggregation below)                                           *)
-(* ------------------------------------------------------------------ *)
-
-let add_oracle_counters ~into (o : Oracle_cache.counters) =
-  into.Oracle_cache.compat_queries <-
-    into.Oracle_cache.compat_queries + o.Oracle_cache.compat_queries;
-  into.Oracle_cache.compat_misses <-
-    into.Oracle_cache.compat_misses + o.Oracle_cache.compat_misses;
-  into.Oracle_cache.alias_queries <-
-    into.Oracle_cache.alias_queries + o.Oracle_cache.alias_queries;
-  into.Oracle_cache.alias_misses <-
-    into.Oracle_cache.alias_misses + o.Oracle_cache.alias_misses;
-  into.Oracle_cache.class_queries <-
-    into.Oracle_cache.class_queries + o.Oracle_cache.class_queries;
-  into.Oracle_cache.class_misses <-
-    into.Oracle_cache.class_misses + o.Oracle_cache.class_misses;
-  into.Oracle_cache.store_queries <-
-    into.Oracle_cache.store_queries + o.Oracle_cache.store_queries;
-  into.Oracle_cache.store_misses <-
-    into.Oracle_cache.store_misses + o.Oracle_cache.store_misses
-
-(* ------------------------------------------------------------------ *)
 (* The per-procedure execution engine                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -257,7 +234,7 @@ let exec_per_procedure ?memo (ctx : Pass.context) program (p : Pass.t) =
     let kmax = Array.fold_left max 0 counts in
     Ir.Cfg.set_next_var_id program (start + (kmax * n));
     (* Deterministic merges, program order. *)
-    Array.iter (fun c -> add_oracle_counters ~into:ctx.Pass.oracle_counters c) counters;
+    Array.iter (Oracle_cache.add ~into:ctx.Pass.oracle_counters) counters;
     (match ctx.Pass.claims with
     | Some dst ->
       Array.iter
@@ -656,11 +633,3 @@ let first_stat name stat reports =
   match reports_for name reports with
   | [] -> 0
   | r :: _ -> Pass.stat r stat
-
-let total_time_ms reports =
-  List.fold_left (fun acc r -> acc +. r.Pass.r_time_ms) 0.0 reports
-
-let oracle_counters reports =
-  let c = Oracle_cache.fresh_counters () in
-  List.iter (fun r -> add_oracle_counters ~into:c r.Pass.r_oracle) reports;
-  c

@@ -139,8 +139,3 @@ val sum_stat : string -> string -> Pass.report list -> int
 val first_stat : string -> string -> Pass.report list -> int
 (** The stat from the *first* execution only (e.g. devirt's [unresolved]:
     later rounds re-count call sites duplicated by inlining). *)
-
-val total_time_ms : Pass.report list -> float
-
-val oracle_counters : Pass.report list -> Tbaa.Oracle_cache.counters
-(** Oracle queries summed across the reports. *)

@@ -287,7 +287,6 @@ let test_only =
     ("Experiments.dynamic_seven", "test_harness runs the seven dynamic workloads");
     ("Fuzz.all_configs", "test_pipeline walks the fuzzer's 27-configuration matrix");
     ("Fuzz.check_source", "test_opt replays one generated program through the matrix");
-    ("Runner.audit", "tests audit single configurations");
     ("Runner.first_divergence", "test_harness checks the output-divergence locator");
     ("Runner.divergence_error", "test_harness checks the divergence message");
     ("Runner.check_outputs_agree", "test_harness checks the agreement gate");

@@ -123,21 +123,14 @@ let test_matrix_covers_new_clients () =
    may-alias flips are auditable. *)
 
 let client_config ~licm ~slf ~dse =
-  { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.licm; slf; dse }
+  { Harness.Runner.base with
+    Harness.Runner.passes =
+      { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.licm; slf; dse } }
 
 let audit_trap ?fault config src =
   let program = Ir.Lower.lower_string ~file:"<trap>" src in
-  let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-  let ctx = Opt.Pass.create () in
-  ctx.Opt.Pass.claims <- Some claims;
-  ctx.Opt.Pass.fault <- fault;
-  let _ =
-    Opt.Pass_manager.run_guarded ctx program
-      (Opt.Pass_manager.schedule config)
-  in
-  let auditor = Sim.Audit.create claims in
-  let _ = Sim.Interp.run ~on_access:(Sim.Audit.on_access auditor) program in
-  Sim.Audit.check auditor
+  (Harness.Runner.audit ?fault ~label:"SMFieldTypeRefs" config program)
+    .Harness.Runner.ar_violations
 
 let check_fault_caught ~kind config src =
   (* The clean run must discharge every claim... *)

@@ -12,15 +12,12 @@
    moves. *)
 
 let config kind =
-  { Harness.Runner.rle = Some kind;
-    minv = true;
-    world = Tbaa.World.Closed;
-    pre = true;
-    copyprop = false;
-    licm = false;
-    slf = false;
-    dse = false;
-    oracle = None }
+  let c = Harness.Runner.rle_with kind in
+  { c with
+    Harness.Runner.passes =
+      { c.Harness.Runner.passes with
+        Opt.Pass_manager.Config.devirt_inline = true;
+        pre = true } }
 
 let kinds =
   [ ("TypeDecl", Opt.Pass.Otype_decl);
@@ -28,7 +25,7 @@ let kinds =
     ("SMFieldTypeRefs", Opt.Pass.Osm_field_type_refs) ]
 
 let row_of (w : Workloads.Workload.t) (kname, kind) =
-  let _program, reports = Harness.Runner.prepare w (config kind) in
+  let reports = Harness.Runner.optimize (config kind) (Workloads.Workload.lower w) in
   let sum name key =
     List.fold_left
       (fun acc (r : Opt.Pass.report) ->
@@ -124,14 +121,18 @@ let test_golden_stats () =
 
 let client_config kind =
   { Harness.Runner.base with
-    Harness.Runner.minv = true;
-    oracle = Some kind;
-    licm = true;
-    slf = true;
-    dse = true }
+    Harness.Runner.passes =
+      { Harness.Runner.base.Harness.Runner.passes with
+        Opt.Pass_manager.Config.devirt_inline = true;
+        licm = true;
+        slf = true;
+        dse = true };
+    oracle = kind }
 
 let client_row_of (w : Workloads.Workload.t) (kname, kind) =
-  let _program, reports = Harness.Runner.prepare w (client_config kind) in
+  let reports =
+    Harness.Runner.optimize (client_config kind) (Workloads.Workload.lower w)
+  in
   let sum name key =
     List.fold_left
       (fun acc (r : Opt.Pass.report) ->

@@ -161,7 +161,10 @@ let test_runner_outputs_agree () =
           Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs;
           { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
             Harness.Runner.world = Tbaa.World.Open };
-          { Harness.Runner.base with Harness.Runner.minv = true } ])
+          { Harness.Runner.base with
+            Harness.Runner.passes =
+              { Harness.Runner.base.Harness.Runner.passes with
+                Opt.Pass_manager.Config.devirt_inline = true } } ])
     E.dynamic_seven
 
 let test_runner_divergence_error () =
@@ -199,10 +202,15 @@ let test_runner_divergence_error () =
 let test_runner_audit_clean () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
+      let c = Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs in
       let r =
-        Harness.Runner.audit w
-          { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
-            Harness.Runner.minv = true; copyprop = true }
+        Harness.Runner.audit ~label:"SMFieldTypeRefs"
+          { c with
+            Harness.Runner.passes =
+              { c.Harness.Runner.passes with
+                Opt.Pass_manager.Config.devirt_inline = true;
+                copyprop = true } }
+          (Workloads.Workload.lower w)
       in
       Alcotest.(check (list (pair string string)))
         (w.Workloads.Workload.name ^ ": no quarantined passes")
@@ -213,6 +221,28 @@ let test_runner_audit_clean () =
         (List.map Sim.Audit.violation_to_string
            r.Harness.Runner.ar_violations))
     E.dynamic_seven
+
+(* The fault-injected audit [make check] runs through the CLI: flipping
+   5% of the oracle's answers on m3cg must produce a miscompile the
+   auditor catches, and each violation names the ledger it came from. *)
+let test_runner_audit_catches_faults () =
+  let label = "SMFieldTypeRefs+fault-probe" in
+  let r =
+    Harness.Runner.audit
+      ~fault:(Opt.Pass.fault ~seed:0xBAA ~rate:0.05 ())
+      ~label
+      { Harness.Runner.base with
+        Harness.Runner.passes =
+          { Opt.Pass_manager.Config.none with Opt.Pass_manager.Config.rle = true } }
+      (Workloads.Workload.lower (Workloads.Suite.find "m3cg"))
+  in
+  let violations = r.Harness.Runner.ar_violations in
+  Alcotest.(check bool) "at least one violation" true (violations <> []);
+  List.iter
+    (fun (v : Sim.Audit.violation) ->
+      Alcotest.(check string) "violation carries the claims label" label
+        v.Sim.Audit.vi_oracle)
+    violations
 
 (* Every table and figure [tbaac experiment all] prints — Tables 4-5,
    Figs. 8-10 and the rest — byte for byte: the simulator's counters,
@@ -240,7 +270,9 @@ let () =
           Alcotest.test_case "divergence error is structured" `Quick
             test_runner_divergence_error;
           Alcotest.test_case "audited runs are clean" `Slow
-            test_runner_audit_clean ] );
+            test_runner_audit_clean;
+          Alcotest.test_case "fault-injected audit is caught" `Slow
+            test_runner_audit_catches_faults ] );
       ( "limit",
         [ Alcotest.test_case "figure 9" `Slow test_figure9_shapes;
           Alcotest.test_case "figure 10" `Slow test_figure10_shapes ] );

@@ -1564,15 +1564,21 @@ let triple = Alcotest.(triple int int int)
 let test_passmgr_seed_counts () =
   let w name = Workloads.Suite.find name in
   let sm_cfg = Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs in
-  let _, reports = Harness.Runner.prepare (w "m3cg") sm_cfg in
+  let with_cfg (c : Harness.Runner.config) f =
+    { c with Harness.Runner.passes = f c.Harness.Runner.passes }
+  in
+  let optimize w c = Harness.Runner.optimize c (Workloads.Workload.lower w) in
+  let reports = optimize (w "m3cg") sm_cfg in
   Alcotest.check triple "m3cg rle:SM" (4, 15, 17) (rle_triple reports);
-  let _, reports =
-    Harness.Runner.prepare (w "pp") { sm_cfg with Harness.Runner.copyprop = true }
+  let reports =
+    optimize (w "pp")
+      (with_cfg sm_cfg (fun p -> { p with Opt.Pass_manager.Config.copyprop = true }))
   in
   Alcotest.check triple "pp rle:SM+cp" (3, 9, 0) (rle_triple reports);
-  let _, reports =
-    Harness.Runner.prepare (w "format")
-      { Harness.Runner.base with Harness.Runner.minv = true }
+  let reports =
+    optimize (w "format")
+      (with_cfg Harness.Runner.base (fun p ->
+           { p with Opt.Pass_manager.Config.devirt_inline = true }))
   in
   Alcotest.(check (list bool)) "format minv ran devirt and inline"
     [ true; true ]
@@ -1584,8 +1590,10 @@ let test_passmgr_seed_counts () =
     (Opt.Pass_manager.first_stat "devirt" "unresolved" reports);
   Alcotest.(check int) "format minv inlined" 9
     (Opt.Pass_manager.sum_stat "inline" "inlined" reports);
-  let _, reports =
-    Harness.Runner.prepare (w "dformat") { sm_cfg with Harness.Runner.minv = true }
+  let reports =
+    optimize (w "dformat")
+      (with_cfg sm_cfg (fun p ->
+           { p with Opt.Pass_manager.Config.devirt_inline = true }))
   in
   Alcotest.check triple "dformat rle:SM+minv" (10, 20, 2) (rle_triple reports);
   Alcotest.(check int) "dformat minv unresolved (first leg)" 6
@@ -1598,10 +1606,12 @@ let test_passmgr_seed_counts () =
 let test_reports_no_double_counting () =
   let w = Workloads.Suite.find "pp" in
   let config =
-    { (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs) with
-      Harness.Runner.copyprop = true }
+    let c = Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs in
+    { c with
+      Harness.Runner.passes =
+        { c.Harness.Runner.passes with Opt.Pass_manager.Config.copyprop = true } }
   in
-  let _, reports = Harness.Runner.prepare w config in
+  let reports = Harness.Runner.optimize config (Workloads.Workload.lower w) in
   let rle_reports = Opt.Pass_manager.reports_for "rle" reports in
   Alcotest.(check bool) "RLE ran more than once" true
     (List.length rle_reports >= 2);

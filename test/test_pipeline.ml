@@ -52,12 +52,14 @@ let stats_sig reports =
 (* Parallel ≡ sequential                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_once ~jobs (oracle_kind, passes) program =
-  let ctx = Opt.Pass.create ~oracle_kind ~jobs () in
+let run_once ~jobs (c : Harness.Runner.config) program =
+  let oracle_kind = c.Harness.Runner.oracle in
+  let ctx = Opt.Pass.create ~world:c.Harness.Runner.world ~oracle_kind ~jobs () in
   let claims = Tbaa.Claims.create ~oracle:(Opt.Pass.oracle_name oracle_kind) in
   ctx.Opt.Pass.claims <- Some claims;
   let reports =
-    Opt.Pass_manager.run ctx program (Opt.Pass_manager.schedule passes)
+    Opt.Pass_manager.run ctx program
+      (Opt.Pass_manager.schedule c.Harness.Runner.passes)
   in
   (reports, claims)
 

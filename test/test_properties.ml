@@ -240,15 +240,12 @@ let prop_soundness =
 
 (* --- verification layer ---------------------------------------------------- *)
 
-(* The guarded pass manager over SMFieldTypeRefs with the IR validator on;
-   the pass failures it reports. *)
-let guarded_failures ~claims ?fault program passes =
-  let ctx = Opt.Pass.create () in
-  ctx.Opt.Pass.claims <- Some claims;
-  ctx.Opt.Pass.fault <- fault;
-  Opt.Pass_manager.failures
-    (Opt.Pass_manager.run_guarded ctx program
-       (Opt.Pass_manager.schedule passes))
+(* The audited run over SMFieldTypeRefs, closed world: the guarded pass
+   manager with the IR validator on, then the dynamic auditor. *)
+let guarded_run ~label ?fault ?fuel program passes =
+  Harness.Runner.audit ?fault ?fuel ~label
+    { Harness.Runner.base with Harness.Runner.passes }
+    program
 
 (* A sound oracle must survive its own audit: run the guarded pipeline
    with the IR validator on and every RLE alias bet logged, then execute
@@ -257,17 +254,13 @@ let guarded_failures ~claims ?fault program passes =
 let prop_audit_clean =
   QCheck.Test.make ~name:"guarded pipeline verifies and audits clean"
     ~count:40 Gen_prog.arbitrary (fun seed ->
-      let program = lower seed in
-      let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs" in
-      let failures =
-        guarded_failures ~claims program
+      let r =
+        guarded_run ~label:"SMFieldTypeRefs" (lower seed)
           { Opt.Pass_manager.Config.devirt_inline = true; licm = true;
             pre = false; slf = true; rle = true; copyprop = true; dse = true;
             local_cse = false }
       in
-      let auditor = Sim.Audit.create claims in
-      ignore (Sim.Interp.run ~on_access:(Sim.Audit.on_access auditor) program);
-      failures = [] && Sim.Audit.check auditor = [])
+      r.Harness.Runner.ar_failures = [] && r.Harness.Runner.ar_violations = [])
 
 (* Negative testing: flip 10% of may-alias answers and the optimizer may
    miscompile — but it must do so *gracefully* (no crash), and whenever
@@ -280,22 +273,18 @@ let prop_fault_injection_caught =
     ~count:40 Gen_prog.arbitrary (fun seed ->
       let fuel = 2_000_000 in
       let reference = Sim.Interp.run ~fuel (lower seed) in
-      let program = lower seed in
-      let claims = Tbaa.Claims.create ~oracle:"SMFieldTypeRefs+fault" in
       let fault =
         Opt.Pass.fault ~flip_class_kills:false ~seed:((seed * 7) + 1)
           ~rate:0.1 ()
       in
-      ignore
-        (guarded_failures ~claims ~fault program
-           { Opt.Pass_manager.Config.none with
-             Opt.Pass_manager.Config.rle = true });
-      let auditor = Sim.Audit.create claims in
-      let o =
-        Sim.Interp.run ~fuel ~on_access:(Sim.Audit.on_access auditor) program
+      let r =
+        guarded_run ~label:"SMFieldTypeRefs+fault" ~fault ~fuel (lower seed)
+          { Opt.Pass_manager.Config.none with
+            Opt.Pass_manager.Config.rle = true }
       in
-      String.equal reference.Sim.Interp.output o.Sim.Interp.output
-      || Sim.Audit.check auditor <> [])
+      String.equal reference.Sim.Interp.output
+        r.Harness.Runner.ar_outcome.Sim.Interp.output
+      || r.Harness.Runner.ar_violations <> [])
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in

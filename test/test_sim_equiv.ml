@@ -64,10 +64,13 @@ let configs =
     (fun kind ->
       let base = Harness.Runner.rle_with kind in
       let name v = Opt.Pass.oracle_name kind ^ ":" ^ v in
+      let plus passes = { base with Harness.Runner.passes } in
+      let p = base.Harness.Runner.passes in
       [ (name "rle", base);
-        (name "rle+cp", { base with Harness.Runner.copyprop = true });
-        (name "rle+pre", { base with Harness.Runner.pre = true });
-        (name "minv+rle", { base with Harness.Runner.minv = true }) ])
+        (name "rle+cp", plus { p with Opt.Pass_manager.Config.copyprop = true });
+        (name "rle+pre", plus { p with Opt.Pass_manager.Config.pre = true });
+        ( name "minv+rle",
+          plus { p with Opt.Pass_manager.Config.devirt_inline = true } ) ])
     kinds
 
 let test_full_matrix () =
@@ -75,7 +78,8 @@ let test_full_matrix () =
     (fun (w : Workloads.Workload.t) ->
       List.iter
         (fun (cname, config) ->
-          let program, _ = Harness.Runner.prepare w config in
+          let program = Workloads.Workload.lower w in
+          ignore (Harness.Runner.optimize config program);
           ignore
             (check_program (w.Workloads.Workload.name ^ "/" ^ cname) program))
         configs)
@@ -197,10 +201,11 @@ let test_traced_limit_stats () =
 (* A traced run of an OPTIMIZED program (the Figure 9 configuration). *)
 let test_traced_optimized () =
   let w = Workloads.Suite.find "format" in
-  let program, _ =
-    Harness.Runner.prepare w
-      (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)
-  in
+  let program = Workloads.Workload.lower w in
+  ignore
+    (Harness.Runner.optimize
+       (Harness.Runner.rle_with Opt.Pass.Osm_field_type_refs)
+       program);
   let ro, rl, ra = traced_run ~reference:true program in
   let no, nl, na = traced_run ~reference:false program in
   check_outcomes "format/optimized+traced" ro no;
