@@ -43,12 +43,14 @@ fuzz:
 # pipeline (IR validated after every pass) and the simulator under the
 # dynamic soundness auditor — once with the paper's RLE configuration,
 # once with the LICM/SLF/DSE clients stacked on top, so every client's
-# claims are discharged on every dynamic workload. Fails on any
-# quarantined pass or any no-alias claim contradicted by a concrete
-# execution.
+# claims are discharged on every dynamic workload, and once more under
+# the open-world analysis (SMTypeRefs' forced merges of unbranded types).
+# Fails on any quarantined pass or any no-alias claim contradicted by a
+# concrete execution.
 audit:
 	dune exec bin/tbaac.exe -- audit
 	dune exec bin/tbaac.exe -- audit --licm --slf --dse
+	dune exec bin/tbaac.exe -- audit --world open
 
 bench:
 	dune exec bench/main.exe

@@ -19,36 +19,6 @@ open Toolkit
 let workload name = Workloads.Suite.find name
 let lowered name = Workloads.Workload.lower (workload name)
 
-(* Synthetic program of [n] list-walking procedures for the scaling series:
-   types, globals and instructions all grow linearly with n. *)
-let synthetic n =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "MODULE Scale;\nTYPE\n  T0 = OBJECT a: INTEGER; END;\n";
-  for i = 1 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "  T%d = T%d OBJECT END;\n" i (i - 1))
-  done;
-  Buffer.add_string buf "VAR\n";
-  for i = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "  g%d: T%d;\n" i i)
-  done;
-  for i = 0 to n - 1 do
-    (* Each procedure allocates, performs one upcast assignment (a merge
-       for SMTypeRefs), and touches a field. *)
-    Buffer.add_string buf
-      (Printf.sprintf
-         "PROCEDURE P%d () =\n\
-         \  VAR x: INTEGER;\n\
-         \  BEGIN\n\
-         \    g%d := NEW (T%d);\n\
-         \    g%d := g%d;\n\
-         \    x := g%d.a;\n\
-         \    g%d.a := x + 1;\n\
-         \  END P%d;\n"
-         i i i (max 0 (i - 1)) i i i i)
-  done;
-  Buffer.add_string buf "BEGIN\nEND Scale.\n";
-  Buffer.contents buf
-
 let tests =
   [ (* Table 4 is interpreter-bound: one simulated run. *)
     Test.make ~name:"table4:simulate-slisp"
@@ -104,11 +74,11 @@ let tests =
        Staged.stage (fun () ->
            Tbaa.Sm_type_refs.build ~variant:Tbaa.Sm_type_refs.Per_type ~facts
              ~world:Tbaa.World.Closed ())) ]
-  @ (* ABL4: facts collection + merging over growing synthetic programs —
-       time per size should grow roughly linearly (the §2.5 claim). *)
+  @ (* ABL4: facts collection + merging over the growing type-axis corpus
+       — time per size should grow roughly linearly (the §2.5 claim). *)
   List.map
     (fun n ->
-      let program = Ir.Lower.lower_string ~file:"scale" (synthetic n) in
+      let program = Ir.Lower.lower_string ~file:"scale" (Gen.Scale.type_chain n) in
       Test.make ~name:(Printf.sprintf "abl4:analyze-n%d" n)
         (Staged.stage (fun () -> Tbaa.Engine.create program)))
     [ 25; 50; 100; 200 ]

@@ -2,12 +2,12 @@
 
    Every timed leg runs a production path on a fixed subject:
 
-   - alias: the per-query compatibility cores — the interval subtype test
-     behind TypeDecl/FieldTypeDecl and SMTypeRefs' precomputed matrix —
-     swept over every type pair of Gen.Scale 200 (a 200-deep inheritance
-     chain, where a chain walk or a per-query intersection would cost the
-     most) and of m3cg, the suite's largest program; and SMFieldTypeRefs'
-     may_alias over every pair of m3cg's heap references.
+   - alias: the per-query compatibility cores — the interval tests on the
+     inheritance forest (TypeDecl/FieldTypeDecl) and on SMTypeRefs' merged
+     forest — swept over every type pair of Gen.Scale 200 (a 200-deep
+     inheritance chain, where a chain walk or a per-query intersection
+     would cost the most) and of m3cg, the suite's largest program; and
+     SMFieldTypeRefs' may_alias over every pair of m3cg's heap references.
    - sim: the compiled simulator on slisp untraced (Table 4's
      instruction-count run) and on write_pickle under the redundant-load
      tracer (Figure 9's limit study).
@@ -20,7 +20,9 @@
      pipes, one fresh daemon per batch and one warm daemon for all.
 
    scaling gates the paper's cost claim (§2.5): parse, typecheck and
-   Engine.create each grow at most as n^1.2 from Gen.Scale 400 to 3200.
+   Engine.create each grow at most as n^1.2 from Gen.Scale 400 to 3200,
+   and Engine.create does in both worlds on the type axis
+   (Gen.Scale.type_chain, 400 to 3200 types deep).
    On four or more cores, the parallel engine build, parallel optimizer
    and multi-client daemon are gated on their speedup.
 
@@ -57,9 +59,9 @@ let compat_legs label program =
   Gate.time ("alias/subtype-compat/" ^ label) ~sample_ms:40.0
     (sweep_pairs n subtype);
   let sm = Tbaa.Sm_type_refs.build ~facts ~world:Tbaa.World.Closed () in
-  let matrix = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat_matrix sm) in
+  let typerefs = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat sm) in
   Gate.time ("alias/typerefs-compat/" ^ label) ~sample_ms:40.0
-    (sweep_pairs n matrix)
+    (sweep_pairs n typerefs)
 
 let may_alias_leg label program =
   let engine = Tbaa.Engine.create program in
@@ -506,7 +508,18 @@ let scaling () =
       fun () () -> ignore (Minim3.Typecheck.check_module ast));
   layer "engine" (fun n ->
       let program = scale n in
-      fun () () -> ignore (Tbaa.Engine.create program))
+      fun () () -> ignore (Tbaa.Engine.create program));
+  (* The type axis; typecheck is not gated here, its depth term is still
+     quadratic. *)
+  let types world n =
+    let program =
+      Ir.Lower.lower_string ~file:"types" (Gen.Scale.type_chain n)
+    in
+    let config = { Tbaa.Engine.default_config with Tbaa.Engine.world } in
+    fun () () -> ignore (Tbaa.Engine.create ~config program)
+  in
+  layer "engine-types" (types Tbaa.World.Closed);
+  layer "engine-types-open" (types Tbaa.World.Open)
 
 let () =
   alias ();

@@ -139,7 +139,7 @@ let build_oracles config facts =
           | Sm_type_refs.Grouped -> "SMFieldTypeRefs"
           | Sm_type_refs.Per_type -> "SMFieldTypeRefs(per-type)"
         in
-        (sm, make name (Sm_type_refs.compat_matrix sm) ~fields:true))
+        (sm, make name (Sm_type_refs.compat sm) ~fields:true))
   in
   (type_decl, field_type_decl, sm_field_type_refs, sm,
    type_decl_ms, field_type_decl_ms, sm_ms)

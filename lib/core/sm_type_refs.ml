@@ -3,122 +3,100 @@ open Minim3
 
 type variant = Grouped | Per_type
 
-type t = {
-  variant : variant;
-  trt : Bitset.t array;  (* TypeRefsTable(t) as a bitset, built eagerly *)
-  rows : Bitset.t array;  (* precomputed pairwise-compat matrix *)
-}
+type t =
+  | Forest of { labels : Compat.labels; order : Types.tid array }
+      (* Grouped: the merged forest's labels, and its tids in preorder *)
+  | Tables of Bitset.t array  (* Per_type: TypeRefsTable(t) as a bitset *)
 
 (* Open-world forced merges: unavailable structurally-typed code can
-   reconstruct any unbranded type and assign between subtype-related ones. *)
-let open_world_pairs env =
-  let acc = ref [] in
-  let unbranded t =
-    match Types.desc env t with
-    | Types.Dobject { Types.obj_brand = None; _ } -> true
-    | _ -> false
-  in
-  for s = 0 to Types.count env - 1 do
-    if unbranded s then
-      for u = 0 to Types.count env - 1 do
-        if s <> u && unbranded u && Types.subtype env s u then acc := (u, s) :: !acc
-      done
-  done;
+   reconstruct any unbranded type and assign between subtype-related ones.
+   Merging each unbranded object with its nearest unbranded proper
+   ancestor has those pairs as its transitive closure, so it gives the
+   same classes and the same per-type reach. The walk keeps the innermost
+   unbranded object on the current path; [near.(t)] saves it on entry. *)
+let open_world_pairs env inheritance =
+  let near = Array.make (Array.length inheritance) (-1) in
+  let inner = ref (-1) and acc = ref [] in
+  Compat.walk inheritance
+    ~enter:(fun t ->
+      near.(t) <- !inner;
+      match Types.desc env t with
+      | Types.Dobject { Types.obj_brand = None; _ } ->
+        if !inner >= 0 then acc := (!inner, t) :: !acc;
+        inner := t
+      | _ -> ())
+    ~leave:(fun t -> inner := near.(t));
   !acc
-
-let merge_pairs (facts : Facts.t) world =
-  let base = facts.Facts.assignments in
-  match world with
-  | World.Closed -> base
-  | World.Open -> base @ open_world_pairs facts.Facts.tenv
 
 let build ?(variant = Grouped) ~(facts : Facts.t) ~world () =
   let env = facts.Facts.tenv in
   let n = Types.count env in
-  let pairs = merge_pairs facts world in
-  (* group.(t): the set t was merged into, as a bitset. *)
-  let group =
-    match variant with
-    | Grouped ->
-      (* Figure 2 steps 1-2: union-find over the type table, then one bitset
-         per root, shared by its members, in a single pass. *)
-      let uf = Union_find.create n in
-      List.iter (fun (dst, src) -> Union_find.union uf dst src) pairs;
-      let by_root = Array.make n None in
-      Array.init n (fun t ->
-          let r = Union_find.find uf t in
-          let s =
-            match by_root.(r) with
-            | Some s -> s
-            | None ->
-              let s = Bitset.create n in
-              by_root.(r) <- Some s;
-              s
-          in
-          Bitset.add s t;
+  let inheritance = Compat.inheritance env in
+  let pairs =
+    match world with
+    | World.Closed -> facts.Facts.assignments
+    | World.Open -> facts.Facts.assignments @ open_world_pairs env inheritance
+  in
+  match variant with
+  | Grouped ->
+    (* Figure 2 steps 1-2: union-find over the type table. *)
+    let uf = Union_find.create n in
+    List.iter (fun (dst, src) -> Union_find.union uf dst src) pairs;
+    (* Step 3: TypeRefsTable (t) = Subtypes (t) ∩ class (t) contains t,
+       so two tables intersect iff the types share a class and one is a
+       subtype of the other. In the merged forest an object's parent is
+       its nearest proper ancestor in its own class, found in one walk
+       over the inheritance forest that keeps each class's innermost
+       object on the current path ([parent.(t)] saves it on entry). t's
+       TypeRefsTable is its subtree there, and compat the interval test. *)
+    let cls = Array.init n (Union_find.find uf) in
+    let inner = Array.make n (-1) and parent = Array.make n (-1) in
+    Compat.walk inheritance
+      ~enter:(fun t ->
+        let c = cls.(t) in
+        parent.(t) <- inner.(c);
+        inner.(c) <- t)
+      ~leave:(fun t -> inner.(cls.(t)) <- parent.(t));
+    let labels = Compat.label parent in
+    let order = Array.make n 0 in
+    Array.iteri (fun t p -> if p >= 0 then order.(p) <- t) labels.Compat.pre;
+    Forest { labels; order }
+  | Per_type ->
+    (* Footnote 2: directed reachability — reach(T) accumulates the types
+       assigned (transitively) into T, without symmetrizing. *)
+    let reach = Array.init n (fun i -> Bitset.of_list n [ i ]) in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      List.iter
+        (fun (dst, src) ->
+          let before = Bitset.cardinal reach.(dst) in
+          Bitset.union_into ~dst:reach.(dst) reach.(src);
+          if Bitset.cardinal reach.(dst) <> before then changed := true)
+        pairs
+    done;
+    (* Step 3 per type: keep the reached types in t's inheritance subtree
+       (an object's Subtypes; a non-object type's is itself, NIL's is
+       empty). *)
+    let { Compat.pre; post } = Compat.label inheritance in
+    Array.iteri
+      (fun t s ->
+        Bitset.iter
+          (fun u ->
+            if not (pre.(t) <= pre.(u) && pre.(u) < post.(t)) then
+              Bitset.remove s u)
           s)
-    | Per_type ->
-      (* Footnote 2: directed reachability — reach(T) accumulates the types
-         assigned (transitively) into T, without symmetrizing. *)
-      let reach = Array.init n (fun i -> Bitset.of_list n [ i ]) in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun (dst, src) ->
-            let before = Bitset.cardinal reach.(dst) in
-            Bitset.union_into ~dst:reach.(dst) reach.(src);
-            if Bitset.cardinal reach.(dst) <> before then changed := true)
-          pairs
-      done;
-      reach
-  in
-  (* Figure 2 step 3: TypeRefsTable (t) = Subtypes (t) ∩ group (t), for
-     every t up front. An object's Subtypes is itself plus its inheritance
-     children's, built bottom-up over the forest; a non-object type has
-     only itself, and NIL has none. *)
-  let trt = Array.init n (fun _ -> Bitset.create n) in
-  let children = Array.make n [] and roots = ref [] in
-  for t = n - 1 downto 0 do
-    match Types.desc env t with
-    | Types.Dobject { Types.obj_super = Some s; _ } ->
-      children.(s) <- t :: children.(s)
-    | Types.Dobject { Types.obj_super = None; _ } -> roots := t :: !roots
-    | _ -> if t <> Types.tid_null then Bitset.add trt.(t) t
-  done;
-  let rec subtypes t =
-    Bitset.add trt.(t) t;
-    List.iter
-      (fun c ->
-        subtypes c;
-        Bitset.union_into ~dst:trt.(t) trt.(c))
-      children.(t)
-  in
-  List.iter subtypes !roots;
-  Array.iteri (fun t s -> Bitset.inter_into ~dst:s group.(t)) trt;
-  (* The full pairwise compat matrix: rows.(t1) holds every t2 whose
-     TypeRefsTable intersects t1's, read off the transpose. holders.(u) is
-     the set of types whose TypeRefsTable contains u, so rows.(t) is the
-     union of holders.(u) over u in TypeRefsTable (t): Σ|TypeRefsTable|
-     word-parallel unions at build time, and every compat query is one
-     bitset probe. *)
-  let holders = Array.init n (fun _ -> Bitset.create n) in
-  Array.iteri (fun t s -> Bitset.iter (fun u -> Bitset.add holders.(u) t) s) trt;
-  let rows =
-    Array.map
-      (fun s ->
-        let row = Bitset.create n in
-        Bitset.iter (fun u -> Bitset.union_into ~dst:row holders.(u)) s;
-        row)
-      trt
-  in
-  { variant; trt; rows }
+      reach;
+    Tables reach
 
-let trt t tid =
-  if tid < 0 || tid >= Array.length t.trt then
-    invalid_arg "Sm_type_refs: bad tid";
-  t.trt.(tid)
+let type_refs t tid =
+  match t with
+  | Forest { labels = { Compat.pre; post }; order } ->
+    let lo = pre.(tid) in
+    List.init (post.(tid) - lo) (fun i -> order.(lo + i))
+    |> List.sort Int.compare
+  | Tables trt -> Bitset.elements trt.(tid)
 
-let type_refs t tid = Bitset.elements (trt t tid)
-
-let compat_matrix t = Compat.of_rows t.rows
+let compat = function
+  | Forest { labels; _ } -> Compat.nested labels
+  | Tables trt -> Compat.intersecting trt

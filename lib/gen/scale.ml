@@ -72,3 +72,35 @@ let source n =
   done;
   Buffer.add_string buf "END Scale.\n";
   Buffer.contents buf
+
+(* The type axis: an [n]-deep chain T0 <: ... <: T{n-1}, one global per
+   type and one procedure per type that allocates, upcasts its global
+   into its supertype's (a merge for SMTypeRefs) and reads and writes the
+   inherited field. Types, globals and instructions all grow linearly
+   with n. *)
+let type_chain n =
+  let n = max 1 n in
+  let buf = Buffer.create (4096 + (n * 160)) in
+  Buffer.add_string buf "MODULE Scale;\nTYPE\n  T0 = OBJECT a: INTEGER; END;\n";
+  for i = 1 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "  T%d = T%d OBJECT END;\n" i (i - 1))
+  done;
+  Buffer.add_string buf "VAR\n";
+  for i = 0 to n - 1 do
+    Buffer.add_string buf (Printf.sprintf "  g%d: T%d;\n" i i)
+  done;
+  for i = 0 to n - 1 do
+    Buffer.add_string buf
+      (Printf.sprintf
+         "PROCEDURE P%d () =\n\
+         \  VAR x: INTEGER;\n\
+         \  BEGIN\n\
+         \    g%d := NEW (T%d);\n\
+         \    g%d := g%d;\n\
+         \    x := g%d.a;\n\
+         \    g%d.a := x + 1;\n\
+         \  END P%d;\n"
+         i i i (max 0 (i - 1)) i i i i)
+  done;
+  Buffer.add_string buf "BEGIN\nEND Scale.\n";
+  Buffer.contents buf

@@ -13,3 +13,12 @@ val lib_procs : int
 val source : int -> string
 (** [source n] — the module text with [max 1 n] worker procedures.
     Typechecks by construction (asserted by the test suite). *)
+
+val type_chain : int -> string
+(** [type_chain n] — the type-axis corpus: an [max 1 n]-deep object chain
+    with one global and one procedure per type, each procedure
+    allocating, upcasting into its supertype's global (a merge for
+    SMTypeRefs) and touching the inherited field. Everything grows
+    linearly with [n], the hierarchy's depth included, so it scales what
+    {!source} holds fixed ([types]). Typechecks by construction (asserted
+    by the test suite). *)

@@ -170,56 +170,20 @@ let is_scalar env t =
   | Dint | Dbool | Dchar | Dnull | Dref _ | Dobject _ -> true
   | Dunit | Darray _ | Drecord _ -> false
 
-let rec super_chain env t acc =
-  match desc env t with
-  | Dobject { obj_super = Some s; _ } -> super_chain env s (s :: acc)
-  | _ -> acc
+(* [s] is a proper descendant of [t] in the inheritance forest: a walk up
+   [s]'s supertypes that allocates nothing. *)
+let rec inherits env s t =
+  match desc env s with
+  | Dobject { obj_super = Some p; _ } -> p = t || inherits env p t
+  | _ -> false
 
 let subtype env s t =
-  if s = t then true
-  else
-    match (desc env s, desc env t) with
-    | Dnull, (Dref _ | Dobject _) -> true
-    | Dobject _, Dobject _ -> List.mem t (super_chain env s [])
-    | _ -> false
-
-(* Pre/post (Euler-tour) interval labels over the object inheritance
-   forest: [s <: t] for objects iff [pre t <= pre s < post t]. Computed in
-   one pass over the type table; non-object tids keep label -1. The env is
-   append-only (patch_object can re-parent a reserved object, but only
-   before any client asks subtype questions), so labels are computed on
-   demand against a snapshot of [env.len] — callers obtain them once per
-   analysis via {!forest_labels}. *)
-type forest_labels = { fl_len : int; fl_pre : int array; fl_post : int array }
-
-let forest_labels env =
-  let n = env.len in
-  let pre = Array.make n (-1) and post = Array.make n (-1) in
-  (* children lists, built backwards so each node's children end up in
-     ascending tid order *)
-  let children = Array.make n [] in
-  let roots = ref [] in
-  for t = n - 1 downto 0 do
-    match env.descs.(t) with
-    | Dobject { obj_super = Some s; _ } -> children.(s) <- t :: children.(s)
-    | Dobject { obj_super = None; _ } -> roots := t :: !roots
-    | _ -> ()
-  done;
-  let clock = ref 0 in
-  let rec dfs t =
-    pre.(t) <- !clock;
-    incr clock;
-    List.iter dfs children.(t);
-    post.(t) <- !clock
-  in
-  List.iter dfs !roots;
-  { fl_len = n; fl_pre = pre; fl_post = post }
-
-(* [label_subtype fl s t]: O(1) [subtype] restricted to the object forest
-   (both arguments must be object tids of the labeled env). *)
-let label_subtype fl s t =
-  let ps = fl.fl_pre.(s) in
-  fl.fl_pre.(t) <= ps && ps < fl.fl_post.(t)
+  s = t
+  ||
+  match (desc env s, desc env t) with
+  | Dnull, (Dref _ | Dobject _) -> true
+  | Dobject _, Dobject _ -> inherits env s t
+  | _ -> false
 
 let subtypes env t =
   (* NIL inhabits every pointer type but denotes no location, so it is not a

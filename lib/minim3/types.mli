@@ -105,20 +105,6 @@ val subtype : env -> tid -> tid -> bool
 (** [subtype env s t]: may a value of type [s] inhabit a location of declared
     type [t]? Reflexive; objects by inheritance; NIL below every pointer. *)
 
-type forest_labels
-(** Pre/post interval labels of the object inheritance forest, snapshotted
-    at the env length current when {!forest_labels} ran. *)
-
-val forest_labels : env -> forest_labels
-(** One linear pass over the type table. Compute once per analysis; labels
-    do not see types allocated afterwards. *)
-
-val label_subtype : forest_labels -> tid -> tid -> bool
-(** [label_subtype fl s t]: O(1) interval-containment test equivalent to
-    [subtype env s t] when both [s] and [t] are object tids known to the
-    labeling. Behaviour on non-object tids is unspecified — gate on
-    {!is_object} first. *)
-
 val subtypes : env -> tid -> tid list
 (** The paper's [Subtypes (T)]: all allocated tids [u] with
     [subtype env u t], including [t] itself. O(number of types). *)

@@ -11,13 +11,15 @@
    plain integers digit by digit; the baseline is the peek-and-substring
    parser it replaced. Dominators come from Cooper-Harvey-Kennedy idoms
    and dominator-tree intervals; the baseline ({!Dom}) is the iterative
-   bit-vector algorithm. The TypeRefsTable is built from per-root group
-   bitsets, bottom-up Subtypes and a transpose; the baseline
-   ({!type_refs}) filters each group against interval-tested Subtypes and
-   runs the n²/2 pairwise intersection tests. The SM oracles' compat
-   matrix is precomputed; the baseline ({!typerefs_compat}) intersects
-   two TypeRefsTables per query. Dead-code elimination ({!Dce}) measures
-   what the optimizer leaves dead. *)
+   bit-vector algorithm. SMTypeRefs keeps class ids and a merged
+   subtype forest, where a TypeRefsTable is a subtree and compat one
+   interval test, and merges the open world's unbranded objects along
+   their nearest unbranded ancestors; the baseline ({!type_refs}) merges
+   every subtype-related unbranded pair, filters each group against
+   chain-walked Subtypes and runs the n²/2 pairwise intersection tests,
+   and {!typerefs_compat} intersects two TypeRefsTables per query.
+   Dead-code elimination ({!Dce}) measures what the optimizer leaves
+   dead. *)
 
 open Support
 open Minim3
@@ -186,15 +188,29 @@ module Dom = struct
   let reachable t b = t.doms.(b) <> None
 end
 
-(* SMTypeRefs' TypeRefsTable and compat rows by the pairwise build: each
-   type's merged set as a list, filtered against its Subtypes by one
-   interval test per object type, then every pair of tables intersected.
-   Returns [(trt, rows)], both indexed by tid. *)
+(* SMTypeRefs' TypeRefsTable and compat rows by the pairwise build: the
+   open world's forced merges as every pair of subtype-related unbranded
+   objects, each type's merged set as a list, filtered against its
+   Subtypes by the chain-walking subtype test, then every pair of tables
+   intersected. Returns [(trt, rows)], both indexed by tid. *)
 let type_refs ?(variant = Tbaa.Sm_type_refs.Grouped) ~(facts : Tbaa.Facts.t)
     ~world () =
   let env = facts.Tbaa.Facts.tenv in
   let n = Types.count env in
-  let pairs = Tbaa.Sm_type_refs.merge_pairs facts world in
+  let unbranded t =
+    match Types.desc env t with
+    | Types.Dobject { Types.obj_brand = None; _ } -> true
+    | _ -> false
+  in
+  let open_world = ref [] in
+  if world = Tbaa.World.Open then
+    for s = 0 to n - 1 do
+      for u = 0 to n - 1 do
+        if s <> u && unbranded s && unbranded u && Types.subtype env s u then
+          open_world := (u, s) :: !open_world
+      done
+    done;
+  let pairs = facts.Tbaa.Facts.assignments @ !open_world in
   let group_of =
     match variant with
     | Tbaa.Sm_type_refs.Grouped ->
@@ -215,14 +231,13 @@ let type_refs ?(variant = Tbaa.Sm_type_refs.Grouped) ~(facts : Tbaa.Facts.t)
       done;
       fun t -> Bitset.elements reach.(t)
   in
-  let fl = Types.forest_labels env in
   let objects = List.filter (Types.is_object env) (List.init n Fun.id) in
   let trt =
     Array.init n (fun tid ->
         let subs = Bitset.create n in
         if Types.is_object env tid then
           List.iter
-            (fun u -> if Types.label_subtype fl u tid then Bitset.add subs u)
+            (fun u -> if Types.subtype env u tid then Bitset.add subs u)
             objects
         else if tid <> Types.tid_null then Bitset.add subs tid;
         let grp = Bitset.of_list n (group_of tid) in
@@ -241,12 +256,15 @@ let type_refs ?(variant = Tbaa.Sm_type_refs.Grouped) ~(facts : Tbaa.Facts.t)
   (trt, rows)
 
 (* [TypeRefsTable(t1) ∩ TypeRefsTable(t2) ≠ ∅] by one intersection per
-   query. NIL is compatible with nothing. *)
-let typerefs_compat sm t1 t2 =
-  t1 <> Types.tid_null && t2 <> Types.tid_null
-  &&
-  let refs2 = Tbaa.Sm_type_refs.type_refs sm t2 in
-  List.exists (fun u -> List.mem u refs2) (Tbaa.Sm_type_refs.type_refs sm t1)
+   query, over each type's table read once from [sm] (the types [0 .. n-1]).
+   NIL is compatible with nothing. *)
+let typerefs_compat sm n =
+  let tables =
+    Array.init n (fun t -> Bitset.of_list n (Tbaa.Sm_type_refs.type_refs sm t))
+  in
+  fun t1 t2 ->
+    t1 <> Types.tid_null && t2 <> Types.tid_null
+    && Bitset.intersects tables.(t1) tables.(t2)
 
 (* The kill set of one instruction over [exprs]: bit [i] iff the instruction
    may change expression [i], with the instruction-side data resolved

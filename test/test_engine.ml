@@ -102,38 +102,53 @@ let test_subtyping_matches_reference () =
               b t1 t2))
     seeds
 
-let test_type_refs_matrix_matches_reference () =
+(* The type-axis corpus: a 400-deep chain where every type is merged
+   with its supertype, the regime where a TypeRefsTable is largest. *)
+let type_chain () =
+  Lower.lower_string ~file:"<types>" (Gen.Scale.type_chain 400)
+
+let variants = [ Tbaa.Sm_type_refs.Grouped; Tbaa.Sm_type_refs.Per_type ]
+let worlds = [ Tbaa.World.Closed; Tbaa.World.Open ]
+
+let test_type_refs_compat_matches_reference () =
+  let check name program worlds =
+    let facts = Reference.facts program in
+    let tenv = facts.Tbaa.Facts.tenv in
+    let n = Minim3.Types.count tenv in
+    List.iter
+      (fun world ->
+        List.iter
+          (fun variant ->
+            let sm = Tbaa.Sm_type_refs.build ~variant ~facts ~world () in
+            let compat = Tbaa.Sm_type_refs.compat sm in
+            let reference = Reference.typerefs_compat sm n in
+            all_tid_pairs tenv (fun t1 t2 ->
+                let a = Tbaa.Compat.fn compat t1 t2 and b = reference t1 t2 in
+                if not (Bool.equal a b) then
+                  Alcotest.failf "%s: compat %b <> per-query %b on (%d, %d)"
+                    name a b t1 t2))
+          variants)
+      worlds
+  in
   List.iter
     (fun seed ->
-      let program = lower_gen seed in
-      let facts = Reference.facts program in
-      let tenv = facts.Tbaa.Facts.tenv in
-      List.iter
-        (fun variant ->
-          let sm =
-            Tbaa.Sm_type_refs.build ~variant ~facts ~world:Tbaa.World.Closed ()
-          in
-          let matrix = Tbaa.Sm_type_refs.compat_matrix sm in
-          all_tid_pairs tenv (fun t1 t2 ->
-              let a = Tbaa.Compat.fn matrix t1 t2
-              and b = Reference.typerefs_compat sm t1 t2 in
-              if not (Bool.equal a b) then
-                Alcotest.failf
-                  "seed %d: matrix %b <> per-query %b on (%d, %d)" seed a b t1
-                  t2))
-        [ Tbaa.Sm_type_refs.Grouped; Tbaa.Sm_type_refs.Per_type ])
-    seeds
+      check (Printf.sprintf "seed %d" seed) (lower_gen seed)
+        [ Tbaa.World.Closed ])
+    seeds;
+  check "type chain 400" (type_chain ()) worlds
 
 (* The TypeRefsTable and compat rows against the pairwise build
    ([Reference.type_refs]): both variants, closed and open world, over the
-   workloads, the scale document and the seeds above. *)
+   workloads, the scale document, the type-axis corpus and the seeds
+   above. *)
 let test_type_refs_match_pairwise_build () =
   let corpus =
     List.map
       (fun (w : Workloads.Workload.t) ->
         (w.Workloads.Workload.name, Workloads.Workload.lower w))
       Workloads.Suite.all
-    @ [ ("scale", Lower.lower_string ~file:"<scale>" (Gen.Scale.source 200)) ]
+    @ [ ("scale", Lower.lower_string ~file:"<scale>" (Gen.Scale.source 200));
+        ("type chain 400", type_chain ()) ]
     @ List.map (fun seed -> (Printf.sprintf "seed %d" seed, lower_gen seed)) seeds
   in
   List.iter
@@ -143,7 +158,7 @@ let test_type_refs_match_pairwise_build () =
       List.iter
         (fun (variant, world) ->
           let sm = Tbaa.Sm_type_refs.build ~variant ~facts ~world () in
-          let matrix = Tbaa.Sm_type_refs.compat_matrix sm in
+          let compat = Tbaa.Sm_type_refs.compat sm in
           let trt, rows = Reference.type_refs ~variant ~facts ~world () in
           Array.iteri
             (fun t s ->
@@ -155,13 +170,97 @@ let test_type_refs_match_pairwise_build () =
                 t1 <> Minim3.Types.tid_null && t2 <> Minim3.Types.tid_null
                 && Support.Bitset.mem rows.(t1) t2
               in
-              if Tbaa.Compat.fn matrix t1 t2 <> expect then
+              if Tbaa.Compat.fn compat t1 t2 <> expect then
                 Alcotest.failf "%s: compat (%d, %d) differs" name t1 t2))
-        [ (Tbaa.Sm_type_refs.Grouped, Tbaa.World.Closed);
-          (Tbaa.Sm_type_refs.Grouped, Tbaa.World.Open);
-          (Tbaa.Sm_type_refs.Per_type, Tbaa.World.Closed);
-          (Tbaa.Sm_type_refs.Per_type, Tbaa.World.Open) ])
+        (List.concat_map (fun v -> List.map (fun w -> (v, w)) worlds) variants))
     corpus
+
+(* Hand-written merged forests over T2 <: T1 <: T0: the tids of the
+   globals g0..g2 (of types T0..T2), and both variants' SMTypeRefs in
+   [world], each checked against the pairwise build. *)
+let chain3 src world =
+  let program = Lower.lower_string ~file:"<chain3>" src in
+  let facts = Reference.facts program in
+  let tid name =
+    (List.find
+       (fun (g : Reg.var) -> Support.Ident.name g.Reg.v_name = name)
+       program.Cfg.prog_globals)
+      .Reg.v_ty
+  in
+  let sms =
+    List.map
+      (fun variant ->
+        let sm = Tbaa.Sm_type_refs.build ~variant ~facts ~world () in
+        let trt, _ = Reference.type_refs ~variant ~facts ~world () in
+        Array.iteri
+          (fun t s ->
+            Alcotest.(check (list int))
+              (Printf.sprintf "TypeRefs (%d) = pairwise build" t)
+              (Support.Bitset.elements s)
+              (Tbaa.Sm_type_refs.type_refs sm t))
+          trt;
+        sm)
+      variants
+  in
+  ((tid "g0", tid "g1", tid "g2"), sms)
+
+(* T0 and T2 share a class and T1 does not. *)
+let expect_skip ~what (t0, t1, t2) sms =
+  List.iter
+    (fun sm ->
+      let compat = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat sm) in
+      let refs = Tbaa.Sm_type_refs.type_refs sm in
+      Alcotest.(check bool) (what ^ ": compat T0 T2") true (compat t0 t2);
+      Alcotest.(check bool) (what ^ ": compat T2 T0") true (compat t2 t0);
+      Alcotest.(check bool) (what ^ ": compat T1 T2") false (compat t1 t2);
+      Alcotest.(check bool) (what ^ ": compat T0 T1") false (compat t0 t1);
+      Alcotest.(check (list int)) (what ^ ": TypeRefs T0") [ t0; t2 ] (refs t0);
+      Alcotest.(check (list int)) (what ^ ": TypeRefs T1") [ t1 ] (refs t1);
+      Alcotest.(check (list int)) (what ^ ": TypeRefs T2") [ t2 ] (refs t2))
+    sms
+
+(* An assignment merges T0 with T2 only: T2's parent in the merged forest
+   skips a level. *)
+let test_merged_forest_skips_a_level () =
+  let src =
+    {|MODULE M;
+TYPE
+  T0 = OBJECT a: INTEGER; END;
+  T1 = T0 OBJECT END;
+  T2 = T1 OBJECT END;
+VAR g0: T0; g1: T1; g2: T2;
+BEGIN
+  g0 := NEW (T0); g1 := NEW (T1); g2 := NEW (T2);
+  g0 := g2;
+END M.
+|}
+  in
+  let tids, sms = chain3 src Tbaa.World.Closed in
+  expect_skip ~what:"closed" tids sms
+
+(* An open-world chain whose middle type is BRANDED: T2's nearest
+   unbranded ancestor is T0, so the forced merges skip T1. *)
+let test_open_world_skips_branded () =
+  let src =
+    {|MODULE M;
+TYPE
+  T0 = OBJECT a: INTEGER; END;
+  T1 = BRANDED "mid" T0 OBJECT END;
+  T2 = T1 OBJECT END;
+VAR g0: T0; g1: T1; g2: T2;
+BEGIN
+  g0 := NEW (T0); g1 := NEW (T1); g2 := NEW (T2);
+END M.
+|}
+  in
+  let tids, sms = chain3 src Tbaa.World.Open in
+  expect_skip ~what:"open" tids sms;
+  let (t0, _, t2), closed = chain3 src Tbaa.World.Closed in
+  List.iter
+    (fun sm ->
+      Alcotest.(check bool) "closed: compat T0 T2" false
+        (Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat sm) t0 t2))
+    closed
 
 (* --- the Engine facade -------------------------------------------------- *)
 
@@ -230,10 +329,14 @@ let () =
       ( "compat cores",
         [ Alcotest.test_case "interval subtyping = reference" `Quick
             test_subtyping_matches_reference;
-          Alcotest.test_case "TypeRefs matrix = per-query intersection" `Quick
-            test_type_refs_matrix_matches_reference;
+          Alcotest.test_case "TypeRefs compat = per-query intersection" `Quick
+            test_type_refs_compat_matches_reference;
           Alcotest.test_case "TypeRefs = pairwise build" `Quick
-            test_type_refs_match_pairwise_build ] );
+            test_type_refs_match_pairwise_build;
+          Alcotest.test_case "merged forest skips a level" `Quick
+            test_merged_forest_skips_a_level;
+          Alcotest.test_case "open world skips a BRANDED type" `Quick
+            test_open_world_skips_branded ] );
       ( "engine facade",
         [ Alcotest.test_case "cached handles and shared counters" `Quick
             test_engine_cached_and_counters;

@@ -283,7 +283,6 @@ let test_only =
     ("Engine.counters", "tests read the per-engine oracle query counters");
     ("Engine.modref_direct", "test_incr compares incremental and fresh direct effects");
     ("Engine.timings", "test_engine checks the build timings are non-negative");
-    ("Sm_type_refs.merge_pairs", "the reference TypeRefsTable build merges through it");
     ("Experiments.dynamic_seven", "test_harness runs the seven dynamic workloads");
     ("Fuzz.all_configs", "test_pipeline walks the fuzzer's 27-configuration matrix");
     ("Fuzz.check_source", "test_opt replays one generated program through the matrix");
@@ -305,7 +304,6 @@ let test_only =
     ("Store.edits_full", "test_edit_path counts full rebuilds");
     ("Store.last_fallback", "test_edit_path checks why an edit left the fast path");
     ("Bitset.universe", "bitset tests check the universe size");
-    ("Bitset.intersects", "bitset tests and the reference dominators use it");
     ("Bitset.pp", "bitset tests print sets in failure messages");
     ("Clock.with_raw", "tests substitute the raw clock");
     ("Json.schema_version", "test_pipeline pins the stats schema version");

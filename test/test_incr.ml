@@ -512,6 +512,23 @@ let test_scale_typechecks () =
           | [] -> "?"))
     [ 1; 10; 200 ]
 
+let test_type_chain_typechecks () =
+  List.iter
+    (fun n ->
+      match
+        Minim3.Typecheck.check_string_all ~file:"<types>"
+          (Gen.Scale.type_chain n)
+      with
+      | Ok p ->
+        Alcotest.(check int) "one procedure per type, plus main" (n + 1)
+          (List.length p.Minim3.Tast.procs)
+      | Error ds ->
+        Alcotest.failf "type chain %d does not typecheck: %s" n
+          (match ds with
+          | d :: _ -> Support.Diag.to_string d
+          | [] -> "?"))
+    [ 1; 10; 400 ]
+
 let test_scale_incremental () =
   let program =
     Lower.lower_string ~file:"<scale>" (Gen.Scale.source 120)
@@ -566,6 +583,8 @@ let () =
       ( "scale",
         [ Alcotest.test_case "corpus typechecks" `Quick
             test_scale_typechecks;
+          Alcotest.test_case "type-axis corpus typechecks" `Quick
+            test_type_chain_typechecks;
           Alcotest.test_case "library edit propagates" `Quick
             test_scale_incremental ] )
     ]

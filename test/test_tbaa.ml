@@ -260,7 +260,7 @@ let test_figure3_typerefs_table () =
   Alcotest.(check (list int)) "TypeRefs(S2) = {S2}" [ s2 ] (refs s2);
   Alcotest.(check (list int)) "TypeRefs(S3) = {S3}" [ s3 ] (refs s3);
   (* asymmetry: T may refer to S1 objects, S1 never to T's *)
-  let compat = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat_matrix sm) in
+  let compat = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat sm) in
   Alcotest.(check bool) "compat T S1" true (compat t s1);
   Alcotest.(check bool) "compat S1 S3" false (compat s1 s3);
   Alcotest.(check bool) "compat T S3" false (compat t s3)
@@ -302,7 +302,7 @@ let test_smtyperefs_variants_agree_here () =
       ~world:Tbaa.World.Closed ()
   in
   let tenv = facts.Tbaa.Facts.tenv in
-  let compat sm = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat_matrix sm) in
+  let compat sm = Tbaa.Compat.fn (Tbaa.Sm_type_refs.compat sm) in
   let compat_g = compat g and compat_p = compat p in
   for t1 = 0 to Types.count tenv - 1 do
     for t2 = 0 to Types.count tenv - 1 do
