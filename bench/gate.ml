@@ -10,7 +10,8 @@
    moves within a second, so a kernel run before a long sample does not
    describe the whole sample. The legs are sampled in [samples] rounds,
    one sample of every leg per round, so each leg's samples span the
-   whole run and a slow stretch of the box reaches every leg alike. A
+   whole run (of its phase, see [next_phase]) and a slow stretch of the
+   box reaches every leg alike. A
    leg reads the median of its samples; its spread is the quartile
    distance over the median (E2e.Stats).
 
@@ -91,9 +92,11 @@ let recorded =
     | _ -> []
 
 type leg = {
-  next : unit -> unit -> unit;
-      (** sets up one operation off the clock and returns it *)
+  mutable next : unit -> unit -> unit;
+      (** sets up one operation off the clock and returns it; dropped
+          once the leg's phase is sampled *)
   snapshot : bool;
+  phase : int;
   mutable sample_ms : float;
   mutable scaled : float array;  (** scaled ms per operation, per sample *)
   mutable bias : float array;
@@ -104,9 +107,18 @@ type leg = {
 let legs = ref []
 let checks = ref []
 let gates = ref []
+let phase = ref 0
+
+(* Legs registered after this call are sampled in rounds of their own,
+   once the earlier legs are sampled and their operations (which hold
+   their subjects) dropped: a phase whose subjects are large does not
+   slow the others' operations through the collector. *)
+let next_phase () = incr phase
 
 let leg ?(snapshot = false) ~sample_ms next =
-  let l = { next; snapshot; sample_ms; scaled = [||]; bias = [||] } in
+  let l =
+    { next; snapshot; phase = !phase; sample_ms; scaled = [||]; bias = [||] }
+  in
   legs := l :: !legs;
   l
 
@@ -223,8 +235,13 @@ let time name ~sample_ms next =
 (* [next size] sets up the subject of one size and returns its
    operations. The slope is read between the two sizes' medians. *)
 let slope name ~at_most ~sample_ms (small, large) next =
-  let l_small = leg ~sample_ms (next small) in
-  let l_large = leg ~sample_ms (next large) in
+  (* The subjects are built when the phase's sampling begins. *)
+  let deferred size =
+    let op = lazy (next size) in
+    fun () -> Lazy.force op ()
+  in
+  let l_small = leg ~sample_ms (deferred small) in
+  let l_large = leg ~sample_ms (deferred large) in
   gates :=
     (fun () ->
       let t_small = median l_small and t_large = median l_large in
@@ -285,15 +302,15 @@ let write () =
       output_char oc '\n');
   Printf.printf "(snapshot written to %s)\n" snapshot_file
 
-(* Sample every leg, run the untimed checks, then report every gate.
+(* Sample every leg, phase by phase, run the untimed checks, then report
+   every gate.
    [--write] lengthens the samples of a leg too spread to record and
    runs every round again, so that each recorded leg is sampled among the
    same rounds a check runs; a leg already narrow enough keeps its
    samples. *)
 let run () =
-  let legs = List.rev !legs in
   let wide l = l.snapshot && bound l >= max_bound in
-  let rec go doublings =
+  let rec go legs doublings =
     let settled =
       List.filter_map
         (fun l ->
@@ -310,10 +327,14 @@ let run () =
     let wide = List.filter wide legs in
     if mode = Write && wide <> [] && doublings < max_doublings then begin
       List.iter (fun l -> l.sample_ms <- 2.0 *. l.sample_ms) wide;
-      go (doublings + 1)
+      go legs (doublings + 1)
     end
   in
-  go 0;
+  for p = 0 to !phase do
+    let legs = List.filter (fun l -> l.phase = p) (List.rev !legs) in
+    go legs 0;
+    List.iter (fun l -> l.next <- (fun () () -> ())) legs
+  done;
   List.iter run_check (List.rev !checks);
   List.iter (fun g -> g ()) (List.rev !gates);
   if !failed <> [] then begin

@@ -56,10 +56,19 @@ type t = {
   config : config;
   domains : int;
   mutable program : Ir.Cfg.program;
+  mutable proc_list : Ir.Cfg.proc list;  (* the [prog_procs] analyzed *)
+  mutable procs : Ir.Cfg.proc array;  (* [proc_list] *)
   mutable proc_names : Ident.t list;  (* program order, duplicates kept *)
+  mutable fingerprints : int array;
+      (* by position in [proc_names]; this engine's own, patched in place *)
   mutable summaries : Summary.t Ident.Tbl.t;
   mutable cond : Ir.Callgraph.condensation;
-  mutable facts : Facts.t;
+  mutable callers : Ident.t list Ident.Tbl.t option;
+      (* callee -> callers over [summaries], built on demand per [cond] *)
+  mutable facts : (Facts.t * float) Lazy.t;
+      (* the merged facts and the merge's milliseconds, merged on first
+         read: an update's clients (the pass manager's engines, the
+         session's gate) mostly read only the oracles and effects *)
   mutable type_decl : Oracle.t;
   mutable field_type_decl : Oracle.t;
   mutable sm_field_type_refs : Oracle.t;
@@ -147,9 +156,11 @@ let build_oracles config facts =
 (* Summaries in parallel (slot-per-procedure), then the deterministic
    sequential merge in program order — byte-identical to the monolithic
    whole-program pass. *)
-let summarize ~domains program =
-  let procs = Array.of_list program.Ir.Cfg.prog_procs in
-  let sums = par_map ~domains procs (Summary.compute program) in
+let summarize ~domains program procs =
+  let sums =
+    par_map ~domains procs (fun p ->
+        Summary.compute program p ~fingerprint:(Ir.Fingerprint.proc p))
+  in
   let facts =
     Facts.merge program.Ir.Cfg.tenv
       (Array.to_list (Array.map (fun s -> s.Summary.sp_contrib) sums))
@@ -160,8 +171,9 @@ let summarize ~domains program =
    condensed call graph and the three oracles — with fresh counters and
    statistics. *)
 let build config ~domains program =
+  let procs = Array.of_list program.Ir.Cfg.prog_procs in
   let (sums, facts), facts_ms =
-    timed (fun () -> summarize ~domains program)
+    timed (fun () -> summarize ~domains program procs)
   in
   let summaries = summaries_table sums in
   let proc_names =
@@ -172,8 +184,11 @@ let build config ~domains program =
       type_decl_ms, field_type_decl_ms, sm_ms =
     build_oracles config facts
   in
-  { config; domains; program; proc_names; summaries; cond;
-    facts; type_decl; field_type_decl; sm_field_type_refs; sm;
+  { config; domains; program; proc_list = program.Ir.Cfg.prog_procs; procs;
+    proc_names;
+    fingerprints = Array.map (fun s -> s.Summary.sp_fingerprint) sums;
+    summaries; cond; callers = None; facts = Lazy.from_val (facts, facts_ms);
+    type_decl; field_type_decl; sm_field_type_refs; sm;
     timings = { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
     counters = Oracle_cache.fresh_counters (); effects = [];
     incr = fresh_incr () }
@@ -184,19 +199,49 @@ let create ?(config = default_config) ?(domains = 1) program =
 (* An independent engine frozen at [t]'s current analysis state, O(procs).
    [update] replaces every composite value wholesale (facts, oracles,
    condensation, effects states — [update_effects_state] builds over
-   copies) except [summaries], which it patches in place; copying that one
-   table is enough to decouple the two engines' futures. Everything shared
-   is immutable. The copy gets its own query counters and incremental
-   stats so the originals keep counting for [t] alone. *)
+   copies) except [summaries] and [fingerprints], which it patches in
+   place; copying those two is enough to decouple the two engines'
+   futures. Everything shared is immutable. The copy gets its own query
+   counters and incremental stats so the originals keep counting for [t]
+   alone. *)
 let copy t =
   { t with
+    fingerprints = Array.copy t.fingerprints;
     summaries = Ident.Tbl.copy t.summaries;
     counters = Oracle_cache.fresh_counters ();
     incr = fresh_incr () }
 
-let facts t = t.facts
+let facts t = fst (Lazy.force t.facts)
 let world t = t.config.world
 let program t = t.program
+let procs t = t.procs
+let fingerprints t = t.fingerprints
+
+(* Callee -> callers over the summaries' edges, built on first use for
+   each call graph: an update that keeps the condensation kept every
+   callee set. *)
+let callers t name =
+  let tbl =
+    match t.callers with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Ident.Tbl.create (max 16 (Ident.Tbl.length t.summaries)) in
+      List.iter
+        (fun caller ->
+          match Ident.Tbl.find_opt t.summaries caller with
+          | Some s ->
+            Ident.Set.iter
+              (fun c ->
+                Ident.Tbl.replace tbl c
+                  (caller
+                  :: Option.value (Ident.Tbl.find_opt tbl c) ~default:[]))
+              s.Summary.sp_callees
+          | None -> ())
+        (List.sort_uniq Ident.compare t.proc_names);
+      t.callers <- Some tbl;
+      tbl
+  in
+  Option.value (Ident.Tbl.find_opt tbl name) ~default:[]
 
 let oracle t = function
   | Type_decl -> t.type_decl
@@ -209,7 +254,10 @@ let cached t kind = Oracle_cache.wrap ~counters:t.counters (oracle t kind)
 
 let type_refs_table t = Sm_type_refs.type_refs t.sm
 let counters t = t.counters
-let timings t = t.timings
+let timings t =
+  if Lazy.is_val t.facts then
+    { t.timings with facts_ms = snd (Lazy.force t.facts) }
+  else t.timings
 
 (* ------------------------------------------------------------------ *)
 (* Mod-ref effects states                                             *)
@@ -302,6 +350,8 @@ let modref_direct t kind name =
 let modref_merged t kind name =
   direct_of_table (effects_state t kind).ef_merged name
 
+let modref_built t kind = List.mem_assoc kind t.effects
+
 (* ------------------------------------------------------------------ *)
 (* Incremental update                                                 *)
 
@@ -320,9 +370,13 @@ let rebuild t program =
   let f = build t.config ~domains:t.domains program in
   (* Commit: nothing below raises. *)
   t.program <- program;
+  t.proc_list <- f.proc_list;
+  t.procs <- f.procs;
   t.proc_names <- f.proc_names;
+  t.fingerprints <- f.fingerprints;
   t.summaries <- f.summaries;
   t.cond <- f.cond;
+  t.callers <- None;
   t.facts <- f.facts;
   t.type_decl <- f.type_decl;
   t.field_type_decl <- f.field_type_decl;
@@ -353,77 +407,98 @@ let update_effects_state t kind old_st program ~cond ~nprocs ~changed
     ~cond_reused =
   let incr = t.incr in
   let o = oracle t kind in
-  let ef_direct = Ident.Tbl.copy old_st.ef_direct in
+  let directs =
+    List.filter_map
+      (fun name ->
+        Option.map
+          (fun proc ->
+            ( name,
+              Effects.direct ~store_class:o.Oracle.store_class
+                ~addr_taken_var:o.Oracle.addr_taken_var proc ))
+          (Ir.Cfg.find_proc_opt program name))
+      changed
+  in
   let direct_changed = Ident.Tbl.create 16 in
   List.iter
-    (fun name ->
-      match Ir.Cfg.find_proc_opt program name with
-      | None -> ()
-      | Some proc ->
-        let d =
-          Effects.direct ~store_class:o.Oracle.store_class
-            ~addr_taken_var:o.Oracle.addr_taken_var proc
-        in
-        if not (Effects.equal d (direct_of_table ef_direct name)) then
-          Ident.Tbl.replace direct_changed name ();
-        Ident.Tbl.replace ef_direct name d)
-    changed;
+    (fun (name, d) ->
+      if not (Effects.equal d (direct_of_table old_st.ef_direct name)) then
+        Ident.Tbl.replace direct_changed name ())
+    directs;
   let nchanged = List.length changed in
   incr.effects_recomputed <- incr.effects_recomputed + nchanged;
   incr.effects_reused <- incr.effects_reused + (nprocs - nchanged);
   let nc = Array.length cond.Ir.Callgraph.cond_comps in
-  if not cond_reused then begin
-    (* The call graph itself changed: every merged view is suspect. *)
-    let comp_merged =
-      merged_of_cond ~domains:t.domains cond (direct_of_table ef_direct)
-    in
-    incr.merges_recomputed <- incr.merges_recomputed + nc;
-    let ef_merged = Ident.Tbl.create (max 16 nprocs) in
-    fill_merged_table ef_merged cond comp_merged;
-    { ef_direct; ef_merged; ef_cond = cond }
+  if cond_reused && Ident.Tbl.length direct_changed = 0 then begin
+    (* Nothing a merge reads moved: the state stands as it is. *)
+    incr.merges_reused <- incr.merges_reused + nc;
+    old_st
   end
   else begin
-    (* Same condensation: patch a copy of the merged table, touching only
-       components on the affected slice. *)
-    let ef_merged = Ident.Tbl.copy old_st.ef_merged in
-    let comp_merged = Array.make nc Effects.empty in
-    let comp_changed = Array.make nc false in
-    for c = 0 to nc - 1 do
-      let members = cond.Ir.Callgraph.cond_comps.(c) in
-      let old_m =
-        match members with
-        | m :: _ -> direct_of_table ef_merged m
-        | [] -> Effects.empty
+    let ef_direct = Ident.Tbl.copy old_st.ef_direct in
+    List.iter (fun (name, d) -> Ident.Tbl.replace ef_direct name d) directs;
+    if not cond_reused then begin
+      (* The call graph itself changed: every merged view is suspect. *)
+      let comp_merged =
+        merged_of_cond ~domains:t.domains cond (direct_of_table ef_direct)
       in
-      let need =
-        List.exists (fun m -> Ident.Tbl.mem direct_changed m) members
-        || List.exists
-             (fun s -> comp_changed.(s))
-             cond.Ir.Callgraph.cond_succs.(c)
-      in
-      if need then begin
-        let base =
-          List.fold_left
-            (fun acc m -> Effects.union acc (direct_of_table ef_direct m))
-            Effects.empty members
+      incr.merges_recomputed <- incr.merges_recomputed + nc;
+      let ef_merged = Ident.Tbl.create (max 16 nprocs) in
+      fill_merged_table ef_merged cond comp_merged;
+      { ef_direct; ef_merged; ef_cond = cond }
+    end
+    else begin
+      (* Same condensation: patch a copy of the merged table, touching
+         only components on the affected slice. *)
+      let ef_merged = Ident.Tbl.copy old_st.ef_merged in
+      let comp_merged = Array.make nc Effects.empty in
+      let comp_changed = Array.make nc false in
+      for c = 0 to nc - 1 do
+        let members = cond.Ir.Callgraph.cond_comps.(c) in
+        let old_m =
+          match members with
+          | m :: _ -> direct_of_table ef_merged m
+          | [] -> Effects.empty
         in
-        let v =
-          List.fold_left
-            (fun acc s -> Effects.union acc comp_merged.(s))
-            base cond.Ir.Callgraph.cond_succs.(c)
+        let need =
+          List.exists (fun m -> Ident.Tbl.mem direct_changed m) members
+          || List.exists
+               (fun s -> comp_changed.(s))
+               cond.Ir.Callgraph.cond_succs.(c)
         in
-        comp_merged.(c) <- v;
-        comp_changed.(c) <- not (Effects.equal v old_m);
-        List.iter (fun m -> Ident.Tbl.replace ef_merged m v) members;
-        incr.merges_recomputed <- incr.merges_recomputed + 1
-      end
-      else begin
-        comp_merged.(c) <- old_m;
-        incr.merges_reused <- incr.merges_reused + 1
-      end
-    done;
-    { ef_direct; ef_merged; ef_cond = cond }
+        if need then begin
+          let base =
+            List.fold_left
+              (fun acc m -> Effects.union acc (direct_of_table ef_direct m))
+              Effects.empty members
+          in
+          let v =
+            List.fold_left
+              (fun acc s -> Effects.union acc comp_merged.(s))
+              base cond.Ir.Callgraph.cond_succs.(c)
+          in
+          comp_merged.(c) <- v;
+          comp_changed.(c) <- not (Effects.equal v old_m);
+          List.iter (fun m -> Ident.Tbl.replace ef_merged m v) members;
+          incr.merges_recomputed <- incr.merges_recomputed + 1
+        end
+        else begin
+          comp_merged.(c) <- old_m;
+          incr.merges_reused <- incr.merges_reused + 1
+        end
+      done;
+      { ef_direct; ef_merged; ef_cond = cond }
+    end
   end
+
+(* Does the array of procedures name [names], in order? *)
+let same_names procs names =
+  let n = Array.length procs in
+  let rec go i = function
+    | [] -> i = n
+    | name :: rest ->
+      i < n && Ident.equal procs.(i).Ir.Cfg.pr_name name && go (i + 1) rest
+  in
+  go 0 names
 
 let update ?(check = fun () -> ()) ?fingerprints t program =
   check ();
@@ -434,52 +509,95 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
   end
   else begin
     let incr = t.incr in
-    let procs = Array.of_list program.Ir.Cfg.prog_procs in
+    (* The very list analyzed last: the same procedure objects, whose
+       names and signatures are immutable. *)
+    let same_list = program.Ir.Cfg.prog_procs == t.proc_list in
+    let procs =
+      if same_list then t.procs else Array.of_list program.Ir.Cfg.prog_procs
+    in
     let n = Array.length procs in
     let old_summaries = t.summaries in
-    (* One memoized signature read per callee — every caller of a
-       procedure revalidates against the same signature. *)
-    let sig_memo = Ident.Tbl.create 64 in
-    let signature_of name =
-      match Ident.Tbl.find_opt sig_memo name with
-      | Some s -> s
-      | None ->
-        let s = Summary.signature_of program name in
-        Ident.Tbl.add sig_memo name s;
-        s
-    in
-    (* Revalidate every summary against the new program; [None] marks a
-       procedure whose summary must be recomputed. *)
-    let fingerprint =
+    let fps =
       match fingerprints with
-      | Some fps -> fun i _ -> fps.(i)
-      | None -> fun _ p -> Ir.Fingerprint.proc p
+      | Some fps -> fps
+      | None -> Array.map Ir.Fingerprint.proc procs
     in
-    let slots =
-      Array.mapi
-        (fun i p ->
-          match Ident.Tbl.find_opt old_summaries p.Ir.Cfg.pr_name with
+    let same_procs = same_list || same_names procs t.proc_names in
+    let old_of i = Ident.Tbl.find_opt old_summaries procs.(i).Ir.Cfg.pr_name in
+    (* Over the same procedure list with unique names, a procedure whose
+       fingerprint did not move keeps its summary unless a callee's
+       signature moved, and a signature moves only with its procedure's
+       fingerprint (which covers the formals and the return type). So
+       when no moved procedure changed its signature, the moved ones are
+       exactly the procedures to recompute; otherwise revalidate every
+       summary against the new program. *)
+    let moved =
+      if same_procs && Ident.Tbl.length old_summaries = n then begin
+        let moved = ref [] in
+        for i = n - 1 downto 0 do
+          if fps.(i) <> t.fingerprints.(i) then moved := i :: !moved
+        done;
+        if
+          same_list
+          || List.for_all
+               (fun i ->
+                 match old_of i with
+                 | Some s ->
+                   s.Summary.sp_signature = Ir.Fingerprint.signature procs.(i)
+                 | None -> false)
+               !moved
+        then Some !moved
+        else None
+      end
+      else None
+    in
+    let invalid =
+      match moved with
+      | Some moved -> Array.of_list moved
+      | None ->
+        (* One memoized signature read per callee — every caller of a
+           procedure revalidates against the same signature. *)
+        let sig_memo = Ident.Tbl.create 64 in
+        let signature_of name =
+          match Ident.Tbl.find_opt sig_memo name with
+          | Some s -> s
+          | None ->
+            let s = Summary.signature_of program name in
+            Ident.Tbl.add sig_memo name s;
+            s
+        in
+        let invalid = ref [] in
+        for i = n - 1 downto 0 do
+          match old_of i with
           | Some s
-            when Summary.reusable s ~fingerprint:(fingerprint i p) ~signature_of
-            ->
-            Some s
-          | _ -> None)
-        procs
+            when Summary.reusable s ~fingerprint:fps.(i) ~signature_of ->
+            ()
+          | _ -> invalid := i :: !invalid
+        done;
+        Array.of_list !invalid
     in
-    let invalid = ref [] in
-    Array.iteri
-      (fun i s -> if Option.is_none s then invalid := i :: !invalid)
-      slots;
-    let invalid = Array.of_list (List.rev !invalid) in
-    Domain_pool.run ~domains:t.domains (Array.length invalid) (fun k ->
-        (* Cancellation point at per-procedure granularity: a raise here
-           (from any domain) aborts before anything is committed, so the
-           exception-safety contract below covers cancellation too. *)
-        check ();
-        let i = invalid.(k) in
-        slots.(i) <- Some (Summary.compute program procs.(i)));
-    let sums =
+    (* The recomputed summaries, by index into [invalid]. *)
+    let fresh =
+      let slots = Array.make (Array.length invalid) None in
+      Domain_pool.run ~domains:t.domains (Array.length invalid) (fun k ->
+          (* Cancellation point at per-procedure granularity: a raise here
+             (from any domain) aborts before anything is committed, so the
+             exception-safety contract below covers cancellation too. *)
+          check ();
+          let i = invalid.(k) in
+          slots.(k) <-
+            Some (Summary.compute program procs.(i) ~fingerprint:fps.(i)));
       Array.map (function Some s -> s | None -> assert false) slots
+    in
+    (* Every summary of the new program, built only when a whole-program
+       product (the merged facts, a new summary table) needs them all. *)
+    let sums =
+      lazy
+        (let at = Array.make n (-1) in
+         Array.iteri (fun k i -> at.(i) <- k) invalid;
+         Array.init n (fun i ->
+             if at.(i) >= 0 then fresh.(at.(i))
+             else match old_of i with Some s -> s | None -> assert false))
     in
     let nrecomp = Array.length invalid in
     incr.summaries_recomputed <- incr.summaries_recomputed + nrecomp;
@@ -490,23 +608,29 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
         (Array.to_list invalid)
     in
     let new_names =
-      List.map (fun p -> p.Ir.Cfg.pr_name) program.Ir.Cfg.prog_procs
+      if same_procs then t.proc_names
+      else List.map (fun p -> p.Ir.Cfg.pr_name) program.Ir.Cfg.prog_procs
     in
-    let same_procs = List.equal Ident.equal new_names t.proc_names in
-    let old_of i = Ident.Tbl.find_opt old_summaries procs.(i).Ir.Cfg.pr_name in
+    (* Does [same] hold between every recomputed summary and the one it
+       replaces? *)
+    let kept same =
+      let ok = ref true in
+      Array.iteri
+        (fun k i ->
+          if !ok then
+            match old_of i with
+            | Some old_s -> ok := same old_s fresh.(k)
+            | None -> ok := false)
+        invalid;
+      !ok
+    in
     (* Strongest reuse: every recomputed procedure's whole contribution is
        unchanged (an edit that moved no facts), so the merged facts stand
        as-is. *)
     let contribs_unchanged =
       same_procs
-      && Array.for_all
-           (fun i ->
-             match old_of i with
-             | None -> false
-             | Some old_s ->
-               Facts.contrib_equal old_s.Summary.sp_contrib
-                 sums.(i).Summary.sp_contrib)
-           invalid
+      && kept (fun o s ->
+             Facts.contrib_equal o.Summary.sp_contrib s.Summary.sp_contrib)
     in
     (* Oracles survive iff the procedure list is unchanged and every
        recomputed summary preserved its canonical oracle inputs: all
@@ -515,25 +639,14 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
     let oracles_ok =
       contribs_unchanged
       || same_procs
-         && Array.for_all
-              (fun i ->
-                match old_of i with
-                | None -> false
-                | Some old_s ->
-                  Facts.oracle_inputs_equal old_s.Summary.sp_inputs
-                    sums.(i).Summary.sp_inputs)
-              invalid
+         && kept (fun o s ->
+                Facts.oracle_inputs_equal o.Summary.sp_inputs
+                  s.Summary.sp_inputs)
     in
     let cond_reused =
       same_procs
-      && Array.for_all
-           (fun i ->
-             match old_of i with
-             | None -> false
-             | Some old_s ->
-               Ident.Set.equal old_s.Summary.sp_callees
-                 sums.(i).Summary.sp_callees)
-           invalid
+      && kept (fun o s ->
+             Ident.Set.equal o.Summary.sp_callees s.Summary.sp_callees)
     in
     (* Fallible phase continues: merge facts, rebuild oracles and re-derive
        the effects views into locals — only then commit. A raise anywhere
@@ -545,7 +658,7 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
          change (the new condensation needs the full new table now). *)
       if cond_reused && same_procs && Ident.Tbl.length t.summaries = n then
         None
-      else Some (summaries_table sums)
+      else Some (summaries_table (Lazy.force sums))
     in
     let new_cond =
       if cond_reused then t.cond
@@ -555,16 +668,16 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
         | None -> assert false (* [None] only when [cond_reused] *)
     in
     check ();
-    let new_facts, facts_ms =
-      if contribs_unchanged then (None, t.timings.facts_ms)
+    let new_facts =
+      if contribs_unchanged then None
       else
-        let facts, ms =
-          timed (fun () ->
-              Facts.merge program.Ir.Cfg.tenv
-                (Array.to_list
-                   (Array.map (fun s -> s.Summary.sp_contrib) sums)))
-        in
-        (Some facts, ms)
+        let sums = Lazy.force sums in
+        Some
+          (lazy
+            (timed (fun () ->
+                 Facts.merge program.Ir.Cfg.tenv
+                   (Array.to_list
+                      (Array.map (fun s -> s.Summary.sp_contrib) sums)))))
     in
     check ();
     let new_oracles =
@@ -572,7 +685,9 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
       else
         Some
           (build_oracles t.config
-             (match new_facts with Some f -> f | None -> t.facts))
+             (fst
+                (Lazy.force
+                   (match new_facts with Some f -> f | None -> t.facts))))
     in
     let new_effects =
       if oracles_ok then
@@ -586,27 +701,33 @@ let update ?(check = fun () -> ()) ?fingerprints t program =
     in
     (* Commit: nothing below raises. *)
     t.program <- program;
+    t.proc_list <- program.Ir.Cfg.prog_procs;
+    t.procs <- procs;
     t.proc_names <- new_names;
+    (match (moved, fingerprints) with
+    | Some moved, _ -> List.iter (fun i -> t.fingerprints.(i) <- fps.(i)) moved
+    | None, Some fps -> t.fingerprints <- Array.copy fps
+    | None, None -> t.fingerprints <- fps);
     (match new_summaries with
     | Some tbl -> t.summaries <- tbl
     | None ->
-      Array.iter
-        (fun i ->
-          Ident.Tbl.replace t.summaries procs.(i).Ir.Cfg.pr_name sums.(i))
+      Array.iteri
+        (fun k i ->
+          Ident.Tbl.replace t.summaries procs.(i).Ir.Cfg.pr_name fresh.(k))
         invalid);
+    if not cond_reused then t.callers <- None;
     t.cond <- new_cond;
     (match new_facts with Some f -> t.facts <- f | None -> ());
     (match new_oracles with
-    | None ->
-      t.timings <- { t.timings with facts_ms };
-      t.effects <- new_effects
+    | None -> t.effects <- new_effects
     | Some (type_decl, field_type_decl, sm_field_type_refs, sm,
             type_decl_ms, field_type_decl_ms, sm_ms) ->
       t.type_decl <- type_decl;
       t.field_type_decl <- field_type_decl;
       t.sm_field_type_refs <- sm_field_type_refs;
       t.sm <- sm;
-      t.timings <- { facts_ms; type_decl_ms; field_type_decl_ms; sm_ms };
+      t.timings <-
+        { t.timings with type_decl_ms; field_type_decl_ms; sm_ms };
       t.effects <- [];
       incr.oracles_rebuilt <- incr.oracles_rebuilt + 1);
     incr.last_report <-
@@ -637,13 +758,14 @@ let stats t =
       ("variant", Json.String (match t.config.variant with
           | Sm_type_refs.Grouped -> "grouped"
           | Sm_type_refs.Per_type -> "per-type"));
-      ("types", Json.Int (Types.count t.facts.Facts.tenv));
+      ("types", Json.Int (Types.count t.program.Ir.Cfg.tenv));
       ("build_ms",
        Json.Obj
-         [ ("facts", Json.Float t.timings.facts_ms);
-           ("type_decl", Json.Float t.timings.type_decl_ms);
-           ("field_type_decl", Json.Float t.timings.field_type_decl_ms);
-           ("sm_field_type_refs", Json.Float t.timings.sm_ms) ]);
+         (let ti = timings t in
+          [ ("facts", Json.Float ti.facts_ms);
+            ("type_decl", Json.Float ti.type_decl_ms);
+            ("field_type_decl", Json.Float ti.field_type_decl_ms);
+            ("sm_field_type_refs", Json.Float ti.sm_ms) ]));
       ("queries", Json.Int (Oracle_cache.queries t.counters));
       ("paths_interned", Json.Int (Ir.Apath.interned ()));
       ("incremental",

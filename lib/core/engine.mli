@@ -70,7 +70,12 @@ val update :
     [fingerprints], when given, holds the {!Ir.Fingerprint.proc} of each
     procedure of [program], in [prog_procs] order: a caller that already
     tracks them spares the update re-hashing every body. Wrong values
-    make the engine reuse stale summaries.
+    make the engine reuse stale summaries. Over an unchanged procedure
+    list, only the procedures whose fingerprint moved are read, unless
+    one of them changed its signature; and mod-ref views whose inputs
+    did not move are kept without a copy, so an update that moved k
+    procedures costs O(k) beyond linear scans of the procedure list and
+    the fingerprints.
 
     Exception-safe: all fallible re-analysis completes before the engine
     is touched, so if revalidation raises mid-update (e.g. on an
@@ -110,8 +115,28 @@ val cached : t -> kind -> Oracle.t
     shares the counters. *)
 
 val facts : t -> Facts.t
+(** The merged facts. An {!update} whose recomputed summaries moved a
+    contribution merges them here, on the first read after it, unless it
+    rebuilt the oracles (which read them); the first read must not race
+    another domain's. *)
+
 val world : t -> World.t
 val program : t -> Ir.Cfg.program
+
+val procs : t -> Ir.Cfg.proc array
+(** The procedures the engine last analyzed, in [prog_procs] order: the
+    engine's own array, never written. *)
+
+val fingerprints : t -> int array
+(** The {!Ir.Fingerprint.proc} of each procedure the engine last
+    analyzed, in [prog_procs] order: the engine's own array, which the
+    next {!update} may patch in place — read it, do not keep it. A
+    procedure whose fingerprint here differs from its body's is one the
+    next {!update} re-reads. *)
+
+val callers : t -> Support.Ident.t -> Support.Ident.t list
+(** The procedures whose summaries list the name as a callee (virtual
+    calls resolved), in no particular order. Built once per call graph. *)
 
 val type_refs_table : t -> Types.tid -> Types.tid list
 (** The SMTypeRefs TypeRefsTable, also used by method resolution. *)
@@ -132,6 +157,10 @@ val modref_merged : t -> kind -> Ident.t -> Effects.t
 (** Effects of the procedure and everything reachable from it — equal to
     the monolithic transitive-closure mod-ref result. *)
 
+val modref_built : t -> kind -> bool
+(** Whether the views of [kind] are built. While they are not, the next
+    {!modref_direct} or {!modref_merged} reads every procedure's body. *)
+
 (** {1 Instrumentation} *)
 
 type timings = {
@@ -144,7 +173,7 @@ type timings = {
 val timings : t -> timings
 (** Construction cost per phase, in elapsed milliseconds on
     {!Support.Clock.now_ms}. On an {!update} that kept the oracles, only
-    [facts_ms] reflects the update. *)
+    [facts_ms] reflects the update, once the merged facts were read. *)
 
 type update_report = {
   ur_recomputed : Ident.t list;

@@ -22,11 +22,11 @@ let callee_sigs program callees =
 (* Pure given a frozen program: fingerprinting, callee resolution
    (type-environment reads) and fact collection all intern nothing — safe
    to run on many procedures concurrently. *)
-let compute program (proc : Cfg.proc) =
+let compute program (proc : Cfg.proc) ~fingerprint =
   let callees = Callgraph.callees program proc in
   let contrib = Facts.collect_proc program proc in
   { sp_name = proc.Cfg.pr_name;
-    sp_fingerprint = Fingerprint.proc proc;
+    sp_fingerprint = fingerprint;
     sp_signature = Fingerprint.signature proc;
     sp_callees = callees;
     sp_callee_sigs = callee_sigs program callees;

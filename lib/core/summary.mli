@@ -28,9 +28,11 @@ type t = {
   sp_inputs : Facts.oracle_inputs;
 }
 
-val compute : Cfg.program -> Cfg.proc -> t
+val compute : Cfg.program -> Cfg.proc -> fingerprint:int -> t
 (** Summarize one procedure, resolving callees through
-    [Cfg.find_proc_opt]. Pure; safe to call concurrently on distinct
+    [Cfg.find_proc_opt]. [fingerprint] is the procedure's
+    {!Fingerprint.proc}, which the caller has already computed for its
+    reuse check. Pure; safe to call concurrently on distinct
     procedures. *)
 
 val signature_of : Cfg.program -> Ident.t -> int option

@@ -87,20 +87,21 @@ let read_pred ?claims (oracle : Oracle.t) modref instr =
     | Some v -> fun si -> List.exists (Reg.var_equal v) si.si_vars
     | None -> fun _ -> false
   in
-  (* Register reads of memory-resident variables: a write through [si]
-     could have targeted the variable's slot, so reading it observes the
-     store. Registers proper are unreachable from stores. *)
+  (* Register reads of memory-resident variables, as paths resolved once
+     per instruction: a write through [si] could have targeted the
+     variable's slot, so reading it observes the store. Registers proper
+     are unreachable from stores. *)
   let mem_reads =
-    List.filter
+    List.filter_map
       (fun v ->
-        v.Reg.v_kind = Reg.Vglobal || oracle.Oracle.addr_taken_var v)
+        if v.Reg.v_kind = Reg.Vglobal || oracle.Oracle.addr_taken_var v then
+          Some (Apath.of_var v)
+        else None)
       (Instr.vars_used instr)
   in
   let regs_p si =
     List.exists
-      (fun v ->
-        let vp = Apath.of_var v in
-        note si.si_path vp (oracle.Oracle.class_kills si.si_cls vp))
+      (fun vp -> note si.si_path vp (oracle.Oracle.class_kills si.si_cls vp))
       mem_reads
   in
   let cells_p =

@@ -95,15 +95,27 @@ val failures : Pass.report list -> (string * string) list
     rebuilds the type oracles or the call graph — always the case when
     the procedure list changes — the memo is flushed, so a procedure
     position names the same procedure in every run the memo survives
-    into. Otherwise, on [rerun], a procedure whose pass input is provably
-    unchanged — same input fingerprint and allocator state, and neither
-    it nor anything it transitively calls among the gate's recomputed
-    procedures (mod-ref summaries flow callee-to-caller) — has its
-    recorded output body, stats, oracle counters and claims spliced in
-    instead of re-running the pass. Misses run live (in parallel, when
-    the context asks) and refresh the memo. Reports and the resulting
-    program are byte-identical to a from-scratch {!run} with a fresh
-    context. Whole-program passes always run live. *)
+    into. Otherwise, on [rerun], the edited procedures and everything
+    that transitively calls them (mod-ref summaries flow
+    callee-to-caller) run live at every position; any other procedure
+    whose pass input is provably unchanged — same input fingerprint and
+    allocator state — replays its recorded output body, stats, oracle
+    counters and claims instead of re-running the pass.
+
+    The walk touches only live procedures: at a position that follows
+    the position it followed in the previous run, with no whole-program
+    pass between, a procedure that replayed its entry at the position
+    before chains onto its entry here unexamined, and only those that
+    ran live there are checked. A replayed procedure's body is spliced
+    once, from the last entry replayed for it, when it is next read:
+    before it runs live, before the engine re-reads it, before a
+    whole-program pass, and at the end of the run. A position's report
+    is its totals over all entries from the previous run, adjusted by the
+    live procedures' old and new entries. Misses run live (in parallel,
+    when the context asks) and refresh the memo. Reports (their dataflow
+    counters aside, which count the work done) and the resulting program
+    are byte-identical to a from-scratch {!run} with a fresh context.
+    Whole-program passes always run live. *)
 
 type session
 
@@ -111,11 +123,17 @@ val session : Pass.context -> session
 (** A fresh session around the given context. The context must not be
     shared with other runs while the session is live. *)
 
-val rerun : session -> Ir.Cfg.program -> item list -> Pass.report list
+val rerun :
+  ?fingerprints:int array -> session -> Ir.Cfg.program -> item list ->
+  Pass.report list
 (** Re-optimize the program (in place, like {!run}) against the memo. The
     first call is a cold run that populates it. The program must be the
     *pre-optimization* form of the next version (the caller re-lowers or
-    edits the unoptimized IR, then calls [rerun]). *)
+    edits the unoptimized IR, then calls [rerun]). [fingerprints], when
+    given, holds the {!Ir.Fingerprint.proc} of each procedure of the
+    program, in [prog_procs] order (a caller that tracks them, like the
+    daemon's store, spares the rerun hashing every body); wrong values
+    make the session replay stale results. *)
 
 val session_stats : session -> Support.Json.t
 (** [{runs, reused, reran, flushes}]: cumulative run count, last run's

@@ -216,7 +216,9 @@ let degrade_on_failure existing msg =
    run over the fresh lowering, stats recorded, then the lowering is
    restored byte-for-byte. The session's per-(pass, procedure) memo and
    gate engine persist across revisions, so a body-local edit re-runs
-   only the edited procedure and its transitive callers. *)
+   only the edited procedure and its transitive callers, and the session
+   reads the fingerprints the front end carries instead of hashing every
+   body. *)
 let optimizer_schedule =
   Opt.Pass_manager.schedule
     { Opt.Pass_manager.Config.none with
@@ -235,7 +237,10 @@ let optimize_doc d program =
         s
     in
     let t0 = Clock.now_ms () in
-    let reports = Opt.Pass_manager.rerun s program optimizer_schedule in
+    let reports =
+      Opt.Pass_manager.rerun ~fingerprints:d.dc_front.fr_fingerprints s
+        program optimizer_schedule
+    in
     let ms = Clock.now_ms () -. t0 in
     let changed =
       List.length (List.filter (fun r -> r.Opt.Pass.r_changed) reports)

@@ -217,24 +217,63 @@ let of_string s =
   in
   let parse_number () =
     let start = !pos in
-    let negative = eat '-' in
-    let digits = !pos in
-    let acc = ref 0 in
+    let negative = start < n && String.unsafe_get s start = '-' in
+    let digits = if negative then start + 1 else start in
+    (* A local cursor, written back once: the loop keeps it in a
+       register. *)
+    let i = ref digits and acc = ref 0 in
     while
-      !pos < n
-      && !pos - digits < 19
-      && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
+      !i < n
+      && !i - digits < 19
+      && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
     do
-      acc := (!acc * 10) + (Char.code (String.unsafe_get s !pos) - 48);
-      incr pos
+      acc := (!acc * 10) + (Char.code (String.unsafe_get s !i) - 48);
+      incr i
     done;
-    let count = !pos - digits in
-    if count > 0 && count <= 18 && not (!pos < n && is_num_char s.[!pos])
-    then Int (if negative then - !acc else !acc)
+    let count = !i - digits in
+    if
+      count > 0 && count <= 18
+      && not (!i < n && is_num_char (String.unsafe_get s !i))
+    then begin
+      pos := !i;
+      Int (if negative then - !acc else !acc)
+    end
     else begin
       pos := start;
       number_text start
     end
+  in
+  (* The digits of a plain integer of at most 18 digits at [!i], advancing
+     [i] past them: the value, or -1 when there is no digit. *)
+  let digits i =
+    let d = !i and acc = ref 0 in
+    while
+      !i < n
+      && !i - d < 18
+      && match String.unsafe_get s !i with '0' .. '9' -> true | _ -> false
+    do
+      acc := (!acc * 10) + (Char.code (String.unsafe_get s !i) - 48);
+      incr i
+    done;
+    if !i = d then -1 else !acc
+  in
+  (* Just after a '[': a list of exactly two unsigned integers written
+     without spaces — a memref pair — decoded in one scan, to the value
+     the general path gives it. [None], with the cursor unmoved, for
+     anything else. *)
+  let int_pair () =
+    let i = ref !pos in
+    let a = digits i in
+    if a >= 0 && !i < n && String.unsafe_get s !i = ',' then begin
+      incr i;
+      let b = digits i in
+      if b >= 0 && !i < n && String.unsafe_get s !i = ']' then begin
+        pos := !i + 1;
+        Some (List [ Int a; Int b ])
+      end
+      else None
+    end
+    else None
   in
   let rec parse_value depth =
     if depth > max_depth then
@@ -260,20 +299,35 @@ let of_string s =
         in
         members []
       end
-    | '[' ->
+    | '[' -> (
       incr pos;
-      skip_ws ();
-      if eat ']' then List []
-      else begin
-        let rec elements acc =
-          let v = parse_value (depth + 1) in
+      match if depth < max_depth then int_pair () else None with
+      | Some pair -> pair
+      | None ->
+        skip_ws ();
+        if eat ']' then List []
+        else begin
+          let rec elements acc =
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            if eat ',' then elements (v :: acc)
+            else if eat ']' then List (List.rev (v :: acc))
+            else parse_fail "expected ',' or ']' at %d" !pos
+          in
+          (* The first two elements in place: most lists are short, and
+             one of one or two elements needs no reversal. *)
+          let v1 = parse_value (depth + 1) in
           skip_ws ();
-          if eat ',' then elements (v :: acc)
-          else if eat ']' then List (List.rev (v :: acc))
+          if eat ',' then begin
+            let v2 = parse_value (depth + 1) in
+            skip_ws ();
+            if eat ',' then elements [ v2; v1 ]
+            else if eat ']' then List [ v1; v2 ]
+            else parse_fail "expected ',' or ']' at %d" !pos
+          end
+          else if eat ']' then List [ v1 ]
           else parse_fail "expected ',' or ']' at %d" !pos
-        in
-        elements []
-      end
+        end)
     | '"' -> String (parse_string ())
     | 't' -> literal "true" (Bool true)
     | 'f' -> literal "false" (Bool false)

@@ -386,6 +386,54 @@ let test_update_drop_proc () =
           program)
     (programs ())
 
+(* An update over the same procedure list reads only the procedures
+   whose fingerprint moved since the engine's last analysis: an edit and
+   its undo, each a fresh lowering, must come back to the original
+   analysis. *)
+let test_update_edit_and_undo () =
+  List.iter
+    (fun seed ->
+      let original () = lower_gen seed in
+      let engine = Tbaa.Engine.create (original ()) in
+      force engine;
+      let edited = original () in
+      if Option.is_some (erase_store_block edited) then begin
+        let engine = Tbaa.Engine.update engine edited in
+        let back = original () in
+        let engine = Tbaa.Engine.update engine back in
+        let fresh = Tbaa.Engine.create back in
+        force fresh;
+        check_engine_equiv (Printf.sprintf "edit+undo/seed %d" seed) engine
+          fresh back
+      end)
+    seeds
+
+(* A callee whose formal changes type changes what its callers' call
+   sites contribute, though the callers' bodies (and fingerprints) stay
+   as they were. *)
+let test_update_callee_signature () =
+  let source formal =
+    Printf.sprintf
+      "MODULE S;\nTYPE T = OBJECT f: INTEGER; END;\n  U = T OBJECT END;\n\
+       VAR t: T;\n  u: U;\n\
+       PROCEDURE F (p: %s) =\n  BEGIN\n    t := p;\n  END F;\n\
+       PROCEDURE G () =\n  BEGIN\n    F (u);\n  END G;\n\
+       BEGIN\n  u := NEW (U);\n  G ();\nEND S.\n"
+      formal
+  in
+  let engine = Tbaa.Engine.create (Lower.lower_string ~file:"<sig>" (source "T")) in
+  force engine;
+  let program = Lower.lower_string ~file:"<sig>" (source "U") in
+  let engine = Tbaa.Engine.update engine program in
+  let fresh = Tbaa.Engine.create program in
+  force fresh;
+  check_engine_equiv "callee signature" engine fresh program;
+  match Tbaa.Engine.last_update engine with
+  | Some r ->
+    Alcotest.(check bool) "the caller was recomputed" true
+      (List.exists (fun n -> Ident.name n = "G") r.Tbaa.Engine.ur_recomputed)
+  | None -> Alcotest.fail "no update report"
+
 (* ------------------------------------------------------------------ *)
 (* Parallel create                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -569,7 +617,11 @@ let () =
           Alcotest.test_case "caller-supplied fingerprints" `Quick
             test_update_supplied_fingerprints;
           Alcotest.test_case "procedure removal" `Quick
-            test_update_drop_proc ] );
+            test_update_drop_proc;
+          Alcotest.test_case "an edit and its undo" `Quick
+            test_update_edit_and_undo;
+          Alcotest.test_case "a callee's signature changes" `Quick
+            test_update_callee_signature ] );
       ( "parallel",
         [ Alcotest.test_case "parallel create = sequential" `Quick
             test_parallel_create_equiv;

@@ -10,10 +10,13 @@
    - incremental [Pass_manager.rerun] is indistinguishable from a
      from-scratch run for each mutation kind (constant toggle, store
      duplication, store-block erasure, procedure removal, procedure swap
-     — the last two must flush the memo) and along a chain of edits that
-     changes a fixpoint group's round count, actually reuses memoized
-     work for a body-local single-procedure edit, and reuses exactly the
-     pinned amount on the daemon's schedule;
+     — the last two must flush the memo), along a chain of edits that
+     changes a fixpoint group's round count, along the Gen.Scale edits,
+     with whole-program passes between memoized positions, and in
+     synthetic cases that each lean on one shortcut of the walk; it
+     actually reuses memoized work for a body-local single-procedure
+     edit, and reuses exactly the pinned amount on the daemon's
+     schedule;
    - [run], [run_guarded] and [rerun] walk a schedule alike: a fixpoint
      group stops at [max_rounds], only Transform passes drive it, and
      guarded execution without failures reports what plain execution
@@ -319,44 +322,320 @@ let test_rerun_reuses () =
     seeds;
   Alcotest.(check bool) "some seed reused memoized procedure results" true !hit
 
-(* The session's reuse on the daemon's schedule, pinned: the Gen.Scale
-   document, then the pinned daemon test's three edits applied one after
-   another, each version lowered from source and rerun through one
+(* The daemon's schedule: every per-procedure client. *)
+let daemon_schedule =
+  Opt.Pass_manager.schedule
+    { Opt.Pass_manager.Config.none with
+      Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
+      rle = true; copyprop = true; dse = true }
+
+(* The Gen.Scale document, then the pinned daemon test's three edits
+   applied one after another. *)
+let scale_versions () =
+  let source = Gen.Scale.source 200 in
+  List.rev
+    (List.fold_left
+       (fun acc (start, stop, text) ->
+         let prev = List.hd acc in
+         (String.sub prev 0 start ^ text
+         ^ String.sub prev stop (String.length prev - stop))
+         :: acc)
+       [ source ]
+       (Test_mutations.scale_edits source))
+
+let lower_scale src = Lower.lower_string ~file:"<scale>" src
+
+(* The session's reuse on the daemon's schedule, pinned: each version of
+   the Gen.Scale document lowered from source and rerun through one
    session. A change that loses (or invents) reuse moves these counts. *)
 let test_rerun_pinned_reuse () =
-  let schedule =
-    Opt.Pass_manager.schedule
-      { Opt.Pass_manager.Config.none with
-        Opt.Pass_manager.Config.licm = true; pre = true; slf = true;
-        rle = true; copyprop = true; dse = true }
-  in
-  let source = Gen.Scale.source 200 in
-  let versions =
-    List.rev
-      (List.fold_left
-         (fun acc (start, stop, text) ->
-           let prev = List.hd acc in
-           (String.sub prev 0 start ^ text
-           ^ String.sub prev stop (String.length prev - stop))
-           :: acc)
-         [ source ]
-         (Test_mutations.scale_edits source))
-  in
   let s = Opt.Pass_manager.session (Opt.Pass.create ()) in
   let counts =
     List.map
       (fun src ->
-        ignore
-          (Opt.Pass_manager.rerun s
-             (Lower.lower_string ~file:"<scale>" src)
-             schedule);
+        ignore (Opt.Pass_manager.rerun s (lower_scale src) daemon_schedule);
         Opt.Pass_manager.session_counts s)
-      versions
+      (scale_versions ())
   in
   Alcotest.(check (list (pair int int)))
     "(reused, reran): cold, P17 digit, P150 digit, L5 retarget"
     [ (0, 1631); (1624, 7); (1631, 0); (1526, 105) ]
     counts
+
+(* Rerun each version of [versions] through one session under
+   [schedule], a claims ledger kept, and check it against a from-scratch
+   run of the same version: program bytes, report stats and claim
+   counts. *)
+let check_versions_match_scratch ~label schedule versions =
+  let ctx = rerun_context () in
+  let s = Opt.Pass_manager.session ctx in
+  List.iteri
+    (fun k version ->
+      let claims1 = Tbaa.Claims.create ~oracle:"rerun" in
+      ctx.Opt.Pass.claims <- Some claims1;
+      let p1 = version () in
+      let r1 = Opt.Pass_manager.rerun s p1 schedule in
+      let claims2 = Tbaa.Claims.create ~oracle:"rerun" in
+      let ctx2 = rerun_context () in
+      ctx2.Opt.Pass.claims <- Some claims2;
+      let p2 = version () in
+      let r2 = Opt.Pass_manager.run ctx2 p2 schedule in
+      let l = Printf.sprintf "%s version %d" label k in
+      Alcotest.(check string)
+        (l ^ ": program bytes") (print_program p2) (print_program p1);
+      Alcotest.(check string) (l ^ ": report stats") (stats_sig r2) (stats_sig r1);
+      Alcotest.(check int)
+        (l ^ ": claim pairs") (Tbaa.Claims.n_pairs claims2)
+        (Tbaa.Claims.n_pairs claims1);
+      Alcotest.(check int)
+        (l ^ ": claim records") (Tbaa.Claims.n_records claims2)
+        (Tbaa.Claims.n_records claims1))
+    versions
+
+(* The daemon's schedule on the Gen.Scale document along the pinned
+   edits, each version then rerun a second time unchanged (every
+   procedure replays along its memo chain). *)
+let test_rerun_scale_edits () =
+  check_versions_match_scratch ~label:"scale" daemon_schedule
+    (List.concat_map
+       (fun src -> [ (fun () -> lower_scale src); (fun () -> lower_scale src) ])
+       (scale_versions ()))
+
+(* Whole-program passes between memoized positions: the walk splices
+   every procedure before each and re-reads the fingerprints after, on
+   the Gen.Scale edits and on each generator seed with a constant toggled
+   and then a store block erased. *)
+let test_rerun_whole_program_between () =
+  let schedule =
+    Opt.Pass_manager.
+      [ Run Opt.Licm.pass; Run Opt.Devirt.pass; Run Opt.Slf.pass;
+        Run Opt.Rle.pass;
+        Fixpoint { passes = [ Opt.Copyprop.pass; Opt.Rle.pass ]; max_rounds = 3 };
+        Run Opt.Inline.pass; Run Opt.Dse.pass ]
+  in
+  check_versions_match_scratch ~label:"scale" schedule
+    (List.map (fun src () -> lower_scale src) (scale_versions ()));
+  List.iter
+    (fun seed ->
+      let edited edits () =
+        let p = lower_gen seed in
+        List.iter (fun edit -> ignore (edit p)) edits;
+        p
+      in
+      check_versions_match_scratch
+        ~label:(Printf.sprintf "seed %d" seed)
+        schedule
+        Test_mutations.
+          [ edited []; edited [ toggle_const ];
+            edited [ toggle_const; erase_store_block ] ])
+    seeds
+
+(* The walk's shortcuts, each pinned by synthetic passes over a
+   three-procedure module: C calls B, the main body calls A and C. Each
+   case reruns three versions through one session and checks every run
+   against a from-scratch one. *)
+let walk_source ~a ~b ~c =
+  Printf.sprintf
+    "MODULE W;\nTYPE T = OBJECT f: INTEGER; END;\n  U = T OBJECT END;\n\
+     VAR t: T;\n  u: U;\n\
+     PROCEDURE A () =\n  VAR x: INTEGER;\n  BEGIN\n    x := x + %d;\n    t.f := x;\n  END A;\n\
+     PROCEDURE B () =\n  VAR x: INTEGER;\n  BEGIN\n    x := x + %d;\n    t := u;\n    t.f := x;\n  END B;\n\
+     PROCEDURE C () =\n  VAR x: INTEGER;\n  BEGIN\n    x := x + %d;\n    B ();\n  END C;\n\
+     BEGIN\n  t := NEW (T);\n  A ();\n  C ();\nEND W.\n"
+    a b c
+
+(* The first ALU constant of a procedure, and a rewrite of it. *)
+let const_of (proc : Cfg.proc) =
+  let k = ref None in
+  Vec.iter
+    (fun b ->
+      List.iter
+        (function
+          | Instr.Iassign (_, Instr.Rbinop (_, _, Reg.Aint n)) when !k = None ->
+            k := Some n
+          | _ -> ())
+        b.Cfg.b_instrs)
+    proc.Cfg.pr_blocks;
+  !k
+
+let set_const (proc : Cfg.proc) n =
+  let hit = ref false in
+  Vec.iter
+    (fun b ->
+      b.Cfg.b_instrs <-
+        List.map
+          (function
+            | Instr.Iassign (v, Instr.Rbinop (op, a, Reg.Aint _)) when not !hit ->
+              hit := true;
+              Instr.Iassign (v, Instr.Rbinop (op, a, Reg.Aint n))
+            | i -> i)
+          b.Cfg.b_instrs)
+    proc.Cfg.pr_blocks
+
+let named name (proc : Cfg.proc) =
+  String.equal (Ident.name proc.Cfg.pr_name) name
+
+(* An analysis-free pass from a per-procedure rewrite of the constant
+   ([None]: leave the procedure alone). [changed] says whether the
+   rewrite counts toward a fixpoint. *)
+let const_pass name ~role f =
+  { Opt.Pass.name;
+    role;
+    scope =
+      Opt.Pass.Analysis_free
+        (fun _ proc ->
+          match Option.bind (const_of proc) (f proc) with
+          | Some (n, changed) ->
+            set_const proc n;
+            { Opt.Pass.stats = [ ("k", n) ]; changed; mutated = true }
+          | None ->
+            Opt.Pass.unchanged
+              [ ("k", Option.value (const_of proc) ~default:0) ]) }
+
+(* Per procedure, the number of location classes its direct callees may
+   modify, read from the pass's mod-ref view. *)
+let callee_mods =
+  { Opt.Pass.name = "mods";
+    role = Opt.Pass.Enabling;
+    scope =
+      Opt.Pass.Per_procedure
+        (fun pc proc ->
+          let n = ref 0 in
+          Vec.iter
+            (fun b ->
+              List.iter
+                (function
+                  | Instr.Icall (_, Instr.Cdirect callee, _) ->
+                    n :=
+                      !n
+                      + Tbaa.Aloc.Set.cardinal
+                          (Opt.Modref.summary pc.Opt.Pass.pc_modref callee)
+                            .Opt.Modref.mods
+                  | _ -> ())
+                b.Cfg.b_instrs)
+            proc.Cfg.pr_blocks;
+          Opt.Pass.unchanged [ ("mods", !n) ]) }
+
+let check_walk ~label schedule sources =
+  check_versions_match_scratch ~label schedule
+    (List.map
+       (fun src () -> Lower.lower_string ~file:"<walk>" src)
+       sources)
+
+(* A fixpoint that takes one round fewer than in the previous run: the
+   position after it follows another position than it did, so the walk
+   checks every procedure there. B's constant moves in every round
+   without driving the fixpoint; A's, counting down, drives it. *)
+let test_walk_round_count () =
+  let step =
+    const_pass "step" ~role:Opt.Pass.Transform (fun proc k ->
+        if named "A" proc then (if k > 0 then Some (k - 1, true) else None)
+        else if named "B" proc then Some (k + 1, false)
+        else None)
+  and read = const_pass "read" ~role:Opt.Pass.Transform (fun _ _ -> None) in
+  check_walk ~label:"round count"
+    Opt.Pass_manager.
+      [ Fixpoint { passes = [ step ]; max_rounds = 4 }; Run read ]
+    [ walk_source ~a:2 ~b:5 ~c:7; walk_source ~a:1 ~b:5 ~c:7;
+      walk_source ~a:2 ~b:5 ~c:7 ]
+
+(* A whole-program pass that rewrites B from A's constant: after it the
+   walk checks every procedure, though only A was edited. *)
+let test_walk_whole_program () =
+  let copy_a =
+    { Opt.Pass.name = "copy-a";
+      role = Opt.Pass.Enabling;
+      scope =
+        Opt.Pass.Whole_program
+          (fun _ program ->
+            let a = List.find (named "A") program.Cfg.prog_procs in
+            let b = List.find (named "B") program.Cfg.prog_procs in
+            Option.iter (set_const b) (const_of a);
+            { Opt.Pass.stats = []; changed = false; mutated = true }) }
+  and read = const_pass "read" ~role:Opt.Pass.Transform (fun _ _ -> None) in
+  check_walk ~label:"whole-program"
+    Opt.Pass_manager.[ Run read; Run copy_a; Run read ]
+    [ walk_source ~a:2 ~b:5 ~c:7; walk_source ~a:3 ~b:5 ~c:7;
+      walk_source ~a:4 ~b:5 ~c:7 ]
+
+(* A position's engine can lag: in the second run nothing before [mods]
+   mutates, so [mods] reads the engine of the position before it and
+   its own stays at the first run's state; the third run edits only C,
+   which [mark] then mutates, so [mods] refreshes its own engine. B
+   moved since that engine saw it, and B (not contaminated) still has
+   its body from before [erase]: the walk must splice it before the
+   engine reads it, or C's view of B's effects keeps the store [erase]
+   removed. *)
+let test_walk_lagging_engine () =
+  let erase =
+    { Opt.Pass.name = "erase";
+      role = Opt.Pass.Enabling;
+      scope =
+        Opt.Pass.Analysis_free
+          (fun _ proc ->
+            let stores = ref 0 in
+            if named "B" proc then
+              Vec.iter
+                (fun b ->
+                  b.Cfg.b_instrs <-
+                    List.filter
+                      (function
+                        | Instr.Istore _ -> incr stores; false
+                        | _ -> true)
+                      b.Cfg.b_instrs)
+                proc.Cfg.pr_blocks;
+            { Opt.Pass.stats = [ ("erased", !stores) ]; changed = false;
+              mutated = !stores > 0 }) }
+  and mark =
+    { Opt.Pass.name = "mark";
+      role = Opt.Pass.Enabling;
+      scope =
+        Opt.Pass.Per_procedure
+          (fun _ proc ->
+            if const_of proc = Some 99 then begin
+              set_const proc 98;
+              { Opt.Pass.stats = []; changed = false; mutated = true }
+            end
+            else Opt.Pass.unchanged []) }
+  in
+  check_walk ~label:"lagging engine"
+    Opt.Pass_manager.[ Run erase; Run mark; Run callee_mods ]
+    [ walk_source ~a:2 ~b:5 ~c:7; walk_source ~a:2 ~b:6 ~c:7;
+      walk_source ~a:2 ~b:6 ~c:99 ]
+
+(* An engine refresh that rebuilds the oracles drops the mod-ref views,
+   and rebuilding them reads every body: the walk must splice every
+   procedure first. [strip] removes A's stores in every run, and B's
+   upcast (the program's only one) once B's constant is 6, which moves
+   the oracle inputs at [mods] but not in the program as edited. *)
+let test_walk_oracles_rebuilt () =
+  let strip =
+    { Opt.Pass.name = "strip";
+      role = Opt.Pass.Enabling;
+      scope =
+        Opt.Pass.Analysis_free
+          (fun _ proc ->
+            let keep =
+              if named "A" proc then (function Instr.Istore _ -> false | _ -> true)
+              else if named "B" proc && const_of proc = Some 6 then
+                function Instr.Iassign (_, Instr.Rbinop _) -> true | _ -> false
+              else fun _ -> true
+            in
+            let removed = ref 0 in
+            Vec.iter
+              (fun b ->
+                b.Cfg.b_instrs <-
+                  List.filter
+                    (fun i -> keep i || (incr removed; false))
+                    b.Cfg.b_instrs)
+              proc.Cfg.pr_blocks;
+            { Opt.Pass.stats = [ ("removed", !removed) ]; changed = false;
+              mutated = !removed > 0 }) }
+  in
+  check_walk ~label:"oracles rebuilt"
+    Opt.Pass_manager.[ Run strip; Run callee_mods ]
+    [ walk_source ~a:2 ~b:5 ~c:7; walk_source ~a:2 ~b:6 ~c:7;
+      walk_source ~a:2 ~b:5 ~c:7 ]
 
 (* ------------------------------------------------------------------ *)
 (* The schedule walker                                                 *)
@@ -643,7 +922,19 @@ let () =
           Alcotest.test_case "single-proc edit reuses memo" `Quick
             test_rerun_reuses;
           Alcotest.test_case "daemon schedule's reuse is pinned" `Quick
-            test_rerun_pinned_reuse ] );
+            test_rerun_pinned_reuse;
+          Alcotest.test_case "rerun == from-scratch along the scale edits"
+            `Quick test_rerun_scale_edits;
+          Alcotest.test_case "rerun == from-scratch, whole-program between"
+            `Quick test_rerun_whole_program_between;
+          Alcotest.test_case "walk: a fixpoint one round shorter" `Quick
+            test_walk_round_count;
+          Alcotest.test_case "walk: a whole-program pass between" `Quick
+            test_walk_whole_program;
+          Alcotest.test_case "walk: a lagging position engine" `Quick
+            test_walk_lagging_engine;
+          Alcotest.test_case "walk: a refresh that rebuilds the oracles"
+            `Quick test_walk_oracles_rebuilt ] );
       ( "walker",
         [ Alcotest.test_case "fixpoint stops at max_rounds" `Quick
             test_fixpoint_stops_at_max_rounds;

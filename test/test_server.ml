@@ -279,6 +279,31 @@ let test_deadline_timeout () =
     | None -> Alcotest.fail "timeout without data")
   | None -> assert false)
 
+(* The deadline is read before the first query of a batch: a batch whose
+   deadline has passed by then answers nothing. The raw clock advances a
+   millisecond per read, so the deadline (1 µs after the read that sets
+   it) has passed at the next read. *)
+let test_deadline_expired_batch () =
+  let srv = Dispatch.create () in
+  let n = memrefs_of (open_doc srv "d" small_source) in
+  let pairs = List.init 200 (fun k -> (k mod n, (k * 7) mod n)) in
+  let ticks = ref 0.0 in
+  let resp =
+    Clock.with_raw
+      (fun () ->
+        ticks := !ticks +. 1.0;
+        !ticks)
+      (fun () -> alias ~extra:[ ("deadline_ms", Json.Float 0.001) ] srv "d" pairs)
+  in
+  check_code "expired deadline" Rpc.Timeout resp;
+  match Json.member "error" resp with
+  | Some err ->
+    Alcotest.(check int) "nothing was answered" 0
+      (match member_exn "completed" (member_exn "data" err) with
+      | Json.Int k -> k
+      | _ -> Alcotest.fail "completed is not an int")
+  | None -> Alcotest.fail "no error"
+
 let test_shedding () =
   let config =
     { Dispatch.default_config with Dispatch.max_batch = 4; max_docs = 1 }
@@ -920,6 +945,8 @@ let () =
           Alcotest.test_case "crash injection ignores pair order" `Quick
             test_crash_order_independent;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_timeout;
+          Alcotest.test_case "expired deadline answers nothing" `Quick
+            test_deadline_expired_batch;
           Alcotest.test_case "shedding" `Quick test_shedding ] );
       ( "clock",
         [ Alcotest.test_case "monotonic clamp" `Quick test_clock_monotonic ]
