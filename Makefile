@@ -1,4 +1,4 @@
-.PHONY: all build test check audit fuzz bench bench-smoke serve-smoke profile clean
+.PHONY: all build test check audit fuzz bench-smoke serve-smoke profile clean
 
 all: build
 
@@ -52,19 +52,20 @@ audit:
 	dune exec bin/tbaac.exe -- audit --licm --slf --dse
 	dune exec bin/tbaac.exe -- audit --world open
 
-bench:
-	dune exec bench/main.exe
-
-# Absolute regression gates (bench/smoke.ml on the bench/gate.ml harness):
-# every leg times a production path — the alias-query cores, the compiled
-# simulator, the engine and optimizer cold and after a one-procedure edit,
-# the daemon fresh per batch and warm — in ms scaled by bench/e2e's kernel,
-# and fails when its median exceeds the one recorded in BENCH_smoke.json by
-# more than its bound (twice the recorded spread, at least 10%, under 25%).
-# Parse, typecheck and Engine.create must grow at most as n^1.2 from
-# Gen.Scale 400 to 3200; on four or more cores the parallel legs keep
-# their speedup floors. The untimed checks (engine agreement, incremental
-# = from scratch, the daemon's burst shed/retry) run after the samples.
+# The one timing harness (bench/smoke.ml on the bench/gate.ml harness;
+# `tbaac experiment all` prints the paper's tables and figures): every
+# leg times a production path — the alias-query cores and may_alias
+# sweep, the two SMTypeRefs merge variants, the compiled simulator, the
+# engine and optimizer cold (devirtualization/inlining on its own too)
+# and after a one-procedure edit, the daemon fresh per batch and warm —
+# in ms scaled by bench/e2e's kernel, and fails when its median exceeds
+# the one recorded in BENCH_smoke.json by more than its bound (twice the
+# recorded spread, at least 10%, under 25%), or when the timed legs and
+# the snapshot's differ. Parse, typecheck and Engine.create must grow at
+# most as n^1.2 from Gen.Scale 400 to 3200; on four or more cores the
+# parallel legs keep their speedup floors. The untimed checks (updated
+# engine = fresh engine, incremental = from scratch, the daemon's burst
+# shed/retry) run after the samples.
 # One run reports every failing gate and check. The recorded medians hold
 # for the box and binary that wrote them, so CI runs the executable
 # without an argument: every leg and check, no timed gate. Regenerate the

@@ -34,6 +34,9 @@
    (at most three times) until its spread allows that, records the
    length it settled on for [--check] to use, and refuses to write a leg
    it cannot bring under 25%.
+   Outside [--write], the timed legs must be exactly the snapshot's
+   legs: one row names any leg the snapshot lacks and any snapshot entry
+   no leg times, and fails.
    Old/new ratios are not gated: a faster baseline would read as a
    regression. The recorded medians hold for the binary and the box that
    wrote them.
@@ -105,6 +108,7 @@ type leg = {
 }
 
 let legs = ref []
+let timed = ref []  (* the names of the snapshot legs, newest first *)
 let checks = ref []
 let gates = ref []
 let phase = ref 0
@@ -200,6 +204,7 @@ let time name ~sample_ms next =
     | _ -> sample_ms
   in
   let l = leg ~snapshot:true ~sample_ms next in
+  timed := name :: !timed;
   gates :=
     (fun () ->
       let m = median l in
@@ -280,6 +285,26 @@ let speedup name ~at_least ~sample_ms setup =
       :: !gates
   end
 
+(* Outside [--write], the timed legs must be the snapshot's legs: a leg
+   missing from it would pass unchecked in Print mode, and a snapshot
+   entry whose leg was deleted would be ignored. *)
+let check_names () =
+  let missing = List.filter (fun n -> not (List.mem_assoc n recorded)) !timed
+  and stale =
+    List.filter (fun (n, _) -> not (List.mem n !timed)) recorded |> List.map fst
+  in
+  let names what = function
+    | [] -> []
+    | ns -> [ what ^ " " ^ String.concat ", " ns ]
+  in
+  report "legs = snapshot"
+    ~value:
+      (match names "missing" (List.rev missing) @ names "stale" stale with
+      | [] -> Printf.sprintf "%d legs" (List.length !timed)
+      | diffs -> String.concat "; " diffs)
+    ~limit:("the legs of " ^ snapshot_file)
+    ~ok:(missing = [] && stale = [])
+
 let run_check (name, f) =
   match f () with
   | () -> report name ~value:"passed" ~limit:"-" ~ok:true
@@ -336,6 +361,7 @@ let run () =
     List.iter (fun l -> l.next <- (fun () () -> ())) legs
   done;
   List.iter run_check (List.rev !checks);
+  if mode <> Write then check_names ();
   List.iter (fun g -> g ()) (List.rev !gates);
   if !failed <> [] then begin
     List.iter

@@ -592,10 +592,27 @@ let fuzz_cmd =
                else " (REPLAY FAILED)"
              else ""))
         r.Harness.Fuzz.counterexamples;
-      (* With fault injection the failures are the expected outcome (the
-         oracles catching seeded miscompiles); without it any failure is a
-         real bug in the pipeline. *)
-      if fault = None && r.Harness.Fuzz.failed > 0 then exit 1
+      (* Without fault injection any failure is a real bug in the
+         pipeline. With it the run tests the fuzzer itself: the oracles
+         must catch the seeded miscompiles, and every counterexample
+         written must replay. *)
+      match fault with
+      | None -> if r.Harness.Fuzz.failed > 0 then exit 1
+      | Some _ ->
+        if r.Harness.Fuzz.failed = 0 then begin
+          prerr_endline "tbaac: fault injection made no program fail";
+          exit 1
+        end;
+        if
+          List.exists
+            (fun (cx : Harness.Fuzz.counterexample) ->
+              cx.Harness.Fuzz.cx_path <> None
+              && not cx.Harness.Fuzz.cx_replayed)
+            r.Harness.Fuzz.counterexamples
+        then begin
+          prerr_endline "tbaac: a written counterexample does not replay";
+          exit 1
+        end
   in
   let count_arg =
     Arg.(
@@ -620,8 +637,9 @@ let fuzz_cmd =
       & info [ "fault-rate" ] ~docv:"R"
           ~doc:
             "Deterministically flip this fraction of may-alias answers in \
-             every optimized configuration (detector self-test: the oracles \
-             should report failures, which exit 0).")
+             every optimized configuration (detector self-test: exits 0 only \
+             when some program fails and every written counterexample \
+             replays).")
   in
   let fault_seed_arg =
     Arg.(

@@ -53,7 +53,7 @@ val create : ?config:config -> ?domains:int -> Ir.Cfg.program -> t
 (** Summarize every procedure (in parallel across at most [domains]
     domains, default 1), merge facts deterministically in program order,
     and build all three oracles. Each construction phase is timed; see
-    {!timings}/{!stats}. Results are independent of [domains]. *)
+    {!stats}. Results are independent of [domains]. *)
 
 val update :
   ?check:(unit -> unit) -> ?fingerprints:int array -> t -> Ir.Cfg.program -> t
@@ -163,18 +163,6 @@ val modref_built : t -> kind -> bool
 
 (** {1 Instrumentation} *)
 
-type timings = {
-  facts_ms : float;
-  type_decl_ms : float;
-  field_type_decl_ms : float;
-  sm_ms : float;
-}
-
-val timings : t -> timings
-(** Construction cost per phase, in elapsed milliseconds on
-    {!Support.Clock.now_ms}. On an {!update} that kept the oracles, only
-    [facts_ms] reflects the update, once the merged facts were read. *)
-
 type update_report = {
   ur_recomputed : Ident.t list;
       (** procedures whose summaries were recomputed, sorted: every
@@ -191,5 +179,7 @@ val last_update : t -> update_report option
 
 val stats : t -> Json.t
 (** One structured record: configuration, type count, per-phase build
-    times, the counted handles' total queries, intern-table sizes, and the
-    incremental reuse counters. *)
+    times ([build_ms]: elapsed milliseconds on {!Support.Clock.now_ms};
+    after an {!update} that kept the oracles, only [facts] reflects the
+    update, once the merged facts were read), the counted handles' total
+    queries, intern-table sizes, and the incremental reuse counters. *)

@@ -2,8 +2,6 @@ open Support
 open Minim3
 open Ir
 
-type stats = { mutable resolved : int; mutable unresolved : int }
-
 let resolve_target program ~type_refs m recv_ty =
   let tenv = program.Cfg.tenv in
   let candidates =
@@ -14,8 +12,10 @@ let resolve_target program ~type_refs m recv_ty =
   in
   match candidates with [ impl ] -> Some impl | _ -> None
 
-let run program ~type_refs =
-  let stats = { resolved = 0; unresolved = 0 } in
+(* Rewrite every virtual call whose candidates resolve to one procedure;
+   the counts of resolved and unresolved call sites. *)
+let resolve program ~type_refs =
+  let resolved = ref 0 and unresolved = ref 0 in
   List.iter
     (fun proc ->
       Vec.iter
@@ -27,16 +27,16 @@ let run program ~type_refs =
                 | Instr.Icall (dst, Instr.Cvirtual (m, recv_ty), args) -> (
                   match resolve_target program ~type_refs m recv_ty with
                   | Some impl ->
-                    stats.resolved <- stats.resolved + 1;
+                    incr resolved;
                     Instr.Icall (dst, Instr.Cdirect impl, args)
                   | None ->
-                    stats.unresolved <- stats.unresolved + 1;
+                    incr unresolved;
                     instr)
                 | _ -> instr)
               block.Cfg.b_instrs)
         proc.Cfg.pr_blocks)
     program.Cfg.prog_procs;
-  stats
+  (!resolved, !unresolved)
 
 let pass =
   { Pass.name = "devirt";
@@ -44,11 +44,10 @@ let pass =
     scope =
       Pass.Whole_program
         (fun ctx program ->
-          let s =
-            run program
+          let resolved, unresolved =
+            resolve program
               ~type_refs:(Tbaa.Engine.type_refs_table (Pass.analysis ctx program))
           in
-        { Pass.stats =
-            [ ("resolved", s.resolved); ("unresolved", s.unresolved) ];
-          changed = s.resolved > 0;
-          mutated = s.resolved > 0 }) }
+          { Pass.stats = [ ("resolved", resolved); ("unresolved", unresolved) ];
+            changed = resolved > 0;
+            mutated = resolved > 0 }) }

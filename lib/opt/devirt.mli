@@ -8,13 +8,6 @@
     When every candidate resolves to the same procedure the call site is
     rewritten to a direct call — which is also what unlocks inlining. *)
 
-open Minim3
-
-type stats = { mutable resolved : int; mutable unresolved : int }
-
-val run :
-  Ir.Cfg.program -> type_refs:(Types.tid -> Types.tid list) -> stats
-
 val pass : Pass.t
 (** Resolves over the context's TypeRefsTable; [changed] iff any call site
     was rewritten. Stats: [resolved], [unresolved]. *)

@@ -2,7 +2,10 @@ open Support
 open Minim3
 open Ir
 
-type stats = { mutable inlined : int }
+(* A callee larger than this many IR instructions is not inlined, and a
+   caller stops inlining once it has grown by [max_growth]. *)
+let max_size = 60
+let max_growth = 3000
 
 (* Clone a callee variable for the inlined body. By-reference formals keep
    their holds-address nature by becoming Vaddr temporaries; by-value
@@ -92,8 +95,9 @@ let inline_one program caller (call_block : Cfg.block) before after dst callee_p
   call_block.Cfg.b_instrs <- before @ bindings;
   call_block.Cfg.b_term <- Instr.Tjump (remap callee_proc.Cfg.pr_entry)
 
-let run ?(max_size = 60) ?(max_growth = 3000) program =
-  let stats = { inlined = 0 } in
+(* Inline every eligible call site; the number inlined. *)
+let inline_calls program =
+  let inlined = ref 0 in
   (* Procedures on a call cycle. The condensation elides self-loops, so a
      singleton component is recursive only when it calls itself. *)
   let recursive = Hashtbl.create 16 in
@@ -135,13 +139,13 @@ let run ?(max_size = 60) ?(max_growth = 3000) program =
         | Some (before, after, dst, callee, args)
           when Cfg.instr_count caller < !budget ->
           inline_one program caller b before after dst callee args;
-          stats.inlined <- stats.inlined + 1
+          incr inlined
           (* Re-scan the same block id: it now ends at the bindings; the
              continuation and cloned blocks come later in the vector. *)
         | _ -> incr bid)
       done)
     program.Cfg.prog_procs;
-  stats
+  !inlined
 
 let pass =
   { Pass.name = "inline";
@@ -149,7 +153,7 @@ let pass =
     scope =
       Pass.Whole_program
         (fun _ctx program ->
-          let s = run program in
-          { Pass.stats = [ ("inlined", s.inlined) ];
-            changed = s.inlined > 0;
-            mutated = s.inlined > 0 }) }
+          let inlined = inline_calls program in
+          { Pass.stats = [ ("inlined", inlined) ];
+            changed = inlined > 0;
+            mutated = inlined > 0 }) }

@@ -2,16 +2,12 @@
     resolution).
 
     A direct call is inlined when the callee is known, non-recursive, not
-    the synthesized main, and no larger than [max_size] IR instructions;
-    growth of the caller is capped so pathological call chains cannot
-    explode. Cloned by-reference formals become address temporaries, so
-    every AddressTaken and access-path fact remains representable. Calls
-    exposed by earlier inlining are themselves considered (the scan visits
-    blocks appended during surgery). *)
-
-type stats = { mutable inlined : int }
-
-val run : ?max_size:int -> ?max_growth:int -> Ir.Cfg.program -> stats
+    the synthesized main, and no larger than 60 IR instructions; a
+    caller's growth is capped at 3000 instructions so pathological call
+    chains cannot explode. Cloned by-reference formals become address
+    temporaries, so every AddressTaken and access-path fact remains
+    representable. Calls exposed by earlier inlining are themselves
+    considered (the scan visits blocks appended during surgery). *)
 
 val pass : Pass.t
 (** [changed] iff any call site was inlined. Stats: [inlined]. *)

@@ -1,10 +1,10 @@
-(* Baselines production code is checked against, shared by the tests and
-   the benchmarks. The incremental engine collects facts per procedure and
-   answers the whole-program questions from the call-graph SCC
-   condensation and its per-procedure summaries; these are the monolithic
-   pass and the direct fixpoint and closure formulations. The oracles'
-   subtype test reads an interval-labeled forest; the baseline walks the
-   supertype chain per query. The optimizer's kill sets come from an index
+(* Baselines production code is checked against, shared by the tests.
+   The incremental engine collects facts per procedure and answers the
+   whole-program questions from the call-graph SCC condensation and its
+   per-procedure summaries; these are the monolithic pass and the direct
+   fixpoint and closure formulations. The oracles' subtype test reads an
+   interval-labeled forest; the baseline walks the supertype chain per
+   query. The optimizer's kill sets come from an index
    over the tracked expressions; the baseline asks the per-expression kill
    test of every expression, and the classifier's availability ({!avail})
    asks it per (instruction, expression) pair. The JSON decoder scans by index and reads

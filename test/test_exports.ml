@@ -282,7 +282,6 @@ let test_only =
     ("Claims.to_json", "test_pinned hashes the claims ledger");
     ("Engine.counters", "tests read the per-engine oracle query counters");
     ("Engine.modref_direct", "test_incr compares incremental and fresh direct effects");
-    ("Engine.timings", "test_engine checks the build timings are non-negative");
     ("Experiments.dynamic_seven", "test_harness runs the seven dynamic workloads");
     ("Fuzz.all_configs", "test_pipeline walks the fuzzer's 27-configuration matrix");
     ("Fuzz.check_source", "test_opt replays one generated program through the matrix");

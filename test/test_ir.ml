@@ -488,8 +488,9 @@ END M.
   in
   let run () = (Sim.Interp.run program).Sim.Interp.output in
   let before = run () in
-  let stats = Opt.Inline.run program in
-  Alcotest.(check int) "only Leaf inlined" 1 stats.Opt.Inline.inlined;
+  let reports = Passes.run program [ Opt.Inline.pass ] in
+  Alcotest.(check int) "only Leaf inlined" 1
+    (Opt.Pass_manager.sum_stat "inline" "inlined" reports);
   Alcotest.(check (list int)) "Even and Odd calls kept" [ 2; 1; 0 ]
     [ calls_to "Even"; calls_to "Odd"; calls_to "Leaf" ];
   Alcotest.(check string) "output is 7" "7" before;

@@ -378,11 +378,9 @@ let test_devirt_resolves_monomorphic () =
      receiver can only be an A and the call resolves to ImplA. *)
   let program = lower devirt_src in
   let before = run_out program in
-  let analysis = analyze program in
-  let stats =
-    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
-  in
-  Alcotest.(check int) "resolved" 1 stats.Opt.Devirt.resolved;
+  let reports = Passes.run program [ Opt.Devirt.pass ] in
+  Alcotest.(check int) "resolved" 1
+    (Opt.Pass_manager.sum_stat "devirt" "resolved" reports);
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
 let test_devirt_keeps_polymorphic () =
@@ -404,11 +402,9 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let analysis = analyze program in
-  let stats =
-    Opt.Devirt.run program ~type_refs:(Tbaa.Engine.type_refs_table analysis)
-  in
-  Alcotest.(check int) "not resolved" 0 stats.Opt.Devirt.resolved;
+  let reports = Passes.run program [ Opt.Devirt.pass ] in
+  Alcotest.(check int) "not resolved" 0
+    (Opt.Pass_manager.sum_stat "devirt" "resolved" reports);
   Alcotest.(check string) "dispatches to ImplB" "-11" before;
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
@@ -427,8 +423,9 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let stats = Opt.Inline.run program in
-  Alcotest.(check bool) "inlined both calls" true (stats.Opt.Inline.inlined >= 2);
+  let reports = Passes.run program [ Opt.Inline.pass ] in
+  Alcotest.(check bool) "inlined both calls" true
+    (Opt.Pass_manager.sum_stat "inline" "inlined" reports >= 2);
   Alcotest.(check string) "behaviour preserved" before (run_out program);
   (* No calls remain in P *)
   let p = proc_named program "P" in
@@ -455,8 +452,9 @@ END M.
   in
   let program = lower src in
   let before = run_out program in
-  let stats = Opt.Inline.run program in
-  Alcotest.(check int) "recursive procedure left alone" 0 stats.Opt.Inline.inlined;
+  let reports = Passes.run program [ Opt.Inline.pass ] in
+  Alcotest.(check int) "recursive procedure left alone" 0
+    (Opt.Pass_manager.sum_stat "inline" "inlined" reports);
   Alcotest.(check string) "720" "720" before;
   Alcotest.(check string) "behaviour preserved" before (run_out program)
 
@@ -475,8 +473,9 @@ END M.
 |}
   in
   let program = lower src in
-  let stats = Opt.Inline.run program in
-  Alcotest.(check bool) "inlined" true (stats.Opt.Inline.inlined >= 2);
+  let reports = Passes.run program [ Opt.Inline.pass ] in
+  Alcotest.(check bool) "inlined" true
+    (Opt.Pass_manager.sum_stat "inline" "inlined" reports >= 2);
   Alcotest.(check string) "VAR semantics preserved" "42" (run_out program)
 
 (* --- PRE and copy propagation (the paper's future work) ----------------- *)

@@ -73,9 +73,15 @@ let configs =
           plus { p with Opt.Pass_manager.Config.devirt_inline = true } ) ])
     kinds
 
+(* Each workload unoptimized too: Table 4's untraced run of slisp among
+   them. *)
 let test_full_matrix () =
   List.iter
     (fun (w : Workloads.Workload.t) ->
+      ignore
+        (check_program
+           (w.Workloads.Workload.name ^ "/unoptimized")
+           (Workloads.Workload.lower w));
       List.iter
         (fun (cname, config) ->
           let program = Workloads.Workload.lower w in
