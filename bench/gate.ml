@@ -29,7 +29,10 @@
 
    The gate rule: [--check] fails a leg whose median exceeds the median
    recorded in BENCH_smoke.json by more than the leg's bound, twice the
-   recorded spread floored at 10%. A bound must stay under 25%, so that
+   recorded spread floored at 10%. A leg below its recorded median by
+   more than its bound does not fail, but [--check] and the plain run
+   print it as "below record" and count such legs at the end: a snapshot
+   recorded before a speed-up no longer guards that leg. A bound must stay under 25%, so that
    a 25% slowdown fails the gate: [--write] doubles a leg's sample length
    (at most three times) until its spread allows that, records the
    length it settled on for [--check] to use, and refuses to write a leg
@@ -187,15 +190,31 @@ let median l = E2e.Stats.median l.scaled *. bias l
 let spread l = E2e.Stats.spread l.scaled
 let bound l = Float.max min_bound (2.0 *. spread l)
 let failed = ref []
+let below = ref []
 let written = ref []
 
+let row name value limit status =
+  Printf.printf "%-40s %-28s %-34s %s\n%!" name value limit status
+
 let report name ~value ~limit ~ok =
-  Printf.printf "%-40s %-28s %-34s %s\n%!" name value limit
-    (if ok then "ok" else "FAIL");
+  row name value limit (if ok then "ok" else "FAIL");
   if not ok then failed := name :: !failed
 
 let ms x = Printf.sprintf "%.4g ms" x
 let pct x = Printf.sprintf "%.0f%%" (100.0 *. x)
+
+(* A leg that reads below its record by more than its bound is not a
+   failure, but its snapshot no longer guards it: a regression back to
+   the recorded time would pass. *)
+let below_record name m r =
+  let floor = r.median_ms *. (1.0 -. r.bound) in
+  if m < floor then begin
+    below := name :: !below;
+    row name (ms m)
+      (Printf.sprintf ">= %s (%s -%s)" (ms floor) (ms r.median_ms)
+         (pct r.bound))
+      "below record"
+  end
 
 let time name ~sample_ms next =
   let sample_ms =
@@ -229,12 +248,14 @@ let time name ~sample_ms next =
           ~limit:
             (Printf.sprintf "<= %s (%s +%s)" (ms limit) (ms r.median_ms)
                (pct r.bound))
-          ~ok:(m <= limit)
+          ~ok:(m <= limit);
+        below_record name m r
       | Print, r ->
         report name ~value
           ~limit:
             (match r with Some r -> "recorded " ^ ms r.median_ms | None -> "-")
-          ~ok:true)
+          ~ok:true;
+        Option.iter (below_record name m) r)
     :: !gates
 
 (* [next size] sets up the subject of one size and returns its
@@ -363,6 +384,16 @@ let run () =
   List.iter run_check (List.rev !checks);
   if mode <> Write then check_names ();
   List.iter (fun g -> g ()) (List.rev !gates);
+  (match List.rev !below with
+  | [] -> ()
+  | names ->
+    Printf.printf
+      "bench-smoke: %d leg%s below record (%s): the snapshot no longer \
+       guards %s; re-record it with --write\n"
+      (List.length names)
+      (if List.length names = 1 then "" else "s")
+      (String.concat ", " names)
+      (if List.length names = 1 then "it" else "them"));
   if !failed <> [] then begin
     List.iter
       (fun name -> prerr_endline ("bench-smoke FAIL: " ^ name))

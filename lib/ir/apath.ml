@@ -245,6 +245,11 @@ let vars_used t =
   in
   t.base :: idx
 
+let rec selector t k =
+  match t.node with
+  | Root -> invalid_arg "Apath.selector"
+  | Snoc (p, sel) -> if t.len - 1 = k then sel else selector p k
+
 let pp ppf t =
   Reg.pp_var ppf t.base;
   List.iter

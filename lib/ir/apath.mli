@@ -70,6 +70,11 @@ val truncate : t -> int -> t
 (** [truncate t k]: the prefix keeping the first [k] selectors ([t] itself
     when [k >= length t]). Walks the spine, allocates nothing. *)
 
+val selector : t -> int -> selector
+(** [selector t k]: the selector at 0-based position [k] (first applied
+    first). Walks the spine, O(length t - k), allocates nothing. Raises
+    [Invalid_argument] unless [0 <= k < length t]. *)
+
 val sels_between : t -> int -> int -> selector list
 (** [sels_between t lo hi]: the selectors at positions [lo..hi-1]. *)
 

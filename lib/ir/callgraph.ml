@@ -4,11 +4,8 @@ open Minim3
 let callees_of_target program = function
   | Instr.Cdirect p -> [ p ]
   | Instr.Cvirtual (m, recv_ty) ->
-    let tenv = program.Cfg.tenv in
-    Types.subtypes tenv recv_ty
-    |> List.filter_map (fun t ->
-           if Types.is_object tenv t then Types.method_impl tenv t m else None)
-    |> List.sort_uniq Ident.compare
+    List.sort_uniq Ident.compare
+      (Types.subtree_impls program.Cfg.tenv recv_ty m)
 
 let callees program proc =
   let acc = ref Ident.Set.empty in

@@ -40,11 +40,17 @@ type key =
   | Krecord of (int * tid) list  (* field ident ids *)
   | Kref of tid * string option
 
+(* The inheritance forest's children index: [kids.(t)] lists the object
+   types whose super is [t], built over the first [built] tids. *)
+type forest = { built : int; kids : tid array array }
+
 type env = {
   mutable descs : desc array;
   mutable len : int;
   cons : (key, tid) Hashtbl.t;
   mutable next_uid : int;
+  forest : forest option Atomic.t;
+      (* built on first use, dropped by any change to the types *)
 }
 
 let tid_unit = 0
@@ -66,7 +72,10 @@ let create () =
   descs.(tid_char) <- Dchar;
   descs.(tid_null) <- Dnull;
   descs.(tid_root) <- Dobject root_info;
-  let env = { descs; len = 6; cons = Hashtbl.create 64; next_uid = 1 } in
+  let env =
+    { descs; len = 6; cons = Hashtbl.create 64; next_uid = 1;
+      forest = Atomic.make None }
+  in
   Hashtbl.add env.cons (Kprim tid_unit) tid_unit;
   Hashtbl.add env.cons (Kprim tid_int) tid_int;
   Hashtbl.add env.cons (Kprim tid_bool) tid_bool;
@@ -103,6 +112,7 @@ let push env d =
   end;
   env.descs.(env.len) <- d;
   env.len <- env.len + 1;
+  Atomic.set env.forest None;
   env.len - 1
 
 let key_of_desc = function
@@ -155,7 +165,8 @@ let patch_object env tid ~super ~brand ~fields ~methods ~overrides =
     env.descs.(tid) <-
       Dobject { info with obj_super = super; obj_brand = brand;
                 obj_fields = fields; obj_methods = methods;
-                obj_overrides = overrides }
+                obj_overrides = overrides };
+    Atomic.set env.forest None
   | d ->
     Diag.error "Types.patch_object: type id %d is %s, not a reserved object"
       tid (desc_kind d)
@@ -185,15 +196,42 @@ let subtype env s t =
   | Dobject _, Dobject _ -> inherits env s t
   | _ -> false
 
+let forest env =
+  match Atomic.get env.forest with
+  | Some f when f.built = env.len -> f
+  | _ ->
+    let count = Array.make env.len 0 in
+    let parent u =
+      match env.descs.(u) with Dobject { obj_super = Some p; _ } -> p | _ -> -1
+    in
+    for u = 0 to env.len - 1 do
+      let p = parent u in
+      if p >= 0 then count.(p) <- count.(p) + 1
+    done;
+    let kids = Array.map (fun n -> Array.make n 0) count in
+    for u = env.len - 1 downto 0 do
+      let p = parent u in
+      if p >= 0 then begin
+        count.(p) <- count.(p) - 1;
+        kids.(p).(count.(p)) <- u
+      end
+    done;
+    let f = { built = env.len; kids } in
+    Atomic.set env.forest (Some f);
+    f
+
 let subtypes env t =
   (* NIL inhabits every pointer type but denotes no location, so it is not a
      member of the paper's Subtypes(T) — including it would make every pair
      of pointer types overlap on {NULL} and TypeDecl trivially imprecise. *)
-  let acc = ref [] in
-  for u = env.len - 1 downto 0 do
-    if u <> tid_null && subtype env u t then acc := u :: !acc
-  done;
-  !acc
+  if t = tid_null then []
+  else
+    match desc env t with
+    | Dobject _ ->
+      let kids = (forest env).kids in
+      let rec below acc u = Array.fold_left below (u :: acc) kids.(u) in
+      List.sort Int.compare (below [] t)
+    | _ -> [ t ]
 
 let rec object_fields env t =
   match desc env t with
@@ -244,29 +282,56 @@ let rec lookup_method env t m =
       | None -> None))
   | _ -> None
 
+(* The implementation of [m] that object type [info] itself declares:
+   its last OVERRIDES entry for [m], else the default of its last METHODS
+   entry for [m]. [None] defers to the super. *)
+let own_impl info m =
+  let override =
+    Array.fold_left
+      (fun acc (name, proc) -> if Ident.equal name m then Some proc else acc)
+      None info.obj_overrides
+  in
+  match override with
+  | Some _ -> override
+  | None ->
+    Array.fold_left
+      (fun acc ms -> if Ident.equal ms.ms_name m then ms.ms_impl else acc)
+      None info.obj_methods
+
 let rec method_impl env t m =
   match desc env t with
   | Dobject info -> (
-    let override =
-      Array.fold_left
-        (fun acc (name, proc) -> if Ident.equal name m then Some proc else acc)
-        None info.obj_overrides
-    in
-    match override with
-    | Some proc -> Some proc
+    match own_impl info m with
+    | Some _ as impl -> impl
     | None -> (
-      let own_default =
-        Array.fold_left
-          (fun acc ms -> if Ident.equal ms.ms_name m then ms.ms_impl else acc)
-          None info.obj_methods
-      in
-      match own_default with
-      | Some proc -> Some proc
-      | None -> (
-        match info.obj_super with
-        | Some s -> method_impl env s m
-        | None -> None)))
+      match info.obj_super with
+      | Some s -> method_impl env s m
+      | None -> None))
   | _ -> None
+
+let subtree_impls env t m =
+  match desc env t with
+  | Dobject _ ->
+    let kids = (forest env).kids in
+    (* A subtype inherits its parent's implementation unless it declares
+       its own, so one walk down the subtree resolves every member. *)
+    let rec below acc inherited u =
+      let impl =
+        match env.descs.(u) with
+        | Dobject info -> (
+          match own_impl info m with Some _ as own -> own | None -> inherited)
+        | _ -> inherited
+      in
+      let acc = match impl with Some p -> p :: acc | None -> acc in
+      Array.fold_left (fun acc v -> below acc impl v) acc kids.(u)
+    in
+    let inherited =
+      match desc env t with
+      | Dobject { obj_super = Some s; _ } -> method_impl env s m
+      | _ -> None
+    in
+    below [] inherited t
+  | _ -> []
 
 (* Descriptors hold only ints, interned idents, strings and tids, so
    polymorphic equality is structural equality; [next_uid] is per-env, so

@@ -107,7 +107,10 @@ val subtype : env -> tid -> tid -> bool
 
 val subtypes : env -> tid -> tid list
 (** The paper's [Subtypes (T)]: all allocated tids [u] with
-    [subtype env u t], including [t] itself. O(number of types). *)
+    [subtype env u t], including [t] itself, in increasing order. NIL is
+    left out. An object type's list is its subtree of the inheritance
+    forest, read from a children index the environment builds on first
+    use: O(subtree), not O(number of types). *)
 
 val object_fields : env -> tid -> field list
 (** All fields of an object type, inherited first. *)
@@ -122,6 +125,11 @@ val lookup_method : env -> tid -> Ident.t -> (tid * method_sig) option
 val method_impl : env -> tid -> Ident.t -> Ident.t option
 (** The procedure that implements method [m] for *dynamic* type [t]:
     the innermost OVERRIDES or METHODS default along the chain. *)
+
+val subtree_impls : env -> tid -> Ident.t -> Ident.t list
+(** [method_impl env u m] of every object type [u] in [subtypes env t]
+    that has one, in no particular order and with repeats: one walk down
+    [t]'s subtree, O(subtree) after the walk up from [t]. *)
 
 val env_equal : env -> env -> bool
 (** Structural equality of two whole environments: same tid count, same

@@ -44,5 +44,10 @@ let access t byte_addr =
     false
   end
 
+let reset t =
+  Array.fill t.lines 0 (Array.length t.lines) (-1);
+  t.hits <- 0;
+  t.misses <- 0
+
 let hits t = t.hits
 let misses t = t.misses

@@ -16,5 +16,8 @@ val access : t -> int -> bool
 (** [access t byte_addr] touches one address and returns [true] on a hit.
     Loads and stores behave identically (write-allocate). *)
 
+val reset : t -> unit
+(** Empty every line and zero the counts: the state {!create} returns. *)
+
 val hits : t -> int
 val misses : t -> int

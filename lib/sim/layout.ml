@@ -1,19 +1,31 @@
 open Support
 open Minim3
 
-type t = { env : Types.env; sizes : (Types.tid, int) Hashtbl.t }
+(* An object type's entry in the per-type table: its allocation size
+   (header plus every field, inherited first), extended from its parent's,
+   and the field offsets already looked up on it. *)
+type obj = { o_size : int; mutable o_offsets : (Ident.t * int) list }
+
+(* [sizes] holds the inline size by tid ([unknown] until asked), [objs]
+   the object entries ([no_obj] until asked). Both cover the tids the
+   environment had at [create]; a later tid is computed afresh. *)
+type t = { env : Types.env; sizes : int array; objs : obj array }
 
 let object_header = 1
 let open_array_dope = 1
+let unknown = -1
+let no_obj = { o_size = unknown; o_offsets = [] }
 
-let create env = { env; sizes = Hashtbl.create 64 }
+let create env =
+  let n = Types.count env in
+  { env; sizes = Array.make n unknown; objs = Array.make n no_obj }
 
 let ty_str t tid = Types.to_string t.env tid
 
 let rec size t tid =
-  match Hashtbl.find_opt t.sizes tid with
-  | Some s -> s
-  | None ->
+  if tid >= 0 && tid < Array.length t.sizes && t.sizes.(tid) <> unknown then
+    t.sizes.(tid)
+  else
     let s =
       match Types.desc t.env tid with
       | Types.Dint | Types.Dbool | Types.Dchar | Types.Dnull | Types.Dref _
@@ -28,8 +40,74 @@ let rec size t tid =
       | Types.Drecord fields ->
         Array.fold_left (fun acc f -> acc + size t f.Types.fld_ty) 0 fields
     in
-    Hashtbl.replace t.sizes tid s;
+    if tid < Array.length t.sizes then t.sizes.(tid) <- s;
     s
+
+let no_fields t tid =
+  Diag.error "Layout: %s is not an object type" (Types.to_string t.env tid)
+
+(* The entry of object type [tid], built from its parent's. *)
+let rec obj t tid =
+  if tid >= 0 && tid < Array.length t.objs && t.objs.(tid) != no_obj then
+    t.objs.(tid)
+  else
+    match Types.desc t.env tid with
+    | Types.Dobject info ->
+      let o =
+        { o_size = fields_from t info + own_size t info; o_offsets = [] }
+      in
+      if tid < Array.length t.objs then t.objs.(tid) <- o;
+      o
+    | _ -> no_fields t tid
+
+(* Where an object's own fields start: after its parent's cells. *)
+and fields_from t (info : Types.obj_info) =
+  match info.Types.obj_super with
+  | Some s -> (obj t s).o_size
+  | None -> object_header
+
+and own_size t (info : Types.obj_info) =
+  Array.fold_left (fun acc f -> acc + size t f.Types.fld_ty) 0 info.Types.obj_fields
+
+(* The offset of the first own field of [info] named [fname], or
+   [unknown]. *)
+let own_offset t (info : Types.obj_info) fname =
+  let fields = info.Types.obj_fields in
+  let rec go off i =
+    if i >= Array.length fields then unknown
+    else if Ident.equal fields.(i).Types.fld_name fname then off
+    else go (off + size t fields.(i).Types.fld_ty) (i + 1)
+  in
+  go (fields_from t info) 0
+
+(* The first field named [fname] in inherited-first order is the one
+   declared highest up the chain: walk to the root, keeping the last
+   match seen. *)
+let rec chain_offset t tid fname found =
+  match Types.desc t.env tid with
+  | Types.Dobject info -> (
+    let off = own_offset t info fname in
+    let found = if off = unknown then found else off in
+    match info.Types.obj_super with
+    | Some s -> chain_offset t s fname found
+    | None -> found)
+  | _ -> no_fields t tid
+
+let object_offset t tid fname =
+  let o = obj t tid in
+  let rec memo = function
+    | [] -> unknown
+    | (f, off) :: rest -> if Ident.equal f fname then off else memo rest
+  in
+  match memo o.o_offsets with
+  | off when off <> unknown -> off
+  | _ ->
+    let off = chain_offset t tid fname unknown in
+    if off = unknown then
+      Diag.error "Layout.field_offset: object type %s has no field '%a'"
+        (ty_str t tid) Ident.pp fname;
+    o.o_offsets <- (fname, off) :: o.o_offsets;
+    off
 
 let field_offset t tid fname =
   match Types.desc t.env tid with
@@ -42,17 +120,7 @@ let field_offset t tid fname =
       else go (off + size t fields.(i).Types.fld_ty) (i + 1)
     in
     go 0 0
-  | Types.Dobject _ ->
-    let fields = Types.object_fields t.env tid in
-    let rec go off = function
-      | [] ->
-        Diag.error "Layout.field_offset: object type %s has no field '%a'"
-          (ty_str t tid) Ident.pp fname
-      | f :: rest ->
-        if Ident.equal f.Types.fld_name fname then off
-        else go (off + size t f.Types.fld_ty) rest
-    in
-    go object_header fields
+  | Types.Dobject _ -> object_offset t tid fname
   | _ ->
     Diag.error "Layout.field_offset: cannot select field '%a' from %s (not a \
                 record or object type)"
@@ -60,12 +128,7 @@ let field_offset t tid fname =
 
 let alloc_size t tid ~length =
   match Types.desc t.env tid with
-  | Types.Dobject _ ->
-    object_header
-    + List.fold_left
-        (fun acc f -> acc + size t f.Types.fld_ty)
-        0
-        (Types.object_fields t.env tid)
+  | Types.Dobject _ -> (obj t tid).o_size
   | Types.Dref { target; _ } -> (
     match Types.desc t.env target with
     | Types.Darray (None, elem) -> (
@@ -82,3 +145,8 @@ let alloc_size t tid ~length =
   | _ ->
     Diag.error "Layout.alloc_size: %s is not a heap-allocatable type"
       (ty_str t tid)
+
+let fields_start t tid =
+  match Types.desc t.env tid with
+  | Types.Dobject info -> fields_from t info
+  | _ -> no_fields t tid

@@ -12,6 +12,10 @@ open Support
 open Minim3
 
 type t
+(** The layout of one type environment. Sizes, object allocation sizes
+    and object field offsets are tabled per type as they are first asked
+    for; an object type's entry extends its parent's, so no query walks
+    the inheritance chain twice. *)
 
 val create : Types.env -> t
 
@@ -27,6 +31,10 @@ val alloc_size : t -> Types.tid -> length:int option -> int
 (** Slots to allocate for [NEW] of a REF/object type: the referent size,
     plus header for objects, plus dope for open arrays (whose [length]
     must be given). *)
+
+val fields_start : t -> Types.tid -> int
+(** Where an object type's own fields start within its block: after the
+    header and every inherited field. *)
 
 val object_header : int
 (** Number of hidden slots at the start of every object block. *)

@@ -10,9 +10,14 @@
      instructions with layout offsets, stack-slot offsets, aggregate
      initializer images, direct-call targets and Bnumber dope decisions
      baked in;
-   - every static load site gets its own memo cell ([csite]) built at
-     compile time, so tracing ([on_load]/[on_access]) touches no hash
-     table and untraced runs never construct a site descriptor at all.
+   - in a traced run every static load site gets its own memo cell
+     ([csite]) built at compile time, so tracing ([on_load]/[on_access])
+     touches no hash table; an untraced run's sites share one cell and
+     never construct a site descriptor at all.
+
+   The compile itself allocates little beyond the code it builds (see
+   "Compilation" below), and a run borrows its cell arrays, cache and
+   variable tables from its domain ("Program entry").
 
    The runtime representation allocates nothing per executed instruction.
    A value is a cell: an unboxed [int] payload plus a one-byte tag
@@ -142,14 +147,13 @@ let image size = { im_v = Array.make size 0; im_t = Bytes.make size (Char.chr t_
    cell for the lazily assigned {!site}. The reference keys sites by a
    (proc, block, index, ordinal) tuple in a hash table; here each static
    position owns its cell, so firing a traced load is an id check plus at
-   most one record allocation ever. [cs_path] pre-truncates the access
-   path the [on_access] hook reports (explicit sites only). *)
+   most one record allocation ever. Only a traced run builds them: every
+   read of an untraced run shares one cell that no hook ever sees. *)
 type csite = {
   cs_proc : Ident.t;
   cs_block : int;
   cs_index : int;
   cs_kind : site_kind;
-  cs_path : Apath.t option;
   mutable cs_site : site option;
 }
 
@@ -186,7 +190,9 @@ type cpath = { pa_base : cbase; pa_steps : cstep array }
 
 (* NEW plans: the allocation size and initial contents are static except
    for the open-array element count. [CNbad] = Layout.alloc_size rejects
-   the type (soft fault, NIL result), decidable at compile time. *)
+   the type (soft fault, NIL result), decidable at compile time. A run
+   builds one plan per type and every NEW of it shares the plan: images
+   are only ever copied from. *)
 type cnew =
   | CNbad
   | CNblock of image
@@ -207,7 +213,8 @@ and ccallee =
       m : Ident.t;
       site : csite;  (* the header (dispatch-table) read *)
       nil_target : ptarget option;  (* static-type dispatch for NIL *)
-      impls : impl array;  (* by dynamic type tag, memoized *)
+      impls : impl array;
+          (* by dynamic type tag, memoized; one per method per run *)
     }
 
 and impl = Unresolved | Resolved of ptarget option
@@ -265,6 +272,44 @@ and cproc = {
 (* Runtime state                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* What a run borrows from its domain and hands back: the cell arrays,
+   the cache, the output buffer, and the compile's per-variable tables.
+   Those are indexed by variable id: [v_stamp.(id)] says what
+   [v_atom.(id)] and [v_cell.(id)] hold.
+   - [stamp] of the procedure being compiled: [v_atom] is the variable's
+     compiled atom in it;
+   - minus that stamp: a resident of it not used yet, at stack offset
+     [v_cell];
+   - the run's stamp: a global whose atom [v_atom] is built;
+   - minus the run's stamp: a global at static address [v_cell], not used
+     yet.
+   Stamps are never reused, so nothing needs clearing between runs or
+   procedures. [reg_tags] collects the default tag of each register of
+   the procedure being compiled. *)
+type scratch = {
+  pooled : bool;  (* the domain's retained set, handed back after the run *)
+  mutable busy : bool;
+  mutable s_sv : int array;
+  mutable s_stg : Bytes.t;
+  mutable s_hv : int array;
+  mutable s_htg : Bytes.t;
+  mutable s_rv : int array;
+  mutable s_rtg : Bytes.t;
+  s_cache : Cache.t;
+  s_out : Buffer.t;
+  mutable v_stamp : int array;
+  mutable v_atom : catom array;
+  mutable v_cell : int array;
+  mutable reg_tags : Bytes.t;
+  mutable next_stamp : int;
+  s_targets : (int, ptarget) Hashtbl.t;
+  s_methods : (int, impl array) Hashtbl.t;
+  s_null_zones : (int, int) Hashtbl.t;
+  s_spare : (int array * Bytes.t) Weak.t;
+      (* the last heap past the cap, reused only while nothing else
+         keeps it alive and the collector has not yet reclaimed it *)
+}
+
 type state = {
   program : Cfg.program;
   tenv : Types.env;
@@ -298,13 +343,19 @@ type state = {
   on_load : (load_event -> unit) option;
   on_access : (access -> unit) option;
   traced : bool;  (* either hook is set *)
-  global_addrs : int Reg.Var_tbl.t;  (* global -> static address *)
   targets : (int, ptarget) Hashtbl.t;
       (* proc ident id -> target; each run compiles the program afresh *)
   mutable next_site : int;
   mutable next_activation : int;
   null_zones : (int, int) Hashtbl.t;
+  scr : scratch;
+  run_stamp : int;
+  no_site : csite;  (* every site of an untraced run *)
+  mutable plans : cnew array;  (* NEW plans by type, [unplanned] until built *)
 }
+
+(* The [state.plans] entry of a type no NEW has planned yet. *)
+let unplanned = CNblock (image 0)
 
 (* ------------------------------------------------------------------ *)
 (* Memory (identical address model to the reference)                   *)
@@ -458,15 +509,25 @@ let rec init_slots tenv layout write_at base ty =
     done
   | _ -> write_at base 0 (default_tag tenv ty)
 
-(* An object's cells: its type tag in the header, then its fields. *)
+(* An object's cells: its type tag in the header, then its fields,
+   inherited first. *)
+let rec init_fields tenv layout write_at base ty =
+  match Types.desc tenv ty with
+  | Types.Dobject info ->
+    (match info.Types.obj_super with
+    | Some s -> init_fields tenv layout write_at base s
+    | None -> ());
+    let off = ref (base + Layout.fields_start layout ty) in
+    Array.iter
+      (fun f ->
+        init_slots tenv layout write_at !off f.Types.fld_ty;
+        off := !off + Layout.size layout f.Types.fld_ty)
+      info.Types.obj_fields
+  | _ -> ()
+
 let init_object tenv layout write_at base ty =
   write_at base ty t_int;
-  let off = ref Layout.object_header in
-  List.iter
-    (fun f ->
-      init_slots tenv layout write_at (base + !off) f.Types.fld_ty;
-      off := !off + Layout.size layout f.Types.fld_ty)
-    (Types.object_fields tenv ty)
+  init_fields tenv layout write_at base ty
 
 let is_agg st ty =
   match Types.desc st.tenv ty with
@@ -514,7 +575,7 @@ let force_site st (cs : csite) =
     s
 
 (* The hooks of one data read at a compiled site; [st.tag] holds the tag
-   of [v]. *)
+   of [v]. [on_access] reports the prefix an explicit site resolves. *)
 let trace_read st (site : csite) addr v =
   let heap = is_heap addr in
   (match st.on_load with
@@ -523,9 +584,9 @@ let trace_read st (site : csite) addr v =
         le_value = to_value v st.tag; le_activation = st.activation;
         le_heap = heap }
   | _ -> ());
-  match (st.on_access, site.cs_path) with
-  | Some f, Some path ->
-    f { ac_store = false; ac_path = path; ac_addr = addr;
+  match (st.on_access, site.cs_kind) with
+  | Some f, Sexplicit (ap, k) ->
+    f { ac_store = false; ac_path = Apath.truncate ap k; ac_addr = addr;
         ac_activation = st.activation; ac_heap = heap }
   | _ -> ()
 
@@ -766,57 +827,159 @@ let run_path st (p : cpath) =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Registers renumber a procedure's variables densely, in first-seen
-   order, so a frame is a window of the register stack. *)
+(* Compiling a procedure allocates little beyond the code itself: the
+   variable tables are the run's [scratch] arrays, register atoms and
+   small constants are shared, NEW plans are built once per type, and an
+   untraced run builds no site. Registers renumber a procedure's
+   variables densely, in first-seen order, so a frame is a window of the
+   register stack. Every table is filled in the order the code is
+   compiled, so the first [Apath.of_var] of each variable comes where it
+   always has. *)
 type cctx = {
   cc_st : state;
   cc_proc : Cfg.proc;
-  cc_slots : int Reg.Var_tbl.t;  (* variable -> register *)
-  cc_vars : Reg.var Vec.t;  (* register -> variable *)
-  cc_res : int Reg.Var_tbl.t;  (* resident -> stack-cell offset *)
+  cc_stamp : int;  (* this procedure's variable-table stamp *)
+  cc_seen : int;  (* the resident walk's stamp *)
+  mutable cc_nregs : int;
+  mutable cc_res : Reg.var list;  (* residents, last seen first *)
 }
 
-let slot_of cc (v : Reg.var) =
-  match Reg.Var_tbl.find_opt cc.cc_slots v with
-  | Some s -> s
-  | None ->
-    let s = Vec.push cc.cc_vars v in
-    Reg.Var_tbl.add cc.cc_slots v s;
-    s
+let take_stamp scr =
+  let s = scr.next_stamp in
+  scr.next_stamp <- s + 1;
+  s
 
-let cvar_of cc (v : Reg.var) =
+let no_atom = CAvar Cdrop
+
+(* Grows the variable tables to cover ids below [n], keeping their
+   entries. *)
+let cover_vars scr n =
+  if n > Array.length scr.v_stamp then begin
+    let len = Array.length scr.v_stamp in
+    let cap = max n (2 * len) in
+    let stamp = Array.make cap 0 and atom = Array.make cap no_atom in
+    let cell = Array.make cap 0 in
+    Array.blit scr.v_stamp 0 stamp 0 len;
+    Array.blit scr.v_atom 0 atom 0 len;
+    Array.blit scr.v_cell 0 cell 0 len;
+    scr.v_stamp <- stamp;
+    scr.v_atom <- atom;
+    scr.v_cell <- cell
+  end
+
+(* Shared atoms: registers below [shared_regs], and the constants that
+   need no allocation of their own. *)
+let shared_regs = 1024
+let reg_atoms = Array.init shared_regs (fun s -> CAvar (Creg s))
+let reg_atom s = if s < shared_regs then reg_atoms.(s) else CAvar (Creg s)
+let int_atoms = Array.init 256 (fun n -> CAconst (n, t_int))
+let char_atoms = Array.init 256 (fun c -> CAconst (c, t_char))
+let true_atom = CAconst (1, t_bool)
+let false_atom = CAconst (0, t_bool)
+let nil_atom = CAconst (0, t_nil)
+
+let new_reg cc (v : Reg.var) =
+  let scr = cc.cc_st.scr in
+  let s = cc.cc_nregs in
+  cc.cc_nregs <- s + 1;
+  if s >= Bytes.length scr.reg_tags then begin
+    let tags = Bytes.create (2 * Bytes.length scr.reg_tags) in
+    Bytes.blit scr.reg_tags 0 tags 0 s;
+    scr.reg_tags <- tags
+  end;
+  set_tag scr.reg_tags s (default_tag cc.cc_st.tenv v.Reg.v_ty);
+  s
+
+(* A memory cell's atom. Interned for every memory cell, aggregate or
+   not. *)
+let cell_atom st (v : Reg.var) ~global addr =
+  let path = Apath.of_var v in
+  match (global, is_agg st v.Reg.v_ty) with
+  | true, false -> CAvar (Cglob { addr; path })
+  | true, true -> CAvar (Cglob_agg addr)
+  | false, false -> CAvar (Cres { off = addr; path })
+  | false, true -> CAvar (Cres_agg addr)
+
+let var_atom cc (v : Reg.var) =
   let st = cc.cc_st in
-  let global = match v.Reg.v_kind with Reg.Vglobal -> true | _ -> false in
-  let cells = if global then st.global_addrs else cc.cc_res in
-  match Reg.Var_tbl.find_opt cells v with
-  | None -> Creg (slot_of cc v)
-  | Some a -> (
-    (* Interned for every memory cell, aggregate or not. *)
-    let path = Apath.of_var v in
-    match (global, is_agg st v.Reg.v_ty) with
-    | true, false -> Cglob { addr = a; path }
-    | true, true -> Cglob_agg a
-    | false, false -> Cres { off = a; path }
-    | false, true -> Cres_agg a)
+  let scr = st.scr in
+  let id = v.Reg.v_id in
+  cover_vars scr (id + 1);
+  let s = scr.v_stamp.(id) in
+  if s = cc.cc_stamp || s = st.run_stamp then scr.v_atom.(id)
+  else begin
+    let global = s = -st.run_stamp in
+    let a =
+      if global || s = -cc.cc_stamp then
+        cell_atom st v ~global scr.v_cell.(id)
+      else reg_atom (new_reg cc v)
+    in
+    scr.v_stamp.(id) <- (if global then st.run_stamp else cc.cc_stamp);
+    scr.v_atom.(id) <- a;
+    a
+  end
+
+let cvar_of cc v =
+  match var_atom cc v with CAvar cv -> cv | CAconst _ -> assert false
 
 let catom_of cc = function
-  | Reg.Avar v -> CAvar (cvar_of cc v)
-  | Reg.Aint n -> CAconst (n, t_int)
-  | Reg.Abool b -> CAconst (Bool.to_int b, t_bool)
-  | Reg.Achar c -> CAconst (Char.code c, t_char)
-  | Reg.Anil -> CAconst (0, t_nil)
+  | Reg.Avar v -> var_atom cc v
+  | Reg.Aint n -> if n >= 0 && n < 256 then int_atoms.(n) else CAconst (n, t_int)
+  | Reg.Abool b -> if b then true_atom else false_atom
+  | Reg.Achar c -> char_atoms.(Char.code c)
+  | Reg.Anil -> nil_atom
 
-let mk_site cc ~block ~index kind ~path =
+let rec fill_catoms cc a i = function
+  | [] -> ()
+  | x :: rest ->
+    a.(i) <- catom_of cc x;
+    fill_catoms cc a (i + 1) rest
+
+(* [args] left to right into a fresh array. *)
+let catoms_of cc args =
+  let a = Array.make (List.length args) no_atom in
+  fill_catoms cc a 0 args;
+  a
+
+let site cc ~block ~index kind =
   { cs_proc = cc.cc_proc.Cfg.pr_name; cs_block = block; cs_index = index;
-    cs_kind = kind; cs_path = path; cs_site = None }
+    cs_kind = kind; cs_site = None }
+
+let explicit_site cc ~block ~index ap k =
+  if cc.cc_st.traced then site cc ~block ~index (Sexplicit (ap, k))
+  else cc.cc_st.no_site
+
+let dope_site cc ~block ~index ap =
+  if cc.cc_st.traced then site cc ~block ~index (Sdope ap)
+  else cc.cc_st.no_site
+
+let plain_site cc ~block ~index kind =
+  if cc.cc_st.traced then site cc ~block ~index kind else cc.cc_st.no_site
+
+let compile_step cc ~block ~index ap k cur_ty = function
+  | Apath.Sderef target ->
+    CSderef { target; site = explicit_site cc ~block ~index ap k }
+  | Apath.Sfield (f, _) -> (
+    let st = cc.cc_st in
+    match Types.desc st.tenv cur_ty with
+    | Types.Dobject _ ->
+      CSfield_obj
+        { off = Layout.field_offset st.layout cur_ty f; owner = cur_ty;
+          site = explicit_site cc ~block ~index ap k }
+    | Types.Drecord _ -> CSfield_rec (Layout.field_offset st.layout cur_ty f)
+    | _ -> CSfield_bad)
+  | Apath.Sindex (idx, elem_ty) -> (
+    let st = cc.cc_st in
+    let cidx = catom_of cc idx in
+    let esz = Layout.size st.layout elem_ty in
+    match Types.desc st.tenv cur_ty with
+    | Types.Darray (Some n, _) -> CSindex_fixed { idx = cidx; esz; bound = n }
+    | Types.Darray (None, _) ->
+      CSindex_open { idx = cidx; esz; dope = dope_site cc ~block ~index ap }
+    | _ -> CSindex_bad cidx)
 
 let compile_path cc ~block ~index (ap : Apath.t) : cpath =
-  let st = cc.cc_st in
   let base = Apath.base ap in
-  let explicit k =
-    mk_site cc ~block ~index (Sexplicit (ap, k))
-      ~path:(Some (Apath.truncate ap k))
-  in
   let pa_base =
     match cvar_of cc base with
     | Cglob { addr; _ } | Cglob_agg addr -> CBaddr_glob addr
@@ -824,36 +987,15 @@ let compile_path cc ~block ~index (ap : Apath.t) : cpath =
     | Creg s -> CBreg s
     | Cdrop -> assert false
   in
-  let rec build k cur_ty = function
-    | [] -> []
-    | sel :: rest ->
-      let step =
-        match sel with
-        | Apath.Sderef target -> CSderef { target; site = explicit k }
-        | Apath.Sfield (f, _) -> (
-          match Types.desc st.tenv cur_ty with
-          | Types.Dobject _ ->
-            CSfield_obj
-              { off = Layout.field_offset st.layout cur_ty f; owner = cur_ty;
-                site = explicit k }
-          | Types.Drecord _ ->
-            CSfield_rec (Layout.field_offset st.layout cur_ty f)
-          | _ -> CSfield_bad)
-        | Apath.Sindex (idx, elem_ty) -> (
-          let cidx = catom_of cc idx in
-          let esz = Layout.size st.layout elem_ty in
-          match Types.desc st.tenv cur_ty with
-          | Types.Darray (Some n, _) ->
-            CSindex_fixed { idx = cidx; esz; bound = n }
-          | Types.Darray (None, _) ->
-            CSindex_open
-              { idx = cidx; esz;
-                dope = mk_site cc ~block ~index (Sdope ap) ~path:None }
-          | _ -> CSindex_bad cidx)
-      in
-      step :: build (k + 1) (Apath.selector_result sel) rest
-  in
-  { pa_base; pa_steps = Array.of_list (build 0 base.Reg.v_ty (Apath.sels ap)) }
+  let n = Apath.length ap in
+  let steps = Array.make n CSfield_bad in
+  let cur_ty = ref base.Reg.v_ty in
+  for k = 0 to n - 1 do
+    let sel = Apath.selector ap k in
+    steps.(k) <- compile_step cc ~block ~index ap k !cur_ty sel;
+    cur_ty := Apath.selector_result sel
+  done;
+  { pa_base; pa_steps = steps }
 
 (* Default-initialized contents of an aggregate, relative to cell 0 —
    the compile-time image of [init_slots]. *)
@@ -866,23 +1008,41 @@ let image_of st size ty =
   init_slots st.tenv st.layout (write_image im) 0 ty;
   im
 
-let compile_new st ty ~has_len : cnew =
-  let probe = if has_len then Some 0 else None in
-  match Layout.alloc_size st.layout ty ~length:probe with
-  | exception Diag.Compile_error _ -> CNbad
-  | _ -> (
-    match Types.desc st.tenv ty with
-    | Types.Dobject _ ->
-      let im = image (Layout.alloc_size st.layout ty ~length:None) in
+let build_plan st ty : cnew =
+  match Types.desc st.tenv ty with
+  | Types.Dobject _ -> (
+    match Layout.alloc_size st.layout ty ~length:None with
+    | exception Diag.Compile_error _ -> CNbad
+    | size ->
+      let im = image size in
       init_object st.tenv st.layout (write_image im) 0 ty;
-      CNblock im
-    | Types.Dref { target; _ } -> (
-      match Types.desc st.tenv target with
-      | Types.Darray (None, elem) ->
-        let esz = Layout.size st.layout elem in
-        CNopen { esz; elem = image_of st esz elem }
-      | _ -> CNblock (image_of st (Layout.size st.layout target) target))
-    | _ -> CNbad)
+      CNblock im)
+  | Types.Dref { target; _ } -> (
+    match Types.desc st.tenv target with
+    | Types.Darray (None, elem) -> (
+      match Layout.size st.layout elem with
+      | exception Diag.Compile_error _ -> CNbad
+      | esz -> CNopen { esz; elem = image_of st esz elem })
+    | _ -> (
+      match Layout.size st.layout target with
+      | exception Diag.Compile_error _ -> CNbad
+      | size -> CNblock (image_of st size target)))
+  | _ -> CNbad
+
+(* The run's plan for [ty], built at its first NEW. *)
+let plan_of st ty =
+  if Array.length st.plans = 0 then
+    st.plans <- Array.make (Types.count st.tenv) unplanned;
+  if ty < 0 || ty >= Array.length st.plans then build_plan st ty
+  else begin
+    if st.plans.(ty) == unplanned then st.plans.(ty) <- build_plan st ty;
+    st.plans.(ty)
+  end
+
+(* An open array's plan needs its length argument: without one,
+   Layout.alloc_size rejects the type. *)
+let compile_new st ty ~has_len : cnew =
+  match plan_of st ty with CNopen _ when not has_len -> CNbad | plan -> plan
 
 let target_of st (proc : Cfg.proc) =
   let key = Ident.id proc.Cfg.pr_name in
@@ -896,41 +1056,62 @@ let target_of st (proc : Cfg.proc) =
 let find_target st name =
   Option.map (target_of st) (Cfg.find_proc_opt st.program name)
 
+(* Resolution depends only on the receiver's tag and the method, so every
+   call site of [m] shares one table. *)
+let method_impls st m =
+  let key = Ident.id m in
+  match Hashtbl.find_opt st.scr.s_methods key with
+  | Some impls -> impls
+  | None ->
+    let impls = Array.make (Types.count st.tenv) Unresolved in
+    Hashtbl.replace st.scr.s_methods key impls;
+    impls
+
+(* Operands are compiled in the order the code always compiled them (a
+   tuple or constructor evaluates its arguments right to left), so the
+   variables meet the tables in the same order. *)
+let dst_of cc = function
+  | Some v -> cvar_of cc v
+  | None -> Cdrop
+
+let dtag_of st = function
+  | Some (v : Reg.var) -> default_tag st.tenv v.Reg.v_ty
+  | None -> t_nil
+
 let compile_instr cc ~block ~index (instr : Instr.t) : cinstr =
   let st = cc.cc_st in
-  let dst_of = function
-    | Some v -> (cvar_of cc v, default_tag st.tenv v.Reg.v_ty)
-    | None -> (Cdrop, t_nil)
-  in
-  let atoms args = Array.of_list (List.map (catom_of cc) args) in
   match instr with
   | Instr.Iassign (v, Instr.Ratom a) -> (
-    match (cvar_of cc v, catom_of cc a) with
+    let a = catom_of cc a in
+    match (cvar_of cc v, a) with
     | Creg d, CAvar (Creg s) -> CImove_rr (d, s)
     | dst, a -> CImove (dst, a))
   | Instr.Iassign (v, Instr.Rbinop (op, a, b)) -> (
-    match (cvar_of cc v, catom_of cc a, catom_of cc b) with
+    let b = catom_of cc b in
+    let a = catom_of cc a in
+    match (cvar_of cc v, a, b) with
     | Creg d, CAvar (Creg a), CAvar (Creg b) -> CIbinop_rr { d; op; a; b }
     | Creg d, CAvar (Creg a), CAconst (c, ct) -> CIbinop_rc { d; op; a; c; ct }
     | dst, a, b -> CIbinop (dst, op, a, b))
   | Instr.Iassign (v, Instr.Runop (op, a)) ->
-    CIunop (cvar_of cc v, op, catom_of cc a)
+    let a = catom_of cc a in
+    CIunop (cvar_of cc v, op, a)
   | Instr.Iload (v, ap) ->
     let dst = cvar_of cc v in
-    let final =
-      mk_site cc ~block ~index (Sexplicit (ap, Apath.length ap)) ~path:(Some ap)
-    in
+    let final = explicit_site cc ~block ~index ap (Apath.length ap) in
     CIload
       { dst; path = compile_path cc ~block ~index ap; final;
         dtag = default_tag st.tenv v.Reg.v_ty }
   | Instr.Istore (ap, a) ->
     let value = catom_of cc a in
     CIstore { path = compile_path cc ~block ~index ap; value; ap }
-  | Instr.Iaddr (v, ap) -> CIaddr (cvar_of cc v, compile_path cc ~block ~index ap)
+  | Instr.Iaddr (v, ap) ->
+    let path = compile_path cc ~block ~index ap in
+    CIaddr (cvar_of cc v, path)
   | Instr.Inew (v, ty, len) ->
-    CInew
-      { dst = cvar_of cc v; len = Option.map (catom_of cc) len;
-        plan = compile_new st ty ~has_len:(len <> None) }
+    let plan = compile_new st ty ~has_len:(len <> None) in
+    let len = match len with Some a -> Some (catom_of cc a) | None -> None in
+    CInew { dst = cvar_of cc v; len; plan }
   | Instr.Icall (dst, target, args) ->
     let callee =
       match target with
@@ -938,13 +1119,13 @@ let compile_instr cc ~block ~index (instr : Instr.t) : cinstr =
         match find_target st p with Some pt -> CCdirect pt | None -> CCmissing)
       | Instr.Cvirtual (m, static_ty) ->
         CCvirtual
-          { m; site = mk_site cc ~block ~index Sdispatch ~path:None;
+          { m; site = plain_site cc ~block ~index Sdispatch;
             nil_target =
               Option.bind (Types.method_impl st.tenv static_ty m) (find_target st);
-            impls = Array.make (Types.count st.tenv) Unresolved }
+            impls = method_impls st m }
     in
-    let dst, dtag = dst_of dst in
-    CIcall { dst; dtag; callee; args = atoms args }
+    let dtag = dtag_of st dst and dst = dst_of cc dst in
+    CIcall { dst; dtag; callee; args = catoms_of cc args }
   | Instr.Ibuiltin (dst, b, args) ->
     let number =
       match (b, args) with
@@ -952,12 +1133,12 @@ let compile_instr cc ~block ~index (instr : Instr.t) : cinstr =
         match Types.desc st.tenv v.Reg.v_ty with
         | Types.Darray (Some n, _) -> NBfixed n
         | Types.Darray (None, _) ->
-          NBopen (mk_site cc ~block ~index Snumber ~path:None)
+          NBopen (plain_site cc ~block ~index Snumber)
         | _ -> NBbad)
       | _ -> NBbad
     in
-    let dst, dtag = dst_of dst in
-    CIbuiltin { dst; dtag; b; args = atoms args; number }
+    let dtag = dtag_of st dst and dst = dst_of cc dst in
+    CIbuiltin { dst; dtag; b; args = catoms_of cc args; number }
 
 (* Calls and Halt end a block's call-free segments. *)
 let ends_segment = function
@@ -968,94 +1149,177 @@ let ends_segment = function
 
 let segments instrs =
   let n = Array.length instrs in
-  let ends = ref [ n ] in
-  for i = n - 1 downto 0 do
-    if ends_segment instrs.(i) then ends := (i + 1) :: !ends
+  let count = ref 1 in
+  for i = 0 to n - 1 do
+    if ends_segment instrs.(i) then incr count
   done;
-  Array.of_list !ends
+  let segs = Array.make !count n in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if ends_segment instrs.(i) then begin
+      segs.(!k) <- i + 1;
+      incr k
+    end
+  done;
+  segs
 
-(* The reference's resident-variable discovery, replicated verbatim: the
-   result order is the frame's slot allocation order, which fixes stack
-   addresses and therefore cache behaviour and cycles. *)
-let resident_list st proc =
-  let acc = ref [] in
-  let note v =
-    if not (List.exists (Reg.var_equal v) !acc) then acc := v :: !acc
+let no_instr = CImove_rr (0, 0)
+
+let rec compile_instrs cc bid instrs index = function
+  | [] -> ()
+  | i :: rest ->
+    instrs.(index) <- compile_instr cc ~block:bid ~index i;
+    compile_instrs cc bid instrs (index + 1) rest
+
+let compile_block cc bid =
+  let b = Cfg.block cc.cc_proc bid in
+  let instrs = Array.make (List.length b.Cfg.b_instrs) no_instr in
+  compile_instrs cc bid instrs 0 b.Cfg.b_instrs;
+  let cb_term =
+    match b.Cfg.b_term with
+    | Instr.Tjump l -> CTjump l
+    | Instr.Tbranch (a, t, f) -> CTbranch (catom_of cc a, t, f)
+    | Instr.Treturn None -> CTreturn None
+    | Instr.Treturn (Some a) -> CTreturn (Some (catom_of cc a))
   in
-  let owns_storage (v : Reg.var) =
-    match v.Reg.v_kind with
-    | Reg.Vlocal | Reg.Vtemp | Reg.Vparam Ast.By_value -> true
-    | Reg.Vglobal | Reg.Vparam Ast.By_ref | Reg.Vaddr -> false
-  in
-  Cfg.iter_instrs proc (fun _ i ->
-      (match i with
-      | Instr.Iaddr (_, ap) when not (Apath.is_memory_ref ap) ->
-        if (Apath.base ap).Reg.v_kind <> Reg.Vglobal then note (Apath.base ap)
-      | _ -> ());
-      List.iter
-        (fun v -> if owns_storage v && is_agg st v.Reg.v_ty then note v)
-        (Instr.vars_used i @ Option.to_list (Instr.defined_var i)));
-  List.iter
-    (fun v -> if owns_storage v && is_agg st v.Reg.v_ty then note v)
-    (proc.Cfg.pr_params @ proc.Cfg.pr_locals);
-  !acc
+  { cb_instrs = instrs; cb_segs = segments instrs; cb_term }
+
+(* The reference's resident-variable discovery: the variables whose
+   address is taken, and the aggregates a frame owns, in first-seen order
+   over the instructions (an address-taken base, then the variables read,
+   then the one defined), then the formals and locals. [cc_res] ends up
+   last seen first, the order that lays out the frame and so fixes stack
+   addresses, cache behaviour and cycles. *)
+let note cc (v : Reg.var) =
+  let scr = cc.cc_st.scr in
+  let id = v.Reg.v_id in
+  cover_vars scr (id + 1);
+  if scr.v_stamp.(id) <> cc.cc_seen then begin
+    scr.v_stamp.(id) <- cc.cc_seen;
+    cc.cc_res <- v :: cc.cc_res
+  end
+
+let note_owned cc (v : Reg.var) =
+  match v.Reg.v_kind with
+  | Reg.Vlocal | Reg.Vtemp | Reg.Vparam Ast.By_value ->
+    if is_agg cc.cc_st v.Reg.v_ty then note cc v
+  | Reg.Vglobal | Reg.Vparam Ast.By_ref | Reg.Vaddr -> ()
+
+let note_atom cc = function Reg.Avar v -> note_owned cc v | _ -> ()
+
+let rec note_atoms cc = function
+  | [] -> ()
+  | a :: rest ->
+    note_atom cc a;
+    note_atoms cc rest
+
+let rec note_vars cc = function
+  | [] -> ()
+  | v :: rest ->
+    note_owned cc v;
+    note_vars cc rest
+
+(* [Apath.vars_used]: the base, then each index variable. *)
+let note_path cc ap =
+  note_owned cc (Apath.base ap);
+  for k = 0 to Apath.length ap - 1 do
+    match Apath.selector ap k with
+    | Apath.Sindex (Reg.Avar v, _) -> note_owned cc v
+    | _ -> ()
+  done
+
+let note_instr cc (i : Instr.t) =
+  (match i with
+  | Instr.Iaddr (_, ap) when not (Apath.is_memory_ref ap) ->
+    if (Apath.base ap).Reg.v_kind <> Reg.Vglobal then note cc (Apath.base ap)
+  | _ -> ());
+  match i with
+  | Instr.Iassign (v, Instr.Ratom a) | Instr.Iassign (v, Instr.Runop (_, a)) ->
+    note_atom cc a;
+    note_owned cc v
+  | Instr.Iassign (v, Instr.Rbinop (_, a, b)) ->
+    note_atom cc a;
+    note_atom cc b;
+    note_owned cc v
+  | Instr.Iload (v, ap) | Instr.Iaddr (v, ap) ->
+    note_path cc ap;
+    note_owned cc v
+  | Instr.Istore (ap, a) ->
+    note_atom cc a;
+    note_path cc ap
+  | Instr.Inew (v, _, len) ->
+    (match len with Some a -> note_atom cc a | None -> ());
+    note_owned cc v
+  | Instr.Icall (dst, _, args) | Instr.Ibuiltin (dst, _, args) -> (
+    note_atoms cc args;
+    match dst with Some v -> note_owned cc v | None -> ())
+
+let rec note_instrs cc = function
+  | [] -> ()
+  | i :: rest ->
+    note_instr cc i;
+    note_instrs cc rest
 
 let compile_proc st (proc : Cfg.proc) : cproc =
+  let scr = st.scr in
+  let cc_seen = take_stamp scr in
   let cc =
-    { cc_st = st; cc_proc = proc; cc_slots = Reg.Var_tbl.create 32;
-      cc_vars = Vec.create (); cc_res = Reg.Var_tbl.create 8 }
+    { cc_st = st; cc_proc = proc; cc_stamp = take_stamp scr; cc_seen;
+      cc_nregs = 0; cc_res = [] }
   in
+  for bid = 0 to Cfg.n_blocks proc - 1 do
+    note_instrs cc (Cfg.block proc bid).Cfg.b_instrs
+  done;
+  note_vars cc proc.Cfg.pr_params;
+  note_vars cc proc.Cfg.pr_locals;
   (* The formals take registers 0 .. n-1, where a call's arguments land. *)
-  List.iter (fun v -> ignore (slot_of cc v)) proc.Cfg.pr_params;
   let cp_nparams = List.length proc.Cfg.pr_params in
-  (* Residents get consecutive stack cells in the reference's order. *)
-  let residents = resident_list st proc in
+  List.iter
+    (fun (v : Reg.var) ->
+      let s = new_reg cc v in
+      cover_vars scr (v.Reg.v_id + 1);
+      scr.v_stamp.(v.Reg.v_id) <- cc.cc_stamp;
+      scr.v_atom.(v.Reg.v_id) <- reg_atom s)
+    proc.Cfg.pr_params;
+  (* Residents get consecutive stack cells in the reference's order; a
+     scalar one is loaded from its register (its formal's, or a fresh
+     one holding its default). *)
   let size (v : Reg.var) =
     if is_agg st v.Reg.v_ty then Layout.size st.layout v.Reg.v_ty else 1
   in
-  let frame_size =
+  let frame_size, scalars =
     List.fold_left
-      (fun off (v : Reg.var) ->
-        Reg.Var_tbl.replace cc.cc_res v off;
-        off + size v)
-      0 residents
+      (fun (off, n) (v : Reg.var) ->
+        (off + size v, if is_agg st v.Reg.v_ty then n else n + 1))
+      (0, 0) cc.cc_res
   in
   let cp_frame = image frame_size in
-  let scalars = ref [] in
-  List.iter
-    (fun (v : Reg.var) ->
-      let off = Reg.Var_tbl.find cc.cc_res v in
-      if is_agg st v.Reg.v_ty then
-        init_slots st.tenv st.layout (write_image cp_frame) off v.Reg.v_ty
-      else scalars := (off, slot_of cc v) :: !scalars)
-    residents;
-  let scalars = List.rev !scalars in
-  let cp_blocks =
-    Array.init (Cfg.n_blocks proc) (fun bid ->
-        let b = Cfg.block proc bid in
-        let cb_instrs =
-          Array.of_list
-            (List.mapi
-               (fun index i -> compile_instr cc ~block:bid ~index i)
-               b.Cfg.b_instrs)
-        in
-        let cb_term =
-          match b.Cfg.b_term with
-          | Instr.Tjump l -> CTjump l
-          | Instr.Tbranch (a, t, f) -> CTbranch (catom_of cc a, t, f)
-          | Instr.Treturn a -> CTreturn (Option.map (catom_of cc) a)
-        in
-        { cb_instrs; cb_segs = segments cb_instrs; cb_term })
-  in
-  let nregs = Vec.length cc.cc_vars in
-  let cp_tags = Bytes.create nregs in
-  for i = 0 to nregs - 1 do
-    set_tag cp_tags i (default_tag st.tenv (Vec.get cc.cc_vars i).Reg.v_ty)
-  done;
-  { cp_tags; cp_nparams; cp_frame;
-    cp_sc_off = Array.of_list (List.map fst scalars);
-    cp_sc_reg = Array.of_list (List.map snd scalars);
-    cp_blocks; cp_entry = proc.Cfg.pr_entry }
+  let cp_sc_off = Array.make scalars 0 and cp_sc_reg = Array.make scalars 0 in
+  ignore
+    (List.fold_left
+       (fun (off, k) (v : Reg.var) ->
+         let id = v.Reg.v_id in
+         let k =
+           if is_agg st v.Reg.v_ty then begin
+             init_slots st.tenv st.layout (write_image cp_frame) off v.Reg.v_ty;
+             k
+           end
+           else begin
+             cp_sc_off.(k) <- off;
+             cp_sc_reg.(k) <-
+               (match scr.v_atom.(id) with
+               | CAvar (Creg s) when scr.v_stamp.(id) = cc.cc_stamp -> s
+               | _ -> new_reg cc v);
+             k + 1
+           end
+         in
+         scr.v_stamp.(id) <- -cc.cc_stamp;
+         scr.v_cell.(id) <- off;
+         (off + size v, k))
+       (0, 0) cc.cc_res);
+  let cp_blocks = Array.init (Cfg.n_blocks proc) (compile_block cc) in
+  { cp_tags = Bytes.sub scr.reg_tags 0 cc.cc_nregs; cp_nparams; cp_frame;
+    cp_sc_off; cp_sc_reg; cp_blocks; cp_entry = proc.Cfg.pr_entry }
 
 let code_of st pt =
   match pt.pt_code with
@@ -1379,14 +1643,86 @@ and call st pt nargs dst dtag =
 (* Program entry                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The heap hints below are per domain ([Domain.DLS]): runs on different
-   domains share no hint table. Compiled code is never shared: every run
-   compiles the program it is given. *)
+(* What a domain keeps between runs (Domain.DLS, so runs on different
+   domains share nothing). Compiled code is never kept: every run
+   compiles the program it is given.
 
-(* Capacity hints carried across runs: regrowing the simulated heap from
-   empty costs a doubling series of multi-megabyte array copies (all
-   immediately garbage), which can rival the execution itself on
-   allocation-heavy programs. Pre-sizing to the previous run's
+   A run borrows its domain's [scratch] and hands it back, keeping each
+   array that stayed within [retained_cells] (or [retained_vars], for the
+   variable tables): a small run then allocates no cell array, cache or
+   output buffer of its own. What grew past the cap is dropped, so a
+   large run leaves nothing large behind, except in [s_spare], which
+   does not keep it alive: until the collector reclaims that heap, the
+   next large run uses it instead of taking fresh pages beside it (on
+   paper-suite's set-up, where m3cg's 0.55M-cell heap followed
+   write_pickle's 1.45M-cell one before a major cycle had ended, that
+   was 5 MB of peak memory). A run started while its domain's scratch
+   is lent out (from an [on_load] or [on_access] hook) gets fresh arrays
+   of its own. *)
+let retained_cells = 1 lsl 16
+let retained_vars = 1 lsl 16
+let retained_output = 1 lsl 16
+let min_heap = 256
+let min_regs = 256
+let min_static = 1024
+
+let fresh_scratch ~pooled =
+  { pooled; busy = false;
+    s_sv = Array.make min_static 0; s_stg = Bytes.create min_static;
+    s_hv = Array.make min_heap 0; s_htg = Bytes.create min_heap;
+    s_rv = Array.make min_regs 0; s_rtg = Bytes.create min_regs;
+    s_cache = Cache.create (); s_out = Buffer.create 4096;
+    v_stamp = [||]; v_atom = [||]; v_cell = [||];
+    reg_tags = Bytes.create 64; next_stamp = 1;
+    s_targets = Hashtbl.create 32; s_methods = Hashtbl.create 8;
+    s_null_zones = Hashtbl.create 16; s_spare = Weak.create 1 }
+
+let scratches : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> fresh_scratch ~pooled:true)
+
+let borrow () =
+  let scr = Domain.DLS.get scratches in
+  if scr.busy then fresh_scratch ~pooled:false
+  else begin
+    scr.busy <- true;
+    Cache.reset scr.s_cache;
+    Buffer.clear scr.s_out;
+    scr
+  end
+
+let hand_back st =
+  let scr = st.scr in
+  if scr.pooled then begin
+    let within a = Array.length a <= retained_cells in
+    if within st.hv then begin
+      scr.s_hv <- st.hv;
+      scr.s_htg <- st.htg
+    end
+    else Weak.set scr.s_spare 0 (Some (st.hv, st.htg));
+    if within st.sv then begin
+      scr.s_sv <- st.sv;
+      scr.s_stg <- st.stg
+    end;
+    if within st.rv then begin
+      scr.s_rv <- st.rv;
+      scr.s_rtg <- st.rtg
+    end;
+    if Array.length scr.v_stamp > retained_vars then begin
+      scr.v_stamp <- [||];
+      scr.v_atom <- [||];
+      scr.v_cell <- [||]
+    end;
+    if Buffer.length scr.s_out > retained_output then Buffer.reset scr.s_out;
+    Hashtbl.clear scr.s_targets;
+    Hashtbl.clear scr.s_methods;
+    Hashtbl.clear scr.s_null_zones;
+    scr.busy <- false
+  end
+
+(* Heap capacity hints, for the heaps too large to retain: regrowing the
+   simulated heap from empty costs a doubling series of multi-megabyte
+   array copies (all immediately garbage), which can rival the execution
+   itself on allocation-heavy programs. Pre-sizing to the previous run's
    high-water mark is observably neutral — the heap length (and so every
    simulated address) is unaffected by capacity. Hints are keyed by a
    cheap structural fingerprint of the program so a large run does not
@@ -1401,41 +1737,43 @@ let heap_hint_key (program : Cfg.program) =
     List.length program.Cfg.prog_globals )
 
 let note_heap_len program len =
-  let hints = Domain.DLS.get heap_hints in
-  let key = heap_hint_key program in
-  match Hashtbl.find_opt hints key with
-  | Some cap when cap >= len -> ()
-  | _ -> Hashtbl.replace hints key len
+  if len > retained_cells then begin
+    let hints = Domain.DLS.get heap_hints in
+    let key = heap_hint_key program in
+    match Hashtbl.find_opt hints key with
+    | Some cap when cap >= len -> ()
+    | _ -> Hashtbl.replace hints key len
+  end
 
-let min_heap = 256
-let min_regs = 256
-let min_static = 1024
+let start scr ~fuel ~on_load ~on_access (program : Cfg.program) =
+  let hv, htg =
+    match Hashtbl.find_opt (Domain.DLS.get heap_hints) (heap_hint_key program) with
+    | Some cap when cap > Array.length scr.s_hv -> (
+      match Weak.get scr.s_spare 0 with
+      | Some (v, t) when Array.length v >= cap ->
+        Weak.set scr.s_spare 0 None;
+        (v, t)
+      | _ -> (Array.make cap 0, Bytes.create cap))
+    | _ -> (scr.s_hv, scr.s_htg)
+  in
+  cover_vars scr program.Cfg.next_var_id;
+  { program; tenv = program.Cfg.tenv; layout = Layout.create program.Cfg.tenv;
+    sv = scr.s_sv; stg = scr.s_stg; static_len = 0; hv; htg; heap_len = 0;
+    rv = scr.s_rv; rtg = scr.s_rtg; fp = 0; top = 0; sp = 0; activation = 0;
+    tag = t_nil; ret_v = 0; ret_t = t_none; cache = scr.s_cache; cycles = 0;
+    out_buf = scr.s_out; soft_faults = 0; fuel; instrs = 0; heap_loads = 0;
+    other_loads = 0; stores = 0; calls = 0; allocations = 0; on_load;
+    on_access; traced = Option.is_some on_load || Option.is_some on_access;
+    targets = scr.s_targets; next_site = 0; next_activation = 0;
+    null_zones = scr.s_null_zones; scr; run_stamp = take_stamp scr;
+    no_site =
+      { cs_proc = program.Cfg.prog_main; cs_block = -1; cs_index = -1;
+        cs_kind = Snumber; cs_site = None };
+    plans = [||] }
 
-let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
-    outcome =
-  let hints = Domain.DLS.get heap_hints in
-  let hint_key = heap_hint_key program in
-  let heap_cap =
-    match Hashtbl.find_opt hints hint_key with
-    | Some cap -> max cap min_heap
-    | None -> min_heap
-  in
-  let st =
-    { program; tenv = program.Cfg.tenv; layout = Layout.create program.Cfg.tenv;
-      sv = Array.make min_static 0; stg = Bytes.create min_static;
-      static_len = 0;
-      hv = Array.make heap_cap 0; htg = Bytes.create heap_cap; heap_len = 0;
-      rv = Array.make min_regs 0; rtg = Bytes.create min_regs;
-      fp = 0; top = 0; sp = 0; activation = 0; tag = t_nil; ret_v = 0;
-      ret_t = t_none; cache = Cache.create (); cycles = 0;
-      out_buf = Buffer.create 4096; soft_faults = 0; fuel; instrs = 0;
-      heap_loads = 0; other_loads = 0; stores = 0; calls = 0;
-      allocations = 0; on_load; on_access;
-      traced = Option.is_some on_load || Option.is_some on_access;
-      global_addrs = Reg.Var_tbl.create 32; targets = Hashtbl.create 32;
-      next_site = 0;
-      next_activation = 0; null_zones = Hashtbl.create 16 }
-  in
+let execute st =
+  let program = st.program in
+  let scr = st.scr in
   (* Globals are allocated before any procedure compiles, so compiled
      code sees their final static addresses. *)
   List.iter
@@ -1444,7 +1782,11 @@ let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
       let a = alloc_static st (if agg then Layout.size st.layout g.Reg.v_ty else 1) in
       if agg then init_slots st.tenv st.layout (raw_write st) a g.Reg.v_ty
       else raw_write st a 0 (default_tag st.tenv g.Reg.v_ty);
-      Reg.Var_tbl.replace st.global_addrs g a)
+      if g.Reg.v_kind = Reg.Vglobal then begin
+        cover_vars scr (g.Reg.v_id + 1);
+        scr.v_stamp.(g.Reg.v_id) <- -st.run_stamp;
+        scr.v_cell.(g.Reg.v_id) <- a
+      end)
     program.Cfg.prog_globals;
   let halted =
     match Cfg.find_proc_opt program program.Cfg.prog_main with
@@ -1466,3 +1808,14 @@ let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
     cache_hits = Cache.hits st.cache;
     cache_misses = Cache.misses st.cache;
     halted }
+
+let run ?(fuel = 50_000_000) ?on_load ?on_access (program : Cfg.program) :
+    outcome =
+  let st = start (borrow ()) ~fuel ~on_load ~on_access program in
+  match execute st with
+  | outcome ->
+    hand_back st;
+    outcome
+  | exception e ->
+    hand_back st;
+    raise e

@@ -10,6 +10,18 @@
     arithmetic wraps exactly as in {!Interp.run_reference}. A {!Value.t}
     is built only for an [on_load] event.
 
+    A run allocates little beyond the compiled code itself (about 16
+    minor words per compiled instruction on bench/e2e's generated-mix
+    pool): the per-variable tables are arrays indexed by variable id,
+    register and small-constant operands are shared, layout offsets,
+    allocation sizes and NEW images are tabled once per type, a virtual
+    method's dispatch table is shared by its call sites, and an untraced
+    run builds no site descriptor. The cell arrays, cache, output buffer
+    and variable tables are borrowed from the domain and handed back,
+    each kept only while it holds at most 65,536 cells (or variables), so
+    a small run allocates none of them and a large run leaves nothing
+    large behind.
+
     Observable behaviour (printed output, all counters, cycles, cache
     hits/misses, soft faults, the point where fuel runs out, and site
     identities/ids) is bit-identical to {!Interp.run_reference}; the
@@ -80,8 +92,10 @@ exception Out_of_fuel
 val note_heap_len : Cfg.program -> int -> unit
 (** [note_heap_len program n]: a run of [program] reached [n] heap cells,
     so the next {!run} of it (on this domain) starts with at least that
-    capacity. Capacity is unobservable; a hint only saves the doubling
-    series of copies a growing heap costs. *)
+    capacity, when [n] is more than the domain retains between runs
+    (65,536 cells; a smaller heap grows in the retained arrays). Capacity
+    is unobservable; a hint only saves the doubling series of copies a
+    growing heap costs. *)
 
 val run :
   ?fuel:int ->
@@ -92,5 +106,14 @@ val run :
 (** Pre-compiling run. Procedures are compiled lazily, at their first
     call, and every run compiles afresh, so a program optimized in place
     between two runs is simulated as it now stands. Site ids are assigned
-    in order of first dynamic occurrence. Heap capacity hints are kept per
-    domain, so runs on different domains share nothing. *)
+    in order of first dynamic occurrence.
+
+    A run borrows its domain's retained cell arrays, cache, output buffer
+    and variable tables, and hands back each that stayed within 65,536
+    cells (or variables). A run started while they are lent out, from
+    inside an [on_load] or [on_access] hook, allocates its own. A program
+    whose heap outgrew the retained arrays has a capacity hint instead
+    ({!note_heap_len}); the last such heap is held only weakly, and the
+    next large run takes it over if the collector has not reclaimed it
+    yet. All of these are per domain, so runs on different domains share
+    nothing. *)

@@ -151,3 +151,29 @@ let arbitrary =
   QCheck.make
     ~print:(fun seed -> Printf.sprintf "seed %d:\n%s" seed (generate seed))
     QCheck.Gen.(int_bound 1_000_000)
+
+(* [Gen.Scale.type_chain n] (T0 .. T(n-1), each a subtype of the one
+   before) with one METHODS entry on T0, implemented by M, and a virtual
+   call of it through every global: each procedure's call site has the
+   rest of the chain below its receiver type. With [~run], the module
+   body calls every procedure and M prints, so the program runs every
+   site over a dispatch table as wide as the environment. *)
+let chain_with_method ?(run = false) n =
+  let line l =
+    match l with
+    | "  T0 = OBJECT a: INTEGER; END;" ->
+      [ "  T0 = OBJECT a: INTEGER; METHODS m () := M; END;" ]
+    | "PROCEDURE P0 () =" ->
+      [ "PROCEDURE M (self: T0) ="; "  BEGIN"; "    PrintInt (self.a);";
+        "  END M;"; l ]
+    | "END Scale." when run ->
+      List.init n (fun i -> Printf.sprintf "  P%d ();" i) @ [ l ]
+    | _ -> (
+      (* "    gI.a := x + 1;" is followed by a call through gI. *)
+      match String.index_opt l '.' with
+      | Some dot when String.ends_with ~suffix:".a := x + 1;" l ->
+        [ l; String.sub l 0 dot ^ ".m ();" ]
+      | _ -> [ l ])
+  in
+  String.concat "\n"
+    (List.concat_map line (String.split_on_char '\n' (Gen.Scale.type_chain n)))

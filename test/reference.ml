@@ -19,7 +19,11 @@
    chain-walked Subtypes and runs the n²/2 pairwise intersection tests,
    and {!typerefs_compat} intersects two TypeRefsTables per query.
    Dead-code elimination ({!Dce}) measures what the optimizer leaves
-   dead. *)
+   dead. Subtypes(T) ({!subtypes}) and the virtual callees
+   ({!callees_of_target}) come from a children index of the inheritance
+   forest and one walk down the receiver's subtree; the baselines test
+   every type with the chain-walking subtype test and resolve each
+   member's method up its chain. *)
 
 open Support
 open Minim3
@@ -32,6 +36,25 @@ module Dce = Dce
 let facts program =
   Tbaa.Facts.merge program.Cfg.tenv
     (List.map (Tbaa.Facts.collect_proc program) program.Cfg.prog_procs)
+
+(* Subtypes(T) by testing every type: NIL left out. *)
+let subtypes env t =
+  let acc = ref [] in
+  for u = Types.count env - 1 downto 0 do
+    if u <> Types.tid_null && Types.subtype env u t then acc := u :: !acc
+  done;
+  !acc
+
+(* The procedures a call target may reach: a virtual call's are the
+   method implementations over every subtype of its receiver type. *)
+let callees_of_target program = function
+  | Instr.Cdirect p -> [ p ]
+  | Instr.Cvirtual (m, recv_ty) ->
+    let tenv = program.Cfg.tenv in
+    subtypes tenv recv_ty
+    |> List.filter_map (fun t ->
+           if Types.is_object tenv t then Types.method_impl tenv t m else None)
+    |> List.sort_uniq Ident.compare
 
 (* TypeDecl's Subtypes-intersection test by chain walking: MiniM3
    subtyping is a forest, so two subtype sets intersect exactly when one

@@ -441,6 +441,55 @@ BEGIN END M.
     [ "ImplA"; "ImplB" ]
     (List.sort compare (List.map Ident.name (Ident.Set.elements callees)))
 
+(* Virtual callees and Subtypes(T) from the inheritance forest's children
+   index equal the baselines that test every type: over the workloads,
+   the scale document, generated programs and a 400-deep chain with one
+   method on its root. *)
+let test_callgraph_reference () =
+  let check name program =
+    let tenv = program.Cfg.tenv in
+    for t = 0 to Minim3.Types.count tenv - 1 do
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: Subtypes(%d)" name t)
+        (Reference.subtypes tenv t) (Minim3.Types.subtypes tenv t)
+    done;
+    let virtual_sites = ref 0 in
+    List.iter
+      (fun p ->
+        Cfg.iter_instrs p (fun _ -> function
+          | Instr.Icall (_, target, _) ->
+            (match target with
+            | Instr.Cvirtual _ -> incr virtual_sites
+            | Instr.Cdirect _ -> ());
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: a call in %s" name (Ident.name p.Cfg.pr_name))
+              (List.map Ident.name (Reference.callees_of_target program target))
+              (List.map Ident.name (Callgraph.callees_of_target program target))
+          | _ -> ()))
+      program.Cfg.prog_procs;
+    !virtual_sites
+  in
+  let sites =
+    List.fold_left
+      (fun n (w : Workloads.Workload.t) ->
+        n + check w.Workloads.Workload.name (Workloads.Workload.lower w))
+      0 Workloads.Suite.all
+  in
+  Alcotest.(check bool) "the workloads make virtual calls" true (sites > 0);
+  ignore (check "scale 200" (Lower.lower_string ~file:"scale" (Gen.Scale.source 200)));
+  let sites = ref 0 in
+  for seed = 0 to 49 do
+    let g = Gen.Generator.generate ~size:3 seed in
+    sites :=
+      !sites
+      + check (Printf.sprintf "seed %d" seed)
+          (Lower.lower_string ~file:g.Gen.Generator.module_name g.source)
+  done;
+  Alcotest.(check bool) "the seeds make virtual calls" true (!sites > 0);
+  Alcotest.(check int) "a virtual call per chain procedure" 400
+    (check "chain 400"
+       (Lower.lower_string ~file:"chain" (Gen_prog.chain_with_method 400)))
+
 (* Mutual recursion is one two-member component of the condensation, and
    the inliner reads recursion from it: neither Even nor Odd is unfolded,
    while the non-recursive Leaf is. *)
@@ -674,7 +723,9 @@ let () =
             test_dataflow_backward_liveness ] );
       ( "callgraph",
         [ Alcotest.test_case "virtual targets" `Quick test_callgraph_virtual;
-          Alcotest.test_case "recursion" `Quick test_callgraph_recursion ] );
+          Alcotest.test_case "recursion" `Quick test_callgraph_recursion;
+          Alcotest.test_case "virtual callees = reference" `Quick
+            test_callgraph_reference ] );
       ( "snapshot",
         [ Alcotest.test_case "restore re-grows a shrunk procedure" `Quick
             test_restore_regrows ] );

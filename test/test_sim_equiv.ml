@@ -372,7 +372,114 @@ let test_generated () =
     ignore (check_program (name ^ "/optimized") ~fuel optimized);
     ignore (check_traced (name ^ "/optimized") ~fuel optimized)
   done;
-  Alcotest.(check bool) "the seeds reach soft faults" true (!faults > 0)
+  Alcotest.(check bool) "the seeds reach soft faults" true (!faults > 0);
+  (* The per-type layout tables and NEW plans on a 200-deep hierarchy,
+     and one virtual method called through each of 200 types. *)
+  List.iter
+    (fun (name, source) ->
+      let lower () = Lower.lower_string ~file:name source in
+      let plain = lower () in
+      let o = check_program name plain in
+      Alcotest.(check bool) (name ^ ": calls its procedures") true
+        (o.I.counters.I.calls > 1);
+      ignore (check_traced name plain);
+      let optimized = lower () in
+      optimize_full optimized;
+      ignore (check_program (name ^ "/optimized") optimized);
+      ignore (check_traced (name ^ "/optimized") optimized))
+    [ ("scale 200", Gen.Scale.source 200);
+      ("chain 200", Gen_prog.chain_with_method ~run:true 200) ]
+
+(* ------------------------------------------------------------------ *)
+(* Run state reuse                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let endless_source =
+  {|
+MODULE M;
+VAR n: INTEGER;
+BEGIN
+  n := 1;
+  LOOP
+    n := n + 1;
+    IF n = 0 THEN EXIT; END;
+  END;
+END M.
+|}
+
+let halting_source =
+  {|
+MODULE H;
+TYPE Cell = OBJECT v: INTEGER; END;
+VAR c: Cell;
+PROCEDURE Step (x: INTEGER) =
+  BEGIN
+    c.v := c.v + x;
+    IF c.v > 40 THEN PrintInt (c.v); Halt (); END;
+  END Step;
+VAR i: INTEGER;
+BEGIN
+  c := NEW (Cell);
+  FOR i := 1 TO 100 DO Step (i); END;
+END H.
+|}
+
+(* A domain lends the same buffers and variable tables to run after run:
+   a large run (past the retained heap), small ones, a traced one, one
+   that runs out of fuel, one that halts, and one that starts another
+   run of the same program from inside its [on_load] hook, which must
+   get buffers of its own. Every outcome and event stream equals the
+   reference's, on one domain and on two at once. *)
+let test_state_reuse () =
+  let workload name = Workloads.Workload.lower (Workloads.Suite.find name) in
+  let large = workload "write_pickle" and small = workload "format" in
+  let tree = workload "ktree" in
+  let endless = lower endless_source and halting = lower halting_source in
+  let traced_fp ~reference p =
+    let o, l, a = traced_run ~reference p in
+    (o, (l.events, l.hash), (a.events, a.hash))
+  in
+  let nested ~reference =
+    let inner = ref None in
+    let on_load _ =
+      if Option.is_none !inner then inner := Some (run_engine ~reference small)
+    in
+    let outer = run_engine ~reference ~on_load small in
+    (outer, !inner)
+  in
+  let sequence ~reference =
+    let plain ?fuel p = (run_engine ~reference ?fuel p, None) in
+    let traced p = (fun (o, l, a) -> (o, Some (l, a))) (traced_fp ~reference p) in
+    let nest () =
+      match nested ~reference with
+      | outer, Some inner -> [ (outer, None); (inner, None) ]
+      | _, None -> Alcotest.fail "the hook never ran"
+    in
+    List.concat
+      [ [ plain large; plain small; traced tree; plain ~fuel:5_000 endless;
+          plain halting ];
+        nest ();
+        [ plain small; plain large; traced small; plain halting;
+          plain ~fuel:5_000 endless; plain small ] ]
+  in
+  let expected = sequence ~reference:true in
+  Alcotest.(check (list bool)) "fuel runs out, then Halt"
+    [ true; true ]
+    (List.map (fun i -> (fst (List.nth expected i)).I.halted) [ 3; 4 ]);
+  let compare what got =
+    List.iteri
+      (fun i ((eo, es), (go, gs)) ->
+        let name = Printf.sprintf "%s, run %d" what i in
+        check_outcomes name eo go;
+        Alcotest.(check bool) (name ^ ": event streams") true (es = gs))
+      (List.combine expected got)
+  in
+  compare "one domain" (sequence ~reference:false);
+  compare "one domain, again" (sequence ~reference:false);
+  let d1 = Domain.spawn (fun () -> sequence ~reference:false)
+  and d2 = Domain.spawn (fun () -> sequence ~reference:false) in
+  compare "domain 1" (Domain.join d1);
+  compare "domain 2" (Domain.join d2)
 
 (* ------------------------------------------------------------------ *)
 (* Value range and fuel accounting                                     *)
@@ -554,4 +661,5 @@ let () =
         [ Alcotest.test_case "63-bit ints" `Quick test_int_range;
           Alcotest.test_case "fuel sweep" `Quick test_fuel_sweep ] );
       ( "domains",
-        [ Alcotest.test_case "two domains" `Slow test_two_domains ] ) ]
+        [ Alcotest.test_case "two domains" `Slow test_two_domains;
+          Alcotest.test_case "run state reuse" `Slow test_state_reuse ] ) ]
