@@ -220,19 +220,6 @@ let forest env =
     Atomic.set env.forest (Some f);
     f
 
-let subtypes env t =
-  (* NIL inhabits every pointer type but denotes no location, so it is not a
-     member of the paper's Subtypes(T) — including it would make every pair
-     of pointer types overlap on {NULL} and TypeDecl trivially imprecise. *)
-  if t = tid_null then []
-  else
-    match desc env t with
-    | Dobject _ ->
-      let kids = (forest env).kids in
-      let rec below acc u = Array.fold_left below (u :: acc) kids.(u) in
-      List.sort Int.compare (below [] t)
-    | _ -> [ t ]
-
 let rec object_fields env t =
   match desc env t with
   | Dobject info ->

@@ -7,7 +7,9 @@
     are expressed through named REF indirections, as in Modula-3.
 
     The paper's [Subtypes (T)] — the set of types an access path of declared
-    type [T] may legally reference — is {!subtypes}. *)
+    type [T] may legally reference — is every [u] with [subtype env u T]
+    but NIL, which denotes no location; for an object type, that is [T]'s
+    subtree of the inheritance forest ({!subtree_impls} walks it). *)
 
 open Support
 
@@ -105,13 +107,6 @@ val subtype : env -> tid -> tid -> bool
 (** [subtype env s t]: may a value of type [s] inhabit a location of declared
     type [t]? Reflexive; objects by inheritance; NIL below every pointer. *)
 
-val subtypes : env -> tid -> tid list
-(** The paper's [Subtypes (T)]: all allocated tids [u] with
-    [subtype env u t], including [t] itself, in increasing order. NIL is
-    left out. An object type's list is its subtree of the inheritance
-    forest, read from a children index the environment builds on first
-    use: O(subtree), not O(number of types). *)
-
 val object_fields : env -> tid -> field list
 (** All fields of an object type, inherited first. *)
 
@@ -127,9 +122,11 @@ val method_impl : env -> tid -> Ident.t -> Ident.t option
     the innermost OVERRIDES or METHODS default along the chain. *)
 
 val subtree_impls : env -> tid -> Ident.t -> Ident.t list
-(** [method_impl env u m] of every object type [u] in [subtypes env t]
-    that has one, in no particular order and with repeats: one walk down
-    [t]'s subtree, O(subtree) after the walk up from [t]. *)
+(** [method_impl env u m] of every object type [u] with
+    [subtype env u t] that has one, in no particular order and with
+    repeats: one walk down [t]'s subtree of the inheritance forest, read
+    from a children index the environment builds on first use, so
+    O(subtree) after the walk up from [t]. *)
 
 val env_equal : env -> env -> bool
 (** Structural equality of two whole environments: same tid count, same

@@ -1,24 +1,19 @@
 open Support
 open Minim3
 
-(* An object type's entry in the per-type table: its allocation size
-   (header plus every field, inherited first), extended from its parent's,
-   and the field offsets already looked up on it. *)
-type obj = { o_size : int; mutable o_offsets : (Ident.t * int) list }
-
-(* [sizes] holds the inline size by tid ([unknown] until asked), [objs]
-   the object entries ([no_obj] until asked). Both cover the tids the
+(* [sizes] holds the inline size by tid, [obj_sizes] an object type's
+   allocation size (header plus every field, inherited first), extended
+   from its parent's; both [unknown] until asked. Both cover the tids the
    environment had at [create]; a later tid is computed afresh. *)
-type t = { env : Types.env; sizes : int array; objs : obj array }
+type t = { env : Types.env; sizes : int array; obj_sizes : int array }
 
 let object_header = 1
 let open_array_dope = 1
 let unknown = -1
-let no_obj = { o_size = unknown; o_offsets = [] }
 
 let create env =
   let n = Types.count env in
-  { env; sizes = Array.make n unknown; objs = Array.make n no_obj }
+  { env; sizes = Array.make n unknown; obj_sizes = Array.make n unknown }
 
 let ty_str t tid = Types.to_string t.env tid
 
@@ -46,39 +41,33 @@ let rec size t tid =
 let no_fields t tid =
   Diag.error "Layout: %s is not an object type" (Types.to_string t.env tid)
 
-(* The entry of object type [tid], built from its parent's. *)
-let rec obj t tid =
-  if tid >= 0 && tid < Array.length t.objs && t.objs.(tid) != no_obj then
-    t.objs.(tid)
+(* The allocation size of object type [tid], built from its parent's. *)
+let rec obj_size t tid =
+  if tid >= 0 && tid < Array.length t.obj_sizes && t.obj_sizes.(tid) <> unknown
+  then t.obj_sizes.(tid)
   else
     match Types.desc t.env tid with
     | Types.Dobject info ->
-      let o =
-        { o_size = fields_from t info + own_size t info; o_offsets = [] }
-      in
-      if tid < Array.length t.objs then t.objs.(tid) <- o;
-      o
+      let s = fields_from t info + own_size t info in
+      if tid < Array.length t.obj_sizes then t.obj_sizes.(tid) <- s;
+      s
     | _ -> no_fields t tid
 
 (* Where an object's own fields start: after its parent's cells. *)
 and fields_from t (info : Types.obj_info) =
   match info.Types.obj_super with
-  | Some s -> (obj t s).o_size
+  | Some s -> obj_size t s
   | None -> object_header
 
 and own_size t (info : Types.obj_info) =
   Array.fold_left (fun acc f -> acc + size t f.Types.fld_ty) 0 info.Types.obj_fields
 
-(* The offset of the first own field of [info] named [fname], or
-   [unknown]. *)
-let own_offset t (info : Types.obj_info) fname =
-  let fields = info.Types.obj_fields in
-  let rec go off i =
-    if i >= Array.length fields then unknown
-    else if Ident.equal fields.(i).Types.fld_name fname then off
-    else go (off + size t fields.(i).Types.fld_ty) (i + 1)
-  in
-  go (fields_from t info) 0
+(* The offset of the first of [fields] from index [i] on named [fname],
+   field [i] being at [off]; [unknown] if there is none. *)
+let rec offset_in t fields fname off i =
+  if i >= Array.length fields then unknown
+  else if Ident.equal fields.(i).Types.fld_name fname then off
+  else offset_in t fields fname (off + size t fields.(i).Types.fld_ty) (i + 1)
 
 (* The first field named [fname] in inherited-first order is the one
    declared highest up the chain: walk to the root, keeping the last
@@ -86,7 +75,7 @@ let own_offset t (info : Types.obj_info) fname =
 let rec chain_offset t tid fname found =
   match Types.desc t.env tid with
   | Types.Dobject info -> (
-    let off = own_offset t info fname in
+    let off = offset_in t info.Types.obj_fields fname (fields_from t info) 0 in
     let found = if off = unknown then found else off in
     match info.Types.obj_super with
     | Some s -> chain_offset t s fname found
@@ -94,32 +83,20 @@ let rec chain_offset t tid fname found =
   | _ -> no_fields t tid
 
 let object_offset t tid fname =
-  let o = obj t tid in
-  let rec memo = function
-    | [] -> unknown
-    | (f, off) :: rest -> if Ident.equal f fname then off else memo rest
-  in
-  match memo o.o_offsets with
-  | off when off <> unknown -> off
-  | _ ->
-    let off = chain_offset t tid fname unknown in
-    if off = unknown then
-      Diag.error "Layout.field_offset: object type %s has no field '%a'"
-        (ty_str t tid) Ident.pp fname;
-    o.o_offsets <- (fname, off) :: o.o_offsets;
-    off
+  let off = chain_offset t tid fname unknown in
+  if off = unknown then
+    Diag.error "Layout.field_offset: object type %s has no field '%a'"
+      (ty_str t tid) Ident.pp fname;
+  off
 
 let field_offset t tid fname =
   match Types.desc t.env tid with
   | Types.Drecord fields ->
-    let rec go off i =
-      if i >= Array.length fields then
-        Diag.error "Layout.field_offset: record type %s has no field '%a'"
-          (ty_str t tid) Ident.pp fname
-      else if Ident.equal fields.(i).Types.fld_name fname then off
-      else go (off + size t fields.(i).Types.fld_ty) (i + 1)
-    in
-    go 0 0
+    let off = offset_in t fields fname 0 0 in
+    if off = unknown then
+      Diag.error "Layout.field_offset: record type %s has no field '%a'"
+        (ty_str t tid) Ident.pp fname;
+    off
   | Types.Dobject _ -> object_offset t tid fname
   | _ ->
     Diag.error "Layout.field_offset: cannot select field '%a' from %s (not a \
@@ -128,7 +105,7 @@ let field_offset t tid fname =
 
 let alloc_size t tid ~length =
   match Types.desc t.env tid with
-  | Types.Dobject _ -> (obj t tid).o_size
+  | Types.Dobject _ -> obj_size t tid
   | Types.Dref { target; _ } -> (
     match Types.desc t.env target with
     | Types.Darray (None, elem) -> (

@@ -12,10 +12,10 @@ open Support
 open Minim3
 
 type t
-(** The layout of one type environment. Sizes, object allocation sizes
-    and object field offsets are tabled per type as they are first asked
-    for; an object type's entry extends its parent's, so no query walks
-    the inheritance chain twice. *)
+(** The layout of one type environment. Sizes and object allocation
+    sizes are tabled per type as they are first asked for, an object
+    type's size extending its parent's; an object field's offset is one
+    walk up the chain over those tabled sizes. *)
 
 val create : Types.env -> t
 

@@ -305,7 +305,8 @@ type scratch = {
   s_targets : (int, ptarget) Hashtbl.t;
   s_methods : (int, impl array) Hashtbl.t;
   s_null_zones : (int, int) Hashtbl.t;
-  s_spare : (int array * Bytes.t) Weak.t;
+  s_spare_v : int array Weak.t;
+  s_spare_tg : Bytes.t Weak.t;
       (* the last heap past the cap, reused only while nothing else
          keeps it alive and the collector has not yet reclaimed it *)
 }
@@ -1651,9 +1652,12 @@ and call st pt nargs dst dtag =
    array that stayed within [retained_cells] (or [retained_vars], for the
    variable tables): a small run then allocates no cell array, cache or
    output buffer of its own. What grew past the cap is dropped, so a
-   large run leaves nothing large behind, except in [s_spare], which
-   does not keep it alive: until the collector reclaims that heap, the
-   next large run uses it instead of taking fresh pages beside it (on
+   large run leaves nothing large behind, except in [s_spare_v] and
+   [s_spare_tg], which do not keep it alive: the weak pointers refer to
+   the heap's arrays themselves (past the minor heap's size limit, they
+   were allocated in the major heap), so only a major cycle that finds
+   them unreachable clears them. Until then, the next large run uses
+   that heap instead of taking fresh pages beside it (on
    paper-suite's set-up, where m3cg's 0.55M-cell heap followed
    write_pickle's 1.45M-cell one before a major cycle had ended, that
    was 5 MB of peak memory). A run started while its domain's scratch
@@ -1675,7 +1679,8 @@ let fresh_scratch ~pooled =
     v_stamp = [||]; v_atom = [||]; v_cell = [||];
     reg_tags = Bytes.create 64; next_stamp = 1;
     s_targets = Hashtbl.create 32; s_methods = Hashtbl.create 8;
-    s_null_zones = Hashtbl.create 16; s_spare = Weak.create 1 }
+    s_null_zones = Hashtbl.create 16; s_spare_v = Weak.create 1;
+    s_spare_tg = Weak.create 1 }
 
 let scratches : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () -> fresh_scratch ~pooled:true)
@@ -1698,7 +1703,10 @@ let hand_back st =
       scr.s_hv <- st.hv;
       scr.s_htg <- st.htg
     end
-    else Weak.set scr.s_spare 0 (Some (st.hv, st.htg));
+    else begin
+      Weak.set scr.s_spare_v 0 (Some st.hv);
+      Weak.set scr.s_spare_tg 0 (Some st.htg)
+    end;
     if within st.sv then begin
       scr.s_sv <- st.sv;
       scr.s_stg <- st.stg
@@ -1749,9 +1757,10 @@ let start scr ~fuel ~on_load ~on_access (program : Cfg.program) =
   let hv, htg =
     match Hashtbl.find_opt (Domain.DLS.get heap_hints) (heap_hint_key program) with
     | Some cap when cap > Array.length scr.s_hv -> (
-      match Weak.get scr.s_spare 0 with
-      | Some (v, t) when Array.length v >= cap ->
-        Weak.set scr.s_spare 0 None;
+      match (Weak.get scr.s_spare_v 0, Weak.get scr.s_spare_tg 0) with
+      | Some v, Some t when Array.length v >= cap ->
+        Weak.set scr.s_spare_v 0 None;
+        Weak.set scr.s_spare_tg 0 None;
         (v, t)
       | _ -> (Array.make cap 0, Bytes.create cap))
     | _ -> (scr.s_hv, scr.s_htg)

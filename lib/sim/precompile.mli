@@ -10,10 +10,10 @@
     arithmetic wraps exactly as in {!Interp.run_reference}. A {!Value.t}
     is built only for an [on_load] event.
 
-    A run allocates little beyond the compiled code itself (about 16
+    A run allocates little beyond the compiled code itself (about 14
     minor words per compiled instruction on bench/e2e's generated-mix
     pool): the per-variable tables are arrays indexed by variable id,
-    register and small-constant operands are shared, layout offsets,
+    register and small-constant operands are shared, layout sizes,
     allocation sizes and NEW images are tabled once per type, a virtual
     method's dispatch table is shared by its call sites, and an untraced
     run builds no site descriptor. The cell arrays, cache, output buffer

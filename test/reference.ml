@@ -19,10 +19,10 @@
    chain-walked Subtypes and runs the n²/2 pairwise intersection tests,
    and {!typerefs_compat} intersects two TypeRefsTables per query.
    Dead-code elimination ({!Dce}) measures what the optimizer leaves
-   dead. Subtypes(T) ({!subtypes}) and the virtual callees
-   ({!callees_of_target}) come from a children index of the inheritance
-   forest and one walk down the receiver's subtree; the baselines test
-   every type with the chain-walking subtype test and resolve each
+   dead. The production virtual callees come from one walk down the
+   receiver's subtree of the inheritance forest; the baseline
+   ({!callees_of_target}) lists Subtypes(T) ({!subtypes}) by testing
+   every type with the chain-walking subtype test and resolves each
    member's method up its chain. *)
 
 open Support

@@ -292,8 +292,6 @@ let test_only =
     ("Cfg.pp_proc", "tests print one procedure in failure messages");
     ("Dom.idom", "test_ir checks immediate dominators against the reference");
     ("Lexer.tokenize", "test_frontend pins the token stream");
-    ("Types.subtypes", "tests check the paper's Subtypes(T) on the children \
-                        index against the every-type scan");
     ("Parser.parse_expr_string", "test_frontend parses single expressions");
     ("Modref.of_summaries", "the reference closure mod-ref builds through it");
     ("Modref.summary", "tests compare per-procedure mod-ref summaries");

@@ -359,7 +359,7 @@ let test_check_figure1 () =
   Alcotest.(check bool) "not S1 <: S2" false (Types.subtype env s1 s2);
   Alcotest.(check bool) "not T <: S1" false (Types.subtype env t s1);
   Alcotest.(check bool) "T <: ROOT" true (Types.subtype env t Types.tid_root);
-  let subs = Types.subtypes env t in
+  let subs = Reference.subtypes env t in
   Alcotest.(check bool) "Subtypes(T) contains S1, S2, S3, T" true
     (List.length (List.filter (fun u -> Types.is_object env u) subs) = 4)
 

@@ -441,18 +441,12 @@ BEGIN END M.
     [ "ImplA"; "ImplB" ]
     (List.sort compare (List.map Ident.name (Ident.Set.elements callees)))
 
-(* Virtual callees and Subtypes(T) from the inheritance forest's children
-   index equal the baselines that test every type: over the workloads,
-   the scale document, generated programs and a 400-deep chain with one
+(* Virtual callees from one walk down the receiver's subtree equal the
+   baseline that tests every type for a subtype: over the workloads, the
+   scale document, generated programs and a 400-deep chain with one
    method on its root. *)
 let test_callgraph_reference () =
   let check name program =
-    let tenv = program.Cfg.tenv in
-    for t = 0 to Minim3.Types.count tenv - 1 do
-      Alcotest.(check (list int))
-        (Printf.sprintf "%s: Subtypes(%d)" name t)
-        (Reference.subtypes tenv t) (Minim3.Types.subtypes tenv t)
-    done;
     let virtual_sites = ref 0 in
     List.iter
       (fun p ->

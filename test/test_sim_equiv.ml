@@ -428,11 +428,14 @@ END H.
    a large run (past the retained heap), small ones, a traced one, one
    that runs out of fuel, one that halts, and one that starts another
    run of the same program from inside its [on_load] hook, which must
-   get buffers of its own. Every outcome and event stream equals the
-   reference's, on one domain and on two at once. *)
+   get buffers of its own. A second large program right after the first
+   may take over the first one's heap, as it was left. Every outcome and
+   event stream equals the reference's, on one domain and on two at
+   once. *)
 let test_state_reuse () =
   let workload name = Workloads.Workload.lower (Workloads.Suite.find name) in
   let large = workload "write_pickle" and small = workload "format" in
+  let other_large = workload "m3cg" in
   let tree = workload "ktree" in
   let endless = lower endless_source and halting = lower halting_source in
   let traced_fp ~reference p =
@@ -459,7 +462,8 @@ let test_state_reuse () =
       [ [ plain large; plain small; traced tree; plain ~fuel:5_000 endless;
           plain halting ];
         nest ();
-        [ plain small; plain large; traced small; plain halting;
+        [ plain small; plain large; plain other_large; traced small;
+          plain halting;
           plain ~fuel:5_000 endless; plain small ] ]
   in
   let expected = sequence ~reference:true in

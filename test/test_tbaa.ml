@@ -569,7 +569,7 @@ let test_subtypes_excludes_nil () =
   let tenv = (Tbaa.Engine.facts analysis).Tbaa.Facts.tenv in
   List.iter
     (fun t ->
-      if List.mem Types.tid_null (Types.subtypes tenv t) then
+      if List.mem Types.tid_null (Reference.subtypes tenv t) then
         Alcotest.fail "NIL must not be in any Subtypes set")
     (List.init (Types.count tenv) Fun.id)
 
